@@ -12,8 +12,8 @@ solvers (:mod:`~dmpcqp.oracle`), a metered communication fabric
 """
 
 from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
-                   admm_converged, admm_dual_update, admm_local_qp,
-                   admm_solve, shift_averaged)
+                   admm_converged, admm_dual_update, admm_solve,
+                   shift_averaged)
 from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
                   compute_step_length, initialize_feasible, network_objective,
                   shift_active, verify_iterate)
@@ -22,7 +22,7 @@ from .condense import (CondensedAgent, DualRecovery, WorkingConstraints,
                        working_constraints)
 from .dcg import (DcgResult, SchurPiece, as_piece, build_overlaps, dcg_init,
                   dcg_iterate, dcg_solve)
-from .fabric import CommLedger, Fabric, InProcessTransport, verify_comm_identities
+from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
 from .oracle import (DenseQp, DenseSolution, Rollout, centralized_mpc_rollout,

@@ -9,20 +9,27 @@ to their owners and averaged trajectories back to the copiers, totalling
 ``2 n_c`` local floats; convergence flags add one coordinator round.
 
 The local QPs are solved by the single-agent specialization of the
-active-set machinery (no coupling rows, hence no multiplier system), with
-working-set factorizations cached per active set since consecutive ADMM
-iterations revisit the same sets.
+active-set machinery (no coupling rows, hence no multiplier system): the
+ratio test and most-violated-bound pick of :mod:`~dmpcqp.asm`, and the
+condensed working set of :mod:`~dmpcqp.condense`, whose triangular range
+factor also yields the working-set multipliers.  Condensed working sets are
+cached per active set since consecutive ADMM iterations revisit the same
+sets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .condense import backsubstitute, condense, working_constraints
+from .asm import (DEGENERATE_STEP, VIOLATION_TOL, compute_step_length,
+                  most_violated_bound)
+from .condense import (CondensedAgent, condense, recover_duals,
+                       working_constraints)
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
 
@@ -31,9 +38,6 @@ ADMM_PRESETS = {
     "admm1": (1e-6, 1e-3),
     "admm2": (1e-4, 1e-2),
 }
-
-_RATIO_TOL = 1e-12
-_DEGENERATE_STEP = 1e-12
 
 
 @dataclass
@@ -76,27 +80,13 @@ class AdmmResult:
     stats: AdmmStats
 
 
-@dataclass(frozen=True)
-class _LocalQp:
-    """Duck-typed stand-in accepted by :func:`dmpcqp.condense.condense`."""
-
-    index: int
-    hessian: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    ineq_matrix: np.ndarray
-    ineq_rhs: np.ndarray
-    cpl_local: np.ndarray
-    coupled_rows: np.ndarray
-
-
 class LocalQpSolver:
     """Warm-started active-set solver for one agent's augmented QP.
 
     Minimizes ``z' H z + g' z`` subject to the agent's equality rows and
     input box, where ``H = 2 H_agent + rho * Cc' Cc`` stays fixed while the
-    linear term tracks the ADMM iterates.  Null-space factorizations and the
-    dual-recovery Gram factors are cached per active set.
+    linear term tracks the ADMM iterates.  Condensed working sets are cached
+    per active set.
     """
 
     def __init__(self, qp, rho: float, *, eps_step: float = 1e-10,
@@ -107,18 +97,15 @@ class LocalQpSolver:
         hess = 2.0 * qp.hessian
         if Cc.shape[0]:
             hess = hess + self.rho * (Cc.T @ Cc)
-        self.local = _LocalQp(
-            index=qp.index, hessian=hess,
-            eq_matrix=qp.eq_matrix, eq_rhs=qp.eq_rhs,
-            ineq_matrix=qp.ineq_matrix, ineq_rhs=qp.ineq_rhs,
-            cpl_local=np.zeros((0, qp.size)),
+        self.local = dataclasses.replace(
+            qp, hessian=hess, cpl_local=np.zeros((0, qp.size)),
             coupled_rows=np.zeros(0, dtype=int))
         self.eps_step = eps_step
         self.eps_dual = eps_dual
         self.max_iter = max_iter
-        self._cache: dict[tuple[int, ...], tuple] = {}
+        self._cache: dict[tuple[int, ...], CondensedAgent] = {}
 
-    def _factors(self, active: tuple[int, ...]):
+    def _factors(self, active: tuple[int, ...]) -> CondensedAgent:
         hit = self._cache.get(active)
         if hit is not None:
             return hit
@@ -126,16 +113,8 @@ class LocalQpSolver:
             self._cache.clear()
         work = working_constraints(self.local, active, homogeneous=False)
         ca = condense(self.local, work)
-        gram = work.matrix @ work.matrix.T
-        try:
-            gram_chol = scipy.linalg.cho_factor(gram)
-        except scipy.linalg.LinAlgError as exc:
-            raise LocalQpError(
-                f"agent {self.local.index}: singular working-set Gram "
-                f"matrix for rows {active}") from exc
-        entry = (ca, work, gram_chol)
-        self._cache[active] = entry
-        return entry
+        self._cache[active] = ca
+        return ca
 
     def _absolute_solve(self, ca, g_lin: np.ndarray) -> np.ndarray:
         if ca.n_reduced == 0:
@@ -147,27 +126,25 @@ class LocalQpSolver:
     def solve(self, g_lin: np.ndarray,
               warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
         """Return ``(z, active, iterations)`` for linear term ``g_lin``."""
-        ineq, rhs = self.local.ineq_matrix, self.local.ineq_rhs
+        local = self.local
         active = list(dict.fromkeys(int(a) for a in warm_active))
         iterations = 0
         for _ in range(self.max_iter):
             iterations += 1
-            ca, _, _ = self._factors(tuple(active))
-            z = self._absolute_solve(ca, g_lin)
-            viol = ineq @ z - rhs
-            viol[list(active)] = -np.inf
-            worst = int(np.argmax(viol)) if viol.size else 0
-            if not viol.size or viol[worst] <= 1e-9:
+            z = self._absolute_solve(self._factors(tuple(active)), g_lin)
+            row = most_violated_bound(local, z, active, VIOLATION_TOL)
+            if row is None:
                 break
-            active.append(worst)
+            active.append(row)
         else:
-            raise LocalQpError(f"agent {self.local.index}: feasibility phase "
+            raise LocalQpError(f"agent {local.index}: feasibility phase "
                                f"exceeded {self.max_iter} rounds")
 
+        no_coupling = np.zeros(0)
         for _ in range(self.max_iter):
             iterations += 1
-            grad = self.local.hessian @ z + g_lin
-            ca, work, gram_chol = self._factors(tuple(active))
+            grad = local.hessian @ z + g_lin
+            ca = self._factors(tuple(active))
             if ca.n_reduced:
                 red = ca.null_basis.T @ grad
                 dz = ca.null_basis @ scipy.linalg.cho_solve(
@@ -176,36 +153,18 @@ class LocalQpSolver:
                 dz = np.zeros_like(z)
             if np.abs(dz).max(initial=0.0) < self.eps_step * (
                     1.0 + np.abs(z).max(initial=0.0)):
-                gamma = scipy.linalg.cho_solve(gram_chol, work.matrix @ -grad)
-                nu = gamma[work.n_eq:]
+                nu = recover_duals(local, ca, grad, no_coupling).ineq_duals
                 if nu.size == 0 or nu.min() >= -self.eps_dual:
                     return z, tuple(active), iterations
                 active.pop(int(np.argmin(nu)))
                 continue
-            alpha, blocking = 1.0, None
-            cdz = ineq @ dz
-            slack = rhs - ineq @ z
-            for row in range(ineq.shape[0]):
-                if row in active or cdz[row] <= _RATIO_TOL:
-                    continue
-                ratio = max(0.0, slack[row] / cdz[row])
-                if ratio < alpha:
-                    alpha, blocking = ratio, row
-            if alpha >= _DEGENERATE_STEP:
+            alpha, blocking = compute_step_length(z, dz, local, active)
+            if alpha >= DEGENERATE_STEP:
                 z = z + alpha * dz
-            if blocking is not None and alpha < 1.0:
+            if blocking is not None:
                 active.append(blocking)
-        raise LocalQpError(f"agent {self.local.index}: active-set phase "
+        raise LocalQpError(f"agent {local.index}: active-set phase "
                            f"exceeded {self.max_iter} iterations")
-
-
-def admm_local_qp(qp, z_avg: np.ndarray, lam_local: np.ndarray, rho: float,
-                  warm_active: Sequence[int] = ()) -> np.ndarray:
-    """One-shot solve of an agent's augmented local QP."""
-    solver = LocalQpSolver(qp, rho)
-    g = local_linear_term(qp, z_avg, lam_local, rho)
-    z, _, _ = solver.solve(g, warm_active)
-    return z
 
 
 def local_linear_term(qp, z_avg: np.ndarray, lam_local: np.ndarray,

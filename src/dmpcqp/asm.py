@@ -28,8 +28,12 @@ from .errors import (AsmIterationLimit, FeasibilityViolation, InfeasibleStart,
                      RankDeficientWorkingSet)
 from .fabric import CommLedger, Fabric
 
-_RATIO_TOL = 1e-12
-_DEGENERATE_STEP = 1e-12
+#: Rows whose constraint value grows by at most this along a step never block.
+RATIO_TOL = 1e-12
+#: Steps shorter than this are not taken; the blocking bound is still activated.
+DEGENERATE_STEP = 1e-12
+#: Bound violation the ratio test rejects and the feasibility phases repair.
+VIOLATION_TOL = 1e-9
 
 
 @dataclass
@@ -80,7 +84,6 @@ class AsmState:
     z: list[np.ndarray]
     active: list[list[int]]
     lambdas: list[np.ndarray]
-    phase: str
     stats: AsmStats
 
 
@@ -100,45 +103,59 @@ def compute_step_length(z: np.ndarray, dz: np.ndarray, qp,
     """Largest fraction of ``dz`` keeping every inactive bound feasible.
 
     Returns ``(alpha, blocking_row)`` with ``blocking_row = None`` for a full
-    step.  Ties pick the lowest row index.  A bound already violated beyond
-    tolerance marks the iterate infeasible and raises.
+    step.  Active rows and rows the step does not approach are skipped; ties
+    pick the lowest row index.  A remaining bound already violated beyond
+    :data:`VIOLATION_TOL` marks the iterate infeasible and raises.
     """
-    if qp.ineq_matrix.shape[0] == 0:
-        return 1.0, None
-    cz = qp.ineq_matrix @ z
     cdz = qp.ineq_matrix @ dz
-    slack = qp.ineq_rhs - cz
-    active = set(int(a) for a in active)
-    alpha, blocking = 1.0, None
-    for row in range(qp.ineq_matrix.shape[0]):
-        if row in active or cdz[row] <= _RATIO_TOL:
-            continue
-        if slack[row] < -1e-9:
-            raise FeasibilityViolation(
-                f"agent {qp.index}: bound row {row} violated by "
-                f"{-slack[row]:.3e} before stepping")
-        ratio = max(0.0, slack[row] / cdz[row])
-        if ratio < alpha:
-            alpha, blocking = ratio, row
-    return alpha, blocking
+    slack = qp.ineq_rhs - qp.ineq_matrix @ z
+    eligible = cdz > RATIO_TOL
+    eligible[list(active)] = False
+    rows = np.flatnonzero(eligible)
+    violated = rows[slack[rows] < -VIOLATION_TOL]
+    if violated.size:
+        row = int(violated[0])
+        raise FeasibilityViolation(
+            f"agent {qp.index}: bound row {row} violated by "
+            f"{-slack[row]:.3e} before stepping")
+    if not rows.size:
+        return 1.0, None
+    ratios = np.maximum(slack[rows] / cdz[rows], 0.0)
+    pos = int(np.argmin(ratios))
+    if ratios[pos] < 1.0:
+        return float(ratios[pos]), int(rows[pos])
+    return 1.0, None
+
+
+def most_violated_bound(qp, z: np.ndarray, active: Sequence[int],
+                        tol: float) -> int | None:
+    """Inactive bound row violated most at ``z``, or None if all hold to ``tol``.
+
+    Ties pick the lowest row index.
+    """
+    viol = qp.ineq_matrix @ z - qp.ineq_rhs
+    viol[list(active)] = -np.inf
+    if not viol.size:
+        return None
+    row = int(np.argmax(viol))
+    return row if viol[row] > tol else None
 
 
 def _condense_all(qps, active, gradients, *, homogeneous, repair=False):
     """Condense every agent, optionally dropping dependent warm-start rows."""
-    cas, works = [], []
+    cas = []
     for qp, act in zip(qps, active):
         grad = gradients[qp.index] if gradients is not None else None
         while True:
             work = working_constraints(qp, act, homogeneous=homogeneous)
             try:
                 cas.append(condense(qp, work, grad))
-                works.append(work)
                 break
             except RankDeficientWorkingSet as exc:
                 if not repair or exc.active_position is None:
                     raise
                 del act[exc.active_position]
-    return cas, works
+    return cas
 
 
 def _coupling_residual(qps, zs) -> float:
@@ -219,25 +236,20 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
     max_dcg = cfg.max_dcg
     repair = True
     for _ in range(max_rounds):
-        cas, _ = _condense_all(qps, active, None, homogeneous=False,
-                               repair=repair)
+        cas = _condense_all(qps, active, None, homogeneous=False,
+                            repair=repair)
         repair = False
         sol = dcg_solve([as_piece(ca) for ca in cas], None, cfg.eps_dcg,
                         fabric, max_iter=max_dcg)
         stats.dcg_feasible_guess += sol.iterations
         stats.init_rounds += 1
         zs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
-        worst = []
-        for qp, z, act in zip(qps, zs, active):
-            viol = qp.ineq_matrix @ z - qp.ineq_rhs
-            viol[list(act)] = -np.inf
-            row = int(np.argmax(viol)) if viol.size else 0
-            worst.append(row if viol.size and viol[row] > cfg.eps_violation
-                         else None)
+        worst = [most_violated_bound(qp, z, act, cfg.eps_violation)
+                 for qp, z, act in zip(qps, zs, active)]
         clean = fabric.global_flags([w is None for w in worst], phase="init")
         if clean:
             return AsmState(z=zs, active=active, lambdas=list(sol.lambdas),
-                            phase="feasible", stats=stats)
+                            stats=stats)
         for act, row in zip(active, worst):
             if row is not None:
                 act.append(row)
@@ -282,7 +294,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     for _ in range(max_outer):
         stats.outer_iterations += 1
         gradients = [qp.hessian @ z for qp, z in zip(qps, zs)]
-        cas, works = _condense_all(qps, active, gradients, homogeneous=True)
+        cas = _condense_all(qps, active, gradients, homogeneous=True)
         sol = dcg_solve([as_piece(ca) for ca in cas], lam_seed, cfg.eps_dcg,
                         fabric, max_iter=cfg.max_dcg)
         stats.dcg_active_set += sol.iterations
@@ -291,9 +303,9 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
         small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
                  for dz in dzs]
         if fabric.global_flags(small, phase="asm"):
-            recoveries = [recover_duals(qp, work, grad, lam)
-                          for qp, work, grad, lam in
-                          zip(qps, works, gradients, sol.lambdas)]
+            recoveries = [recover_duals(qp, ca, grad, lam)
+                          for qp, ca, grad, lam in
+                          zip(qps, cas, gradients, sol.lambdas)]
             mins = []
             for rec in recoveries:
                 nu = rec.ineq_duals
@@ -317,7 +329,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
             alpha, agent = fabric.global_reduce(
                 [s[0] for s in steps], op="min", phase="asm")
             alpha = min(alpha, 1.0)
-            if alpha >= _DEGENERATE_STEP:
+            if alpha >= DEGENERATE_STEP:
                 zs = [z + alpha * dz for z, dz in zip(zs, dzs)]
             if alpha < 1.0:
                 blocking = steps[agent][1]

@@ -90,12 +90,34 @@ class ExperimentConfig:
             raise ValueError("rho must be positive")
 
 
+_AGENT_KEYS = ("A_self", "B", "u_lo", "u_hi", "Q", "R", "P")
+
+
 def load_network(path) -> NetworkModel:
-    """Build a network from the JSON schema documented in this module."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Build a network from the JSON schema documented in this module.
+
+    Raises :class:`ValueError` when the file cannot be read or parsed, when
+    it does not follow the schema's nesting, or when an agent lacks a
+    required key.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read network file {path}: {exc}") from exc
+    entries = doc.get("agents") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"network file {path}: 'agents' must be a list")
     agents = []
-    for idx, entry in enumerate(doc["agents"]):
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict) or \
+                not isinstance(entry.get("A_in", {}), dict):
+            raise ValueError(f"network file {path}: agent {idx} and its "
+                             f"'A_in' must be objects")
+        missing = [key for key in _AGENT_KEYS if key not in entry]
+        if missing:
+            raise ValueError(f"network file {path}: agent {idx} lacks key "
+                             f"{missing[0]!r}")
         agents.append(AgentModel(
             index=idx,
             A_self=np.array(entry["A_self"], dtype=float),
@@ -179,74 +201,75 @@ class ExperimentResult:
     failures: int
 
 
+def _asm_step(cfg, qps, warm, fabric, t):
+    """One sample of the distributed active-set solver.
+
+    Returns the plan, the next warm start (the active rows shifted one step
+    forward) and the sample's counters.
+    """
+    res = asm_solve(qps, warm, AsmConfig(eps_step=cfg.eps_asm,
+                                         eps_dcg=cfg.eps_dcg), fabric)
+    st = res.stats
+    verify_comm_identities(
+        st.ledger, len(qps), qps[0].n_coupling,
+        dcg_iterations=st.dcg_total, asm_iterations=st.outer_iterations)
+    warm = [shift_active(qp, a) for qp, a in zip(qps, res.active)]
+    return res.z, warm, dict(
+        asm_iterations=st.outer_iterations, init_rounds=st.init_rounds,
+        dcg_feasible_guess=st.dcg_feasible_guess,
+        dcg_active_set=st.dcg_active_set, comm=st.ledger.as_dict())
+
+
+def _admm_step(cfg, qps, warm, fabric, t):
+    """One sample of consensus ADMM, warm-started from the shifted average."""
+    admm_cfg = AdmmConfig.preset(cfg.solver, rho=cfg.rho)
+    res = admm_solve(qps, fabric, admm_cfg, warm)
+    verify_comm_identities(res.stats.ledger, len(qps), qps[0].n_coupling,
+                           admm_iterations=res.iterations)
+    if not res.converged:
+        raise SolverError(
+            f"ADMM did not converge within {admm_cfg.max_iter} "
+            f"iterations at sample {t}")
+    return res.z, shift_averaged(qps, res.z_avg), dict(
+        admm_iterations=res.iterations, comm=res.stats.ledger.as_dict())
+
+
 def _closed_loop_distributed(net, cfg, x0s):
     """Run one initial condition with the configured distributed solver.
 
-    Returns ``(states, inputs, sample_stats)`` where states is a list of
+    Each sample solves with the solver's step (which checks the ledger
+    identities and returns the next warm start and the sample's counters),
+    applies the first input of every agent and moves the QPs to the new
+    state.  Returns ``(states, inputs, samples)`` where states is a list of
     per-agent state lists over time.
     """
     M = net.n_agents
+    step = _asm_step if cfg.solver == "asm-dcg" else _admm_step
     qps = build_network_qps(net, cfg.horizon, x0s)
-    n_c = qps[0].n_coupling
     fabric = Fabric(M)
     state = PlantState(states=tuple(x0s))
     states = [list(state.states)]
     inputs = []
     samples = []
-    if cfg.solver == "asm-dcg":
-        asm_cfg = AsmConfig(eps_step=cfg.eps_asm, eps_dcg=cfg.eps_dcg)
-        warm = None
-        for t in range(cfg.steps):
-            before = fabric.ledger.snapshot()
-            res = asm_solve(qps, warm, asm_cfg, fabric)
-            delta = fabric.ledger.delta(before)
-            verify_comm_identities(
-                delta, M, n_c, dcg_iterations=res.stats.dcg_total,
-                asm_iterations=res.stats.outer_iterations)
-            warm = [shift_active(qp, a) for qp, a in zip(qps, res.active)]
-            u = [res.z[i][qps[i].layout.u_slice(0)] for i in range(M)]
-            state = plant_step(net, state, u)
-            states.append(list(state.states))
-            inputs.append(u)
-            samples.append(dict(
-                asm_iterations=res.stats.outer_iterations,
-                init_rounds=res.stats.init_rounds,
-                dcg_feasible_guess=res.stats.dcg_feasible_guess,
-                dcg_active_set=res.stats.dcg_active_set,
-                comm=delta.as_dict()))
-            qps = [update_initial_state(qp, x)
-                   for qp, x in zip(qps, state.states)]
-    else:
-        preset = cfg.solver
-        admm_cfg = AdmmConfig.preset(preset, rho=cfg.rho)
-        z_avg = None
-        for t in range(cfg.steps):
-            before = fabric.ledger.snapshot()
-            res = admm_solve(qps, fabric, admm_cfg, z_avg)
-            delta = fabric.ledger.delta(before)
-            verify_comm_identities(delta, M, n_c,
-                                   admm_iterations=res.iterations)
-            if not res.converged:
-                raise SolverError(
-                    f"ADMM did not converge within {admm_cfg.max_iter} "
-                    f"iterations at sample {t}")
-            z_avg = shift_averaged(qps, res.z_avg)
-            u = [res.z[i][qps[i].layout.u_slice(0)] for i in range(M)]
-            state = plant_step(net, state, u)
-            states.append(list(state.states))
-            inputs.append(u)
-            samples.append(dict(admm_iterations=res.iterations,
-                                comm=delta.as_dict()))
-            qps = [update_initial_state(qp, x)
-                   for qp, x in zip(qps, state.states)]
+    warm = None
+    for t in range(cfg.steps):
+        z, warm, sample = step(cfg, qps, warm, fabric, t)
+        u = [z[i][qps[i].layout.u_slice(0)] for i in range(M)]
+        state = plant_step(net, state, u)
+        states.append(list(state.states))
+        inputs.append(u)
+        samples.append(sample)
+        qps = [update_initial_state(qp, x)
+               for qp, x in zip(qps, state.states)]
     return states, inputs, samples
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write its artifacts.
 
-    Solver failures are recorded per sample; remaining initial conditions
-    still run.  Returns the collected records and aggregate statistics.
+    Solver failures, including a failed reference rollout, are recorded per
+    initial condition; remaining initial conditions still run.  Returns the
+    collected records and aggregate statistics.
     """
     cfg.validate()
     net = build_network(cfg)
@@ -266,7 +289,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     trajectory_rows = []
     failures = 0
     for idx, x0s in enumerate(inits):
-        reference = centralized_mpc_rollout(net, x0s, cfg.horizon, cfg.steps)
+        stage = "reference rollout: "
+        try:
+            reference = centralized_mpc_rollout(net, x0s, cfg.horizon,
+                                                cfg.steps)
+            stage = ""
+            if cfg.solver != "centralized":
+                states, inputs, samples = _closed_loop_distributed(
+                    net, cfg, x0s)
+        except SolverError as exc:
+            failures += 1
+            records.append(SampleRecord(init=idx, sample=-1,
+                                        status=f"error: {stage}{exc}"))
+            continue
         if cfg.solver == "centralized":
             states = [[reference.state_of(t, i) for i in range(net.n_agents)]
                       for t in range(cfg.steps + 1)]
@@ -277,14 +312,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     init=idx, sample=t, deviation=0.0,
                     oracle_iterations=reference.iterations[t]))
         else:
-            try:
-                states, inputs, samples = _closed_loop_distributed(
-                    net, cfg, x0s)
-            except SolverError as exc:
-                failures += 1
-                records.append(SampleRecord(init=idx, sample=-1,
-                                            status=f"error: {exc}"))
-                continue
             for t, sample in enumerate(samples):
                 dev = max(
                     float(np.abs(np.asarray(states[t + 1][i])
@@ -406,6 +433,12 @@ def _write_summary(path, aggregates):
 class ComparisonResult:
     metrics: dict
     max_trajectory_diff: float
+
+    @property
+    def identical(self) -> bool:
+        """Every aggregate and every trajectory entry agrees exactly."""
+        return self.max_trajectory_diff == 0.0 and all(
+            pair["a"] == pair["b"] for pair in self.metrics.values())
 
 
 _SCENARIO_KEYS = ("scenario", "network_file", "n_masses", "mass", "stiffness",
@@ -531,7 +564,7 @@ def main(argv=None) -> int:
     for metric, pair in comparison.metrics.items():
         print(f"{metric}: {pair['a']} vs {pair['b']}")
     print(f"max trajectory difference: {comparison.max_trajectory_diff:.3e}")
-    return 0
+    return 0 if comparison.identical else 1
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ factorization, the constrained stationary point of
 is split into a particular part ``Y w`` and a reduced unknown on ``Z``.
 Eliminating the reduced unknown yields each agent's contribution to the
 coupling-multiplier system: a local Schur matrix and right-hand side,
-compressed to the coupling rows the agent actually touches.  Factorizations
-are not reused across working-set changes; every call refactorizes.
+compressed to the coupling rows the agent actually touches.  The triangular
+factor ``R1`` of ``C_work' = Y R1`` is kept, so the working-set multipliers
+are one triangular solve away (``R1 gamma = Y' rhs``).  Factorizations are
+not reused across working-set changes; every call refactorizes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import (DualRecoveryError, IndefiniteReducedHessian,
-                     RankDeficientWorkingSet)
+from .errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
 #: Cholesky pivots of the reduced Hessian below this threshold fail the solve.
 PIVOT_TOL = 1e-12
@@ -80,13 +81,16 @@ class CondensedAgent:
     multiplier system, compressed to ``rows`` (the global coupling rows with
     a nonzero entry for this agent).  ``null_basis``/``range_basis`` and the
     cached Cholesky factor allow back-substitution once the multipliers are
-    known.
+    known; ``range_factor`` is the triangular ``R1`` with
+    ``C_work' = range_basis @ R1``, used to recover the working-set
+    multipliers.
     """
 
     agent: int
     rows: np.ndarray
     null_basis: np.ndarray
     range_basis: np.ndarray
+    range_factor: np.ndarray
     particular: np.ndarray
     reduced_chol: tuple | None
     reduced_grad: np.ndarray
@@ -190,7 +194,7 @@ def condense(qp, work: WorkingConstraints,
 
     return CondensedAgent(
         agent=qp.index, rows=qp.coupled_rows,
-        null_basis=Z, range_basis=Y, particular=particular,
+        null_basis=Z, range_basis=Y, range_factor=R1, particular=particular,
         reduced_chol=reduced_chol, reduced_grad=reduced_grad,
         cpl_reduced=cpl_reduced, schur=schur, schur_rhs=schur_rhs,
     )
@@ -218,28 +222,22 @@ class DualRecovery:
     residual: float
 
 
-def recover_duals(qp, work: WorkingConstraints, gradient: np.ndarray,
+def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
                   lam_local: np.ndarray) -> DualRecovery:
-    """Solve the working-set Gram system for the local multipliers.
+    """Working-set multipliers from the range-space factor of ``ca``.
 
     Solves ``C_work' gamma = -(gradient + C_cpl' lam)`` in the least-squares
-    sense through the Gram matrix of the working rows; the attained residual
-    is reported so callers can judge stationarity.
+    sense: with ``C_work' = Y R1`` that is ``R1 gamma = Y' rhs``.  The
+    attained residual ``C_work' gamma - rhs = Y Y' rhs - rhs`` is reported
+    so callers can judge stationarity.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled_rows.size)
     rhs = -np.asarray(gradient, dtype=float)
     if lam_local.size:
         rhs = rhs - qp.cpl_local.T @ lam_local
-    C = work.matrix
-    if C.shape[0] == 0:
-        return DualRecovery(np.zeros(0), np.zeros(0),
-                            float(np.abs(rhs).max(initial=0.0)))
-    gram = C @ C.T
-    try:
-        chol = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise DualRecoveryError(qp.index, str(exc)) from exc
-    gamma = scipy.linalg.cho_solve(chol, C @ rhs)
-    residual = float(np.abs(C.T @ gamma - rhs).max(initial=0.0))
-    return DualRecovery(eq_duals=gamma[:work.n_eq],
-                        ineq_duals=gamma[work.n_eq:], residual=residual)
+    Y = ca.range_basis
+    projected = Y.T @ rhs
+    gamma = scipy.linalg.solve_triangular(ca.range_factor, projected)
+    residual = float(np.abs(Y @ projected - rhs).max(initial=0.0))
+    return DualRecovery(eq_duals=gamma[:qp.n_eq], ineq_duals=gamma[qp.n_eq:],
+                        residual=residual)

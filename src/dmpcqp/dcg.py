@@ -49,7 +49,6 @@ class DcgLocalState:
     lam: np.ndarray
     residual: np.ndarray
     direction: np.ndarray
-    inv_mult: np.ndarray
     eta: float = 0.0
     iteration: int = 0
 
@@ -79,7 +78,7 @@ def build_overlaps(pieces: Sequence[SchurPiece]) -> dict:
     return overlaps
 
 
-def _multiplicities(pieces: Sequence[SchurPiece]) -> list[np.ndarray]:
+def _check_shared_by_two(pieces: Sequence[SchurPiece]) -> None:
     counts = {}
     for piece in pieces:
         for row in piece.rows:
@@ -87,7 +86,6 @@ def _multiplicities(pieces: Sequence[SchurPiece]) -> list[np.ndarray]:
     bad = {r: c for r, c in counts.items() if c != 2}
     if bad:
         raise ValueError(f"coupling rows not shared by exactly two agents: {bad}")
-    return [np.full(piece.rows.size, 2.0) for piece in pieces]
 
 
 def _exchange_shared(vectors, overlaps, fabric: Fabric, phase: str):
@@ -121,7 +119,7 @@ def dcg_init(pieces: Sequence[SchurPiece],
     """
     if overlaps is None:
         overlaps = build_overlaps(pieces)
-    inv_mults = [1.0 / m for m in _multiplicities(pieces)]
+    _check_shared_by_two(pieces)
     if lambda0 is None:
         lams = [np.zeros(p.rows.size) for p in pieces]
     else:
@@ -137,8 +135,8 @@ def dcg_init(pieces: Sequence[SchurPiece],
     residuals = _exchange_shared(locals_, overlaps, fabric, phase)
     states = [DcgLocalState(
         agent=p.agent, rows=p.rows, schur=p.schur, lam=lams[i],
-        residual=residuals[i], direction=residuals[i].copy(),
-        inv_mult=inv_mults[i]) for i, p in enumerate(pieces)]
+        residual=residuals[i], direction=residuals[i].copy())
+        for i, p in enumerate(pieces)]
     return states, overlaps
 
 
@@ -151,7 +149,9 @@ def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
     takes the multiplier and residual steps, and finally exchanges
     convergence flags on the updated residual.
     """
-    etas = [float(s.residual @ (s.inv_mult * s.residual)) for s in states]
+    # every row is shared by exactly two agents, so each local share of the
+    # residual norm carries weight one half
+    etas = [float(s.residual @ (0.5 * s.residual)) for s in states]
     eta = fabric.global_reduce(etas, op="sum", phase=phase)
     for s in states:
         if s.iteration == 0:

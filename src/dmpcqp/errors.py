@@ -38,14 +38,6 @@ class IndefiniteReducedHessian(SolverError):
         )
 
 
-class DualRecoveryError(SolverError):
-    """Gram system for the working-set multipliers could not be solved."""
-
-    def __init__(self, agent, message=""):
-        self.agent = agent
-        super().__init__(f"agent {agent}: dual recovery failed. {message}".strip())
-
-
 class CurvatureBreakdown(SolverError):
     """Conjugate-gradient direction has non-positive curvature while the
     residual is not yet converged; the aggregated system is not positive

@@ -6,11 +6,10 @@ point-to-point neighbor channels.  Every operation charges a
 :class:`CommLedger` under one of four phases so experiments can report exact
 communication footprints and verify per-iteration accounting identities.
 
-The fabric simulates one synchronous round per collective call; agents are
-evaluated sequentially but the reduction order is fixed (ascending agent
-index) so results do not depend on scheduling.  The delivery mechanism is
-isolated in :class:`InProcessTransport`, the single point to replace with a
-socket-backed implementation.
+The fabric simulates one synchronous round per collective call inside one
+process; agents are evaluated sequentially but the reduction order is fixed
+(ascending agent index) so results do not depend on scheduling.  Neighbor
+payloads are delivered by reference.
 """
 
 from __future__ import annotations
@@ -110,26 +109,14 @@ class CommLedger:
         return out
 
 
-class InProcessTransport:
-    """Delivers neighbor payloads by reference inside one process.
-
-    Any object with a ``deliver(payloads) -> payloads`` method can stand in,
-    e.g. a serializing socket transport.
-    """
-
-    def deliver(self, payloads):
-        return dict(payloads)
-
-
 class Fabric:
     """Coordinator plus neighbor channels for a fixed set of agents."""
 
-    def __init__(self, n_agents, ledger=None, transport=None):
+    def __init__(self, n_agents, ledger=None):
         if n_agents < 1:
             raise ValueError("fabric needs at least one agent")
         self.n_agents = int(n_agents)
         self.ledger = ledger if ledger is not None else CommLedger()
-        self.transport = transport if transport is not None else InProcessTransport()
         self.round_index = 0
         self._overlap_sizes = None
 
@@ -227,7 +214,7 @@ class Fabric:
             total += vec.size
         self.ledger.charge(phase, local_floats=total)
         self.round_index += 1
-        return self.transport.deliver(payloads)
+        return dict(payloads)
 
 
 def verify_comm_identities(delta, n_agents, n_coupling, *, dcg_iterations=0,

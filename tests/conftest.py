@@ -1,7 +1,14 @@
 """Shared builders for randomized solver tests."""
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads: floating-point results then do
+# not depend on the core count, and the suite runs faster.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from dmpcqp import AgentModel, NetworkModel, build_chain_of_masses
 

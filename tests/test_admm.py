@@ -5,8 +5,7 @@ import pytest
 
 from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_average, admm_converged, admm_dual_update,
-                    admm_local_qp, admm_solve, asm_solve, build_network_qps,
-                    shift_averaged)
+                    admm_solve, asm_solve, build_network_qps, shift_averaged)
 from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import rollout_feasible_point
@@ -142,17 +141,6 @@ def test_local_solver_warm_start_and_cache():
     assert len(solver._cache) == cached   # no new factorizations
 
 
-def test_one_shot_matches_solver_object():
-    rng, net, x0s, qps = _problem(215)
-    qp = qps[0]
-    z_avg = rng.normal(size=qp.size)
-    lam = rng.normal(size=qp.cpl_local.shape[0])
-    z = admm_local_qp(qp, z_avg, lam, 2.5)
-    solver = LocalQpSolver(qp, 2.5)
-    ref, _, _ = solver.solve(local_linear_term(qp, z_avg, lam, 2.5))
-    np.testing.assert_array_equal(z, ref)
-
-
 def _enumerated_min(H, g, A, b, C, d):
     """Brute-force reference for min 0.5 z'Hz + g'z s.t. Az=b, Cz<=d.
 
@@ -197,7 +185,8 @@ def test_one_iteration_matches_enumerated_reference():
 
     zs = []
     for qp, zb, lam in zip(qps, z_avg, lams):
-        z = admm_local_qp(qp, zb, lam, rho)
+        z, _, _ = LocalQpSolver(qp, rho).solve(
+            local_linear_term(qp, zb, lam, rho))
         H = 2.0 * qp.hessian
         if qp.cpl_local.shape[0]:
             H = H + rho * qp.cpl_local.T @ qp.cpl_local
@@ -232,8 +221,9 @@ def test_large_penalty_projects_coupling_image():
     for qp in qps:
         if qp.cpl_local.shape[0] == 0:
             continue
-        z = admm_local_qp(qp, z_avg[qp.index],
-                          np.zeros(qp.cpl_local.shape[0]), 1e6)
+        g = local_linear_term(qp, z_avg[qp.index],
+                              np.zeros(qp.cpl_local.shape[0]), 1e6)
+        z, _, _ = LocalQpSolver(qp, 1e6).solve(g)
         img = qp.cpl_local @ z - qp.cpl_local @ z_avg[qp.index]
         assert norm_inf(img) < 1e-3
 
@@ -252,8 +242,10 @@ def test_decoupled_agent_ignores_penalty():
     qp = qps[2]
     assert qp.cpl_local.shape[0] == 0
     lam = np.zeros(0)
-    z_small = admm_local_qp(qp, rng.normal(size=qp.size), lam, 0.5)
-    z_large = admm_local_qp(qp, rng.normal(size=qp.size), lam, 50.0)
+    z_small, _, _ = LocalQpSolver(qp, 0.5).solve(
+        local_linear_term(qp, rng.normal(size=qp.size), lam, 0.5))
+    z_large, _, _ = LocalQpSolver(qp, 50.0).solve(
+        local_linear_term(qp, rng.normal(size=qp.size), lam, 50.0))
     np.testing.assert_allclose(z_small, z_large, atol=1e-10)
     assert admm_converged(qp, z_small, z_small, None, lam, 0.5, 1e-6, 1e-3)
 

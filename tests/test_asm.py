@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmpcqp import (AsmConfig, Fabric, asm_solve, build_network_qps,
                     compute_step_length, initialize_feasible, network_objective,
                     shift_active, verify_iterate)
+from dmpcqp.asm import most_violated_bound
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import dense_qp_from_stacked, kkt_residual, solve_dense_qp
@@ -136,6 +141,77 @@ def test_violated_iterate_raises():
     dz[qp.layout.u_slice(0)] = 1.0  # pushes further into the violated bound
     with pytest.raises(FeasibilityViolation):
         compute_step_length(z, dz, qp, [])
+
+
+def _loop_step_length(z, dz, qp, active):
+    """Row-by-row ratio test the vectorized one replaced, kept as reference."""
+    if qp.ineq_matrix.shape[0] == 0:
+        return 1.0, None
+    cz = qp.ineq_matrix @ z
+    cdz = qp.ineq_matrix @ dz
+    slack = qp.ineq_rhs - cz
+    active = set(int(a) for a in active)
+    alpha, blocking = 1.0, None
+    for row in range(qp.ineq_matrix.shape[0]):
+        if row in active or cdz[row] <= 1e-12:
+            continue
+        if slack[row] < -1e-9:
+            raise FeasibilityViolation(
+                f"agent {qp.index}: bound row {row} violated by "
+                f"{-slack[row]:.3e} before stepping")
+        ratio = max(0.0, slack[row] / cdz[row])
+        if ratio < alpha:
+            alpha, blocking = ratio, row
+    return alpha, blocking
+
+
+def _loop_most_violated(qp, z, active, tol):
+    """Inline most-violated pick the shared helper replaced."""
+    viol = qp.ineq_matrix @ z - qp.ineq_rhs
+    viol[list(active)] = -np.inf
+    row = int(np.argmax(viol)) if viol.size else 0
+    return row if viol.size and viol[row] > tol else None
+
+
+# few distinct values and rows drawn from a pool of three, so equal ratios,
+# zero slacks, directions that leave a bound alone and violated rows all come
+# up often
+_coef = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_slack = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _ratio_case(draw):
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(1, 3))
+
+    def vec(n, elements=_coef):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    pool = vec(3 * cols).reshape(3, cols)
+    matrix = pool[vec(rows, st.integers(0, 2)).astype(int)].reshape(rows, cols)
+    z = vec(cols)
+    qp = SimpleNamespace(index=0, ineq_matrix=matrix,
+                         ineq_rhs=matrix @ z + vec(rows, _slack))
+    active = draw(st.lists(st.integers(0, max(rows - 1, 0)), unique=True,
+                           max_size=rows))
+    return qp, z, 4.0 * vec(cols), active
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratio_case())
+def test_step_length_matches_row_loop(case):
+    qp, z, dz, active = case
+    try:
+        expected = _loop_step_length(z, dz, qp, active)
+    except FeasibilityViolation as exc:
+        with pytest.raises(FeasibilityViolation) as got:
+            compute_step_length(z, dz, qp, active)
+        assert str(got.value) == str(exc)
+    else:
+        assert compute_step_length(z, dz, qp, active) == expected
+    assert most_violated_bound(qp, z, active, 1e-9) == \
+        _loop_most_violated(qp, z, active, 1e-9)
 
 
 def test_initialization_repairs_dependent_warm_rows():

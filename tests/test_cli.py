@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import dmpcqp.cli
 from dmpcqp.cli import (ExperimentConfig, compare_runs, load_network, main,
                         run_experiment, sample_initial_states, save_network)
+from dmpcqp.errors import SolverError
 
 from conftest import random_network
 
@@ -155,3 +157,66 @@ def test_cli_run_and_compare_exit_codes(tmp_path, capsys):
                  str(tmp_path / "c")]) == 2
     assert main(["compare", str(tmp_path / "a"),
                  str(tmp_path / "missing")]) == 2
+
+
+def test_compare_exit_code_flags_differing_runs(tmp_path, capsys):
+    argv = ["run", "--masses", "3", "--horizon", "5", "--steps", "2",
+            "--inits", "1", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--solver", "centralized",
+                        "--out", str(tmp_path / "b")]) == 0
+    assert not compare_runs(tmp_path / "a", tmp_path / "b").identical
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+
+
+def test_malformed_network_file_exits_with_2(tmp_path, capsys):
+    rng = np.random.default_rng(53)
+    path = tmp_path / "net.json"
+    save_network(random_network(rng), path)
+    doc = json.loads(path.read_text())
+    del doc["agents"][1]["P"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="agent 1 lacks key 'P'"):
+        load_network(path)
+    with pytest.raises(ValueError, match="cannot read"):
+        load_network(tmp_path / "missing.json")
+    files = [path, tmp_path / "missing.json"]
+    doc["agents"][0]["A_in"] = [1.0]
+    for i, bad in enumerate(({"agents": 5}, {"agents": [[1.0]]}, doc)):
+        files.append(tmp_path / f"bad{i}.json")
+        files[-1].write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match="must be"):
+            load_network(files[-1])
+    for network in files:
+        assert main(["run", "--scenario", "file", "--network", str(network),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("solver", ["asm-dcg", "centralized"])
+def test_failed_reference_rollout_fails_only_its_init(tmp_path, monkeypatch,
+                                                      solver):
+    rollout = dmpcqp.cli.centralized_mpc_rollout
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("planted oracle failure")
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(dmpcqp.cli, "centralized_mpc_rollout", flaky)
+    res = run_experiment(_small_cfg(tmp_path / "r", solver=solver, steps=2))
+    assert res.failures == 1
+    failed = [r for r in res.records if r.status != "ok"]
+    assert [(r.init, r.sample) for r in failed] == [(1, -1)]
+    assert failed[0].status == \
+        "error: reference rollout: planted oracle failure"
+    assert [r.sample for r in res.records if r.init == 0] == [0, 1]
+    meta = json.loads((tmp_path / "r" / "meta.json").read_text())
+    assert meta["failures"] == 1
+    with open(tmp_path / "r" / "iterations.csv", newline="") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == \
+            ["ok", "ok", failed[0].status]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmpcqp import (backsubstitute, build_network_qps, condense, recover_duals,
                     working_constraints)
@@ -141,9 +143,36 @@ def test_recovered_duals_reproduce_planted_multipliers():
             # plant a gradient that makes nu_true the exact multiplier
             grad = -(qp.cpl_local.T @ lam[qp.coupled_rows]
                      + work.matrix.T @ nu_true)
-            rec = recover_duals(qp, work, grad, lam[qp.coupled_rows])
+            ca = condense(qp, work, grad)
+            rec = recover_duals(qp, ca, grad, lam[qp.coupled_rows])
             assert rec.residual < 1e-8
             nu = np.concatenate([rec.eq_duals, rec.ineq_duals])
             assert norm_inf(nu - nu_true) < 1e-7
             assert rec.eq_duals.size == work.n_eq
             assert rec.ineq_duals.size == len(act)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
+       n_active=st.integers(0, 4), homogeneous=st.booleans())
+def test_recovered_duals_match_least_squares(seed, horizon, n_active,
+                                              homogeneous):
+    """The R1 solve is the least-squares multiplier of the working rows,
+    also away from stationarity, where the residual is not small."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=2)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    lam = rng.normal(size=qps[0].n_coupling)
+    for qp in qps:
+        work = working_constraints(qp, _some_active(rng, qp, n_active),
+                                   homogeneous=homogeneous)
+        grad = rng.normal(size=qp.size)
+        ca = condense(qp, work, grad)
+        rec = recover_duals(qp, ca, grad, lam[qp.coupled_rows])
+        rhs = -(grad + qp.cpl_local.T @ lam[qp.coupled_rows])
+        ref = np.linalg.lstsq(work.matrix.T, rhs, rcond=None)[0]
+        gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
+        assert gamma.shape == ref.shape
+        assert norm_inf(gamma - ref) <= 1e-9 * (1.0 + norm_inf(ref))
+        ref_residual = norm_inf(work.matrix.T @ ref - rhs)
+        assert abs(rec.residual - ref_residual) <= 1e-9 * (1.0 + norm_inf(rhs))
