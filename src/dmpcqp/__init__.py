@@ -33,6 +33,5 @@ from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_agent_qp, build_coupling_index,
                          build_network_qps, rollout_feasible_point,
                          stack_global, update_initial_state)
-from .cli import ExperimentConfig, compare_runs, load_network, run_experiment, save_network
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,10 +11,10 @@ to their owners and averaged trajectories back to the copiers, totalling
 The local QPs are solved by the single-agent specialization of the
 active-set machinery (no coupling rows, hence no multiplier system): the
 ratio test and most-violated-bound pick of :mod:`~dmpcqp.asm`, and the
-condensed working set of :mod:`~dmpcqp.condense`, whose triangular range
-factor also yields the working-set multipliers.  Condensed working sets are
-cached per active set since consecutive ADMM iterations revisit the same
-sets.
+condensed working set of :mod:`~dmpcqp.condense`, whose back-substitution
+gives the working-set minimizer and whose dual recovery gives the
+working-set multipliers.  Condensed working sets are cached per active set
+since consecutive ADMM iterations revisit the same sets.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .asm import (DEGENERATE_STEP, VIOLATION_TOL, compute_step_length,
                   most_violated_bound)
-from .condense import (CondensedAgent, condense, recover_duals,
-                       working_constraints)
+from .condense import (CondensedAgent, backsubstitute, condense,
+                       recover_duals, working_constraints)
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
 
@@ -116,13 +115,6 @@ class LocalQpSolver:
         self._cache[active] = ca
         return ca
 
-    def _absolute_solve(self, ca, g_lin: np.ndarray) -> np.ndarray:
-        if ca.n_reduced == 0:
-            return ca.particular.copy()
-        rhs = -(ca.null_basis.T @ (g_lin + self.local.hessian @ ca.particular))
-        v = scipy.linalg.cho_solve(ca.reduced_chol, rhs)
-        return ca.null_basis @ v + ca.particular
-
     def solve(self, g_lin: np.ndarray,
               warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
         """Return ``(z, active, iterations)`` for linear term ``g_lin``."""
@@ -131,7 +123,7 @@ class LocalQpSolver:
         iterations = 0
         for _ in range(self.max_iter):
             iterations += 1
-            z = self._absolute_solve(self._factors(tuple(active)), g_lin)
+            z = backsubstitute(self._factors(tuple(active)), (), g_lin)
             row = most_violated_bound(local, z, active, VIOLATION_TOL)
             if row is None:
                 break
@@ -140,20 +132,14 @@ class LocalQpSolver:
             raise LocalQpError(f"agent {local.index}: feasibility phase "
                                f"exceeded {self.max_iter} rounds")
 
-        no_coupling = np.zeros(0)
         for _ in range(self.max_iter):
             iterations += 1
-            grad = local.hessian @ z + g_lin
             ca = self._factors(tuple(active))
-            if ca.n_reduced:
-                red = ca.null_basis.T @ grad
-                dz = ca.null_basis @ scipy.linalg.cho_solve(
-                    ca.reduced_chol, -red)
-            else:
-                dz = np.zeros_like(z)
+            dz = backsubstitute(ca, (), g_lin) - z
             if np.abs(dz).max(initial=0.0) < self.eps_step * (
                     1.0 + np.abs(z).max(initial=0.0)):
-                nu = recover_duals(local, ca, grad, no_coupling).ineq_duals
+                grad = local.hessian @ z + g_lin
+                nu = recover_duals(local, ca, grad, ()).ineq_duals
                 if nu.size == 0 or nu.min() >= -self.eps_dual:
                     return z, tuple(active), iterations
                 active.pop(int(np.argmin(nu)))

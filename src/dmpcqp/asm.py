@@ -219,11 +219,12 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
                         stats: AsmStats | None = None) -> AsmState:
     """Produce a primal feasible iterate whose working set is consistent.
 
-    Starting from the warm-started working set (dependent warm rows are
-    dropped, oldest first), the working-set system is solved in the absolute
-    variable with a cold multiplier.  Agents then activate their most
-    violated bound and re-solve until every bound holds; the violation flags
-    ride one coordinator round per pass, charged to the ``init`` phase.
+    Starting from the warm-started working set (of two warm rows on the
+    same input, the later is dropped), the working-set system is solved in
+    the absolute variable with a cold multiplier.  Agents then activate
+    their most violated bound and re-solve until every bound holds; the
+    violation flags ride one coordinator round per pass, charged to the
+    ``init`` phase.
     """
     cfg = cfg or AsmConfig()
     stats = stats if stats is not None else AsmStats()

@@ -8,12 +8,16 @@ the output directory:
 
 - ``iterations.csv``    per-sample iteration counters,
 - ``communication.csv`` per-sample message counts, one row per phase,
-- ``trajectories.csv``  closed-loop states and applied inputs,
+- ``trajectories.csv``  closed-loop states and applied inputs: ``y``, ``v``
+  and ``u`` hold ``x[0]``, ``x[1]`` and ``u[0]``, and columns ``x2, ...``
+  and ``u1, ...`` are added only for networks with larger agents,
 - ``deviation.csv``     per-sample state deviation from the centralized
   oracle run on the same initial condition,
 - ``summary.csv``       mean/max aggregates over all samples except the
   first of each initial condition,
-- ``meta.json``         configuration, problem dimensions, and aggregates.
+- ``meta.json``         configuration, problem dimensions, numeric
+  environment (numpy and scipy versions, BLAS thread variables), and
+  aggregates.
 
 Initial conditions are drawn independently per agent, uniformly from
 ``[-y0_range, y0_range]`` for the first state component and
@@ -33,11 +37,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .admm import ADMM_PRESETS, AdmmConfig, admm_solve, shift_averaged
 from .asm import AsmConfig, asm_solve, shift_active
@@ -48,6 +54,8 @@ from .oracle import centralized_mpc_rollout
 from .qp_builder import build_network_qps, update_initial_state
 
 SOLVERS = ("asm-dcg", "admm1", "admm2", "centralized")
+#: Environment variables that set the BLAS thread count; results depend on it.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -285,6 +293,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "coupling": int(probe[0].n_coupling),
     }
 
+    state_cols = ["y", "v"] + [f"x{c}" for c in
+                               range(2, max(a.n for a in net.agents))]
+    input_cols = ["u"] + [f"u{c}" for c in
+                          range(1, max(a.m for a in net.agents))]
+
     records: list[SampleRecord] = []
     trajectory_rows = []
     failures = 0
@@ -321,15 +334,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                             deviation=dev, **sample))
         for t in range(cfg.steps + 1):
             for i in range(net.n_agents):
-                x = np.asarray(states[t][i])
-                u = "" if t >= cfg.steps else \
-                    float(np.asarray(inputs[t][i]).ravel()[0])
-                trajectory_rows.append({
-                    "init": idx, "time": t, "agent": i,
-                    "y": float(x[0]),
-                    "v": float(x[1]) if x.size > 1 else "",
-                    "u": u,
-                })
+                row = {"init": idx, "time": t, "agent": i}
+                row.update(zip(state_cols, np.ravel(states[t][i]).tolist()))
+                if t < cfg.steps:
+                    row.update(zip(input_cols,
+                                   np.ravel(inputs[t][i]).tolist()))
+                trajectory_rows.append(row)
 
     aggregates = _aggregate(records)
     out = Path(cfg.out_dir)
@@ -337,7 +347,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     _write_iterations(out / "iterations.csv", records)
     _write_communication(out / "communication.csv", records)
     _write_rows(out / "trajectories.csv",
-                ["init", "time", "agent", "y", "v", "u"], trajectory_rows)
+                ["init", "time", "agent", "y", "v", "u"] + state_cols[2:]
+                + input_cols[1:], trajectory_rows)
     _write_rows(out / "deviation.csv", ["init", "sample", "deviation"],
                 [{"init": r.init, "sample": r.sample,
                   "deviation": r.deviation if r.deviation is not None else ""}
@@ -348,6 +359,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "dims": dims,
         "prng": {"generator": "numpy.random.default_rng",
                  "bit_generator": "PCG64", "seed": cfg.seed},
+        "numeric": {"numpy": np.__version__, "scipy": scipy.__version__,
+                    **{var: os.environ.get(var) for var in THREAD_VARS}},
         "aggregates": aggregates,
         "failures": failures,
     }
@@ -470,17 +483,12 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
             metrics[metric] = {"a": pair[0], "b": pair[1]}
 
     def _read_traj(run):
-        table = {}
         with open(run / "trajectories.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["init"], row["time"], row["agent"])
-                vals = [float(row["y"])]
-                if row["v"] != "":
-                    vals.append(float(row["v"]))
-                if row["u"] != "":
-                    vals.append(float(row["u"]))
-                table[key] = np.array(vals)
-        return table
+            reader = csv.DictReader(fh)
+            columns = (reader.fieldnames or [])[3:]
+            return {(row["init"], row["time"], row["agent"]):
+                    {c: float(row[c]) for c in columns if row[c] != ""}
+                    for row in reader}
 
     ta, tb = _read_traj(run_a), _read_traj(run_b)
     if set(ta) != set(tb):
@@ -488,9 +496,10 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
     diff = 0.0
     for key, va in ta.items():
         vb = tb[key]
-        if va.size != vb.size:
+        if va.keys() != vb.keys():
             raise ValueError("trajectory tables do not align")
-        diff = max(diff, float(np.abs(va - vb).max()))
+        for c, value in va.items():
+            diff = max(diff, abs(value - vb[c]))
     return ComparisonResult(metrics=metrics, max_trajectory_diff=diff)
 
 

@@ -1,19 +1,23 @@
 """Per-agent elimination of working-set constraints.
 
-For a working set (equality rows plus activated inequality rows) the agent's
-step system is reduced onto the working-set null space: with orthonormal
-bases ``Y`` (range of the working-set rows) and ``Z`` (null space) from a QR
-factorization, the constrained stationary point of
+A working set is the initial-condition and dynamics rows ``[C_x C_w]`` plus
+activated bound rows, each a signed unit row pinning one coordinate of the
+inputs and copies ``w``.  ``C_x`` (the states) is unit lower triangular, so
+the states are an affine function of ``w`` and the working-set null space
+has the fixed basis ``Z = [-C_x^{-1} C_w[:, free]; I[:, free]]``, with
+``free`` the coordinates of ``w`` no active row pins.  The constrained
+stationary point of
 
     min 0.5 dz' H dz + g' dz   s.t.  C_work dz = d,  coupling rows shared
 
-is split into a particular part ``Y w`` and a reduced unknown on ``Z``.
-Eliminating the reduced unknown yields each agent's contribution to the
-coupling-multiplier system: a local Schur matrix and right-hand side,
-compressed to the coupling rows the agent actually touches.  The triangular
-factor ``R1`` of ``C_work' = Y R1`` is kept, so the working-set multipliers
-are one triangular solve away (``R1 gamma = Y' rhs``).  Factorizations are
-not reused across working-set changes; every call refactorizes.
+is split into a particular point (pinned coordinates at their bounds, states
+from the dynamics) and a reduced unknown on ``Z``.  Eliminating the reduced
+unknown yields each agent's contribution to the coupling-multiplier system,
+which does not depend on the basis: a local Schur matrix and right-hand
+side, compressed to the coupling rows the agent actually touches.  The
+working-set multipliers take one transposed triangular solve on the state
+rows plus a read-off on the pinned rows.  Factorizations are not reused
+across working-set changes; every call refactorizes.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
 #: Cholesky pivots of the reduced Hessian below this threshold fail the solve.
 PIVOT_TOL = 1e-12
-#: Relative threshold on QR diagonals for declaring dependent working rows.
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,17 @@ class CondensedAgent:
 
     ``schur`` and ``schur_rhs`` are the agent's contribution to the coupling
     multiplier system, compressed to ``rows`` (the global coupling rows with
-    a nonzero entry for this agent).  ``null_basis``/``range_basis`` and the
-    cached Cholesky factor allow back-substitution once the multipliers are
-    known; ``range_factor`` is the triangular ``R1`` with
-    ``C_work' = range_basis @ R1``, used to recover the working-set
-    multipliers.
+    a nonzero entry for this agent).  ``null_basis``, ``particular`` and
+    the cached Cholesky factor of ``Z' H Z`` allow back-substitution once
+    the multipliers are known; ``pinned`` (the columns the active rows pin,
+    in active order) and ``pin_signs`` give the bound multipliers.
     """
 
     agent: int
     rows: np.ndarray
     null_basis: np.ndarray
-    range_basis: np.ndarray
-    range_factor: np.ndarray
+    pinned: np.ndarray
+    pin_signs: np.ndarray
     particular: np.ndarray
     reduced_chol: tuple | None
     reduced_grad: np.ndarray
@@ -103,39 +104,20 @@ class CondensedAgent:
         return self.null_basis.shape[1]
 
 
-def _null_range_bases(matrix: np.ndarray, agent: int, n_eq: int):
-    """Orthonormal range/null bases of the working-set rows via QR.
-
-    Raises :class:`RankDeficientWorkingSet` naming the first dependent row
-    (pivoted QR) before computing the unpivoted full factorization used for
-    the bases.
-    """
-    n_rows, n_cols = matrix.shape
-    if n_rows > n_cols:
-        raise RankDeficientWorkingSet(agent, n_cols, max(0, n_cols - n_eq))
-    if n_rows == 0:
-        return np.zeros((n_cols, 0)), np.eye(n_cols), np.zeros((0, 0))
-    _, R_piv, piv = scipy.linalg.qr(matrix.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R_piv))
-    ref = max(diag[0], 1.0)
-    rank = int(np.sum(diag > RANK_TOL * ref))
-    if rank < n_rows:
-        dependent = sorted(int(p) for p in piv[rank:])
-        row = dependent[0]
-        pos = row - n_eq if row >= n_eq else None
-        raise RankDeficientWorkingSet(agent, row, pos)
-    Q, R = np.linalg.qr(matrix.T, mode="complete")
-    return Q[:, :n_rows], Q[:, n_rows:], R[:n_rows, :n_rows]
-
-
 def condense(qp, work: WorkingConstraints,
              gradient: np.ndarray | None = None) -> CondensedAgent:
     """Reduce one agent's step system onto the working-set null space.
 
+    Requires the structure :func:`~dmpcqp.qp_builder.build_agent_qp`
+    gives: the equality rows' first ``layout.u_offset`` columns form a
+    square unit lower triangular block, and every activated row is a signed
+    unit row on a later column.  Two active rows pinning the same column
+    raise :class:`RankDeficientWorkingSet` naming the later one.
+
     Parameters
     ----------
     qp : AgentQP (or any object with ``hessian``, ``cpl_local``,
-        ``coupled_rows`` and ``index`` attributes)
+        ``coupled_rows``, ``index`` and ``layout`` attributes)
     work : WorkingConstraints
         Working set with its right-hand side ``d``.
     gradient : array, optional
@@ -152,16 +134,28 @@ def condense(qp, work: WorkingConstraints,
     if work.matrix.shape[1] != nz:
         raise ValueError("working set does not match the agent dimension")
     g = np.zeros(nz) if gradient is None else np.asarray(gradient, dtype=float)
-    Y, Z, R1 = _null_range_bases(work.matrix, qp.index, work.n_eq)
-    n_red = Z.shape[1]
+    n_eq, nx = work.n_eq, qp.layout.u_offset
+    bounds = work.matrix[n_eq:]
+    pinned = np.abs(bounds).argmax(axis=1)
+    pin_signs = bounds[np.arange(pinned.size), pinned]
+    cols = pinned.tolist()
+    for pos, col in enumerate(cols):
+        if col in cols[:pos]:
+            raise RankDeficientWorkingSet(qp.index, n_eq + pos, pos)
+    C_eq = work.matrix[:n_eq]
+    free = np.setdiff1d(np.arange(nx, nz), pinned)
+    n_red = free.size
+    Z = np.zeros((nz, n_red))
+    Z[:nx] = -scipy.linalg.solve_triangular(C_eq[:, :nx], C_eq[:, free],
+                                            lower=True, unit_diagonal=True)
+    Z[free, np.arange(n_red)] = 1.0
 
+    particular = np.zeros(nz)
     if np.any(work.rhs):
-        # C Y = R1' is lower triangular, so the particular solution is one
-        # triangular solve away.
-        w = scipy.linalg.solve_triangular(R1.T, work.rhs, lower=True)
-        particular = Y @ w
-    else:
-        particular = np.zeros(nz)
+        particular[pinned] = pin_signs * work.rhs[n_eq:]
+        particular[:nx] = scipy.linalg.solve_triangular(
+            C_eq[:, :nx], work.rhs[:n_eq] - C_eq @ particular, lower=True,
+            unit_diagonal=True)
 
     reduced_chol = None
     if n_red:
@@ -193,22 +187,26 @@ def condense(qp, work: WorkingConstraints,
         schur_rhs = b_local.copy()
 
     return CondensedAgent(
-        agent=qp.index, rows=qp.coupled_rows,
-        null_basis=Z, range_basis=Y, range_factor=R1, particular=particular,
+        agent=qp.index, rows=qp.coupled_rows, null_basis=Z, pinned=pinned,
+        pin_signs=pin_signs, particular=particular,
         reduced_chol=reduced_chol, reduced_grad=reduced_grad,
         cpl_reduced=cpl_reduced, schur=schur, schur_rhs=schur_rhs,
     )
 
 
-def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray) -> np.ndarray:
+def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,
+                   gradient: np.ndarray | None = None) -> np.ndarray:
     """Recover the agent's step from the coupling multipliers.
 
-    ``lam_local`` must be compressed to ``ca.rows``.
+    ``lam_local`` must be compressed to ``ca.rows``.  ``gradient`` is added
+    to the linear term ``ca`` was condensed with.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(ca.rows.size)
     if ca.n_reduced == 0:
         return ca.particular.copy()
     rhs = -ca.reduced_grad - ca.cpl_reduced.T @ lam_local
+    if gradient is not None:
+        rhs = rhs - ca.null_basis.T @ gradient
     v = scipy.linalg.cho_solve(ca.reduced_chol, rhs)
     return ca.null_basis @ v + ca.particular
 
@@ -224,20 +222,25 @@ class DualRecovery:
 
 def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
                   lam_local: np.ndarray) -> DualRecovery:
-    """Working-set multipliers from the range-space factor of ``ca``.
+    """Working-set multipliers of ``ca`` at a stationary point.
 
-    Solves ``C_work' gamma = -(gradient + C_cpl' lam)`` in the least-squares
-    sense: with ``C_work' = Y R1`` that is ``R1 gamma = Y' rhs``.  The
-    attained residual ``C_work' gamma - rhs = Y Y' rhs - rhs`` is reported
-    so callers can judge stationarity.
+    Solves ``C_work' gamma = rhs`` with ``rhs = -(gradient + C_cpl' lam)``
+    on its square part: the state rows give the equality multipliers
+    (``C_x' mu = rhs_x``, one transposed unit-triangular solve) and the
+    pinned rows the bound multipliers (``nu = sign * (rhs - C_eq' mu)``
+    there).  The attained residual ``|C_work' gamma - rhs|``, which only the
+    free rows can carry, is reported so callers can judge stationarity.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled_rows.size)
     rhs = -np.asarray(gradient, dtype=float)
     if lam_local.size:
         rhs = rhs - qp.cpl_local.T @ lam_local
-    Y = ca.range_basis
-    projected = Y.T @ rhs
-    gamma = scipy.linalg.solve_triangular(ca.range_factor, projected)
-    residual = float(np.abs(Y @ projected - rhs).max(initial=0.0))
-    return DualRecovery(eq_duals=gamma[:qp.n_eq], ineq_duals=gamma[qp.n_eq:],
-                        residual=residual)
+    nx = qp.layout.u_offset
+    C_eq = qp.eq_matrix
+    mu = scipy.linalg.solve_triangular(C_eq[:, :nx], rhs[:nx], trans="T",
+                                       lower=True, unit_diagonal=True)
+    left = rhs - C_eq.T @ mu
+    nu = ca.pin_signs * left[ca.pinned]
+    left[ca.pinned] = 0.0
+    return DualRecovery(eq_duals=mu, ineq_duals=nu,
+                        residual=float(np.abs(left).max(initial=0.0)))

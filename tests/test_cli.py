@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import dmpcqp.cli
+from dmpcqp import AgentModel, NetworkModel, PlantState, plant_step
 from dmpcqp.cli import (ExperimentConfig, compare_runs, load_network, main,
                         run_experiment, sample_initial_states, save_network)
 from dmpcqp.errors import SolverError
@@ -61,6 +67,10 @@ def test_meta_contents(tmp_path):
     # four directed edges carrying ten coupling rows each
     assert meta["dims"] == {"n_z": 91, "eq": 36, "ineq": 30, "coupling": 40}
     assert meta["prng"]["bit_generator"] == "PCG64"
+    assert meta["numeric"] == {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1"}
     assert meta["config"]["solver"] == "asm-dcg"
     assert meta["failures"] == 0
     assert meta["aggregates"]["deviation"]["max"] < 1e-6
@@ -220,3 +230,65 @@ def test_failed_reference_rollout_fails_only_its_init(tmp_path, monkeypatch,
     with open(tmp_path / "r" / "iterations.csv", newline="") as fh:
         assert [row["status"] for row in csv.DictReader(fh)] == \
             ["ok", "ok", failed[0].status]
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    src = str(Path(dmpcqp.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dmpcqp.cli",
+         "--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_trajectories_keep_every_state_and_input(tmp_path):
+    """A 3-state, 2-input agent's rows replay the closed loop exactly."""
+    rng = np.random.default_rng(61)
+    big = AgentModel(
+        index=0, A_self=0.3 * rng.normal(size=(3, 3)),
+        B=rng.normal(size=(3, 2)), A_in={1: 0.2 * rng.normal(size=(3, 1))},
+        u_lo=-np.ones(2), u_hi=np.ones(2), Q=np.eye(3), R=np.eye(2),
+        P=np.zeros((3, 3)))
+    small = AgentModel(
+        index=1, A_self=np.array([[0.8]]), B=np.array([[1.0]]),
+        A_in={0: 0.2 * rng.normal(size=(1, 3))}, u_lo=-np.ones(1),
+        u_hi=np.ones(1), Q=np.eye(1), R=np.eye(1), P=np.zeros((1, 1)))
+    net = NetworkModel([big, small])
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    run_experiment(_small_cfg(tmp_path / "r", scenario="file",
+                              network_file=str(path), steps=3, n_inits=1))
+    with open(tmp_path / "r" / "trajectories.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["init", "time", "agent", "y", "v", "u",
+                                     "x2", "u1"]
+        rows = {(int(r["time"]), int(r["agent"])): r for r in reader}
+    columns = {0: (["y", "v", "x2"], ["u", "u1"]), 1: (["y"], ["u"])}
+
+    def read(t, i, which):
+        return np.array([float(rows[t, i][c]) for c in columns[i][which]])
+
+    for t in range(3):
+        assert all(rows[t, 1][c] == "" for c in ("v", "x2", "u1"))
+        state = PlantState(states=(read(t, 0, 0), read(t, 1, 0)))
+        nxt = plant_step(net, state, [read(t, 0, 1), read(t, 1, 1)])
+        for i in (0, 1):
+            np.testing.assert_array_equal(nxt.states[i], read(t + 1, i, 0))
+
+    # the chain keeps its two-state, one-input header
+    run_experiment(_small_cfg(tmp_path / "chain", steps=1, n_inits=1))
+    with open(tmp_path / "chain" / "trajectories.csv", newline="") as fh:
+        assert fh.readline().strip() == "init,time,agent,y,v,u"
+
+    # compare reads the extra columns
+    other = tmp_path / "r2"
+    run_experiment(_small_cfg(other, scenario="file",
+                              network_file=str(path), steps=3, n_inits=1))
+    text = (other / "trajectories.csv").read_text().splitlines()
+    fields = text[1].split(",")
+    fields[6] = repr(float(fields[6]) + 0.5)
+    text[1] = ",".join(fields)
+    (other / "trajectories.csv").write_text("\n".join(text) + "\n")
+    assert compare_runs(tmp_path / "r", other).max_trajectory_diff == \
+        pytest.approx(0.5)
