@@ -9,7 +9,24 @@ a consensus ADMM baseline (:mod:`~dmpcqp.admm`), centralized reference
 solvers (:mod:`~dmpcqp.oracle`), a metered communication fabric
 (:mod:`~dmpcqp.fabric`), and a closed-loop experiment CLI
 (:mod:`~dmpcqp.cli`).
+
+Importing the package sets the BLAS thread variables in
+:data:`THREAD_VARS` to one thread unless they are already set or numpy is
+already loaded: floating-point results then do not depend on the core
+count, and ``meta.json`` reports the count the run used.
 """
+
+import os as _os
+import sys as _sys
+
+#: Environment variables that set the BLAS thread count; results depend on it.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# must run before the first numpy import: BLAS reads the variables once,
+# when numpy loads it
+if "numpy" not in _sys.modules:
+    for _var in THREAD_VARS:
+        _os.environ.setdefault(_var, "1")
 
 from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
                    admm_converged, admm_dual_update, admm_solve,

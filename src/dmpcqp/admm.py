@@ -11,10 +11,13 @@ to their owners and averaged trajectories back to the copiers, totalling
 The local QPs are solved by the single-agent specialization of the
 active-set machinery (no coupling rows, hence no multiplier system): the
 ratio test and most-violated-bound pick of :mod:`~dmpcqp.asm`, and the
-condensed working set of :mod:`~dmpcqp.condense`, whose back-substitution
-gives the working-set minimizer and whose dual recovery gives the
-working-set multipliers.  Condensed working sets are cached per active set
-since consecutive ADMM iterations revisit the same sets.
+condensed working set of :mod:`~dmpcqp.condense`.  With the active set
+fixed, the local minimizer and its bound multipliers are affine in the
+linear term, so each active set is condensed once and cached as that affine
+map (:class:`ActiveSetMap`); consecutive ADMM iterations revisit the same
+sets, and a revisit costs two matrix-vector products.  Averaging and the
+warm-start shift index the decision vectors through a
+:class:`ConsensusIndex` built once per solve.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .asm import (DEGENERATE_STEP, VIOLATION_TOL, compute_step_length,
                   most_violated_bound)
-from .condense import (CondensedAgent, backsubstitute, condense,
-                       recover_duals, working_constraints)
+from .condense import backsubstitute, condense, working_constraints
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
 
@@ -79,13 +82,28 @@ class AdmmResult:
     stats: AdmmStats
 
 
+@dataclass(frozen=True)
+class ActiveSetMap:
+    """Affine solution map of the local QP for one active set.
+
+    For the linear term ``g`` the working-set minimizer is
+    ``offset + gain @ g``, with ``gain = -Z (Z' H Z)^{-1} Z'``; at a point
+    ``z`` with gradient ``H z + g`` the bound multipliers, in active-row
+    order, are ``duals @ (H z + g)``.
+    """
+
+    offset: np.ndarray
+    gain: np.ndarray
+    duals: np.ndarray
+
+
 class LocalQpSolver:
     """Warm-started active-set solver for one agent's augmented QP.
 
     Minimizes ``z' H z + g' z`` subject to the agent's equality rows and
     input box, where ``H = 2 H_agent + rho * Cc' Cc`` stays fixed while the
-    linear term tracks the ADMM iterates.  Condensed working sets are cached
-    per active set.
+    linear term tracks the ADMM iterates.  Each visited active set is
+    condensed once and cached as its :class:`ActiveSetMap`.
     """
 
     def __init__(self, qp, rho: float, *, eps_step: float = 1e-10,
@@ -102,9 +120,16 @@ class LocalQpSolver:
         self.eps_step = eps_step
         self.eps_dual = eps_dual
         self.max_iter = max_iter
-        self._cache: dict[tuple[int, ...], CondensedAgent] = {}
+        # W = C_x^{-1} C_eq: the states' response to the inputs and copies,
+        # shared by the dual read-off of every active set
+        nx = qp.layout.u_offset
+        self._state_response = scipy.linalg.solve_triangular(
+            qp.eq_matrix[:, :nx], qp.eq_matrix, lower=True,
+            unit_diagonal=True)
+        self._cache: dict[tuple[int, ...], ActiveSetMap] = {}
 
-    def _factors(self, active: tuple[int, ...]) -> CondensedAgent:
+    def affine_map(self, active: tuple[int, ...]) -> ActiveSetMap:
+        """The cached map of ``active``, condensing the set on a miss."""
         hit = self._cache.get(active)
         if hit is not None:
             return hit
@@ -112,8 +137,23 @@ class LocalQpSolver:
             self._cache.clear()
         work = working_constraints(self.local, active, homogeneous=False)
         ca = condense(self.local, work)
-        self._cache[active] = ca
-        return ca
+        nz = self.local.size
+        if ca.n_reduced:
+            gain = -ca.null_basis @ scipy.linalg.cho_solve(
+                ca.reduced_chol, ca.null_basis.T)
+        else:
+            gain = np.zeros((nz, nz))
+        # nu = sign * (W' grad_x - grad)[pinned], as recover_duals reads it
+        k = ca.pinned.size
+        nx = self._state_response.shape[0]
+        duals = np.zeros((k, nz))
+        duals[:, :nx] = self._state_response[:, ca.pinned].T
+        duals[np.arange(k), ca.pinned] = -1.0
+        duals *= ca.pin_signs[:, None]
+        amap = ActiveSetMap(offset=backsubstitute(ca, ()), gain=gain,
+                            duals=duals)
+        self._cache[active] = amap
+        return amap
 
     def solve(self, g_lin: np.ndarray,
               warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
@@ -123,7 +163,8 @@ class LocalQpSolver:
         iterations = 0
         for _ in range(self.max_iter):
             iterations += 1
-            z = backsubstitute(self._factors(tuple(active)), (), g_lin)
+            amap = self.affine_map(tuple(active))
+            z = amap.offset + amap.gain @ g_lin
             row = most_violated_bound(local, z, active, VIOLATION_TOL)
             if row is None:
                 break
@@ -134,12 +175,11 @@ class LocalQpSolver:
 
         for _ in range(self.max_iter):
             iterations += 1
-            ca = self._factors(tuple(active))
-            dz = backsubstitute(ca, (), g_lin) - z
+            amap = self.affine_map(tuple(active))
+            dz = amap.offset + amap.gain @ g_lin - z
             if np.abs(dz).max(initial=0.0) < self.eps_step * (
                     1.0 + np.abs(z).max(initial=0.0)):
-                grad = local.hessian @ z + g_lin
-                nu = recover_duals(local, ca, grad, ()).ineq_duals
+                nu = amap.duals @ (local.hessian @ z + g_lin)
                 if nu.size == 0 or nu.min() >= -self.eps_dual:
                     return z, tuple(active), iterations
                 active.pop(int(np.argmin(nu)))
@@ -163,51 +203,92 @@ def local_linear_term(qp, z_avg: np.ndarray, lam_local: np.ndarray,
                    - rho * (Cc @ np.asarray(z_avg, dtype=float)))
 
 
-def admm_average(qps, zs, fabric: Fabric, *, phase: str = "admm"):
+@dataclass(frozen=True)
+class ConsensusIndex:
+    """Where averaging and the warm-start shift read and write each vector.
+
+    ``n_own[i]`` is the length of agent ``i``'s averaged state prefix (its
+    first ``horizon`` states), ``blocks[i]`` pairs each in-neighbor of ``i``
+    with the slice of its copied trajectory, ``copiers[i]`` lists the agents
+    copying ``i`` in ascending order, and ``shift_dst[i]``/``shift_src[i]``
+    are the index arrays of :func:`shift_averaged`.
+    """
+
+    n_own: tuple[int, ...]
+    blocks: tuple[tuple[tuple[int, slice], ...], ...]
+    copiers: tuple[tuple[int, ...], ...]
+    shift_dst: tuple[np.ndarray, ...]
+    shift_src: tuple[np.ndarray, ...]
+
+
+def consensus_index(qps) -> ConsensusIndex:
+    """Build the :class:`ConsensusIndex` of the agents' layouts."""
+    n_own, blocks, dst, src = [], [], [], []
+    copiers: list[list[int]] = [[] for _ in qps]
+    for qp in qps:
+        lay = qp.layout
+        N, n, m = lay.horizon, lay.n_states, lay.n_inputs
+        n_own.append(N * n)
+        own_blocks = tuple((j, lay.v_block_slice(j))
+                           for j in lay.in_neighbors)
+        blocks.append(own_blocks)
+        for j, _ in own_blocks:
+            copiers[j].append(qp.index)
+        # each run moves one step: states by n (the terminal state fills
+        # the last stage), inputs by m and copies by their width, leaving
+        # the final input and copied stages zero
+        runs = [(0, N * n, n), (lay.u_offset, (N - 1) * m, m)]
+        runs += [(blk.start, (N - 1) * nj, nj) for (_, blk), nj
+                 in zip(own_blocks, lay.neighbor_dims)]
+        d = np.concatenate([np.arange(start, start + length)
+                            for start, length, _ in runs])
+        step = np.concatenate([np.full(length, width)
+                               for _, length, width in runs])
+        dst.append(d)
+        src.append(d + step)
+    return ConsensusIndex(
+        n_own=tuple(n_own), blocks=tuple(blocks),
+        copiers=tuple(tuple(sorted(c)) for c in copiers),
+        shift_dst=tuple(dst), shift_src=tuple(src))
+
+
+def admm_average(qps, zs, fabric: Fabric, *, phase: str = "admm",
+                 index: ConsensusIndex | None = None):
     """Average owned trajectories with their copies and redistribute.
 
     Out-neighbors send their copied trajectories to the owner, who averages
     its own prediction with the copies (each coupling row is shared by
     exactly two agents, so the owner weight equals the number of copies);
     the averaged trajectory is then sent back to every copier.  Returns the
-    averaged decision vectors.
+    averaged decision vectors.  ``index`` is built from ``qps`` when
+    omitted.
     """
-    to_owner = {}
-    for qp in qps:
-        lay = qp.layout
-        for j in lay.in_neighbors:
-            to_owner[(qp.index, j)] = zs[qp.index][lay.v_block_slice(j)]
-    delivered = fabric.neighbor_exchange(to_owner, phase=phase)
+    index = consensus_index(qps) if index is None else index
+    delivered = fabric.neighbor_exchange(
+        {(i, j): zs[i][blk] for i, own_blocks in enumerate(index.blocks)
+         for j, blk in own_blocks}, phase=phase)
 
     averaged = []
-    for qp in qps:
-        lay = qp.layout
-        i = qp.index
-        outs = [src for (src, dst) in delivered if dst == i]
-        own = zs[i][:lay.horizon * lay.n_states]
-        if outs:
-            total = len(outs) * own.copy()
-            for src in sorted(outs):
+    for i, srcs in enumerate(index.copiers):
+        own = zs[i][:index.n_own[i]]
+        if srcs:
+            total = len(srcs) * own
+            for src in srcs:
                 total += delivered[(src, i)]
-            averaged.append(total / (2.0 * len(outs)))
+            averaged.append(total / (2.0 * len(srcs)))
         else:
             averaged.append(own.copy())
 
-    to_copier = {}
-    for qp in qps:
-        lay = qp.layout
-        for j in lay.in_neighbors:
-            to_copier[(j, qp.index)] = averaged[j]
-    delivered_avg = fabric.neighbor_exchange(to_copier, phase=phase)
+    delivered_avg = fabric.neighbor_exchange(
+        {(j, i): averaged[j] for i, own_blocks in enumerate(index.blocks)
+         for j, _ in own_blocks}, phase=phase)
 
     z_avg = []
-    for qp in qps:
-        lay = qp.layout
-        i = qp.index
+    for i, own_blocks in enumerate(index.blocks):
         zb = zs[i].copy()
-        zb[:lay.horizon * lay.n_states] = averaged[i]
-        for j in lay.in_neighbors:
-            zb[lay.v_block_slice(j)] = delivered_avg[(j, i)]
+        zb[:index.n_own[i]] = averaged[i]
+        for j, blk in own_blocks:
+            zb[blk] = delivered_avg[(j, i)]
         z_avg.append(zb)
     return z_avg
 
@@ -245,7 +326,8 @@ def admm_converged(qp, z, z_avg, z_prev, lam_local, rho, eps_primal,
     return dual <= eps_dual * scale_d
 
 
-def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> list[np.ndarray]:
+def shift_averaged(qps, z_avg: Sequence[np.ndarray],
+                   index: ConsensusIndex | None = None) -> list[np.ndarray]:
     """Warm start for the next sample: shift trajectories one step.
 
     States move forward by one step with the terminal state filling the last
@@ -253,21 +335,13 @@ def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> list[np.ndarray]:
     Copies shift the same way with a zero-padded final stage, which keeps
     every interior coupling row consistent; the final-stage rows are off by
     the owner's shifted-in terminal state, which the warm-started iteration
-    absorbs.
+    absorbs.  ``index`` is built from ``qps`` when omitted.
     """
+    index = consensus_index(qps) if index is None else index
     shifted = []
-    for qp, zb in zip(qps, z_avg):
-        lay = qp.layout
-        N, n, m = lay.horizon, lay.n_states, lay.n_inputs
+    for zb, dst, src in zip(z_avg, index.shift_dst, index.shift_src):
         out = np.zeros_like(zb)
-        for k in range(N - 1):
-            out[lay.x_slice(k)] = zb[lay.x_slice(k + 1)]
-        out[lay.x_slice(N - 1)] = zb[lay.x_slice(N)]
-        for k in range(N - 1):
-            out[lay.u_slice(k)] = zb[lay.u_slice(k + 1)]
-        for j in lay.in_neighbors:
-            for k in range(N - 1):
-                out[lay.v_slice(j, k)] = zb[lay.v_slice(j, k + 1)]
+        out[dst] = zb[src]
         shifted.append(out)
     return shifted
 
@@ -307,6 +381,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
     start = fabric.ledger.snapshot()
     stats = AdmmStats()
     solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]
+    index = consensus_index(qps)
     if z_avg0 is None:
         z_avg = [np.zeros(qp.size) for qp in qps]
     else:
@@ -325,7 +400,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
             stats.local_asm_iterations += its
             warm[qp.index] = act
             zs.append(z)
-        z_avg = admm_average(qps, zs, fabric)
+        z_avg = admm_average(qps, zs, fabric, index=index)
         lams = [admm_dual_update(qp, z, zb, lam, cfg.rho)
                 for qp, z, zb, lam in zip(qps, zs, z_avg, lams)]
         flags = [admm_converged(qp, z, zb, None if zs_prev is None

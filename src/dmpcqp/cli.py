@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import THREAD_VARS
 from .admm import ADMM_PRESETS, AdmmConfig, admm_solve, shift_averaged
 from .asm import AsmConfig, asm_solve, shift_active
 from .errors import SolverError
@@ -54,8 +55,6 @@ from .oracle import centralized_mpc_rollout
 from .qp_builder import build_network_qps, update_initial_state
 
 SOLVERS = ("asm-dcg", "admm1", "admm2", "centralized")
-#: Environment variables that set the BLAS thread count; results depend on it.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -275,9 +274,10 @@ def _closed_loop_distributed(net, cfg, x0s):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write its artifacts.
 
-    Solver failures, including a failed reference rollout, are recorded per
-    initial condition; remaining initial conditions still run.  Returns the
-    collected records and aggregate statistics.
+    Solver failures, including a failed reference rollout, and numerical
+    failures (``LinAlgError``, recorded as ``error: LinAlgError: ...``) are
+    recorded per initial condition; remaining initial conditions still run.
+    Returns the collected records and aggregate statistics.
     """
     cfg.validate()
     net = build_network(cfg)
@@ -310,10 +310,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if cfg.solver != "centralized":
                 states, inputs, samples = _closed_loop_distributed(
                     net, cfg, x0s)
-        except SolverError as exc:
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            kind = "" if isinstance(exc, SolverError) \
+                else f"{type(exc).__name__}: "
             failures += 1
             records.append(SampleRecord(init=idx, sample=-1,
-                                        status=f"error: {stage}{exc}"))
+                                        status=f"error: {stage}{kind}{exc}"))
             continue
         if cfg.solver == "centralized":
             states = [[reference.state_of(t, i) for i in range(net.n_agents)]

@@ -2,11 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_average, admm_converged, admm_dual_update,
-                    admm_solve, asm_solve, build_network_qps, shift_averaged)
-from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
+                    admm_solve, asm_solve, backsubstitute,
+                    build_chain_of_masses, build_network_qps, condense,
+                    recover_duals, shift_averaged, working_constraints)
+from dmpcqp.admm import (ADMM_PRESETS, LocalQpSolver, consensus_index,
+                         local_linear_term)
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import rollout_feasible_point
 
@@ -341,3 +346,153 @@ def test_shift_averaged():
         lay_o = qps[edge.owner].layout
         expected = np.abs(zs[edge.owner][lay_o.x_slice(N)])
         np.testing.assert_allclose(np.abs(total[last]), expected, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_masses=st.integers(2, 5),
+       horizon=st.integers(1, 12), agent=st.integers(0, 4),
+       rho=st.sampled_from([0.5, 5.0, 1e6]), n_active=st.integers(0, 12))
+@example(seed=0, n_masses=3, horizon=12, agent=1, rho=1e6, n_active=5)
+def test_affine_map_matches_condensed_kernel(seed, n_masses, horizon, agent,
+                                             rho, n_active):
+    """The cached map reproduces back-substitution and dual recovery on the
+    condensed working set it was built from (86 columns for an interior
+    mass at horizon 12)."""
+    rng = np.random.default_rng(seed)
+    net = build_chain_of_masses(n_masses)
+    qp = build_network_qps(net, horizon, random_x0(rng, net))[
+        agent % n_masses]
+    solver = LocalQpSolver(qp, rho)
+    half = qp.n_ineq // 2
+    picks = rng.choice(half, size=min(n_active, half), replace=False)
+    active = tuple(int(p) + half * int(rng.integers(2)) for p in picks)
+    g = rng.normal(scale=10.0, size=qp.size)
+
+    amap = solver.affine_map(active)
+    z = amap.offset + amap.gain @ g
+    local = solver.local
+    ca = condense(local, working_constraints(local, active,
+                                             homogeneous=False))
+    ref = backsubstitute(ca, (), g)
+    assert norm_inf(z - ref) <= 1e-9 * max(norm_inf(ref), 1.0)
+
+    grad = local.hessian @ z + g
+    nu = amap.duals @ grad
+    nu_ref = recover_duals(local, ca, grad, ()).ineq_duals
+    assert nu.shape == (len(active),)
+    assert norm_inf(nu - nu_ref) <= 1e-9 * max(norm_inf(nu_ref),
+                                               norm_inf(grad), 1.0)
+
+
+def test_local_solver_result_does_not_depend_on_cache_state():
+    # inputs saturate on a heavily displaced chain, so the solves visit
+    # several active sets; a solver whose cache other linear terms filled
+    # returns exactly what a fresh one returns
+    rng = np.random.default_rng(241)
+    net = build_chain_of_masses(4)
+    qps = build_network_qps(net, 6, random_x0(rng, net, scale=8.0))
+    rho = 5.0
+    for qp in qps:
+        def linear_term():
+            return local_linear_term(qp, rng.normal(scale=8.0, size=qp.size),
+                                     rng.normal(size=qp.cpl_local.shape[0]),
+                                     rho)
+        used = LocalQpSolver(qp, rho)
+        warm = ()
+        for _ in range(4):
+            _, warm, _ = used.solve(linear_term(), warm)
+        assert len(used._cache) > 1
+        g = linear_term()
+        fresh = LocalQpSolver(qp, rho)
+        z_fresh, act_fresh, its_fresh = fresh.solve(g, warm)
+        z_used, act_used, its_used = used.solve(g, warm)
+        assert z_fresh.tobytes() == z_used.tobytes()
+        assert (act_fresh, its_fresh) == (act_used, its_used)
+
+
+def _reference_average(qps, zs, fabric, phase="admm"):
+    """The per-call slicing loops averaging used before the precomputed
+    index, kept verbatim as the bit-for-bit reference."""
+    to_owner = {}
+    for qp in qps:
+        lay = qp.layout
+        for j in lay.in_neighbors:
+            to_owner[(qp.index, j)] = zs[qp.index][lay.v_block_slice(j)]
+    delivered = fabric.neighbor_exchange(to_owner, phase=phase)
+
+    averaged = []
+    for qp in qps:
+        lay = qp.layout
+        i = qp.index
+        outs = [src for (src, dst) in delivered if dst == i]
+        own = zs[i][:lay.horizon * lay.n_states]
+        if outs:
+            total = len(outs) * own.copy()
+            for src in sorted(outs):
+                total += delivered[(src, i)]
+            averaged.append(total / (2.0 * len(outs)))
+        else:
+            averaged.append(own.copy())
+
+    to_copier = {}
+    for qp in qps:
+        lay = qp.layout
+        for j in lay.in_neighbors:
+            to_copier[(j, qp.index)] = averaged[j]
+    delivered_avg = fabric.neighbor_exchange(to_copier, phase=phase)
+
+    z_avg = []
+    for qp in qps:
+        lay = qp.layout
+        i = qp.index
+        zb = zs[i].copy()
+        zb[:lay.horizon * lay.n_states] = averaged[i]
+        for j in lay.in_neighbors:
+            zb[lay.v_block_slice(j)] = delivered_avg[(j, i)]
+        z_avg.append(zb)
+    return z_avg
+
+
+def _reference_shift(qps, z_avg):
+    """The per-step slicing loops of the warm-start shift, kept verbatim."""
+    shifted = []
+    for qp, zb in zip(qps, z_avg):
+        lay = qp.layout
+        N = lay.horizon
+        out = np.zeros_like(zb)
+        for k in range(N - 1):
+            out[lay.x_slice(k)] = zb[lay.x_slice(k + 1)]
+        out[lay.x_slice(N - 1)] = zb[lay.x_slice(N)]
+        for k in range(N - 1):
+            out[lay.u_slice(k)] = zb[lay.u_slice(k + 1)]
+        for j in lay.in_neighbors:
+            for k in range(N - 1):
+                out[lay.v_slice(j, k)] = zb[lay.v_slice(j, k + 1)]
+        shifted.append(out)
+    return shifted
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 5),
+       horizon=st.integers(1, 5))
+def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
+                                                           horizon):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents, max_state=3,
+                         max_input=2, edge_prob=rng.uniform(0.2, 1.0))
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    zs = [rng.normal(size=qp.size) for qp in qps]
+    index = consensus_index(qps)
+    fab_ref, fab = Fabric(len(qps)), Fabric(len(qps))
+    ref = _reference_average(qps, zs, fab_ref)
+    for got in (admm_average(qps, zs, fab, index=index),
+                admm_average(qps, zs, fab)):
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in ref]
+    _reference_average(qps, zs, fab_ref)
+    assert fab.ledger.as_dict() == fab_ref.ledger.as_dict()
+    assert fab.round_index == fab_ref.round_index
+
+    ref_shift = _reference_shift(qps, ref)
+    for got in (shift_averaged(qps, ref, index), shift_averaged(qps, ref)):
+        assert [z.tobytes() for z in got] == \
+            [z.tobytes() for z in ref_shift]

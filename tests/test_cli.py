@@ -232,6 +232,51 @@ def test_failed_reference_rollout_fails_only_its_init(tmp_path, monkeypatch,
             ["ok", "ok", failed[0].status]
 
 
+def test_linalg_error_fails_only_its_init(tmp_path, monkeypatch):
+    solve = dmpcqp.cli.asm_solve
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:          # init 1, sample 0
+            raise np.linalg.LinAlgError("planted singular matrix")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dmpcqp.cli, "asm_solve", singular)
+    res = run_experiment(_small_cfg(tmp_path / "r", steps=2, n_inits=3))
+    assert res.failures == 1
+    failed = [r for r in res.records if r.status != "ok"]
+    assert [(r.init, r.sample) for r in failed] == [(1, -1)]
+    assert failed[0].status == "error: LinAlgError: planted singular matrix"
+    for init in (0, 2):
+        assert [r.sample for r in res.records if r.init == init] == [0, 1]
+    meta = json.loads((tmp_path / "r" / "meta.json").read_text())
+    assert meta["failures"] == 1
+    with open(tmp_path / "r" / "trajectories.csv", newline="") as fh:
+        inits = {row["init"] for row in csv.DictReader(fh)}
+    assert inits == {"0", "2"}
+
+
+def test_cli_pins_blas_threads_unless_set(tmp_path):
+    src = str(Path(dmpcqp.cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in dmpcqp.cli.THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for extra, expected in (({}, "1"), ({"OMP_NUM_THREADS": "2"}, "2")):
+        out = tmp_path / f"r{expected}"
+        done = subprocess.run(
+            [sys.executable, "-m", "dmpcqp.cli", "run", "--masses", "2",
+             "--horizon", "2", "--steps", "1", "--inits", "1", "--out",
+             str(out)], env={**env, **extra}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        numeric = json.loads((out / "meta.json").read_text())["numeric"]
+        assert numeric["OPENBLAS_NUM_THREADS"] == "1"
+        assert numeric["MKL_NUM_THREADS"] == "1"
+        assert numeric["OMP_NUM_THREADS"] == expected
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     src = str(Path(dmpcqp.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
