@@ -37,7 +37,7 @@ from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
 from .condense import (CondensedAgent, DualRecovery, WorkingConstraints,
                        backsubstitute, condense, recover_duals,
                        working_constraints)
-from .dcg import (DcgResult, SchurPiece, as_piece, build_overlaps, dcg_init,
+from .dcg import (DcgResult, SchurPiece, build_overlaps, dcg_init,
                   dcg_iterate, dcg_solve)
 from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,

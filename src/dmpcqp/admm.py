@@ -40,6 +40,12 @@ ADMM_PRESETS = {
     "admm1": (1e-6, 1e-3),
     "admm2": (1e-4, 1e-2),
 }
+#: A local step is negligible below this, relative to ``1 + |z|_inf``.
+LOCAL_STEP_TOL = 1e-10
+#: Tolerance below zero accepted for a local QP's bound multipliers.
+LOCAL_DUAL_TOL = 1e-10
+#: Iterations of one local active-set solve before :class:`LocalQpError`.
+LOCAL_MAX_ITER = 500
 
 
 @dataclass
@@ -52,17 +58,16 @@ class AdmmConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("penalty weight rho must be positive")
+        if not (np.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(
+                f"penalty weight rho must be finite and positive, got {self.rho}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
     @classmethod
-    def preset(cls, name: str, rho: float = 1.0,
-               max_iter: int = 20000) -> "AdmmConfig":
+    def preset(cls, name: str, rho: float = 1.0) -> "AdmmConfig":
         eps_primal, eps_dual = ADMM_PRESETS[name]
-        return cls(rho=rho, eps_primal=eps_primal, eps_dual=eps_dual,
-                   max_iter=max_iter)
+        return cls(rho=rho, eps_primal=eps_primal, eps_dual=eps_dual)
 
 
 @dataclass
@@ -106,8 +111,7 @@ class LocalQpSolver:
     condensed once and cached as its :class:`ActiveSetMap`.
     """
 
-    def __init__(self, qp, rho: float, *, eps_step: float = 1e-10,
-                 eps_dual: float = 1e-10, max_iter: int = 500):
+    def __init__(self, qp, rho: float):
         Cc = qp.cpl_local
         self.qp = qp
         self.rho = float(rho)
@@ -117,9 +121,6 @@ class LocalQpSolver:
         self.local = dataclasses.replace(
             qp, hessian=hess, cpl_local=np.zeros((0, qp.size)),
             coupled_rows=np.zeros(0, dtype=int))
-        self.eps_step = eps_step
-        self.eps_dual = eps_dual
-        self.max_iter = max_iter
         # W = C_x^{-1} C_eq: the states' response to the inputs and copies,
         # shared by the dual read-off of every active set
         nx = qp.layout.u_offset
@@ -157,40 +158,41 @@ class LocalQpSolver:
 
     def solve(self, g_lin: np.ndarray,
               warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
-        """Return ``(z, active, iterations)`` for linear term ``g_lin``."""
+        """Return ``(z, active, iterations)`` for linear term ``g_lin``.
+
+        Bounds are activated, most violated first, until the working-set
+        minimizer is feasible; that point goes straight to the dual check.
+        """
         local = self.local
         active = list(dict.fromkeys(int(a) for a in warm_active))
-        iterations = 0
-        for _ in range(self.max_iter):
-            iterations += 1
+        z = None
+        for iterations in range(1, LOCAL_MAX_ITER + 1):
             amap = self.affine_map(tuple(active))
-            z = amap.offset + amap.gain @ g_lin
-            row = most_violated_bound(local, z, active, VIOLATION_TOL)
-            if row is None:
-                break
-            active.append(row)
-        else:
-            raise LocalQpError(f"agent {local.index}: feasibility phase "
-                               f"exceeded {self.max_iter} rounds")
-
-        for _ in range(self.max_iter):
-            iterations += 1
-            amap = self.affine_map(tuple(active))
-            dz = amap.offset + amap.gain @ g_lin - z
-            if np.abs(dz).max(initial=0.0) < self.eps_step * (
-                    1.0 + np.abs(z).max(initial=0.0)):
-                nu = amap.duals @ (local.hessian @ z + g_lin)
-                if nu.size == 0 or nu.min() >= -self.eps_dual:
-                    return z, tuple(active), iterations
-                active.pop(int(np.argmin(nu)))
-                continue
-            alpha, blocking = compute_step_length(z, dz, local, active)
-            if alpha >= DEGENERATE_STEP:
-                z = z + alpha * dz
-            if blocking is not None:
-                active.append(blocking)
-        raise LocalQpError(f"agent {local.index}: active-set phase "
-                           f"exceeded {self.max_iter} iterations")
+            target = amap.offset + amap.gain @ g_lin
+            if z is None:
+                row = most_violated_bound(local, target, active,
+                                          VIOLATION_TOL)
+                if row is not None:
+                    active.append(row)
+                    continue
+                z = target
+            else:
+                dz = target - z
+                if np.abs(dz).max(initial=0.0) >= LOCAL_STEP_TOL * (
+                        1.0 + np.abs(z).max(initial=0.0)):
+                    alpha, blocking = compute_step_length(z, dz, local,
+                                                          active)
+                    if alpha >= DEGENERATE_STEP:
+                        z = z + alpha * dz
+                    if blocking is not None:
+                        active.append(blocking)
+                    continue
+            nu = amap.duals @ (local.hessian @ z + g_lin)
+            if nu.size == 0 or nu.min() >= -LOCAL_DUAL_TOL:
+                return z, tuple(active), iterations
+            active.pop(int(np.argmin(nu)))
+        raise LocalQpError(f"agent {local.index}: local active-set solve "
+                           f"exceeded {LOCAL_MAX_ITER} iterations")
 
 
 def local_linear_term(qp, z_avg: np.ndarray, lam_local: np.ndarray,
@@ -252,21 +254,21 @@ def consensus_index(qps) -> ConsensusIndex:
         shift_dst=tuple(dst), shift_src=tuple(src))
 
 
-def admm_average(qps, zs, fabric: Fabric, *, phase: str = "admm",
+def admm_average(qps, zs, fabric: Fabric, *,
                  index: ConsensusIndex | None = None):
     """Average owned trajectories with their copies and redistribute.
 
     Out-neighbors send their copied trajectories to the owner, who averages
     its own prediction with the copies (each coupling row is shared by
     exactly two agents, so the owner weight equals the number of copies);
-    the averaged trajectory is then sent back to every copier.  Returns the
-    averaged decision vectors.  ``index`` is built from ``qps`` when
-    omitted.
+    the averaged trajectory is then sent back to every copier.  Both
+    exchanges are charged to the ``admm`` phase.  Returns the averaged
+    decision vectors.  ``index`` is built from ``qps`` when omitted.
     """
     index = consensus_index(qps) if index is None else index
     delivered = fabric.neighbor_exchange(
         {(i, j): zs[i][blk] for i, own_blocks in enumerate(index.blocks)
-         for j, blk in own_blocks}, phase=phase)
+         for j, blk in own_blocks}, phase="admm")
 
     averaged = []
     for i, srcs in enumerate(index.copiers):
@@ -281,7 +283,7 @@ def admm_average(qps, zs, fabric: Fabric, *, phase: str = "admm",
 
     delivered_avg = fabric.neighbor_exchange(
         {(j, i): averaged[j] for i, own_blocks in enumerate(index.blocks)
-         for j, _ in own_blocks}, phase=phase)
+         for j, _ in own_blocks}, phase="admm")
 
     z_avg = []
     for i, own_blocks in enumerate(index.blocks):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .condense import backsubstitute, condense, recover_duals, working_constraints
-from .dcg import as_piece, dcg_solve
+from .dcg import dcg_solve
 from .errors import (AsmIterationLimit, FeasibilityViolation, InfeasibleStart,
                      RankDeficientWorkingSet)
 from .fabric import CommLedger, Fabric
@@ -32,34 +32,32 @@ from .fabric import CommLedger, Fabric
 RATIO_TOL = 1e-12
 #: Steps shorter than this are not taken; the blocking bound is still activated.
 DEGENERATE_STEP = 1e-12
-#: Bound violation the ratio test rejects and the feasibility phases repair.
+#: Bound violation the ratio test rejects, the feasibility phases repair and
+#: :func:`verify_iterate` tolerates.
 VIOLATION_TOL = 1e-9
+#: Tolerance below zero accepted for working-set bound multipliers.
+DUAL_TOL = 1e-8
+#: Equality-row residual :func:`verify_iterate` tolerates.
+EQUALITY_TOL = 1e-8
+#: Assembled coupling-row residual :func:`verify_iterate` tolerates.
+COUPLING_TOL = 1e-7
+#: Relative objective increase tolerated between accepted iterates.
+OBJECTIVE_TOL = 1e-10
 
 
 @dataclass
 class AsmConfig:
-    """Tolerances and caps for the distributed active-set solver.
+    """Tolerances and cap of the distributed active-set solver.
 
-    ``eps_step`` declares a per-agent step negligible (max norm),
-    ``eps_dcg`` is the inner CG residual tolerance, ``eps_dual`` the
-    tolerance below zero accepted for working-set multipliers, and
-    ``eps_violation`` the bound violation that triggers activation.  The
-    ``tol_*`` values guard the per-iterate feasibility checks performed when
-    ``check_iterates`` is on.
+    ``eps_step`` declares a per-agent step negligible (max norm) and
+    ``eps_dcg`` is the inner CG residual tolerance.  ``max_outer`` caps the
+    outer iterations; it defaults to ten per bound row of the network.  The
+    other tolerances are the module constants above.
     """
 
     eps_step: float = 1e-6
     eps_dcg: float = 1e-8
-    eps_dual: float = 1e-8
-    eps_violation: float = 1e-9
-    tol_eq: float = 1e-8
-    tol_ineq: float = 1e-9
-    tol_cpl: float = 1e-7
-    tol_objective: float = 1e-10
     max_outer: int | None = None
-    max_dcg: int | None = None
-    max_init_rounds: int | None = None
-    check_iterates: bool = True
 
 
 @dataclass
@@ -169,25 +167,26 @@ def _coupling_residual(qps, zs) -> float:
     return float(np.abs(total).max())
 
 
-def verify_iterate(qps, zs, cfg: AsmConfig) -> None:
+def verify_iterate(qps, zs) -> None:
     """Assert primal feasibility of a distributed iterate.
 
     Checks equality rows, bound rows, and the assembled coupling rows
-    against the configured tolerances; raises
-    :class:`FeasibilityViolation` naming the worst offender.
+    against :data:`EQUALITY_TOL`, :data:`VIOLATION_TOL` and
+    :data:`COUPLING_TOL`; raises :class:`FeasibilityViolation` naming the
+    worst offender.
     """
     for qp, z in zip(qps, zs):
         eq = float(np.abs(qp.eq_matrix @ z - qp.eq_rhs).max(initial=0.0))
-        if eq > cfg.tol_eq:
+        if eq > EQUALITY_TOL:
             raise FeasibilityViolation(
                 f"agent {qp.index}: equality residual {eq:.3e}")
         if qp.ineq_matrix.shape[0]:
             vi = float((qp.ineq_matrix @ z - qp.ineq_rhs).max())
-            if vi > cfg.tol_ineq:
+            if vi > VIOLATION_TOL:
                 raise FeasibilityViolation(
                     f"agent {qp.index}: bound violation {vi:.3e}")
     cpl = _coupling_residual(qps, zs)
-    if cpl > cfg.tol_cpl:
+    if cpl > COUPLING_TOL:
         raise FeasibilityViolation(f"coupling residual {cpl:.3e}")
 
 
@@ -231,21 +230,16 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
     M = len(qps)
     active = [list(dict.fromkeys(int(r) for r in rows))
               for rows in (warm_active or [[] for _ in range(M)])]
-    max_rounds = cfg.max_init_rounds
-    if max_rounds is None:
-        max_rounds = sum(qp.n_ineq for qp in qps) + 2
-    max_dcg = cfg.max_dcg
     repair = True
-    for _ in range(max_rounds):
+    for _ in range(sum(qp.n_ineq for qp in qps) + 2):
         cas = _condense_all(qps, active, None, homogeneous=False,
                             repair=repair)
         repair = False
-        sol = dcg_solve([as_piece(ca) for ca in cas], None, cfg.eps_dcg,
-                        fabric, max_iter=max_dcg)
+        sol = dcg_solve(cas, None, cfg.eps_dcg, fabric)
         stats.dcg_feasible_guess += sol.iterations
         stats.init_rounds += 1
         zs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
-        worst = [most_violated_bound(qp, z, act, cfg.eps_violation)
+        worst = [most_violated_bound(qp, z, act, VIOLATION_TOL)
                  for qp, z, act in zip(qps, zs, active)]
         clean = fabric.global_flags([w is None for w in worst], phase="init")
         if clean:
@@ -284,8 +278,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     stats = AsmStats()
     state = initialize_feasible(qps, warm_active, fabric, cfg, stats)
     zs, active, lam_seed = state.z, state.active, state.lambdas
-    if cfg.check_iterates:
-        verify_iterate(qps, zs, cfg)
+    verify_iterate(qps, zs)
     objective = network_objective(qps, zs)
 
     max_outer = cfg.max_outer
@@ -296,8 +289,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
         stats.outer_iterations += 1
         gradients = [qp.hessian @ z for qp, z in zip(qps, zs)]
         cas = _condense_all(qps, active, gradients, homogeneous=True)
-        sol = dcg_solve([as_piece(ca) for ca in cas], lam_seed, cfg.eps_dcg,
-                        fabric, max_iter=cfg.max_dcg)
+        sol = dcg_solve(cas, lam_seed, cfg.eps_dcg, fabric)
         stats.dcg_active_set += sol.iterations
         lam_seed = list(sol.lambdas)
         dzs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
@@ -312,7 +304,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
                 nu = rec.ineq_duals
                 mins.append(float(nu.min()) if nu.size else np.inf)
             worst, agent = fabric.global_reduce(mins, op="min", phase="asm")
-            if worst >= -cfg.eps_dual:
+            if worst >= -DUAL_TOL:
                 stats.ledger = fabric.ledger.delta(start)
                 return AsmResult(
                     z=zs, active=tuple(tuple(a) for a in active),
@@ -338,15 +330,12 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
                 active[agent].append(blocking)
             else:
                 trace.append(("step", -1, None))
-            if cfg.check_iterates:
-                verify_iterate(qps, zs, cfg)
-                new_objective = network_objective(qps, zs)
-                if new_objective > objective + cfg.tol_objective * (
-                        1.0 + abs(objective)):
-                    raise FeasibilityViolation(
-                        f"objective increased from {objective:.12e} to "
-                        f"{new_objective:.12e}")
-                objective = new_objective
-            else:
-                objective = network_objective(qps, zs)
+            verify_iterate(qps, zs)
+            new_objective = network_objective(qps, zs)
+            if new_objective > objective + OBJECTIVE_TOL * (
+                    1.0 + abs(objective)):
+                raise FeasibilityViolation(
+                    f"objective increased from {objective:.12e} to "
+                    f"{new_objective:.12e}")
+            objective = new_objective
     raise AsmIterationLimit(stats.outer_iterations, trace[-20:])

@@ -93,8 +93,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.horizon < 1 or self.steps < 1 or self.n_inits < 1:
             raise ValueError("horizon, steps and inits must be positive")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+        for name in ("rho", "eps_dcg", "eps_asm"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 _AGENT_KEYS = ("A_self", "B", "u_lo", "u_hi", "Q", "R", "P")
@@ -511,30 +514,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distributed QP solvers for networked MPC experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a closed-loop experiment")
-    run.add_argument("--scenario", choices=("chain", "file"), default="chain")
-    run.add_argument("--network", help="network JSON (scenario 'file')")
-    run.add_argument("--masses", type=int, default=10,
+    # an omitted flag leaves its ExperimentConfig default in place
+    run = sub.add_parser("run", help="run a closed-loop experiment",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--scenario", choices=("chain", "file"))
+    run.add_argument("--network", dest="network_file",
+                     help="network JSON (scenario 'file')")
+    run.add_argument("--masses", dest="n_masses", type=int,
                      help="number of masses in the chain")
-    run.add_argument("--mass", type=float, default=1.0)
-    run.add_argument("--stiffness", type=float, default=3.0)
-    run.add_argument("--damping", type=float, default=3.0)
-    run.add_argument("--dt", type=float, default=0.2)
-    run.add_argument("--u-max", type=float, default=1.0)
-    run.add_argument("--q-diag", type=float, nargs=2, default=(10.0, 10.0))
-    run.add_argument("--r-weight", type=float, default=1.0)
-    run.add_argument("--p-weight", type=float, default=0.0)
-    run.add_argument("--horizon", type=int, default=12)
-    run.add_argument("--steps", type=int, default=25)
-    run.add_argument("--inits", type=int, default=30)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--solver", choices=SOLVERS, default="asm-dcg")
-    run.add_argument("--rho", type=float, default=1.0)
-    run.add_argument("--eps-dcg", type=float, default=1e-8)
-    run.add_argument("--eps-asm", type=float, default=1e-6)
-    run.add_argument("--y0-range", type=float, default=1.0)
-    run.add_argument("--v0-range", type=float, default=0.5)
-    run.add_argument("--out", default="results")
+    run.add_argument("--mass", type=float)
+    run.add_argument("--stiffness", type=float)
+    run.add_argument("--damping", type=float)
+    run.add_argument("--dt", type=float)
+    run.add_argument("--u-max", type=float)
+    run.add_argument("--q-diag", type=float, nargs=2)
+    run.add_argument("--r-weight", type=float)
+    run.add_argument("--p-weight", type=float)
+    run.add_argument("--horizon", type=int)
+    run.add_argument("--steps", type=int)
+    run.add_argument("--inits", dest="n_inits", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--solver", choices=SOLVERS)
+    run.add_argument("--rho", type=float)
+    run.add_argument("--eps-dcg", type=float)
+    run.add_argument("--eps-asm", type=float)
+    run.add_argument("--y0-range", type=float)
+    run.add_argument("--v0-range", type=float)
+    run.add_argument("--out", dest="out_dir")
 
     cmp_p = sub.add_parser("compare", help="compare two run directories")
     cmp_p.add_argument("run_a")
@@ -545,15 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        cfg = ExperimentConfig(
-            scenario=args.scenario, network_file=args.network,
-            n_masses=args.masses, mass=args.mass, stiffness=args.stiffness,
-            damping=args.damping, dt=args.dt, u_max=args.u_max,
-            q_diag=tuple(args.q_diag), r_weight=args.r_weight,
-            p_weight=args.p_weight, horizon=args.horizon, steps=args.steps,
-            n_inits=args.inits, seed=args.seed, solver=args.solver,
-            rho=args.rho, eps_dcg=args.eps_dcg, eps_asm=args.eps_asm,
-            y0_range=args.y0_range, v0_range=args.v0_range, out_dir=args.out)
+        cfg = ExperimentConfig(**{name: value for name, value
+                                  in vars(args).items() if name != "command"})
         try:
             result = run_experiment(cfg)
         except (ValueError, SolverError) as exc:

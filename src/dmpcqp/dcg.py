@@ -25,18 +25,16 @@ from .fabric import Fabric
 
 @dataclass(frozen=True)
 class SchurPiece:
-    """One agent's compressed contribution to the aggregated system."""
+    """One agent's compressed contribution to the aggregated system.
+
+    The solver reads only these four attributes, so a
+    :class:`~dmpcqp.condense.CondensedAgent` is accepted in its place.
+    """
 
     agent: int
     rows: np.ndarray
     schur: np.ndarray
     schur_rhs: np.ndarray
-
-
-def as_piece(ca) -> SchurPiece:
-    """View a condensed agent as its Schur contribution."""
-    return SchurPiece(agent=ca.agent, rows=ca.rows, schur=ca.schur,
-                      schur_rhs=ca.schur_rhs)
 
 
 @dataclass
@@ -109,16 +107,15 @@ def _exchange_shared(vectors, overlaps, fabric: Fabric, phase: str):
 
 
 def dcg_init(pieces: Sequence[SchurPiece],
-             lambda0: Sequence[np.ndarray] | None,
-             fabric: Fabric, overlaps=None, *, phase: str = "init"):
+             lambda0: Sequence[np.ndarray] | None, fabric: Fabric):
     """Bootstrap the per-agent CG states for a warm-started multiplier.
 
     Validates that the warm start agrees exactly on shared rows, then forms
-    the initial residual ``r0 = s - S lam0`` with one neighbor exchange
-    (charged to ``phase``).
+    the initial residual ``r0 = s - S lam0`` with one neighbor exchange,
+    charged to the ``init`` phase.  Returns the states and the overlaps of
+    :func:`build_overlaps`.
     """
-    if overlaps is None:
-        overlaps = build_overlaps(pieces)
+    overlaps = build_overlaps(pieces)
     _check_shared_by_two(pieces)
     if lambda0 is None:
         lams = [np.zeros(p.rows.size) for p in pieces]
@@ -132,7 +129,7 @@ def dcg_init(pieces: Sequence[SchurPiece],
     fabric.register_overlaps({pair: idx[0].size
                               for pair, idx in overlaps.items()})
     locals_ = [p.schur_rhs - p.schur @ lam for p, lam in zip(pieces, lams)]
-    residuals = _exchange_shared(locals_, overlaps, fabric, phase)
+    residuals = _exchange_shared(locals_, overlaps, fabric, "init")
     states = [DcgLocalState(
         agent=p.agent, rows=p.rows, schur=p.schur, lam=lams[i],
         residual=residuals[i], direction=residuals[i].copy())
@@ -141,18 +138,19 @@ def dcg_init(pieces: Sequence[SchurPiece],
 
 
 def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
-                eps: float, *, phase: str = "dcg") -> bool:
+                eps: float) -> bool:
     """One synchronous CG round; returns the aggregated convergence flag.
 
     The round reduces the residual weight ``eta`` (which also fixes the
     direction update of the previous round), then the curvature ``sigma``,
     takes the multiplier and residual steps, and finally exchanges
-    convergence flags on the updated residual.
+    convergence flags on the updated residual, all charged to the ``dcg``
+    phase.
     """
     # every row is shared by exactly two agents, so each local share of the
     # residual norm carries weight one half
     etas = [float(s.residual @ (0.5 * s.residual)) for s in states]
-    eta = fabric.global_reduce(etas, op="sum", phase=phase)
+    eta = fabric.global_reduce(etas, op="sum", phase="dcg")
     for s in states:
         if s.iteration == 0:
             s.direction = s.residual.copy()
@@ -163,7 +161,7 @@ def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
 
     products = [s.schur @ s.direction for s in states]
     sigmas = [float(s.direction @ t) for s, t in zip(states, products)]
-    sigma = fabric.global_reduce(sigmas, op="sum", phase=phase)
+    sigma = fabric.global_reduce(sigmas, op="sum", phase="dcg")
     if sigma <= 0.0:
         # Zero or negative curvature is fatal unless the residual is already
         # negligible; in that case finish the round with a zero step so the
@@ -177,39 +175,36 @@ def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
         step = eta / sigma
         forced = False
 
-    summed = _exchange_shared(products, overlaps, fabric, phase)
+    summed = _exchange_shared(products, overlaps, fabric, "dcg")
     flags = []
     for s, total in zip(states, summed):
         s.lam = s.lam + step * s.direction
         s.residual = s.residual - step * total
         s.iteration += 1
         flags.append(s.residual_norm() < eps)
-    return fabric.global_flags(flags, phase=phase) or forced
+    return fabric.global_flags(flags, phase="dcg") or forced
 
 
 def dcg_solve(pieces: Sequence[SchurPiece],
               lambda0: Sequence[np.ndarray] | None,
-              eps: float, fabric: Fabric, *,
-              max_iter: int | None = None) -> DcgResult:
+              eps: float, fabric: Fabric) -> DcgResult:
     """Drive the decentralized CG to ``max_i ||r_i||_inf < eps``.
 
     The bootstrap (initial residual exchange and the pre-loop convergence
     flags) is charged to the ``init`` phase so per-iteration accounting
     identities stay exact.  Raises :class:`DcgIterationLimit` carrying the
-    best iterate when the cap is exceeded.
+    best iterate after ``3 n_c + 60`` iterations (``n_c`` coupling rows).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    states, overlaps = dcg_init(pieces, lambda0, fabric, phase="init")
-    if max_iter is None:
-        n_c = sum(p.rows.size for p in pieces) // 2
-        max_iter = 3 * n_c + 60
+    states, overlaps = dcg_init(pieces, lambda0, fabric)
+    n_c = sum(p.rows.size for p in pieces) // 2
     flags = [s.residual_norm() < eps for s in states]
     if fabric.global_flags(flags, phase="init"):
         return DcgResult(lambdas=[s.lam for s in states], iterations=0,
                          residual_inf=max(s.residual_norm() for s in states),
                          converged=True)
-    for _ in range(max_iter):
+    for _ in range(3 * n_c + 60):
         if dcg_iterate(states, overlaps, fabric, eps):
             return DcgResult(
                 lambdas=[s.lam for s in states],

@@ -112,11 +112,11 @@ class CommLedger:
 class Fabric:
     """Coordinator plus neighbor channels for a fixed set of agents."""
 
-    def __init__(self, n_agents, ledger=None):
+    def __init__(self, n_agents):
         if n_agents < 1:
             raise ValueError("fabric needs at least one agent")
         self.n_agents = int(n_agents)
-        self.ledger = ledger if ledger is not None else CommLedger()
+        self.ledger = CommLedger()
         self.round_index = 0
         self._overlap_sizes = None
 
@@ -147,35 +147,22 @@ class Fabric:
             raise FabricDeadlock(missing=missing, round_index=self.round_index)
 
     def global_reduce(self, values, op="sum", phase="dcg"):
-        """One coordinator round over per-agent scalars (or scalar tuples).
+        """One coordinator round over one scalar per agent.
 
-        ``op='sum'`` reduces componentwise, accumulating in ascending agent
-        index, and returns the broadcast tuple (or scalar).  ``op='min'``
-        reduces a single scalar per agent and returns ``(value, agent)``
-        with ties broken by the lowest agent index.  Each round charges
-        ``2 * n_agents * width`` global floats (up and down).
+        ``op='sum'`` accumulates in ascending agent index and returns the
+        broadcast total.  ``op='min'`` returns ``(value, agent)`` with ties
+        broken by the lowest agent index.  Each round charges
+        ``2 * n_agents`` global floats (up and down).
         """
         self._require_all(values, "global_reduce")
-        first = values[0]
-        width = len(first) if isinstance(first, (tuple, list, np.ndarray)) else 1
-        self.ledger.charge(phase, global_floats=2 * self.n_agents * width)
+        self.ledger.charge(phase, global_floats=2 * self.n_agents)
         self.round_index += 1
         if op == "sum":
-            if width == 1:
-                total = 0.0
-                for v in values:
-                    total += float(v)
-                return total
-            totals = [0.0] * width
+            total = 0.0
             for v in values:
-                if len(v) != width:
-                    raise ValueError("global_reduce: ragged contribution widths")
-                for c in range(width):
-                    totals[c] += float(v[c])
-            return tuple(totals)
+                total += float(v)
+            return total
         if op == "min":
-            if width != 1:
-                raise ValueError("global_reduce: min reduces one scalar per agent")
             best = float(values[0])
             best_agent = 0
             for i in range(1, self.n_agents):

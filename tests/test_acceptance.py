@@ -18,7 +18,7 @@ import pytest
 from dmpcqp import (AsmConfig, Fabric, asm_solve, build_chain_of_masses,
                     build_network_qps, condense, working_constraints)
 from dmpcqp.cli import ExperimentConfig, run_experiment
-from dmpcqp.dcg import as_piece, dcg_init, dcg_iterate, dcg_solve
+from dmpcqp.dcg import dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import (dense_qp_from_stacked, enumerate_active_sets,
                            solve_dense_qp)
@@ -178,9 +178,8 @@ def test_criterion_6_dcg_finite_convergence():
         horizon = int(rng.integers(2, 5))
         qps = build_network_qps(net, horizon, random_x0(rng, net))
         n_c = qps[0].n_coupling
-        pieces = [as_piece(condense(
-            qp, working_constraints(qp, [], homogeneous=False)))
-            for qp in qps]
+        pieces = [condense(qp, working_constraints(qp, [], homogeneous=False))
+                  for qp in qps]
         reference = centralized_cg(pieces, n_c, eps=1e-7, max_iter=n_c + 5)
         fab = Fabric(len(pieces))
         states, overlaps = dcg_init(pieces, None, fab)
@@ -233,12 +232,11 @@ def test_criterion_7_iteration_count_plausibility(asm_runs, admm1_run):
 
 
 def test_criterion_8_feasible_iterates_and_descent():
-    # every acceptance solve above runs with per-iterate checking on
-    # (AsmConfig.check_iterates defaults to True): each post-initialization
-    # iterate is verified against the feasibility tolerances and the
-    # objective must not increase, otherwise the solver raises.  Repeat a
-    # batch of solves here with the checks explicitly enabled.
-    cfg = AsmConfig(check_iterates=True)
+    # every asm_solve checks every iterate, so every acceptance solve above
+    # was checked: each post-initialization iterate is verified against the
+    # feasibility tolerances and the objective must not increase, otherwise
+    # the solver raises.  Repeat a batch of solves here.
+    cfg = AsmConfig()
     rng = np.random.default_rng(9008)
     solves = 0
     net = build_chain_of_masses(10, dt=0.2)

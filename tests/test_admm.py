@@ -142,7 +142,7 @@ def test_local_solver_warm_start_and_cache():
     z2, act2, its2 = solver.solve(g, act1)
     np.testing.assert_array_equal(z1, z2)
     assert act1 == act2
-    assert its2 == 2                      # one feasibility pass, one dual check
+    assert its2 == 1                      # the feasible warm start's dual check
     assert len(solver._cache) == cached   # no new factorizations
 
 
@@ -238,6 +238,9 @@ def test_rho_must_be_positive():
         AdmmConfig(rho=0.0)
     with pytest.raises(ValueError, match="rho"):
         AdmmConfig.preset("admm1", rho=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            AdmmConfig.preset("admm2", rho=bad)
 
 
 def test_decoupled_agent_ignores_penalty():

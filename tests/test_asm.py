@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dmpcqp import (AsmConfig, Fabric, asm_solve, build_network_qps,
                     compute_step_length, initialize_feasible, network_objective,
                     shift_active, verify_iterate)
-from dmpcqp.asm import most_violated_bound
+from dmpcqp.asm import DUAL_TOL, most_violated_bound
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import dense_qp_from_stacked, kkt_residual, solve_dense_qp
@@ -73,16 +73,15 @@ def test_interior_optimum_needs_one_iteration():
 
 
 def test_feasibility_and_descent_hold_throughout():
-    # the solver itself asserts both when check_iterates is on (default);
-    # rerun a batch of random instances and double-check the final iterate
-    cfg = AsmConfig()
+    # the solver itself asserts both on every iterate; rerun a batch of
+    # random instances and double-check the final iterate
     for seed in range(120, 126):
         net, qps = _network_problem(seed, x0_scale=2.0)
-        res = asm_solve(qps, cfg=cfg)
-        verify_iterate(qps, res.z, cfg)
+        res = asm_solve(qps)
+        verify_iterate(qps, res.z)
         duals = np.concatenate([d for d in res.ineq_duals if d.size]
                                or [np.zeros(1)])
-        assert duals.min(initial=0.0) >= -cfg.eps_dual
+        assert duals.min(initial=0.0) >= -DUAL_TOL
 
 
 def test_solve_comm_identities_exact():
@@ -224,8 +223,7 @@ def test_initialization_repairs_dependent_warm_rows():
     warm[0] = [0, N * m]
     state = initialize_feasible(qps, warm, Fabric(len(qps)))
     assert len(state.active[0]) <= 1 or state.active[0][0] != state.active[0][1]
-    cfg = AsmConfig()
-    verify_iterate(qps, state.z, cfg)
+    verify_iterate(qps, state.z)
 
 
 def test_shift_active_moves_rows_one_step():

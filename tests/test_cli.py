@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import scipy
 
 import dmpcqp.cli
-from dmpcqp import AgentModel, NetworkModel, PlantState, plant_step
+from dmpcqp import (AgentModel, NetworkModel, PlantState,
+                    build_chain_of_masses, plant_step)
 from dmpcqp.cli import (ExperimentConfig, compare_runs, load_network, main,
                         run_experiment, sample_initial_states, save_network)
 from dmpcqp.errors import SolverError
@@ -136,8 +138,10 @@ def test_config_validation():
         ExperimentConfig(solver="magic").validate()
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(steps=0).validate()
-    with pytest.raises(ValueError, match="rho"):
-        ExperimentConfig(rho=0.0).validate()
+    for name in ("rho", "eps_dcg", "eps_asm"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ExperimentConfig(**{name: bad}).validate()
 
 
 def test_initial_state_sampling_ranges():
@@ -165,8 +169,36 @@ def test_cli_run_and_compare_exit_codes(tmp_path, capsys):
     # configuration errors exit with 2
     assert main(["run", "--scenario", "file", "--out",
                  str(tmp_path / "c")]) == 2
+    assert main(argv[:-1] + [str(tmp_path / "d"), "--rho", "nan"]) == 2
+    assert not (tmp_path / "d").exists()
     assert main(["compare", str(tmp_path / "a"),
                  str(tmp_path / "missing")]) == 2
+
+
+def test_every_run_flag_reaches_the_config(tmp_path):
+    net_path = tmp_path / "net.json"
+    save_network(build_chain_of_masses(3), net_path)
+    values = dict(scenario="file", network_file=str(net_path), n_masses=4,
+                  mass=1.5, stiffness=2.0, damping=2.5, dt=0.1, u_max=0.8,
+                  q_diag=[5.0, 6.0], r_weight=0.5, p_weight=1.0, horizon=3,
+                  steps=2, n_inits=1, seed=5, solver="admm2", rho=4.0,
+                  eps_dcg=1e-9, eps_asm=1e-7, y0_range=0.7, v0_range=0.3,
+                  out_dir=str(tmp_path / "run"))
+    renamed = {"network_file": "--network", "n_masses": "--masses",
+               "n_inits": "--inits", "out_dir": "--out"}
+    defaults = dataclasses.asdict(ExperimentConfig())
+    assert values.keys() == defaults.keys()
+    argv = ["run"]
+    for name, value in values.items():
+        assert value != defaults[name], name
+        argv.append(renamed.get(name, "--" + name.replace("_", "-")))
+        argv += map(str, value if isinstance(value, list) else [value])
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert meta["config"] == values
+    # an omitted flag carries no value, so the dataclass default applies
+    assert vars(dmpcqp.cli._build_parser().parse_args(["run"])) == {
+        "command": "run"}
 
 
 def test_compare_exit_code_flags_differing_runs(tmp_path, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dmpcqp import Fabric, build_network_qps, condense, working_constraints
-from dmpcqp.dcg import (SchurPiece, as_piece, build_overlaps, dcg_init,
-                        dcg_iterate, dcg_solve)
+from dmpcqp.dcg import (SchurPiece, build_overlaps, dcg_init, dcg_iterate,
+                        dcg_solve)
 from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
                            InconsistentWarmStart)
 from dmpcqp.fabric import verify_comm_identities
@@ -187,11 +187,11 @@ def test_network_condensed_system_solves_coupling():
     cas = [condense(qp, working_constraints(qp, [], homogeneous=False))
            for qp in qps]
     fab = Fabric(len(qps))
-    res = dcg_solve([as_piece(ca) for ca in cas], None, 1e-11, fab)
+    res = dcg_solve(cas, None, 1e-11, fab)
     S = np.zeros((n_c, n_c))
     s = np.zeros(n_c)
     for ca in cas:
         S[np.ix_(ca.rows, ca.rows)] += ca.schur
         s[ca.rows] += ca.schur_rhs
-    lam = gather([as_piece(ca) for ca in cas], res.lambdas, n_c)
+    lam = gather(cas, res.lambdas, n_c)
     assert norm_inf(lam - np.linalg.solve(S, s)) < 1e-8

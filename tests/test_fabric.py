@@ -42,10 +42,6 @@ def test_global_reduce_sum_and_charges():
     total = fab.global_reduce([1.0, 2.5, -0.5], op="sum", phase="dcg")
     assert total == 3.0
     assert fab.ledger.phase("dcg").global_floats == 6
-    pair = fab.global_reduce([(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)], op="sum",
-                             phase="init")
-    assert pair == (9.0, 12.0)
-    assert fab.ledger.phase("init").global_floats == 12
 
 
 def test_global_reduce_min_breaks_ties_low():
