@@ -34,9 +34,9 @@ from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
 from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
                   compute_step_length, initialize_feasible, network_objective,
                   shift_active, verify_iterate)
-from .condense import (CondensedAgent, DualRecovery, WorkingConstraints,
-                       backsubstitute, condense, recover_duals,
-                       working_constraints)
+from .condense import (CondensedAgent, DualRecovery, FactorCache,
+                       WorkingConstraints, WorkingSetFactor, backsubstitute,
+                       condense, recover_duals, working_constraints)
 from .dcg import (DcgResult, SchurPiece, build_overlaps, dcg_init,
                   dcg_iterate, dcg_solve)
 from .fabric import CommLedger, Fabric, verify_comm_identities
@@ -51,4 +51,33 @@ from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_network_qps, rollout_feasible_point,
                          stack_global, update_initial_state)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "THREAD_VARS",
+    # admm
+    "ADMM_PRESETS", "AdmmConfig", "AdmmResult", "admm_average",
+    "admm_converged", "admm_dual_update", "admm_solve", "shift_averaged",
+    # asm
+    "AsmConfig", "AsmResult", "AsmState", "AsmStats", "asm_solve",
+    "compute_step_length", "initialize_feasible", "network_objective",
+    "shift_active", "verify_iterate",
+    # condense
+    "CondensedAgent", "DualRecovery", "FactorCache", "WorkingConstraints",
+    "WorkingSetFactor", "backsubstitute", "condense", "recover_duals",
+    "working_constraints",
+    # dcg
+    "DcgResult", "SchurPiece", "build_overlaps", "dcg_init", "dcg_iterate",
+    "dcg_solve",
+    # fabric
+    "CommLedger", "Fabric", "verify_comm_identities",
+    # model
+    "AgentModel", "NetworkModel", "PlantState", "build_chain_of_masses",
+    "plant_step",
+    # oracle
+    "DenseQp", "DenseSolution", "Rollout", "centralized_mpc_rollout",
+    "dense_qp_from_stacked", "enumerate_active_sets", "kkt_residual",
+    "prepare_kkt", "solve_dense_qp", "stacked_dynamics",
+    # qp_builder
+    "AgentQP", "CouplingIndex", "StackedQp", "VariableLayout",
+    "build_agent_qp", "build_coupling_index", "build_network_qps",
+    "rollout_feasible_point", "stack_global", "update_initial_state",
+]

@@ -11,11 +11,11 @@ to their owners and averaged trajectories back to the copiers, totalling
 The local QPs are solved by the single-agent specialization of the
 active-set machinery (no coupling rows, hence no multiplier system): the
 ratio test and most-violated-bound pick of :mod:`~dmpcqp.asm`, and the
-condensed working set of :mod:`~dmpcqp.condense`.  With the active set
+working-set factors of :mod:`~dmpcqp.condense`.  With the active set
 fixed, the local minimizer and its bound multipliers are affine in the
-linear term, so each active set is condensed once and cached as that affine
-map (:class:`ActiveSetMap`); consecutive ADMM iterations revisit the same
-sets, and a revisit costs two matrix-vector products.  Averaging and the
+linear term, so each active set is condensed once, on a miss in the
+augmented QP's factor cache; consecutive ADMM iterations revisit the same
+sets, and a revisit costs a few matrix-vector products.  Averaging and the
 warm-start shift index the decision vectors through a
 :class:`ConsensusIndex` built once per solve.
 """
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .asm import (DEGENERATE_STEP, VIOLATION_TOL, compute_step_length,
                   most_violated_bound)
-from .condense import backsubstitute, condense, working_constraints
+from .condense import WorkingSetFactor, condense, working_constraints
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
 
@@ -87,28 +86,13 @@ class AdmmResult:
     stats: AdmmStats
 
 
-@dataclass(frozen=True)
-class ActiveSetMap:
-    """Affine solution map of the local QP for one active set.
-
-    For the linear term ``g`` the working-set minimizer is
-    ``offset + gain @ g``, with ``gain = -Z (Z' H Z)^{-1} Z'``; at a point
-    ``z`` with gradient ``H z + g`` the bound multipliers, in active-row
-    order, are ``duals @ (H z + g)``.
-    """
-
-    offset: np.ndarray
-    gain: np.ndarray
-    duals: np.ndarray
-
-
 class LocalQpSolver:
     """Warm-started active-set solver for one agent's augmented QP.
 
     Minimizes ``z' H z + g' z`` subject to the agent's equality rows and
     input box, where ``H = 2 H_agent + rho * Cc' Cc`` stays fixed while the
-    linear term tracks the ADMM iterates.  Each visited active set is
-    condensed once and cached as its :class:`ActiveSetMap`.
+    linear term tracks the ADMM iterates.  ``local`` is that QP; each
+    visited active set is condensed once into ``local.factors``.
     """
 
     def __init__(self, qp, rho: float):
@@ -121,40 +105,23 @@ class LocalQpSolver:
         self.local = dataclasses.replace(
             qp, hessian=hess, cpl_local=np.zeros((0, qp.size)),
             coupled_rows=np.zeros(0, dtype=int))
-        # W = C_x^{-1} C_eq: the states' response to the inputs and copies,
-        # shared by the dual read-off of every active set
-        nx = qp.layout.u_offset
-        self._state_response = scipy.linalg.solve_triangular(
-            qp.eq_matrix[:, :nx], qp.eq_matrix, lower=True,
-            unit_diagonal=True)
-        self._cache: dict[tuple[int, ...], ActiveSetMap] = {}
+        self._last: tuple | None = None
 
-    def affine_map(self, active: tuple[int, ...]) -> ActiveSetMap:
-        """The cached map of ``active``, condensing the set on a miss."""
-        hit = self._cache.get(active)
-        if hit is not None:
-            return hit
-        if len(self._cache) > 4096:
-            self._cache.clear()
-        work = working_constraints(self.local, active, homogeneous=False)
-        ca = condense(self.local, work)
-        nz = self.local.size
-        if ca.n_reduced:
-            gain = -ca.null_basis @ scipy.linalg.cho_solve(
-                ca.reduced_chol, ca.null_basis.T)
-        else:
-            gain = np.zeros((nz, nz))
-        # nu = sign * (W' grad_x - grad)[pinned], as recover_duals reads it
-        k = ca.pinned.size
-        nx = self._state_response.shape[0]
-        duals = np.zeros((k, nz))
-        duals[:, :nx] = self._state_response[:, ca.pinned].T
-        duals[np.arange(k), ca.pinned] = -1.0
-        duals *= ca.pin_signs[:, None]
-        amap = ActiveSetMap(offset=backsubstitute(ca, ()), gain=gain,
-                            duals=duals)
-        self._cache[active] = amap
-        return amap
+    def working_set(self, active: tuple[int, ...]
+                    ) -> tuple[WorkingSetFactor, np.ndarray]:
+        """The factor of ``active`` and its minimizer at zero linear term.
+
+        The set is condensed on a miss in ``local.factors``.  The pair of
+        the last set asked for is kept, because ADMM warm-starts every solve
+        from the set the previous one ended on.
+        """
+        if self._last is None or self._last[0] != active:
+            work = working_constraints(self.local, active, homogeneous=False)
+            factor = self.local.factors.get(active)
+            if factor is None:
+                factor = condense(self.local, work).factor
+            self._last = (active, factor, factor.stationary_point(work.rhs))
+        return self._last[1:]
 
     def solve(self, g_lin: np.ndarray,
               warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
@@ -167,8 +134,8 @@ class LocalQpSolver:
         active = list(dict.fromkeys(int(a) for a in warm_active))
         z = None
         for iterations in range(1, LOCAL_MAX_ITER + 1):
-            amap = self.affine_map(tuple(active))
-            target = amap.offset + amap.gain @ g_lin
+            factor, offset = self.working_set(tuple(active))
+            target = offset + factor.gain @ g_lin
             if z is None:
                 row = most_violated_bound(local, target, active,
                                           VIOLATION_TOL)
@@ -187,7 +154,7 @@ class LocalQpSolver:
                     if blocking is not None:
                         active.append(blocking)
                     continue
-            nu = amap.duals @ (local.hessian @ z + g_lin)
+            nu = factor.duals @ (local.hessian @ z + g_lin)
             if nu.size == 0 or nu.min() >= -LOCAL_DUAL_TOL:
                 return z, tuple(active), iterations
             active.pop(int(np.argmin(nu)))

@@ -93,11 +93,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.horizon < 1 or self.steps < 1 or self.n_inits < 1:
             raise ValueError("horizon, steps and inits must be positive")
-        for name in ("rho", "eps_dcg", "eps_asm"):
+        for name in ("rho", "eps_dcg", "eps_asm", "dt"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}")
+        for name in ("y0_range", "v0_range"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}")
 
 
 _AGENT_KEYS = ("A_self", "B", "u_lo", "u_hi", "Q", "R", "P")

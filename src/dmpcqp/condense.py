@@ -16,13 +16,22 @@ unknown yields each agent's contribution to the coupling-multiplier system,
 which does not depend on the basis: a local Schur matrix and right-hand
 side, compressed to the coupling rows the agent actually touches.  The
 working-set multipliers take one transposed triangular solve on the state
-rows plus a read-off on the pinned rows.  Factorizations are not reused
-across working-set changes; every call refactorizes.
+rows plus a read-off on the pinned rows.
+
+Everything above except ``d``, ``g`` and the multipliers depends only on the
+QP's matrices and the active rows.  That structural part is a
+:class:`WorkingSetFactor`: linear maps from ``d`` and ``g`` to the
+stationary point, the coupling gain and the Schur matrix.  Each QP carries a
+:class:`FactorCache` keyed by the active rows, so a working set is factored
+once and every later :func:`condense` of it costs a few matrix-vector
+products; the cache survives :func:`~dmpcqp.qp_builder.update_initial_state`,
+which changes only ``d``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +41,8 @@ from .errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
 #: Cholesky pivots of the reduced Hessian below this threshold fail the solve.
 PIVOT_TOL = 1e-12
+#: Working-set factors one :class:`FactorCache` keeps; the oldest goes first.
+MAX_FACTORS = 256
 
 
 @dataclass(frozen=True)
@@ -76,88 +87,108 @@ def working_constraints(qp, active: Sequence[int], *,
 
 
 @dataclass(frozen=True)
-class CondensedAgent:
-    """One agent's condensed step system.
+class WorkingSetFactor:
+    """Structural part of condensing one working set.
 
-    ``schur`` and ``schur_rhs`` are the agent's contribution to the coupling
-    multiplier system, compressed to ``rows`` (the global coupling rows with
-    a nonzero entry for this agent).  ``null_basis``, ``particular`` and
-    the cached Cholesky factor of ``Z' H Z`` allow back-substitution once
-    the multipliers are known; ``pinned`` (the columns the active rows pin,
-    in active order) and ``pin_signs`` give the bound multipliers.
+    With ``K = -Z (Z' H Z)^{-1} Z'`` (``gain``) and ``P`` the map from the
+    working-set right-hand side ``d`` to the particular point, the
+    working-set minimizer of ``0.5 z' H z + (g + Cc' lam)' z`` is
+    ``rhs_gain @ d + gain @ (g + Cc' lam)`` with ``rhs_gain = P + K H P``.
+    ``schur`` is the agent's Schur matrix ``Cc Z (Z' H Z)^{-1} Z' Cc'``,
+    i.e. ``-Cc K Cc'``.  ``pinned`` (the columns the active rows pin, in
+    active order) and ``pin_signs`` locate the bound multipliers, which at
+    a point with objective gradient ``r`` (coupling term included) are
+    ``duals @ r``.
     """
 
-    agent: int
-    rows: np.ndarray
-    null_basis: np.ndarray
     pinned: np.ndarray
     pin_signs: np.ndarray
-    particular: np.ndarray
-    reduced_chol: tuple | None
-    reduced_grad: np.ndarray
-    cpl_reduced: np.ndarray
+    gain: np.ndarray
+    rhs_gain: np.ndarray
     schur: np.ndarray
-    schur_rhs: np.ndarray
+    duals: np.ndarray
 
-    @property
-    def n_reduced(self) -> int:
-        return self.null_basis.shape[1]
+    def stationary_point(self, rhs: np.ndarray,
+                         gradient: np.ndarray | None = None) -> np.ndarray:
+        """Working-set minimizer for right-hand side ``rhs`` and linear
+        term ``gradient`` (zero when omitted) at zero coupling multipliers."""
+        point = self.rhs_gain @ rhs
+        if gradient is not None:
+            point += self.gain @ gradient
+        return point
 
 
-def condense(qp, work: WorkingConstraints,
-             gradient: np.ndarray | None = None) -> CondensedAgent:
-    """Reduce one agent's step system onto the working-set null space.
+class FactorCache:
+    """The :class:`WorkingSetFactor` of each working set of one QP structure.
 
-    Requires the structure :func:`~dmpcqp.qp_builder.build_agent_qp`
-    gives: the equality rows' first ``layout.u_offset`` columns form a
-    square unit lower triangular block, and every activated row is a signed
-    unit row on a later column.  Two active rows pinning the same column
-    raise :class:`RankDeficientWorkingSet` naming the later one.
-
-    Parameters
-    ----------
-    qp : AgentQP (or any object with ``hessian``, ``cpl_local``,
-        ``coupled_rows``, ``index`` and ``layout`` attributes)
-    work : WorkingConstraints
-        Working set with its right-hand side ``d``.
-    gradient : array, optional
-        Linear term of the step objective (zero when omitted).
-
-    Returns
-    -------
-    CondensedAgent
-        Null-space factorization plus the agent's compressed Schur matrix
-        and right-hand side for the coupling multiplier system.
+    Keyed by the active-row tuple and bound to the structural arrays
+    (``hessian``, ``eq_matrix``, ``ineq_matrix``, ``cpl_local``) of the QP
+    it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
+    cache for a QP that does not share them.  Beyond :data:`MAX_FACTORS`
+    entries the oldest is dropped.  It also holds the two per-structure
+    maps every factor and :func:`recover_duals` read: ``C_x^{-1}`` and the
+    states' response ``W = C_x^{-1} C_eq`` to the inputs and copies.
     """
+
+    def __init__(self, qp):
+        self._structure = (qp.hessian, qp.eq_matrix, qp.ineq_matrix,
+                           qp.cpl_local)
+        self._n_states = qp.layout.u_offset
+        self._factors: dict[tuple[int, ...], WorkingSetFactor] = {}
+
+    def bound_to(self, qp) -> bool:
+        """Whether ``qp`` has the structural arrays this cache was made for."""
+        return all(a is b for a, b in zip(self._structure, (
+            qp.hessian, qp.eq_matrix, qp.ineq_matrix, qp.cpl_local)))
+
+    def __len__(self) -> int:
+        return len(self._factors)
+
+    def get(self, active: tuple[int, ...]) -> WorkingSetFactor | None:
+        return self._factors.get(active)
+
+    def put(self, active: tuple[int, ...], factor: WorkingSetFactor) -> None:
+        if len(self._factors) >= MAX_FACTORS:
+            del self._factors[next(iter(self._factors))]
+        self._factors[active] = factor
+
+    def _solve_states(self, rhs: np.ndarray) -> np.ndarray:
+        eq_matrix, nx = self._structure[1], self._n_states
+        return scipy.linalg.solve_triangular(
+            eq_matrix[:, :nx], rhs, lower=True, unit_diagonal=True)
+
+    @cached_property
+    def state_inverse(self) -> np.ndarray:
+        return self._solve_states(np.eye(self._n_states))
+
+    @cached_property
+    def state_response(self) -> np.ndarray:
+        return self._solve_states(self._structure[1])
+
+
+def _factorize(qp, work: WorkingConstraints) -> WorkingSetFactor:
+    """Factor the working set ``work`` of ``qp`` (a cache miss)."""
     H = qp.hessian
     nz = H.shape[0]
     if work.matrix.shape[1] != nz:
         raise ValueError("working set does not match the agent dimension")
-    g = np.zeros(nz) if gradient is None else np.asarray(gradient, dtype=float)
     n_eq, nx = work.n_eq, qp.layout.u_offset
     bounds = work.matrix[n_eq:]
+    k = bounds.shape[0]
     pinned = np.abs(bounds).argmax(axis=1)
-    pin_signs = bounds[np.arange(pinned.size), pinned]
+    pin_signs = bounds[np.arange(k), pinned]
     cols = pinned.tolist()
     for pos, col in enumerate(cols):
         if col in cols[:pos]:
             raise RankDeficientWorkingSet(qp.index, n_eq + pos, pos)
-    C_eq = work.matrix[:n_eq]
+    W = qp.factors.state_response
     free = np.setdiff1d(np.arange(nx, nz), pinned)
     n_red = free.size
     Z = np.zeros((nz, n_red))
-    Z[:nx] = -scipy.linalg.solve_triangular(C_eq[:, :nx], C_eq[:, free],
-                                            lower=True, unit_diagonal=True)
+    Z[:nx] = -W[:, free]
     Z[free, np.arange(n_red)] = 1.0
 
-    particular = np.zeros(nz)
-    if np.any(work.rhs):
-        particular[pinned] = pin_signs * work.rhs[n_eq:]
-        particular[:nx] = scipy.linalg.solve_triangular(
-            C_eq[:, :nx], work.rhs[:n_eq] - C_eq @ particular, lower=True,
-            unit_diagonal=True)
-
-    reduced_chol = None
+    gain = np.zeros((nz, nz))
     if n_red:
         reduced = Z.T @ H @ Z
         try:
@@ -168,30 +199,96 @@ def condense(qp, work: WorkingConstraints,
         pivots = np.diag(reduced_chol[0])
         if np.min(pivots) ** 2 < PIVOT_TOL:
             raise IndefiniteReducedHessian(qp.index, float(np.min(pivots) ** 2))
+        gain = -Z @ scipy.linalg.cho_solve(reduced_chol, Z.T)
 
-    rhs_lin = g + H @ particular if np.any(particular) else g
-    reduced_grad = Z.T @ rhs_lin if n_red else np.zeros(0)
+    # particular point: pinned coordinates at their bounds, states from the
+    # dynamics, i.e. p[:nx] = C_x^{-1} d_eq - W[:, pinned] (sign * d_bound)
+    particular = np.zeros((nz, n_eq + k))
+    particular[:nx, :n_eq] = qp.factors.state_inverse
+    particular[:nx, n_eq:] = -W[:, pinned] * pin_signs
+    particular[pinned, n_eq + np.arange(k)] = pin_signs
+    rhs_gain = particular + gain @ (H @ particular)
 
     Cc = qp.cpl_local
-    n_local = Cc.shape[0]
-    cpl_reduced = Cc @ Z if n_red else np.zeros((n_local, 0))
-    b_local = Cc @ particular if np.any(particular) else np.zeros(n_local)
-    if n_red and n_local:
-        solved = scipy.linalg.cho_solve(reduced_chol, cpl_reduced.T)
-        schur = cpl_reduced @ solved
-        schur = 0.5 * (schur + schur.T)
-        schur_rhs = b_local - cpl_reduced @ scipy.linalg.cho_solve(
-            reduced_chol, reduced_grad)
-    else:
-        schur = np.zeros((n_local, n_local))
-        schur_rhs = b_local.copy()
+    schur = -Cc @ gain @ Cc.T
+    # nu = sign * (W' r_x - r)[pinned] for the objective gradient r
+    duals = np.zeros((k, nz))
+    duals[:, :nx] = W[:, pinned].T
+    duals[np.arange(k), pinned] = -1.0
+    duals *= pin_signs[:, None]
+    return WorkingSetFactor(
+        pinned=pinned, pin_signs=pin_signs, gain=gain, rhs_gain=rhs_gain,
+        schur=0.5 * (schur + schur.T), duals=duals)
 
-    return CondensedAgent(
-        agent=qp.index, rows=qp.coupled_rows, null_basis=Z, pinned=pinned,
-        pin_signs=pin_signs, particular=particular,
-        reduced_chol=reduced_chol, reduced_grad=reduced_grad,
-        cpl_reduced=cpl_reduced, schur=schur, schur_rhs=schur_rhs,
-    )
+
+@dataclass(frozen=True)
+class CondensedAgent:
+    """One agent's condensed step system.
+
+    ``schur`` and ``schur_rhs`` are the agent's contribution to the coupling
+    multiplier system, compressed to ``rows`` (the global coupling rows with
+    a nonzero entry for this agent).  ``offset`` is the working-set
+    minimizer at zero multipliers; ``factor`` and the agent's coupling rows
+    ``cpl_local`` turn multipliers into the step, and ``factor`` locates the
+    bound multipliers.
+    """
+
+    agent: int
+    rows: np.ndarray
+    cpl_local: np.ndarray
+    factor: WorkingSetFactor
+    offset: np.ndarray
+    schur_rhs: np.ndarray
+
+    @property
+    def schur(self) -> np.ndarray:
+        return self.factor.schur
+
+    @property
+    def pinned(self) -> np.ndarray:
+        return self.factor.pinned
+
+    @property
+    def pin_signs(self) -> np.ndarray:
+        return self.factor.pin_signs
+
+
+def condense(qp, work: WorkingConstraints,
+             gradient: np.ndarray | None = None) -> CondensedAgent:
+    """Reduce one agent's step system onto the working-set null space.
+
+    Requires the structure :func:`~dmpcqp.qp_builder.build_agent_qp`
+    gives: the equality rows' first ``layout.u_offset`` columns form a
+    square unit lower triangular block, and every activated row is a signed
+    unit row on a later column.  Two active rows pinning the same column
+    raise :class:`RankDeficientWorkingSet` naming the later one.  The
+    working set's factor comes from ``qp.factors`` and is made and stored
+    there on a miss; a set that raises is not stored.
+
+    Parameters
+    ----------
+    qp : AgentQP (or any object with ``hessian``, ``cpl_local``,
+        ``coupled_rows``, ``index``, ``layout`` and ``factors`` attributes)
+    work : WorkingConstraints
+        Working set of ``qp``'s rows with its right-hand side ``d``.
+    gradient : array, optional
+        Linear term of the step objective (zero when omitted).
+
+    Returns
+    -------
+    CondensedAgent
+        The working-set factor plus the agent's compressed Schur matrix
+        and right-hand side for the coupling multiplier system.
+    """
+    factor = qp.factors.get(work.active)
+    if factor is None:
+        factor = _factorize(qp, work)
+        qp.factors.put(work.active, factor)
+    g = None if gradient is None else np.asarray(gradient, dtype=float)
+    offset = factor.stationary_point(work.rhs, g)
+    return CondensedAgent(agent=qp.index, rows=qp.coupled_rows,
+                          cpl_local=qp.cpl_local, factor=factor,
+                          offset=offset, schur_rhs=qp.cpl_local @ offset)
 
 
 def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,
@@ -202,13 +299,10 @@ def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,
     to the linear term ``ca`` was condensed with.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(ca.rows.size)
-    if ca.n_reduced == 0:
-        return ca.particular.copy()
-    rhs = -ca.reduced_grad - ca.cpl_reduced.T @ lam_local
+    linear = ca.cpl_local.T @ lam_local
     if gradient is not None:
-        rhs = rhs - ca.null_basis.T @ gradient
-    v = scipy.linalg.cho_solve(ca.reduced_chol, rhs)
-    return ca.null_basis @ v + ca.particular
+        linear += gradient
+    return ca.offset + ca.factor.gain @ linear
 
 
 @dataclass(frozen=True)
@@ -226,20 +320,19 @@ def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
 
     Solves ``C_work' gamma = rhs`` with ``rhs = -(gradient + C_cpl' lam)``
     on its square part: the state rows give the equality multipliers
-    (``C_x' mu = rhs_x``, one transposed unit-triangular solve) and the
-    pinned rows the bound multipliers (``nu = sign * (rhs - C_eq' mu)``
-    there).  The attained residual ``|C_work' gamma - rhs|``, which only the
-    free rows can carry, is reported so callers can judge stationarity.
+    (``mu = C_x^{-T} rhs_x``) and the pinned rows the bound multipliers
+    (``nu = sign * (rhs - C_eq' mu)`` there, with ``C_eq' mu = W' rhs_x``).
+    The attained residual ``|C_work' gamma - rhs|``, which only the free
+    rows can carry, is reported so callers can judge stationarity.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled_rows.size)
     rhs = -np.asarray(gradient, dtype=float)
     if lam_local.size:
         rhs = rhs - qp.cpl_local.T @ lam_local
-    nx = qp.layout.u_offset
-    C_eq = qp.eq_matrix
-    mu = scipy.linalg.solve_triangular(C_eq[:, :nx], rhs[:nx], trans="T",
-                                       lower=True, unit_diagonal=True)
-    left = rhs - C_eq.T @ mu
+    cache = qp.factors
+    rhs_x = rhs[:cache.state_inverse.shape[0]]
+    mu = cache.state_inverse.T @ rhs_x
+    left = rhs - cache.state_response.T @ rhs_x
     nu = ca.pin_signs * left[ca.pinned]
     left[ca.pinned] = 0.0
     return DualRecovery(eq_duals=mu, ineq_duals=nu,

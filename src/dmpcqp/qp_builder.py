@@ -23,12 +23,13 @@ trajectories equals the sum of the nominal per-agent costs.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from .condense import FactorCache
 from .model import NetworkModel
 
 
@@ -135,6 +136,13 @@ class AgentQP:
     ordered by time step then input component).  ``cpl_matrix`` has one row
     per global coupling row; ``cpl_local`` is its dense restriction to the
     rows in ``coupled_rows``.
+
+    ``factors`` caches the working-set factors of :mod:`~dmpcqp.condense`.
+    It is kept only while it is bound to this QP's ``hessian``,
+    ``eq_matrix``, ``ineq_matrix`` and ``cpl_local``: a
+    ``dataclasses.replace`` that keeps them (such as
+    :func:`update_initial_state`) shares the cache, and one that changes
+    any of them starts a fresh one.
     """
 
     index: int
@@ -147,6 +155,12 @@ class AgentQP:
     cpl_matrix: sp.csr_matrix
     cpl_local: np.ndarray
     coupled_rows: np.ndarray
+    factors: FactorCache | None = field(default=None, compare=False,
+                                        repr=False)
+
+    def __post_init__(self):
+        if self.factors is None or not self.factors.bound_to(self):
+            object.__setattr__(self, "factors", FactorCache(self))
 
     @property
     def size(self) -> int:
@@ -282,7 +296,11 @@ def build_network_qps(net: NetworkModel, horizon: int,
 
 
 def update_initial_state(qp: AgentQP, x0: np.ndarray) -> AgentQP:
-    """Return a copy of ``qp`` with new initial-condition rows."""
+    """Return a copy of ``qp`` with new initial-condition rows.
+
+    The copy shares ``qp``'s working-set factors, which do not depend on
+    the initial state.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(qp.layout.n_states)
     b = qp.eq_rhs.copy()
     b[:qp.layout.n_states] = x0

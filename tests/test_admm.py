@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_average, admm_converged, admm_dual_update,
-                    admm_solve, asm_solve, backsubstitute,
-                    build_chain_of_masses, build_network_qps, condense,
-                    recover_duals, shift_averaged, working_constraints)
+                    admm_solve, asm_solve, build_chain_of_masses,
+                    build_network_qps, shift_averaged, working_constraints)
 from dmpcqp.admm import (ADMM_PRESETS, LocalQpSolver, consensus_index,
                          local_linear_term)
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import rollout_feasible_point
+
+import condense_reference as ref_kernel
 
 from conftest import norm_inf, random_network, random_x0, spd_matrix, stable_matrix
 
@@ -138,12 +139,12 @@ def test_local_solver_warm_start_and_cache():
     g = local_linear_term(qp, rng.normal(size=qp.size),
                           rng.normal(size=qp.cpl_local.shape[0]), 1.0)
     z1, act1, _ = solver.solve(g)
-    cached = len(solver._cache)
+    cached = len(solver.local.factors)
     z2, act2, its2 = solver.solve(g, act1)
     np.testing.assert_array_equal(z1, z2)
     assert act1 == act2
     assert its2 == 1                      # the feasible warm start's dual check
-    assert len(solver._cache) == cached   # no new factorizations
+    assert len(solver.local.factors) == cached   # no new factorizations
 
 
 def _enumerated_min(H, g, A, b, C, d):
@@ -358,9 +359,9 @@ def test_shift_averaged():
 @example(seed=0, n_masses=3, horizon=12, agent=1, rho=1e6, n_active=5)
 def test_affine_map_matches_condensed_kernel(seed, n_masses, horizon, agent,
                                              rho, n_active):
-    """The cached map reproduces back-substitution and dual recovery on the
-    condensed working set it was built from (86 columns for an interior
-    mass at horizon 12)."""
+    """The solver's cached factor reproduces the per-call kernel's
+    back-substitution and dual recovery on the working set it was built
+    from (86 columns for an interior mass at horizon 12)."""
     rng = np.random.default_rng(seed)
     net = build_chain_of_masses(n_masses)
     qp = build_network_qps(net, horizon, random_x0(rng, net))[
@@ -371,17 +372,17 @@ def test_affine_map_matches_condensed_kernel(seed, n_masses, horizon, agent,
     active = tuple(int(p) + half * int(rng.integers(2)) for p in picks)
     g = rng.normal(scale=10.0, size=qp.size)
 
-    amap = solver.affine_map(active)
-    z = amap.offset + amap.gain @ g
+    factor, offset = solver.working_set(active)
+    z = offset + factor.gain @ g
     local = solver.local
-    ca = condense(local, working_constraints(local, active,
-                                             homogeneous=False))
-    ref = backsubstitute(ca, (), g)
+    ca = ref_kernel.condense(local, working_constraints(local, active,
+                                                        homogeneous=False))
+    ref = ref_kernel.backsubstitute(ca, (), g)
     assert norm_inf(z - ref) <= 1e-9 * max(norm_inf(ref), 1.0)
 
     grad = local.hessian @ z + g
-    nu = amap.duals @ grad
-    nu_ref = recover_duals(local, ca, grad, ()).ineq_duals
+    nu = factor.duals @ grad
+    nu_ref = ref_kernel.recover_duals(local, ca, grad, ()).ineq_duals
     assert nu.shape == (len(active),)
     assert norm_inf(nu - nu_ref) <= 1e-9 * max(norm_inf(nu_ref),
                                                norm_inf(grad), 1.0)
@@ -404,7 +405,7 @@ def test_local_solver_result_does_not_depend_on_cache_state():
         warm = ()
         for _ in range(4):
             _, warm, _ = used.solve(linear_term(), warm)
-        assert len(used._cache) > 1
+        assert len(used.local.factors) > 1
         g = linear_term()
         fresh = LocalQpSolver(qp, rho)
         z_fresh, act_fresh, its_fresh = fresh.solve(g, warm)

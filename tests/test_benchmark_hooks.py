@@ -3,10 +3,21 @@
 ``perfbench`` times per-layer spans by wrapping ``dmpcqp`` functions it
 names in ``bench.ATTACH_POINTS``.  A renamed or removed function only drops
 that span's metrics with a warning, and ``perfbench``'s own tests are not
-part of this suite, so a rename is caught here.
+part of this suite, so a rename is caught here, and so is a change to how
+often the ``condense`` spans are entered.
 """
 
+import dataclasses
+import importlib
 from pathlib import Path
+
+import numpy as np
+
+import dmpcqp.admm as admm_module
+import dmpcqp.asm as asm_module
+from dmpcqp import WorkingConstraints, build_chain_of_masses
+from dmpcqp.admm import LocalQpSolver
+from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -23,3 +34,46 @@ def test_every_benchmark_attach_point_resolves(monkeypatch):
         tracer.detach()
     assert bench.ATTACH_POINTS
     assert missing == []
+
+
+def test_condense_spans_keep_their_meaning(monkeypatch):
+    """The benchmark reads ``condense.calls_per_sample`` and
+    ``condense.working_rows_per_call`` off ``dmpcqp.asm.condense`` and
+    ``admm.factor_miss_ratio`` off ``dmpcqp.admm.condense``: the active-set
+    solver condenses every agent once per round with a
+    ``WorkingConstraints``, and ADMM condenses once per factor-cache miss
+    and never on a hit."""
+    real = importlib.import_module("dmpcqp.condense").condense
+    asm_calls, admm_calls, solvers = [], [], []
+
+    def asm_condense(qp, work, *args):
+        asm_calls.append((qp.index, isinstance(work, WorkingConstraints)))
+        return real(qp, work, *args)
+
+    def admm_condense(qp, work, *args):
+        assert isinstance(work, WorkingConstraints)
+        assert qp.factors.get(work.active) is None
+        admm_calls.append(work.active)
+        return real(qp, work, *args)
+
+    real_init = LocalQpSolver.__init__
+
+    def solver_init(self, *args):
+        real_init(self, *args)
+        solvers.append(self)
+
+    monkeypatch.setattr(asm_module, "condense", asm_condense)
+    monkeypatch.setattr(admm_module, "condense", admm_condense)
+    monkeypatch.setattr(LocalQpSolver, "__init__", solver_init)
+
+    net = build_chain_of_masses(3)
+    x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
+    cfg = ExperimentConfig(n_masses=3, horizon=6, steps=6, solver="asm-dcg")
+    _, _, samples = _closed_loop_distributed(net, cfg, x0s)
+    rounds = sum(s["init_rounds"] + s["asm_iterations"] for s in samples)
+    assert asm_calls == [(i, True) for _ in range(rounds) for i in range(3)]
+
+    cfg = dataclasses.replace(cfg, solver="admm2", rho=5.0)
+    _closed_loop_distributed(net, cfg, x0s)
+    assert len(asm_calls) == 3 * rounds
+    assert len(admm_calls) == sum(len(s.local.factors) for s in solvers) > 0

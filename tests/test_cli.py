@@ -138,10 +138,15 @@ def test_config_validation():
         ExperimentConfig(solver="magic").validate()
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(steps=0).validate()
-    for name in ("rho", "eps_dcg", "eps_asm"):
+    for name in ("rho", "eps_dcg", "eps_asm", "dt"):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ExperimentConfig(**{name: bad}).validate()
+    for name in ("y0_range", "v0_range"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ExperimentConfig(**{name: bad}).validate()
+        ExperimentConfig(**{name: 0.0}).validate()
 
 
 def test_initial_state_sampling_ranges():
@@ -171,6 +176,13 @@ def test_cli_run_and_compare_exit_codes(tmp_path, capsys):
                  str(tmp_path / "c")]) == 2
     assert main(argv[:-1] + [str(tmp_path / "d"), "--rho", "nan"]) == 2
     assert not (tmp_path / "d").exists()
+    capsys.readouterr()
+    for flag, bad in (("--y0-range", "nan"), ("--v0-range", "nan"),
+                      ("--y0-range", "-1"), ("--dt", "nan")):
+        assert main(argv[:-1] + [str(tmp_path / "e"), flag, bad]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
     assert main(["compare", str(tmp_path / "a"),
                  str(tmp_path / "missing")]) == 2
 

@@ -1,12 +1,19 @@
+import dataclasses
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmpcqp import (backsubstitute, build_network_qps, condense, recover_duals,
+import condense_reference as ref_kernel
+from dmpcqp import (backsubstitute, build_chain_of_masses, build_network_qps,
+                    condense, recover_duals, update_initial_state,
                     working_constraints)
-from dmpcqp.errors import RankDeficientWorkingSet
+from dmpcqp.admm import LocalQpSolver
+from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
 from conftest import norm_inf, random_network, random_x0
 
@@ -47,10 +54,10 @@ def test_null_basis_spans_working_set_null_space():
     for qp in qps:
         work = working_constraints(qp, _some_active(rng, qp), homogeneous=True)
         ca = condense(qp, work)
-        Z = ca.null_basis
-        assert norm_inf(work.matrix @ Z) < 1e-12
-        assert Z.shape[1] == qp.size - work.n_rows
-        assert np.linalg.matrix_rank(Z) == Z.shape[1]
+        # the factor keeps Z only as the range of its gain -Z (Z'HZ)^{-1} Z'
+        K = ca.factor.gain
+        assert norm_inf(work.matrix @ K) < 1e-12 * max(norm_inf(K), 1.0)
+        assert np.linalg.matrix_rank(K) == qp.size - work.n_rows
 
 
 def test_particular_solution_satisfies_working_rows():
@@ -61,10 +68,10 @@ def test_particular_solution_satisfies_working_rows():
         act = _some_active(rng, qp)
         work = working_constraints(qp, act, homogeneous=False)
         ca = condense(qp, work)
-        assert norm_inf(work.matrix @ ca.particular - work.rhs) < 1e-10
+        assert norm_inf(work.matrix @ ca.offset - work.rhs) < 1e-10
         hom = working_constraints(qp, act, homogeneous=True)
         cah = condense(qp, hom)
-        assert norm_inf(cah.particular) < 1e-12
+        assert norm_inf(cah.offset) < 1e-12
 
 
 def test_backsubstitute_matches_dense_kkt():
@@ -300,3 +307,123 @@ def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active,
                      gamma_ref)
         scale = 1e-9 * (1.0 + norm_inf(stationary))
         assert rec.residual <= scale and residual_ref <= scale
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (RankDeficientWorkingSet, IndefiniteReducedHessian) as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
+       n_active=st.integers(0, 4), homogeneous=st.booleans(),
+       with_gradient=st.booleans(),
+       fault=st.sampled_from([None, "twin", "indefinite"]))
+def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
+                                               homogeneous, with_gradient,
+                                               fault):
+    """Condensing through the factor cache gives the per-call kernel's
+    Schur piece, steps and multipliers, on the miss and on the hit after a
+    new initial state; a failing working set raises the kernel's error on
+    every call and is never cached."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=2)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    lam = rng.normal(size=qps[0].n_coupling)
+
+    def close(a, b):
+        return norm_inf(a - b) <= 1e-9 * (1.0 + norm_inf(b))
+
+    for qp in qps:
+        act = _some_active(rng, qp, n_active)
+        if fault == "twin" and act:
+            half = qp.n_ineq // 2
+            act.insert(int(rng.integers(len(act) + 1)),
+                       (act[0] + half) % (2 * half))
+        if fault == "indefinite":
+            qp = dataclasses.replace(qp, hessian=-qp.hessian)
+        lam_local = lam[qp.coupled_rows]
+        moved = update_initial_state(qp, rng.normal(size=qp.layout.n_states))
+        for q in (qp, moved):  # a miss, then a hit on the carried cache
+            work = working_constraints(q, act, homogeneous=homogeneous)
+            grad = rng.normal(size=q.size) if with_gradient else None
+            expected = _raised(ref_kernel.condense, q, work, grad)
+            if expected is not None:
+                for _ in range(2):
+                    got = _raised(condense, q, work, grad)
+                    assert type(got) is type(expected)
+                    assert got.agent == expected.agent == q.index
+                    if isinstance(expected, RankDeficientWorkingSet):
+                        assert (got.working_row, got.active_position) == (
+                            expected.working_row, expected.active_position)
+                assert len(q.factors) == 0
+                continue
+            ca = condense(q, work, grad)
+            assert len(q.factors) == 1
+            ref = ref_kernel.condense(q, work, grad)
+            assert close(ca.schur, ref.schur)
+            assert close(ca.schur_rhs, ref.schur_rhs)
+            for lin in (None, rng.normal(size=q.size)):
+                assert close(backsubstitute(ca, lam_local, lin),
+                             ref_kernel.backsubstitute(ref, lam_local, lin))
+            r = rng.normal(size=q.size)
+            got = recover_duals(q, ca, r, lam_local)
+            want = ref_kernel.recover_duals(q, ref, r, lam_local)
+            assert close(got.eq_duals, want.eq_duals)
+            assert close(got.ineq_duals, want.ineq_duals)
+            assert abs(got.residual - want.residual) <= 1e-9 * (
+                1.0 + want.residual)
+
+
+def test_factor_cache_follows_the_qp_structure():
+    rng = np.random.default_rng(61)
+    net = random_network(rng, n_agents=2)
+    qp = build_network_qps(net, 3, random_x0(rng, net))[0]
+    act = _some_active(rng, qp)
+    first = condense(qp, working_constraints(qp, act, homogeneous=False))
+    moved = update_initial_state(qp, rng.normal(size=qp.layout.n_states))
+    again = condense(moved, working_constraints(moved, act,
+                                                homogeneous=False))
+    assert moved.factors is qp.factors
+    assert again.factor is first.factor and len(qp.factors) == 1
+    # a new Hessian or new coupling rows (the ADMM local QP has both)
+    for changed in (dataclasses.replace(qp, hessian=2.0 * qp.hessian),
+                    dataclasses.replace(qp, cpl_local=qp.cpl_local.copy()),
+                    LocalQpSolver(qp, 5.0).local):
+        assert changed.factors is not qp.factors
+        assert len(changed.factors) == 0
+        ca = condense(changed, working_constraints(changed, act,
+                                                   homogeneous=False))
+        assert ca.factor is not first.factor
+    assert len(qp.factors) == 1
+
+
+def test_factor_cache_is_freed_with_its_qps():
+    rng = np.random.default_rng(67)
+    net = build_chain_of_masses(3)
+    caches = []
+    for _ in range(20):
+        qps = build_network_qps(net, 4, random_x0(rng, net))
+        for qp in qps:
+            condense(qp, working_constraints(qp, (), homogeneous=True))
+        caches += [weakref.ref(qp.factors) for qp in qps]
+    live = [c() for c in caches if c() is not None]
+    assert sum(len(c) for c in live) == len(qps)
+
+
+def test_factor_cache_drops_its_oldest_entry_beyond_the_bound(monkeypatch):
+    # the package's ``condense`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("dmpcqp.condense"),
+                        "MAX_FACTORS", 2)
+    rng = np.random.default_rng(71)
+    net = build_chain_of_masses(3)
+    qp = build_network_qps(net, 4, random_x0(rng, net))[1]
+    sets = [(0,), (1,), (2,)]
+    made = [condense(qp, working_constraints(qp, a, homogeneous=True)).factor
+            for a in sets]
+    assert len(qp.factors) == 2
+    assert qp.factors.get(sets[0]) is None
+    assert qp.factors.get(sets[2]) is made[2]
