@@ -34,11 +34,11 @@ from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
 from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
                   compute_step_length, initialize_feasible, network_objective,
                   shift_active, verify_iterate)
-from .condense import (CondensedAgent, DualRecovery, FactorCache,
-                       WorkingConstraints, WorkingSetFactor, backsubstitute,
-                       condense, recover_duals, working_constraints)
-from .dcg import (DcgResult, SchurPiece, build_overlaps, dcg_init,
-                  dcg_iterate, dcg_solve)
+from .condense import (AgentCoupling, CondensedAgent, DualRecovery,
+                       FactorCache, WorkingConstraints, WorkingSetFactor,
+                       backsubstitute, condense, recover_duals,
+                       working_constraints)
+from .dcg import DcgResult, SchurPiece, dcg_init, dcg_iterate, dcg_solve
 from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
@@ -48,8 +48,9 @@ from .oracle import (DenseQp, DenseSolution, Rollout, centralized_mpc_rollout,
                      stacked_dynamics)
 from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_agent_qp, build_coupling_index,
-                         build_network_qps, rollout_feasible_point,
-                         stack_global, update_initial_state)
+                         build_network_qps, build_overlaps,
+                         rollout_feasible_point, stack_global,
+                         update_initial_state)
 
 __all__ = [
     "THREAD_VARS",
@@ -61,12 +62,12 @@ __all__ = [
     "compute_step_length", "initialize_feasible", "network_objective",
     "shift_active", "verify_iterate",
     # condense
-    "CondensedAgent", "DualRecovery", "FactorCache", "WorkingConstraints",
+    "AgentCoupling", "CondensedAgent", "DualRecovery", "FactorCache",
+    "WorkingConstraints",
     "WorkingSetFactor", "backsubstitute", "condense", "recover_duals",
     "working_constraints",
     # dcg
-    "DcgResult", "SchurPiece", "build_overlaps", "dcg_init", "dcg_iterate",
-    "dcg_solve",
+    "DcgResult", "SchurPiece", "dcg_init", "dcg_iterate", "dcg_solve",
     # fabric
     "CommLedger", "Fabric", "verify_comm_identities",
     # model
@@ -79,5 +80,6 @@ __all__ = [
     # qp_builder
     "AgentQP", "CouplingIndex", "StackedQp", "VariableLayout",
     "build_agent_qp", "build_coupling_index", "build_network_qps",
-    "rollout_feasible_point", "stack_global", "update_initial_state",
+    "build_overlaps", "rollout_feasible_point", "stack_global",
+    "update_initial_state",
 ]

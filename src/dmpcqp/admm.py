@@ -15,9 +15,9 @@ working-set factors of :mod:`~dmpcqp.condense`.  With the active set
 fixed, the local minimizer and its bound multipliers are affine in the
 linear term, so each active set is condensed once, on a miss in the
 augmented QP's factor cache; consecutive ADMM iterations revisit the same
-sets, and a revisit costs a few matrix-vector products.  Averaging and the
-warm-start shift index the decision vectors through a
-:class:`ConsensusIndex` built once per solve.
+sets, and a revisit costs a few matrix-vector products.  Averaging, the
+warm-start shift and the coupling products use the network's coupling plan
+(:class:`~dmpcqp.qp_builder.CouplingIndex`), built once per network.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from .asm import (DEGENERATE_STEP, VIOLATION_TOL, compute_step_length,
                   most_violated_bound)
-from .condense import WorkingSetFactor, condense, working_constraints
+from .condense import (AgentCoupling, WorkingSetFactor, condense,
+                       working_constraints)
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
 
@@ -91,20 +92,20 @@ class LocalQpSolver:
 
     Minimizes ``z' H z + g' z`` subject to the agent's equality rows and
     input box, where ``H = 2 H_agent + rho * Cc' Cc`` stays fixed while the
-    linear term tracks the ADMM iterates.  ``local`` is that QP; each
-    visited active set is condensed once into ``local.factors``.
+    linear term tracks the ADMM iterates.  ``local`` is that QP, with no
+    coupling rows of its own; each visited active set is condensed once
+    into ``local.factors``.
     """
 
     def __init__(self, qp, rho: float):
-        Cc = qp.cpl_local
-        self.qp = qp
-        self.rho = float(rho)
         hess = 2.0 * qp.hessian
-        if Cc.shape[0]:
-            hess = hess + self.rho * (Cc.T @ Cc)
-        self.local = dataclasses.replace(
-            qp, hessian=hess, cpl_local=np.zeros((0, qp.size)),
-            coupled_rows=np.zeros(0, dtype=int))
+        # Cc' Cc is diagonal: the number of coupling rows reading each entry
+        hess[np.diag_indices(qp.size)] += float(rho) * np.bincount(
+            qp.coupled.cols, minlength=qp.size)
+        no_rows = np.zeros(0, dtype=int)
+        self.local = dataclasses.replace(qp, hessian=hess, coupled=(
+            AgentCoupling(rows=no_rows, cols=no_rows, signs=np.zeros(0),
+                          size=qp.size)))
         self._last: tuple | None = None
 
     def working_set(self, active: tuple[int, ...]
@@ -165,64 +166,13 @@ class LocalQpSolver:
 def local_linear_term(qp, z_avg: np.ndarray, lam_local: np.ndarray,
                       rho: float) -> np.ndarray:
     """Linear term ``Cc' lam - rho Cc' Cc z_avg`` of the augmented QP."""
-    Cc = qp.cpl_local
-    if Cc.shape[0] == 0:
-        return np.zeros(qp.size)
-    return Cc.T @ (np.asarray(lam_local, dtype=float)
-                   - rho * (Cc @ np.asarray(z_avg, dtype=float)))
+    coupled = qp.coupled
+    return coupled.scatter(np.asarray(lam_local, dtype=float)
+                           - rho * coupled.gather(np.asarray(z_avg,
+                                                             dtype=float)))
 
 
-@dataclass(frozen=True)
-class ConsensusIndex:
-    """Where averaging and the warm-start shift read and write each vector.
-
-    ``n_own[i]`` is the length of agent ``i``'s averaged state prefix (its
-    first ``horizon`` states), ``blocks[i]`` pairs each in-neighbor of ``i``
-    with the slice of its copied trajectory, ``copiers[i]`` lists the agents
-    copying ``i`` in ascending order, and ``shift_dst[i]``/``shift_src[i]``
-    are the index arrays of :func:`shift_averaged`.
-    """
-
-    n_own: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, slice], ...], ...]
-    copiers: tuple[tuple[int, ...], ...]
-    shift_dst: tuple[np.ndarray, ...]
-    shift_src: tuple[np.ndarray, ...]
-
-
-def consensus_index(qps) -> ConsensusIndex:
-    """Build the :class:`ConsensusIndex` of the agents' layouts."""
-    n_own, blocks, dst, src = [], [], [], []
-    copiers: list[list[int]] = [[] for _ in qps]
-    for qp in qps:
-        lay = qp.layout
-        N, n, m = lay.horizon, lay.n_states, lay.n_inputs
-        n_own.append(N * n)
-        own_blocks = tuple((j, lay.v_block_slice(j))
-                           for j in lay.in_neighbors)
-        blocks.append(own_blocks)
-        for j, _ in own_blocks:
-            copiers[j].append(qp.index)
-        # each run moves one step: states by n (the terminal state fills
-        # the last stage), inputs by m and copies by their width, leaving
-        # the final input and copied stages zero
-        runs = [(0, N * n, n), (lay.u_offset, (N - 1) * m, m)]
-        runs += [(blk.start, (N - 1) * nj, nj) for (_, blk), nj
-                 in zip(own_blocks, lay.neighbor_dims)]
-        d = np.concatenate([np.arange(start, start + length)
-                            for start, length, _ in runs])
-        step = np.concatenate([np.full(length, width)
-                               for _, length, width in runs])
-        dst.append(d)
-        src.append(d + step)
-    return ConsensusIndex(
-        n_own=tuple(n_own), blocks=tuple(blocks),
-        copiers=tuple(tuple(sorted(c)) for c in copiers),
-        shift_dst=tuple(dst), shift_src=tuple(src))
-
-
-def admm_average(qps, zs, fabric: Fabric, *,
-                 index: ConsensusIndex | None = None):
+def admm_average(qps, zs, fabric: Fabric):
     """Average owned trajectories with their copies and redistribute.
 
     Out-neighbors send their copied trajectories to the owner, who averages
@@ -230,16 +180,16 @@ def admm_average(qps, zs, fabric: Fabric, *,
     exactly two agents, so the owner weight equals the number of copies);
     the averaged trajectory is then sent back to every copier.  Both
     exchanges are charged to the ``admm`` phase.  Returns the averaged
-    decision vectors.  ``index`` is built from ``qps`` when omitted.
+    decision vectors.
     """
-    index = consensus_index(qps) if index is None else index
+    plan = qps[0].coupling
     delivered = fabric.neighbor_exchange(
-        {(i, j): zs[i][blk] for i, own_blocks in enumerate(index.blocks)
+        {(i, j): zs[i][blk] for i, own_blocks in enumerate(plan.blocks)
          for j, blk in own_blocks}, phase="admm")
 
     averaged = []
-    for i, srcs in enumerate(index.copiers):
-        own = zs[i][:index.n_own[i]]
+    for i, srcs in enumerate(plan.copiers):
+        own = zs[i][:plan.n_own[i]]
         if srcs:
             total = len(srcs) * own
             for src in srcs:
@@ -249,13 +199,13 @@ def admm_average(qps, zs, fabric: Fabric, *,
             averaged.append(own.copy())
 
     delivered_avg = fabric.neighbor_exchange(
-        {(j, i): averaged[j] for i, own_blocks in enumerate(index.blocks)
+        {(j, i): averaged[j] for i, own_blocks in enumerate(plan.blocks)
          for j, _ in own_blocks}, phase="admm")
 
     z_avg = []
-    for i, own_blocks in enumerate(index.blocks):
+    for i, own_blocks in enumerate(plan.blocks):
         zb = zs[i].copy()
-        zb[:index.n_own[i]] = averaged[i]
+        zb[:plan.n_own[i]] = averaged[i]
         for j, blk in own_blocks:
             zb[blk] = delivered_avg[(j, i)]
         z_avg.append(zb)
@@ -265,9 +215,7 @@ def admm_average(qps, zs, fabric: Fabric, *,
 def admm_dual_update(qp, z: np.ndarray, z_avg: np.ndarray,
                      lam_local: np.ndarray, rho: float) -> np.ndarray:
     """Dual ascent step on the agent's compressed coupling multipliers."""
-    if qp.cpl_local.shape[0] == 0:
-        return lam_local
-    return lam_local + rho * (qp.cpl_local @ (z - z_avg))
+    return lam_local + rho * qp.coupled.gather(z - z_avg)
 
 
 def admm_converged(qp, z, z_avg, z_prev, lam_local, rho, eps_primal,
@@ -279,24 +227,23 @@ def admm_converged(qp, z, z_avg, z_prev, lam_local, rho, eps_primal,
     iteration (``z_prev = None``) the dual test fails unless the agent has
     no coupling rows.
     """
-    Cc = qp.cpl_local
-    if Cc.shape[0] == 0:
+    coupled = qp.coupled
+    if coupled.rows.size == 0:
         return True
-    img_z = Cc @ z
-    img_avg = Cc @ z_avg
+    img_z = coupled.gather(z)
+    img_avg = coupled.gather(z_avg)
     primal = float(np.abs(img_z - img_avg).max())
     scale_p = min(max(np.abs(img_z).max(), np.abs(img_avg).max()), 1.0)
     if primal > eps_primal * scale_p:
         return False
     if z_prev is None:
         return False
-    dual = float(np.abs(rho * (Cc @ (z - z_prev))).max())
+    dual = float(np.abs(rho * coupled.gather(z - z_prev)).max())
     scale_d = min(float(np.abs(lam_local).max(initial=0.0)), 1.0)
     return dual <= eps_dual * scale_d
 
 
-def shift_averaged(qps, z_avg: Sequence[np.ndarray],
-                   index: ConsensusIndex | None = None) -> list[np.ndarray]:
+def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Warm start for the next sample: shift trajectories one step.
 
     States move forward by one step with the terminal state filling the last
@@ -304,11 +251,11 @@ def shift_averaged(qps, z_avg: Sequence[np.ndarray],
     Copies shift the same way with a zero-padded final stage, which keeps
     every interior coupling row consistent; the final-stage rows are off by
     the owner's shifted-in terminal state, which the warm-started iteration
-    absorbs.  ``index`` is built from ``qps`` when omitted.
+    absorbs.
     """
-    index = consensus_index(qps) if index is None else index
+    plan = qps[0].coupling
     shifted = []
-    for zb, dst, src in zip(z_avg, index.shift_dst, index.shift_src):
+    for zb, dst, src in zip(z_avg, plan.shift_dst, plan.shift_src):
         out = np.zeros_like(zb)
         out[dst] = zb[src]
         shifted.append(out)
@@ -337,25 +284,15 @@ def admm_solve(qps, fabric: Fabric | None = None,
     """
     cfg = cfg or AdmmConfig()
     fabric = fabric if fabric is not None else Fabric(len(qps))
-    sizes: dict[tuple[int, int], set] = {}
-    for qp in qps:
-        lay = qp.layout
-        for j, nj in zip(lay.in_neighbors, lay.neighbor_dims):
-            # copied trajectory to the owner, averaged trajectory back; on a
-            # bidirectional edge the same channel also carries the reverse
-            # role, so sizes accumulate instead of overwriting
-            sizes.setdefault((qp.index, j), set()).add(lay.horizon * nj)
-            sizes.setdefault((j, qp.index), set()).add(lay.horizon * nj)
-    fabric.register_overlaps(sizes)
+    fabric.register_overlaps(qps[0].coupling.channels)
     start = fabric.ledger.snapshot()
     stats = AdmmStats()
     solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]
-    index = consensus_index(qps)
     if z_avg0 is None:
         z_avg = [np.zeros(qp.size) for qp in qps]
     else:
         z_avg = [np.asarray(zb, dtype=float).copy() for zb in z_avg0]
-    lams = [np.zeros(qp.coupled_rows.size) for qp in qps]
+    lams = [np.zeros(qp.coupled.rows.size) for qp in qps]
     warm: list[tuple[int, ...]] = [() for _ in qps]
     zs_prev = None
     zs = None
@@ -369,7 +306,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
             stats.local_asm_iterations += its
             warm[qp.index] = act
             zs.append(z)
-        z_avg = admm_average(qps, zs, fabric, index=index)
+        z_avg = admm_average(qps, zs, fabric)
         lams = [admm_dual_update(qp, z, zb, lam, cfg.rho)
                 for qp, z, zb, lam in zip(qps, zs, z_avg, lams)]
         flags = [admm_converged(qp, z, zb, None if zs_prev is None

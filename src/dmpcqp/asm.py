@@ -157,14 +157,10 @@ def _condense_all(qps, active, gradients, *, homogeneous, repair=False):
 
 
 def _coupling_residual(qps, zs) -> float:
-    n_c = qps[0].n_coupling
-    if n_c == 0:
-        return 0.0
-    total = np.zeros(n_c)
+    total = np.zeros(qps[0].n_coupling)
     for qp, z in zip(qps, zs):
-        if qp.coupled_rows.size:
-            total[qp.coupled_rows] += qp.cpl_local @ z
-    return float(np.abs(total).max())
+        total[qp.coupled.rows] += qp.coupled.gather(z)
+    return float(np.abs(total).max(initial=0.0))
 
 
 def verify_iterate(qps, zs) -> None:
@@ -235,7 +231,8 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
         cas = _condense_all(qps, active, None, homogeneous=False,
                             repair=repair)
         repair = False
-        sol = dcg_solve(cas, None, cfg.eps_dcg, fabric)
+        sol = dcg_solve(cas, qps[0].coupling.overlaps, None, cfg.eps_dcg,
+                        fabric)
         stats.dcg_feasible_guess += sol.iterations
         stats.init_rounds += 1
         zs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
@@ -289,7 +286,8 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
         stats.outer_iterations += 1
         gradients = [qp.hessian @ z for qp, z in zip(qps, zs)]
         cas = _condense_all(qps, active, gradients, homogeneous=True)
-        sol = dcg_solve(cas, lam_seed, cfg.eps_dcg, fabric)
+        sol = dcg_solve(cas, qps[0].coupling.overlaps, lam_seed,
+                        cfg.eps_dcg, fabric)
         stats.dcg_active_set += sol.iterations
         lam_seed = list(sol.lambdas)
         dzs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]

@@ -46,17 +46,51 @@ MAX_FACTORS = 256
 
 
 @dataclass(frozen=True)
-class WorkingConstraints:
-    """Stacked working-set rows: equalities first, then active inequalities."""
+class AgentCoupling:
+    """One agent's coupling rows ``Cc`` as signed selections.
 
-    matrix: np.ndarray
+    Global row ``rows[k]`` (ascending) reads ``signs[k] * z[cols[k]]``,
+    ``+1`` on an owned state and ``-1`` on its copy.  A scatter sums in row
+    order: the dense ``Cc' lam`` exactly while at most two rows read a
+    variable (as on a chain).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+    size: int
+
+    def gather(self, z: np.ndarray) -> np.ndarray:
+        """``Cc z``: the agent's entry of each of its coupling rows."""
+        return self.signs * z[self.cols]
+
+    def scatter(self, lam: np.ndarray) -> np.ndarray:
+        """``Cc' lam``: row multipliers summed onto the agent's variables."""
+        # an empty bincount is an integer array whatever the weights
+        return np.bincount(self.cols, self.signs * lam,
+                           minlength=self.size).astype(float, copy=False)
+
+
+@dataclass(frozen=True)
+class WorkingConstraints:
+    """Working-set rows: equalities, then active bounds, stacked in
+    ``matrix`` on first read (by condensing only on a factor-cache miss)."""
+
+    eq_matrix: np.ndarray
+    ineq_matrix: np.ndarray
     rhs: np.ndarray
     n_eq: int
     active: tuple[int, ...]
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return self.n_eq + len(self.active)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        bounds = self.ineq_matrix[list(self.active)]
+        return np.vstack([self.eq_matrix, bounds]) if self.active else \
+            self.eq_matrix
 
 
 def working_constraints(qp, active: Sequence[int], *,
@@ -68,22 +102,20 @@ def working_constraints(qp, active: Sequence[int], *,
     the absolute variable).
     """
     active = tuple(int(a) for a in active)
-    for a in active:
-        if not 0 <= a < qp.ineq_matrix.shape[0]:
-            raise ValueError(f"active row {a} out of range")
+    n_eq, n_ineq = qp.eq_matrix.shape[0], qp.ineq_matrix.shape[0]
+    if active and not (0 <= min(active) and max(active) < n_ineq):
+        bad = next(a for a in active if not 0 <= a < n_ineq)
+        raise ValueError(f"active row {bad} out of range")
     if len(set(active)) != len(active):
         raise ValueError("active rows repeated")
-    if active:
-        matrix = np.vstack([qp.eq_matrix, qp.ineq_matrix[list(active)]])
-    else:
-        matrix = qp.eq_matrix
     if homogeneous:
-        rhs = np.zeros(matrix.shape[0])
+        rhs = np.zeros(n_eq + len(active))
     else:
         rhs = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(active)]]) \
             if active else qp.eq_rhs.copy()
-    return WorkingConstraints(matrix=matrix, rhs=rhs,
-                              n_eq=qp.eq_matrix.shape[0], active=active)
+    return WorkingConstraints(eq_matrix=qp.eq_matrix,
+                              ineq_matrix=qp.ineq_matrix, rhs=rhs,
+                              n_eq=n_eq, active=active)
 
 
 @dataclass(frozen=True)
@@ -122,7 +154,7 @@ class FactorCache:
     """The :class:`WorkingSetFactor` of each working set of one QP structure.
 
     Keyed by the active-row tuple and bound to the structural arrays
-    (``hessian``, ``eq_matrix``, ``ineq_matrix``, ``cpl_local``) of the QP
+    (``hessian``, ``eq_matrix``, ``ineq_matrix``, ``coupled``) of the QP
     it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
     cache for a QP that does not share them.  Beyond :data:`MAX_FACTORS`
     entries the oldest is dropped.  It also holds the two per-structure
@@ -132,14 +164,14 @@ class FactorCache:
 
     def __init__(self, qp):
         self._structure = (qp.hessian, qp.eq_matrix, qp.ineq_matrix,
-                           qp.cpl_local)
+                           qp.coupled)
         self._n_states = qp.layout.u_offset
         self._factors: dict[tuple[int, ...], WorkingSetFactor] = {}
 
     def bound_to(self, qp) -> bool:
         """Whether ``qp`` has the structural arrays this cache was made for."""
         return all(a is b for a, b in zip(self._structure, (
-            qp.hessian, qp.eq_matrix, qp.ineq_matrix, qp.cpl_local)))
+            qp.hessian, qp.eq_matrix, qp.ineq_matrix, qp.coupled)))
 
     def __len__(self) -> int:
         return len(self._factors)
@@ -209,8 +241,9 @@ def _factorize(qp, work: WorkingConstraints) -> WorkingSetFactor:
     particular[pinned, n_eq + np.arange(k)] = pin_signs
     rhs_gain = particular + gain @ (H @ particular)
 
-    Cc = qp.cpl_local
-    schur = -Cc @ gain @ Cc.T
+    # -Cc K Cc' entry by entry: every coupling row selects one column
+    cols, signs = qp.coupled.cols, qp.coupled.signs
+    schur = -gain[np.ix_(cols, cols)] * np.outer(signs, signs)
     # nu = sign * (W' r_x - r)[pinned] for the objective gradient r
     duals = np.zeros((k, nz))
     duals[:, :nx] = W[:, pinned].T
@@ -229,16 +262,19 @@ class CondensedAgent:
     multiplier system, compressed to ``rows`` (the global coupling rows with
     a nonzero entry for this agent).  ``offset`` is the working-set
     minimizer at zero multipliers; ``factor`` and the agent's coupling rows
-    ``cpl_local`` turn multipliers into the step, and ``factor`` locates the
+    ``coupled`` turn multipliers into the step, and ``factor`` locates the
     bound multipliers.
     """
 
     agent: int
-    rows: np.ndarray
-    cpl_local: np.ndarray
+    coupled: AgentCoupling
     factor: WorkingSetFactor
     offset: np.ndarray
     schur_rhs: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.coupled.rows
 
     @property
     def schur(self) -> np.ndarray:
@@ -267,8 +303,8 @@ def condense(qp, work: WorkingConstraints,
 
     Parameters
     ----------
-    qp : AgentQP (or any object with ``hessian``, ``cpl_local``,
-        ``coupled_rows``, ``index``, ``layout`` and ``factors`` attributes)
+    qp : AgentQP (or any object with ``hessian``, ``coupled``, ``index``,
+        ``layout`` and ``factors`` attributes)
     work : WorkingConstraints
         Working set of ``qp``'s rows with its right-hand side ``d``.
     gradient : array, optional
@@ -286,9 +322,8 @@ def condense(qp, work: WorkingConstraints,
         qp.factors.put(work.active, factor)
     g = None if gradient is None else np.asarray(gradient, dtype=float)
     offset = factor.stationary_point(work.rhs, g)
-    return CondensedAgent(agent=qp.index, rows=qp.coupled_rows,
-                          cpl_local=qp.cpl_local, factor=factor,
-                          offset=offset, schur_rhs=qp.cpl_local @ offset)
+    return CondensedAgent(agent=qp.index, coupled=qp.coupled, factor=factor,
+                          offset=offset, schur_rhs=qp.coupled.gather(offset))
 
 
 def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,
@@ -299,7 +334,7 @@ def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,
     to the linear term ``ca`` was condensed with.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(ca.rows.size)
-    linear = ca.cpl_local.T @ lam_local
+    linear = ca.coupled.scatter(lam_local)
     if gradient is not None:
         linear += gradient
     return ca.offset + ca.factor.gain @ linear
@@ -325,10 +360,8 @@ def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
     The attained residual ``|C_work' gamma - rhs|``, which only the free
     rows can carry, is reported so callers can judge stationarity.
     """
-    lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled_rows.size)
-    rhs = -np.asarray(gradient, dtype=float)
-    if lam_local.size:
-        rhs = rhs - qp.cpl_local.T @ lam_local
+    lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled.rows.size)
+    rhs = -np.asarray(gradient, dtype=float) - qp.coupled.scatter(lam_local)
     cache = qp.factors
     rhs_x = rhs[:cache.state_inverse.shape[0]]
     mu = cache.state_inverse.T @ rhs_x

@@ -4,12 +4,13 @@ The aggregated system ``(sum_i S_i) lam = sum_i s_i`` over the coupling rows
 is solved without ever assembling it: each agent keeps only the entries of
 the multiplier, residual, and search direction on its own coupling rows
 (every row is shared by exactly two agents).  Scalar curvature and residual
-norms are formed from local contributions weighted by the inverse of the
-row multiplicity and combined through two coordinator sums per iteration;
-matrix-vector products are completed by exchanging shared entries with
-neighbors.  Per iteration the fabric charges ``4 M`` global floats, ``2 M``
-global booleans, and ``2 n_c`` local floats; the residual bootstrap before
-the first iteration is charged to the ``init`` phase.
+norms are formed from local contributions, the residual's weighted by one
+half as every row is held twice, and combined through two coordinator sums
+per iteration; matrix-vector products are completed by exchanging shared
+entries with neighbors, at the ``overlaps`` of the network's coupling plan.
+Per iteration the fabric charges ``4 M`` global floats, ``2 M`` global
+booleans, and ``2 n_c`` local floats; the residual bootstrap before the
+first iteration is charged to the ``init`` phase.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ class SchurPiece:
 
     The solver reads only these four attributes, so a
     :class:`~dmpcqp.condense.CondensedAgent` is accepted in its place.
+    Where pieces share rows is passed beside them: the ``overlaps`` of the
+    network's :class:`~dmpcqp.qp_builder.CouplingIndex` (built once per
+    network), or :func:`~dmpcqp.qp_builder.build_overlaps` of their rows.
     """
 
     agent: int
@@ -62,61 +66,32 @@ class DcgResult:
     converged: bool
 
 
-def build_overlaps(pieces: Sequence[SchurPiece]) -> dict:
-    """Index maps of shared rows per directed agent pair."""
-    overlaps = {}
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            shared, ia, ib = np.intersect1d(
-                pieces[a].rows, pieces[b].rows,
-                assume_unique=True, return_indices=True)
-            if shared.size:
-                overlaps[(a, b)] = (ia, ib)
-                overlaps[(b, a)] = (ib, ia)
-    return overlaps
-
-
-def _check_shared_by_two(pieces: Sequence[SchurPiece]) -> None:
-    counts = {}
-    for piece in pieces:
-        for row in piece.rows:
-            counts[int(row)] = counts.get(int(row), 0) + 1
-    bad = {r: c for r, c in counts.items() if c != 2}
-    if bad:
-        raise ValueError(f"coupling rows not shared by exactly two agents: {bad}")
-
-
 def _exchange_shared(vectors, overlaps, fabric: Fabric, phase: str):
     """Send shared entries of per-agent vectors and sum them at receivers.
 
-    Returns per-agent ``sum_j I_ij vectors_j`` including the own term; the
-    received contributions are accumulated in ascending sender index so the
-    result is reproducible bit for bit.
+    Returns per-agent ``sum_j I_ij vectors_j`` including the own term.  Each
+    entry of a receiver comes from exactly one sender, so every sum has two
+    terms and does not depend on the order the shares arrive in.
     """
-    payloads = {}
-    for (src, dst), (src_idx, _) in overlaps.items():
-        payloads[(src, dst)] = vectors[src][src_idx]
+    payloads = {(src, dst): vectors[src][src_idx]
+                for (src, dst), (src_idx, _) in overlaps.items()}
     delivered = fabric.neighbor_exchange(payloads, phase=phase)
     sums = [vec.copy() for vec in vectors]
-    for dst in range(len(vectors)):
-        senders = sorted(src for (src, d) in overlaps if d == dst)
-        for src in senders:
-            _, dst_idx = overlaps[(src, dst)]
-            sums[dst][dst_idx] += delivered[(src, dst)]
+    for (src, dst), (_, dst_idx) in overlaps.items():
+        sums[dst][dst_idx] += delivered[(src, dst)]
     return sums
 
 
-def dcg_init(pieces: Sequence[SchurPiece],
-             lambda0: Sequence[np.ndarray] | None, fabric: Fabric):
+def dcg_init(pieces: Sequence[SchurPiece], overlaps,
+             lambda0: Sequence[np.ndarray] | None,
+             fabric: Fabric) -> list[DcgLocalState]:
     """Bootstrap the per-agent CG states for a warm-started multiplier.
 
+    ``overlaps`` are the pieces' shared rows (see :class:`SchurPiece`).
     Validates that the warm start agrees exactly on shared rows, then forms
     the initial residual ``r0 = s - S lam0`` with one neighbor exchange,
-    charged to the ``init`` phase.  Returns the states and the overlaps of
-    :func:`build_overlaps`.
+    charged to the ``init`` phase.
     """
-    overlaps = build_overlaps(pieces)
-    _check_shared_by_two(pieces)
     if lambda0 is None:
         lams = [np.zeros(p.rows.size) for p in pieces]
     else:
@@ -130,11 +105,10 @@ def dcg_init(pieces: Sequence[SchurPiece],
                               for pair, idx in overlaps.items()})
     locals_ = [p.schur_rhs - p.schur @ lam for p, lam in zip(pieces, lams)]
     residuals = _exchange_shared(locals_, overlaps, fabric, "init")
-    states = [DcgLocalState(
+    return [DcgLocalState(
         agent=p.agent, rows=p.rows, schur=p.schur, lam=lams[i],
         residual=residuals[i], direction=residuals[i].copy())
         for i, p in enumerate(pieces)]
-    return states, overlaps
 
 
 def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
@@ -185,19 +159,20 @@ def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
     return fabric.global_flags(flags, phase="dcg") or forced
 
 
-def dcg_solve(pieces: Sequence[SchurPiece],
+def dcg_solve(pieces: Sequence[SchurPiece], overlaps,
               lambda0: Sequence[np.ndarray] | None,
               eps: float, fabric: Fabric) -> DcgResult:
     """Drive the decentralized CG to ``max_i ||r_i||_inf < eps``.
 
-    The bootstrap (initial residual exchange and the pre-loop convergence
+    ``overlaps`` are the pieces' shared rows (see :class:`SchurPiece`).  The
+    bootstrap (initial residual exchange and the pre-loop convergence
     flags) is charged to the ``init`` phase so per-iteration accounting
     identities stay exact.  Raises :class:`DcgIterationLimit` carrying the
     best iterate after ``3 n_c + 60`` iterations (``n_c`` coupling rows).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    states, overlaps = dcg_init(pieces, lambda0, fabric)
+    states = dcg_init(pieces, overlaps, lambda0, fabric)
     n_c = sum(p.rows.size for p in pieces) // 2
     flags = [s.residual_norm() < eps for s in states]
     if fabric.global_flags(flags, phase="init"):

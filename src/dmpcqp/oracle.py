@@ -25,6 +25,12 @@ from .qp_builder import (StackedQp, build_network_qps, rollout_feasible_point,
 
 _RATIO_TOL = 1e-12
 _DEGENERATE_STEP = 1e-12
+#: Negligible step (relative to ``1 + |z|_inf``), accepted negative
+#: multiplier, and the iteration cap ``_ITERS_PER_ROW n_ineq + _BASE_ITERS``.
+_STEP_TOL = 1e-11
+_DUAL_TOL = 1e-10
+_ITERS_PER_ROW = 3
+_BASE_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -135,9 +141,7 @@ def kkt_residual(qp: DenseQp, z, eq_duals, ineq_duals, active=()) -> float:
 
 def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
                    prepared: PreparedKkt | None = None,
-                   warm_active: Sequence[int] = (),
-                   eps_step: float = 1e-11, eps_dual: float = 1e-10,
-                   max_iter: int | None = None) -> DenseSolution:
+                   warm_active: Sequence[int] = ()) -> DenseSolution:
     """Primal active-set method on the stacked dense QP.
 
     Starts from ``z0`` when given (must satisfy every constraint, and hold
@@ -153,8 +157,7 @@ def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
         rows, inequality duals aligned with ``active``).
     """
     n_ineq = qp.ineq_matrix.shape[0]
-    if max_iter is None:
-        max_iter = 3 * n_ineq + 30
+    max_iter = _ITERS_PER_ROW * n_ineq + _BASE_ITERS
     if prepared is None:
         prepared = prepare_kkt(qp)
     if z0 is None:
@@ -192,8 +195,8 @@ def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
             y = base
         p, mu = y[:n], y[n:]
 
-        if np.abs(p).max(initial=0.0) <= eps_step * (1.0 + np.abs(z).max(initial=0.0)):
-            if nu.size == 0 or nu.min() >= -eps_dual:
+        if np.abs(p).max(initial=0.0) <= _STEP_TOL * (1.0 + np.abs(z).max(initial=0.0)):
+            if nu.size == 0 or nu.min() >= -_DUAL_TOL:
                 obj = 0.5 * float(z @ (qp.hessian @ z))
                 res = kkt_residual(qp, z, mu, nu, active)
                 return DenseSolution(z=z, eq_duals=mu, ineq_duals=nu,

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .condense import FactorCache
+from .condense import AgentCoupling, FactorCache
 from .model import NetworkModel
 
 
@@ -88,6 +88,18 @@ class VariableLayout:
         return slice(start, start + nj)
 
 
+def _layout_for(net: NetworkModel, i: int, horizon: int) -> VariableLayout:
+    agent = net.agents[i]
+    in_n = net.in_neighbors(i)
+    return VariableLayout(
+        horizon=horizon,
+        n_states=agent.n,
+        n_inputs=agent.m,
+        in_neighbors=in_n,
+        neighbor_dims=tuple(net.agents[j].n for j in in_n),
+    )
+
+
 @dataclass(frozen=True)
 class CouplingEdge:
     owner: int
@@ -96,35 +108,106 @@ class CouplingEdge:
     n_states: int
 
 
+def build_overlaps(rows: Sequence[np.ndarray]) -> dict:
+    """Positions ``{(a, b): (ia, ib)}``, ``rows[a][ia] == rows[b][ib]``, of
+    the coupling rows (sorted and distinct per agent) each directed pair of
+    agents shares.  Raises ``ValueError`` naming each row not held by
+    exactly two agents."""
+    counts = np.bincount(np.concatenate(rows))
+    bad = np.flatnonzero((counts != 0) & (counts != 2))
+    if bad.size:
+        raise ValueError("coupling rows not shared by exactly two agents: "
+                         f"{dict(zip(bad.tolist(), counts[bad].tolist()))}")
+    overlaps = {}
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            shared, ia, ib = np.intersect1d(
+                rows[a], rows[b], assume_unique=True, return_indices=True)
+            if shared.size:
+                overlaps[(a, b)], overlaps[(b, a)] = (ia, ib), (ib, ia)
+    return overlaps
+
+
 @dataclass(frozen=True)
 class CouplingIndex:
-    """Global row numbering of the consensus constraints."""
+    """The network's coupling plan, built and checked once per network.
+
+    Each ``edge`` is a block of the ``n_coupling`` rows; ``agents[i]`` and
+    ``overlaps`` (see :func:`build_overlaps`) locate them per agent and per
+    pair.  For ADMM, ``n_own[i]`` is the length of agent ``i``'s averaged
+    prefix, ``blocks[i]`` pairs each in-neighbor of ``i`` with the slice of
+    its copy, ``copiers[i]`` lists the agents copying ``i`` (ascending),
+    ``channels`` the payload sizes per directed pair, and ``shift_dst`` and
+    ``shift_src`` index the one-step warm-start shift.
+    """
 
     horizon: int
     n_coupling: int
     edges: tuple[CouplingEdge, ...]
-    rows_by_agent: tuple[np.ndarray, ...]
+    agents: tuple[AgentCoupling, ...]
+    overlaps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    n_own: tuple[int, ...]
+    blocks: tuple[tuple[tuple[int, slice], ...], ...]
+    copiers: tuple[tuple[int, ...], ...]
+    channels: dict[tuple[int, int], set[int]]
+    shift_dst: tuple[np.ndarray, ...]
+    shift_src: tuple[np.ndarray, ...]
 
-    def rows_of(self, i: int) -> np.ndarray:
-        """Sorted global coupling rows touching agent i."""
-        return self.rows_by_agent[i]
+
+def _shift_indices(lay: VariableLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Destination and source entries of a one-step trajectory shift."""
+    N, n, m = lay.horizon, lay.n_states, lay.n_inputs
+    # each run moves one step: states by n (the terminal state fills the
+    # last stage), inputs by m and copies by their width, leaving the final
+    # input and copied stages zero
+    runs = [(0, N * n, n), (lay.u_offset, (N - 1) * m, m)]
+    runs += [(lay.v_block_slice(j).start, (N - 1) * nj, nj)
+             for j, nj in zip(lay.in_neighbors, lay.neighbor_dims)]
+    dst = np.concatenate([np.arange(start, start + length)
+                          for start, length, _ in runs])
+    return dst, dst + np.repeat([w for *_, w in runs],
+                                [length for _, length, _ in runs])
 
 
 def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
-    edges = []
-    offset = 0
-    touched = [[] for _ in range(net.n_agents)]
-    for copier in range(net.n_agents):
-        for owner in net.in_neighbors(copier):
-            n_owner = net.agents[owner].n
-            edges.append(CouplingEdge(owner, copier, offset, n_owner))
-            rows = range(offset, offset + horizon * n_owner)
-            touched[owner].extend(rows)
-            touched[copier].extend(rows)
-            offset += horizon * n_owner
-    rows_by_agent = tuple(np.array(sorted(r), dtype=int) for r in touched)
-    return CouplingIndex(horizon=horizon, n_coupling=offset,
-                         edges=tuple(edges), rows_by_agent=rows_by_agent)
+    """The :class:`CouplingIndex` of ``net``; an edge's row ``k n + c``
+    ties the owner's state ``x^k_c`` to the copier's copy of it."""
+    layouts = [_layout_for(net, i, horizon) for i in range(net.n_agents)]
+    # per row: its (owner, copier) and the column each of them reads
+    edges, channels, holders, cols = [], {}, [], []
+    for copier, lay in enumerate(layouts):
+        for owner, n_owner in zip(lay.in_neighbors, lay.neighbor_dims):
+            width = horizon * n_owner
+            edges.append(CouplingEdge(owner, copier, len(holders), n_owner))
+            holders += [(owner, copier)] * width
+            start = lay.v_block_slice(owner).start
+            cols += [(k, start + k) for k in range(width)]
+            # copied trajectory to the owner, averaged trajectory back; on
+            # a bidirectional edge the same channel also carries the
+            # reverse role, so sizes accumulate instead of overwriting
+            for pair in ((copier, owner), (owner, copier)):
+                channels.setdefault(pair, set()).add(width)
+    holders = np.array(holders, dtype=int).reshape(-1, 2)
+    cols = np.array(cols, dtype=int).reshape(-1, 2)
+    agents = []
+    for i, lay in enumerate(layouts):
+        # ascending rows; side 0 is the owner's entry (+1), 1 the copy (-1)
+        rows, side = np.nonzero(holders == i)
+        agents.append(AgentCoupling(rows=rows, cols=cols[rows, side],
+                                    signs=1.0 - 2.0 * side, size=lay.size))
+    shifts = [_shift_indices(lay) for lay in layouts]
+    return CouplingIndex(
+        horizon=horizon, n_coupling=len(holders), edges=tuple(edges),
+        agents=tuple(agents),
+        overlaps=build_overlaps([a.rows for a in agents]),
+        n_own=tuple(horizon * lay.n_states for lay in layouts),
+        blocks=tuple(tuple((j, lay.v_block_slice(j))
+                           for j in lay.in_neighbors) for lay in layouts),
+        copiers=tuple(tuple(e.copier for e in edges if e.owner == i)
+                      for i in range(len(layouts))),
+        channels=channels,
+        shift_dst=tuple(d for d, _ in shifts),
+        shift_src=tuple(s for _, s in shifts))
 
 
 @dataclass(frozen=True)
@@ -134,12 +217,12 @@ class AgentQP:
     Inequalities are one-sided rows ``ineq_matrix @ z <= ineq_rhs`` holding
     the input box (all upper bounds first, then all lower bounds, each block
     ordered by time step then input component).  ``cpl_matrix`` has one row
-    per global coupling row; ``cpl_local`` is its dense restriction to the
-    rows in ``coupled_rows``.
+    per global coupling row.  ``coupling`` is the network's shared plan and
+    ``coupled`` this agent's rows in it (none in ADMM's augmented QP).
 
     ``factors`` caches the working-set factors of :mod:`~dmpcqp.condense`.
     It is kept only while it is bound to this QP's ``hessian``,
-    ``eq_matrix``, ``ineq_matrix`` and ``cpl_local``: a
+    ``eq_matrix``, ``ineq_matrix`` and ``coupled``: a
     ``dataclasses.replace`` that keeps them (such as
     :func:`update_initial_state`) shares the cache, and one that changes
     any of them starts a fresh one.
@@ -153,8 +236,8 @@ class AgentQP:
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
     cpl_matrix: sp.csr_matrix
-    cpl_local: np.ndarray
-    coupled_rows: np.ndarray
+    coupling: CouplingIndex = field(repr=False)
+    coupled: AgentCoupling
     factors: FactorCache | None = field(default=None, compare=False,
                                         repr=False)
 
@@ -179,18 +262,6 @@ class AgentQP:
         return self.cpl_matrix.shape[0]
 
 
-def _layout_for(net: NetworkModel, i: int, horizon: int) -> VariableLayout:
-    agent = net.agents[i]
-    in_n = net.in_neighbors(i)
-    return VariableLayout(
-        horizon=horizon,
-        n_states=agent.n,
-        n_inputs=agent.m,
-        in_neighbors=in_n,
-        neighbor_dims=tuple(net.agents[j].n for j in in_n),
-    )
-
-
 def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
                    coupling: CouplingIndex | None = None) -> AgentQP:
     """Assemble agent ``i``'s Hessian, constraints and coupling rows.
@@ -205,7 +276,7 @@ def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
     x0 : (n_i,) array
         Measured state entering the initial-condition rows.
     coupling : CouplingIndex, optional
-        Precomputed global coupling index; rebuilt when omitted.
+        The network's coupling plan; built when omitted.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -253,41 +324,21 @@ def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
             C_ineq[N * m + row, col] = -1.0
             b_ineq[N * m + row] = -agent.u_lo[c]
 
-    rows, cols, vals = [], [], []
-    for edge in coupling.edges:
-        if edge.owner == i:
-            for k in range(N):
-                base = edge.offset + k * edge.n_states
-                xs = layout.x_slice(k).start
-                for c in range(edge.n_states):
-                    rows.append(base + c)
-                    cols.append(xs + c)
-                    vals.append(1.0)
-        if edge.copier == i:
-            for k in range(N):
-                base = edge.offset + k * edge.n_states
-                vs = layout.v_slice(edge.owner, k).start
-                for c in range(edge.n_states):
-                    rows.append(base + c)
-                    cols.append(vs + c)
-                    vals.append(-1.0)
-    cpl = sp.csr_matrix((vals, (rows, cols)),
+    coupled = coupling.agents[i]
+    cpl = sp.csr_matrix((coupled.signs, (coupled.rows, coupled.cols)),
                         shape=(coupling.n_coupling, nz))
-    coupled_rows = coupling.rows_of(i)
-    cpl_local = cpl[coupled_rows].toarray() if coupled_rows.size else \
-        np.zeros((0, nz))
 
     return AgentQP(
         index=i, layout=layout, hessian=H,
         eq_matrix=C_eq, eq_rhs=b_eq,
         ineq_matrix=C_ineq, ineq_rhs=b_ineq,
-        cpl_matrix=cpl, cpl_local=cpl_local, coupled_rows=coupled_rows,
+        cpl_matrix=cpl, coupling=coupling, coupled=coupled,
     )
 
 
 def build_network_qps(net: NetworkModel, horizon: int,
                       x0s: Sequence[np.ndarray]) -> list[AgentQP]:
-    """Build all agent QPs against one shared coupling index."""
+    """Build all agent QPs against one shared coupling plan."""
     if len(x0s) != net.n_agents:
         raise ValueError("one initial state per agent required")
     coupling = build_coupling_index(net, horizon)

@@ -17,6 +17,8 @@ import scipy.linalg
 from dmpcqp.condense import PIVOT_TOL, WorkingConstraints
 from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
+from conftest import dense_coupling
+
 
 @dataclass(frozen=True)
 class CondensedAgent:
@@ -59,8 +61,7 @@ def condense(qp, work: WorkingConstraints,
 
     Parameters
     ----------
-    qp : AgentQP (or any object with ``hessian``, ``cpl_local``,
-        ``coupled_rows``, ``index`` and ``layout`` attributes)
+    qp : AgentQP
     work : WorkingConstraints
         Working set with its right-hand side ``d``.
     gradient : array, optional
@@ -115,7 +116,7 @@ def condense(qp, work: WorkingConstraints,
     rhs_lin = g + H @ particular if np.any(particular) else g
     reduced_grad = Z.T @ rhs_lin if n_red else np.zeros(0)
 
-    Cc = qp.cpl_local
+    Cc = dense_coupling(qp)
     n_local = Cc.shape[0]
     cpl_reduced = Cc @ Z if n_red else np.zeros((n_local, 0))
     b_local = Cc @ particular if np.any(particular) else np.zeros(n_local)
@@ -130,7 +131,7 @@ def condense(qp, work: WorkingConstraints,
         schur_rhs = b_local.copy()
 
     return CondensedAgent(
-        agent=qp.index, rows=qp.coupled_rows, null_basis=Z, pinned=pinned,
+        agent=qp.index, rows=qp.coupled.rows, null_basis=Z, pinned=pinned,
         pin_signs=pin_signs, particular=particular,
         reduced_chol=reduced_chol, reduced_grad=reduced_grad,
         cpl_reduced=cpl_reduced, schur=schur, schur_rhs=schur_rhs,
@@ -174,10 +175,10 @@ def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
     there).  The attained residual ``|C_work' gamma - rhs|``, which only the
     free rows can carry, is reported so callers can judge stationarity.
     """
-    lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled_rows.size)
+    lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled.rows.size)
     rhs = -np.asarray(gradient, dtype=float)
     if lam_local.size:
-        rhs = rhs - qp.cpl_local.T @ lam_local
+        rhs = rhs - dense_coupling(qp).T @ lam_local
     nx = qp.layout.u_offset
     C_eq = qp.eq_matrix
     mu = scipy.linalg.solve_triangular(C_eq[:, :nx], rhs[:nx], trans="T",

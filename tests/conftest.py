@@ -68,6 +68,17 @@ def random_network(rng, n_agents=3, max_state=2, max_input=2,
     return NetworkModel(agents)
 
 
+def dense_coupling(qp):
+    """The agent's coupling rows as the dense +-1 matrix ``Cc``.
+
+    The reference for the coupling plan's gathers and scatters, which
+    replaced the products with this matrix.
+    """
+    if not qp.coupled.rows.size:
+        return np.zeros((0, qp.size))
+    return qp.cpl_matrix[qp.coupled.rows].toarray()
+
+
 def tiny_network(rng):
     """Two single-input agents, at most 8 bound rows at horizon 2."""
     return random_network(rng, n_agents=2, max_state=2, max_input=1,

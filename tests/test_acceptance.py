@@ -182,7 +182,8 @@ def test_criterion_6_dcg_finite_convergence():
                   for qp in qps]
         reference = centralized_cg(pieces, n_c, eps=1e-7, max_iter=n_c + 5)
         fab = Fabric(len(pieces))
-        states, overlaps = dcg_init(pieces, None, fab)
+        overlaps = qps[0].coupling.overlaps
+        states = dcg_init(pieces, overlaps, None, fab)
         done = False
         for lam_ref in reference:
             done = dcg_iterate(states, overlaps, fab, eps=1e-7)

@@ -9,14 +9,14 @@ from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_average, admm_converged, admm_dual_update,
                     admm_solve, asm_solve, build_chain_of_masses,
                     build_network_qps, shift_averaged, working_constraints)
-from dmpcqp.admm import (ADMM_PRESETS, LocalQpSolver, consensus_index,
-                         local_linear_term)
+from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import rollout_feasible_point
 
 import condense_reference as ref_kernel
 
-from conftest import norm_inf, random_network, random_x0, spd_matrix, stable_matrix
+from conftest import (dense_coupling, norm_inf, random_network, random_x0,
+                      spd_matrix, stable_matrix)
 
 
 def _problem(seed, n_agents=3, horizon=3):
@@ -96,12 +96,12 @@ def test_negated_copy_averages_to_zero():
 
 def test_dual_update_trivia():
     rng, net, x0s, qps = _problem(211)
-    qp = next(q for q in qps if q.cpl_local.shape[0])
-    lam = rng.normal(size=qp.cpl_local.shape[0])
+    qp = next(q for q in qps if dense_coupling(q).shape[0])
+    lam = rng.normal(size=dense_coupling(qp).shape[0])
     z = rng.normal(size=qp.size)
     np.testing.assert_array_equal(admm_dual_update(qp, z, z, lam, 2.0), lam)
     moved = admm_dual_update(qp, z, np.zeros_like(z), lam, 2.0)
-    np.testing.assert_allclose(moved, lam + 2.0 * (qp.cpl_local @ z),
+    np.testing.assert_allclose(moved, lam + 2.0 * (dense_coupling(qp) @ z),
                                atol=1e-12)
 
 
@@ -110,13 +110,13 @@ def test_local_solver_satisfies_kkt():
     rho = 1.7
     for qp in qps:
         z_avg = rng.normal(size=qp.size)
-        lam = rng.normal(size=qp.cpl_local.shape[0])
+        lam = rng.normal(size=dense_coupling(qp).shape[0])
         solver = LocalQpSolver(qp, rho)
         g = local_linear_term(qp, z_avg, lam, rho)
         z, act, _ = solver.solve(g)
         hess = 2.0 * qp.hessian
-        if qp.cpl_local.shape[0]:
-            hess = hess + rho * qp.cpl_local.T @ qp.cpl_local
+        if dense_coupling(qp).shape[0]:
+            hess = hess + rho * dense_coupling(qp).T @ dense_coupling(qp)
         grad = hess @ z + g
         # independent optimality certificate: stationarity over the working
         # rows via least squares, non-negative bound multipliers, feasibility
@@ -137,7 +137,7 @@ def test_local_solver_warm_start_and_cache():
     qp = qps[0]
     solver = LocalQpSolver(qp, 1.0)
     g = local_linear_term(qp, rng.normal(size=qp.size),
-                          rng.normal(size=qp.cpl_local.shape[0]), 1.0)
+                          rng.normal(size=dense_coupling(qp).shape[0]), 1.0)
     z1, act1, _ = solver.solve(g)
     cached = len(solver.local.factors)
     z2, act2, its2 = solver.solve(g, act1)
@@ -187,15 +187,15 @@ def test_one_iteration_matches_enumerated_reference():
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     rho = 2.0
     z_avg = [rng.normal(size=qp.size) for qp in qps]
-    lams = [rng.normal(size=qp.cpl_local.shape[0]) for qp in qps]
+    lams = [rng.normal(size=dense_coupling(qp).shape[0]) for qp in qps]
 
     zs = []
     for qp, zb, lam in zip(qps, z_avg, lams):
         z, _, _ = LocalQpSolver(qp, rho).solve(
             local_linear_term(qp, zb, lam, rho))
         H = 2.0 * qp.hessian
-        if qp.cpl_local.shape[0]:
-            H = H + rho * qp.cpl_local.T @ qp.cpl_local
+        if dense_coupling(qp).shape[0]:
+            H = H + rho * dense_coupling(qp).T @ dense_coupling(qp)
         ref = _enumerated_min(H, local_linear_term(qp, zb, lam, rho),
                               qp.eq_matrix, qp.eq_rhs,
                               qp.ineq_matrix, qp.ineq_rhs)
@@ -214,8 +214,8 @@ def test_one_iteration_matches_enumerated_reference():
 
     for qp, z, zb, lam in zip(qps, zs, z_avg_next, lams):
         updated = admm_dual_update(qp, z, zb, lam, rho)
-        expected = lam + rho * (qp.cpl_local @ (z - zb)) \
-            if qp.cpl_local.shape[0] else lam
+        expected = lam + rho * (dense_coupling(qp) @ (z - zb)) \
+            if dense_coupling(qp).shape[0] else lam
         np.testing.assert_allclose(updated, expected, atol=1e-12)
 
 
@@ -225,12 +225,12 @@ def test_large_penalty_projects_coupling_image():
     rng, net, x0s, qps = _problem(237)
     z_avg = rollout_feasible_point(net, 3, x0s)
     for qp in qps:
-        if qp.cpl_local.shape[0] == 0:
+        if dense_coupling(qp).shape[0] == 0:
             continue
         g = local_linear_term(qp, z_avg[qp.index],
-                              np.zeros(qp.cpl_local.shape[0]), 1e6)
+                              np.zeros(dense_coupling(qp).shape[0]), 1e6)
         z, _, _ = LocalQpSolver(qp, 1e6).solve(g)
-        img = qp.cpl_local @ z - qp.cpl_local @ z_avg[qp.index]
+        img = dense_coupling(qp) @ z - dense_coupling(qp) @ z_avg[qp.index]
         assert norm_inf(img) < 1e-3
 
 
@@ -249,7 +249,7 @@ def test_decoupled_agent_ignores_penalty():
     net = _directed_pair(rng, extra_isolated=True)
     qps = build_network_qps(net, 3, random_x0(rng, net))
     qp = qps[2]
-    assert qp.cpl_local.shape[0] == 0
+    assert dense_coupling(qp).shape[0] == 0
     lam = np.zeros(0)
     z_small, _, _ = LocalQpSolver(qp, 0.5).solve(
         local_linear_term(qp, rng.normal(size=qp.size), lam, 0.5))
@@ -261,9 +261,9 @@ def test_decoupled_agent_ignores_penalty():
 
 def test_converged_edge_cases():
     rng, net, x0s, qps = _problem(233)
-    qp = next(q for q in qps if q.cpl_local.shape[0])
+    qp = next(q for q in qps if dense_coupling(q).shape[0])
     z = rng.normal(size=qp.size)
-    lam = rng.normal(size=qp.cpl_local.shape[0])
+    lam = rng.normal(size=dense_coupling(qp).shape[0])
     # first iteration: primal consensus alone is not enough
     assert not admm_converged(qp, z, z, None, lam, 2.0, 1e-6, 1e-3)
     # consensus and a stationary iterate pass both tests
@@ -388,6 +388,63 @@ def test_affine_map_matches_condensed_kernel(seed, n_masses, horizon, agent,
                                                norm_inf(grad), 1.0)
 
 
+def _dense_admm_products(qp, rho, z, z_avg, z_prev, lam, eps):
+    """The augmented Hessian, linear term, dual update and convergence flag
+    from the dense coupling rows, as ADMM formed them before the coupling
+    plan's selections (kept verbatim)."""
+    Cc = dense_coupling(qp)
+    hess = 2.0 * qp.hessian
+    if Cc.shape[0]:
+        hess = hess + rho * (Cc.T @ Cc)
+    if Cc.shape[0] == 0:
+        return hess, np.zeros(qp.size), lam, True
+    linear = Cc.T @ (lam - rho * (Cc @ z_avg))
+    moved = lam + rho * (Cc @ (z - z_avg))
+    img_z = Cc @ z
+    img_avg = Cc @ z_avg
+    primal = float(np.abs(img_z - img_avg).max())
+    scale_p = min(max(np.abs(img_z).max(), np.abs(img_avg).max()), 1.0)
+    if primal > eps[0] * scale_p or z_prev is None:
+        return hess, linear, moved, False
+    dual = float(np.abs(rho * (Cc @ (z - z_prev))).max())
+    scale_d = min(float(np.abs(lam).max(initial=0.0)), 1.0)
+    return hess, linear, moved, dual <= eps[1] * scale_d
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 3),
+       horizon=st.integers(1, 4), rho=st.sampled_from([0.5, 5.0, 1e6]),
+       gap=st.sampled_from([0.0, 1e-9, 1e-6, 1.0]),
+       eps=st.sampled_from(list(ADMM_PRESETS.values())))
+def test_coupling_selections_match_dense_admm_products(seed, n_agents,
+                                                       horizon, rho, gap,
+                                                       eps):
+    """ADMM's coupling terms from the plan's gathers and scatters equal the
+    dense products byte for byte, up to the sign of zero (at most three
+    agents, so a column sums at most two multipliers); ``gap`` moves the
+    averaged and previous iterates so both flags take both values."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+
+    def same_bytes(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and \
+            (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+    for qp in qps:
+        z = rng.normal(size=qp.size)
+        z_avg = z + gap * rng.normal(size=qp.size)
+        lam = rng.normal(size=qp.coupled.rows.size)
+        for z_prev in (None, z, z + gap * rng.normal(size=qp.size)):
+            hess, linear, moved, flag = _dense_admm_products(
+                qp, rho, z, z_avg, z_prev, lam, eps)
+            assert admm_converged(qp, z, z_avg, z_prev, lam, rho,
+                                  *eps) == flag
+        assert same_bytes(LocalQpSolver(qp, rho).local.hessian, hess)
+        assert same_bytes(local_linear_term(qp, z_avg, lam, rho), linear)
+        assert same_bytes(admm_dual_update(qp, z, z_avg, lam, rho), moved)
+
+
 def test_local_solver_result_does_not_depend_on_cache_state():
     # inputs saturate on a heavily displaced chain, so the solves visit
     # several active sets; a solver whose cache other linear terms filled
@@ -399,7 +456,7 @@ def test_local_solver_result_does_not_depend_on_cache_state():
     for qp in qps:
         def linear_term():
             return local_linear_term(qp, rng.normal(scale=8.0, size=qp.size),
-                                     rng.normal(size=qp.cpl_local.shape[0]),
+                                     rng.normal(size=dense_coupling(qp).shape[0]),
                                      rho)
         used = LocalQpSolver(qp, rho)
         warm = ()
@@ -476,6 +533,46 @@ def _reference_shift(qps, z_avg):
     return shifted
 
 
+def _reference_consensus_index(qps):
+    """The per-solve averaging and shift index ADMM built before the
+    coupling plan held it, kept verbatim as the reference:
+    ``(n_own, blocks, copiers, shift_dst, shift_src)``."""
+    n_own, blocks, dst, src = [], [], [], []
+    copiers = [[] for _ in qps]
+    for qp in qps:
+        lay = qp.layout
+        N, n, m = lay.horizon, lay.n_states, lay.n_inputs
+        n_own.append(N * n)
+        own_blocks = tuple((j, lay.v_block_slice(j))
+                           for j in lay.in_neighbors)
+        blocks.append(own_blocks)
+        for j, _ in own_blocks:
+            copiers[j].append(qp.index)
+        runs = [(0, N * n, n), (lay.u_offset, (N - 1) * m, m)]
+        runs += [(blk.start, (N - 1) * nj, nj) for (_, blk), nj
+                 in zip(own_blocks, lay.neighbor_dims)]
+        d = np.concatenate([np.arange(start, start + length)
+                            for start, length, _ in runs])
+        step = np.concatenate([np.full(length, width)
+                               for _, length, width in runs])
+        dst.append(d)
+        src.append(d + step)
+    return (tuple(n_own), tuple(blocks),
+            tuple(tuple(sorted(c)) for c in copiers), tuple(dst), tuple(src))
+
+
+def _reference_channels(qps):
+    """The channel sizes ``admm_solve`` registered before the plan held
+    them, kept verbatim as the reference."""
+    sizes = {}
+    for qp in qps:
+        lay = qp.layout
+        for j, nj in zip(lay.in_neighbors, lay.neighbor_dims):
+            sizes.setdefault((qp.index, j), set()).add(lay.horizon * nj)
+            sizes.setdefault((j, qp.index), set()).add(lay.horizon * nj)
+    return sizes
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 5),
        horizon=st.integers(1, 5))
@@ -485,18 +582,24 @@ def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
     net = random_network(rng, n_agents=n_agents, max_state=3,
                          max_input=2, edge_prob=rng.uniform(0.2, 1.0))
     qps = build_network_qps(net, horizon, random_x0(rng, net))
+    plan = qps[0].coupling
+    n_own, blocks, copiers, shift_dst, shift_src = \
+        _reference_consensus_index(qps)
+    assert (plan.n_own, plan.blocks, plan.copiers) == (n_own, blocks,
+                                                       copiers)
+    for got, want in zip(plan.shift_dst + plan.shift_src,
+                         shift_dst + shift_src):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert plan.channels == _reference_channels(qps)
+
     zs = [rng.normal(size=qp.size) for qp in qps]
-    index = consensus_index(qps)
     fab_ref, fab = Fabric(len(qps)), Fabric(len(qps))
     ref = _reference_average(qps, zs, fab_ref)
-    for got in (admm_average(qps, zs, fab, index=index),
-                admm_average(qps, zs, fab)):
-        assert [z.tobytes() for z in got] == [z.tobytes() for z in ref]
-    _reference_average(qps, zs, fab_ref)
+    got = admm_average(qps, zs, fab)
+    assert [z.tobytes() for z in got] == [z.tobytes() for z in ref]
     assert fab.ledger.as_dict() == fab_ref.ledger.as_dict()
     assert fab.round_index == fab_ref.round_index
 
     ref_shift = _reference_shift(qps, ref)
-    for got in (shift_averaged(qps, ref, index), shift_averaged(qps, ref)):
-        assert [z.tobytes() for z in got] == \
-            [z.tobytes() for z in ref_shift]
+    assert [z.tobytes() for z in shift_averaged(qps, ref)] == \
+        [z.tobytes() for z in ref_shift]

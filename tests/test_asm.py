@@ -42,7 +42,7 @@ def test_terminal_kkt_residual_small():
     # stacked convention: per-agent equality rows first, coupling rows last
     lam = np.full(qps[0].n_coupling, np.nan)
     for qp, loc in zip(qps, res.cpl_duals):
-        lam[qp.coupled_rows] = loc
+        lam[qp.coupled.rows] = loc
     eq_duals = np.concatenate([np.concatenate(res.eq_duals), lam])
     active, duals, off = [], [], 0
     for qp, act, nu in zip(qps, res.active, res.ineq_duals):

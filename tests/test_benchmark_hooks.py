@@ -4,7 +4,8 @@
 names in ``bench.ATTACH_POINTS``.  A renamed or removed function only drops
 that span's metrics with a warning, and ``perfbench``'s own tests are not
 part of this suite, so a rename is caught here, and so is a change to how
-often the ``condense`` spans are entered.
+often the ``condense`` spans are entered or to the signatures of the calls
+the benchmark's closed loop makes.
 """
 
 import dataclasses
@@ -77,3 +78,20 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     _closed_loop_distributed(net, cfg, x0s)
     assert len(asm_calls) == 3 * rounds
     assert len(admm_calls) == sum(len(s.local.factors) for s in solvers) > 0
+
+
+def test_benchmark_loop_runs_against_the_package(monkeypatch):
+    """One shortened init of every workload through the benchmark's untraced
+    loop, which calls ``asm_solve``, ``admm_solve``, ``shift_averaged`` and
+    the other loop functions the way ``perfbench/run.py`` does."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+
+    for wl in bench.WORKLOADS.values():
+        wl = dataclasses.replace(wl, n_masses=3, horizon=4, steps=2,
+                                 n_inits=1)
+        net = bench.build_network(wl)
+        x0s = bench.draw_initial_states(net, wl, seed=2024)[0]
+        run = bench.run_init(wl, net, 0, x0s, bench.loop_api())
+        assert (run.failed, run.error) == (0, None), wl.name
+        assert len(run.samples) == wl.steps

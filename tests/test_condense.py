@@ -15,7 +15,7 @@ from dmpcqp import (backsubstitute, build_chain_of_masses, build_network_qps,
 from dmpcqp.admm import LocalQpSolver
 from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
-from conftest import norm_inf, random_network, random_x0
+from conftest import dense_coupling, norm_inf, random_network, random_x0
 
 
 def _kkt_step(qp, work, lam_global, gradient):
@@ -31,7 +31,7 @@ def _kkt_step(qp, work, lam_global, gradient):
     K[:n, :n] = qp.hessian
     K[:n, n:] = C.T
     K[n:, :n] = C
-    g = gradient + qp.cpl_local.T @ lam_global
+    g = gradient + dense_coupling(qp).T @ lam_global
     rhs = np.concatenate([-g, work.rhs])
     sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     return sol[:n]
@@ -121,6 +121,26 @@ def test_duplicate_active_row_is_rejected():
         working_constraints(qp, [1, 1], homogeneous=True)
 
 
+def test_working_set_rows_are_checked_and_stacked_on_a_miss_only():
+    rng = np.random.default_rng(49)
+    net = random_network(rng, n_agents=2)
+    qp = build_network_qps(net, 3, random_x0(rng, net))[0]
+    for rows, bad in (([0, qp.n_ineq], qp.n_ineq), ([1, -1, 99], -1)):
+        with pytest.raises(ValueError, match=f"active row {bad} out of range"):
+            working_constraints(qp, rows, homogeneous=True)
+    with pytest.raises(ValueError, match="active rows repeated"):
+        working_constraints(qp, [2, 0, 2], homogeneous=False)
+    act = _some_active(rng, qp)
+    for hit in (False, True):
+        work = working_constraints(qp, act, homogeneous=True)
+        condense(qp, work)
+        assert work.n_rows == qp.n_eq + len(act)
+        # a cache hit never stacks the working-set rows
+        assert ("matrix" in vars(work)) is not hit
+    np.testing.assert_array_equal(
+        work.matrix, np.vstack([qp.eq_matrix, qp.ineq_matrix[act]]))
+
+
 def test_dependent_working_rows_raise_with_position():
     rng = np.random.default_rng(53)
     net = random_network(rng, n_agents=2, max_input=1)
@@ -147,10 +167,10 @@ def test_recovered_duals_reproduce_planted_multipliers():
             work = working_constraints(qp, act, homogeneous=True)
             nu_true = rng.normal(size=work.n_rows)
             # plant a gradient that makes nu_true the exact multiplier
-            grad = -(qp.cpl_local.T @ lam[qp.coupled_rows]
+            grad = -(dense_coupling(qp).T @ lam[qp.coupled.rows]
                      + work.matrix.T @ nu_true)
             ca = condense(qp, work, grad)
-            rec = recover_duals(qp, ca, grad, lam[qp.coupled_rows])
+            rec = recover_duals(qp, ca, grad, lam[qp.coupled.rows])
             assert rec.residual < 1e-8
             nu = np.concatenate([rec.eq_duals, rec.ineq_duals])
             assert norm_inf(nu - nu_true) < 1e-7
@@ -174,11 +194,11 @@ def test_recovered_duals_match_least_squares(seed, horizon, n_active,
     for qp in qps:
         work = working_constraints(qp, _some_active(rng, qp, n_active),
                                    homogeneous=homogeneous)
-        lam_local = lam[qp.coupled_rows]
+        lam_local = lam[qp.coupled.rows]
         grad = rng.normal(size=qp.size)
         ca = condense(qp, work, grad)
         rec = recover_duals(qp, ca, grad, lam_local)
-        rhs = -(grad + qp.cpl_local.T @ lam_local)
+        rhs = -(grad + dense_coupling(qp).T @ lam_local)
         gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert gamma.shape == (work.n_rows,)
         left = work.matrix.T @ gamma - rhs
@@ -188,9 +208,9 @@ def test_recovered_duals_match_least_squares(seed, horizon, n_active,
         assert norm_inf(left[ca.pinned]) <= tol
 
         planted = rng.normal(size=work.n_rows)
-        grad = -(qp.cpl_local.T @ lam_local + work.matrix.T @ planted)
+        grad = -(dense_coupling(qp).T @ lam_local + work.matrix.T @ planted)
         rec = recover_duals(qp, condense(qp, work, grad), grad, lam_local)
-        rhs = -(grad + qp.cpl_local.T @ lam_local)
+        rhs = -(grad + dense_coupling(qp).T @ lam_local)
         ref = np.linalg.lstsq(work.matrix.T, rhs, rcond=None)[0]
         gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert norm_inf(gamma - ref) <= 1e-9 * (1.0 + norm_inf(ref))
@@ -221,7 +241,7 @@ def _qr_condense(qp, work, gradient):
                                       row - n_eq if row >= n_eq else None)
     Q, R = np.linalg.qr(matrix.T, mode="complete")
     Y, Z, R1 = Q[:, :n_rows], Q[:, n_rows:], R[:n_rows, :n_rows]
-    H, Cc = qp.hessian, qp.cpl_local
+    H, Cc = qp.hessian, dense_coupling(qp)
     particular = Y @ scipy.linalg.solve_triangular(R1.T, work.rhs, lower=True)
     chol = scipy.linalg.cho_factor(Z.T @ H @ Z)
     cpl_reduced = Cc @ Z
@@ -272,7 +292,7 @@ def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active,
             act.insert(pos, (act[k] + half) % (2 * half))
             pair = tuple(sorted((pos, k + (pos <= k))))
         work = working_constraints(qp, act, homogeneous=homogeneous)
-        lam_local = lam[qp.coupled_rows]
+        lam_local = lam[qp.coupled.rows]
         grad = rng.normal(size=qp.size)
         ref = _outcome(_qr_condense, qp, work, grad)
         ca = _outcome(condense, qp, work, grad)
@@ -345,7 +365,7 @@ def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
                        (act[0] + half) % (2 * half))
         if fault == "indefinite":
             qp = dataclasses.replace(qp, hessian=-qp.hessian)
-        lam_local = lam[qp.coupled_rows]
+        lam_local = lam[qp.coupled.rows]
         moved = update_initial_state(qp, rng.normal(size=qp.layout.n_states))
         for q in (qp, moved):  # a miss, then a hit on the carried cache
             work = working_constraints(q, act, homogeneous=homogeneous)
@@ -378,6 +398,77 @@ def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
                 1.0 + want.residual)
 
 
+def _dense_schur(qp, factor):
+    """The Schur matrix from the dense coupling rows, as condensing formed
+    it before the coupling plan's selections."""
+    Cc = dense_coupling(qp)
+    schur = -Cc @ factor.gain @ Cc.T
+    return 0.5 * (schur + schur.T)
+
+
+def _dense_backsubstitute(qp, ca, lam_local, gradient=None):
+    """:func:`backsubstitute` with the dense ``Cc' lam``, kept verbatim."""
+    linear = dense_coupling(qp).T @ lam_local
+    if gradient is not None:
+        linear += gradient
+    return ca.offset + ca.factor.gain @ linear
+
+
+def _dense_recover_duals(qp, ca, gradient, lam_local):
+    """:func:`recover_duals` with the dense ``Cc' lam``, kept verbatim."""
+    rhs = -np.asarray(gradient, dtype=float)
+    if lam_local.size:
+        rhs = rhs - dense_coupling(qp).T @ lam_local
+    cache = qp.factors
+    rhs_x = rhs[:cache.state_inverse.shape[0]]
+    mu = cache.state_inverse.T @ rhs_x
+    left = rhs - cache.state_response.T @ rhs_x
+    nu = ca.pin_signs * left[ca.pinned]
+    left[ca.pinned] = 0.0
+    return mu, nu, float(np.abs(left).max(initial=0.0))
+
+
+def _same_bytes(a, b):
+    """Byte equality up to the sign of zero (adding +0.0 maps -0.0 to
+    +0.0 and keeps every other value): a dense product sums exact zeros in
+    BLAS order, a selection keeps the selected zero's sign."""
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 3),
+       horizon=st.integers(1, 4), n_active=st.integers(0, 4),
+       homogeneous=st.booleans())
+def test_coupling_selections_match_dense_products(seed, n_agents, horizon,
+                                                  n_active, homogeneous):
+    """The plan's gathers and scatters give the dense coupling products
+    byte for byte, up to the sign of zero: a row selects one entry and,
+    with at most two copies of a state (at most three agents), a column
+    sums at most two multipliers, in either order exactly."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    lam = rng.normal(size=qps[0].n_coupling)
+    for qp in qps:
+        work = working_constraints(qp, _some_active(rng, qp, n_active),
+                                   homogeneous=homogeneous)
+        grad = rng.normal(size=qp.size)
+        ca = condense(qp, work, grad)
+        lam_local = lam[qp.coupled.rows]
+        assert _same_bytes(ca.schur, _dense_schur(qp, ca.factor))
+        assert _same_bytes(ca.schur_rhs, dense_coupling(qp) @ ca.offset)
+        for extra in (None, rng.normal(size=qp.size)):
+            assert _same_bytes(backsubstitute(ca, lam_local, extra),
+                               _dense_backsubstitute(qp, ca, lam_local,
+                                                     extra))
+        rec = recover_duals(qp, ca, grad, lam_local)
+        mu, nu, residual = _dense_recover_duals(qp, ca, grad, lam_local)
+        assert _same_bytes(rec.eq_duals, mu)
+        assert _same_bytes(rec.ineq_duals, nu)
+        assert rec.residual == residual
+
+
 def test_factor_cache_follows_the_qp_structure():
     rng = np.random.default_rng(61)
     net = random_network(rng, n_agents=2)
@@ -391,7 +482,7 @@ def test_factor_cache_follows_the_qp_structure():
     assert again.factor is first.factor and len(qp.factors) == 1
     # a new Hessian or new coupling rows (the ADMM local QP has both)
     for changed in (dataclasses.replace(qp, hessian=2.0 * qp.hessian),
-                    dataclasses.replace(qp, cpl_local=qp.cpl_local.copy()),
+                    dataclasses.replace(qp, coupled=dataclasses.replace(qp.coupled)),
                     LocalQpSolver(qp, 5.0).local):
         assert changed.factors is not qp.factors
         assert len(changed.factors) == 0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmpcqp import Fabric, build_network_qps, condense, working_constraints
-from dmpcqp.dcg import (SchurPiece, build_overlaps, dcg_init, dcg_iterate,
-                        dcg_solve)
+from dmpcqp import (Fabric, build_network_qps, build_overlaps, condense,
+                    working_constraints)
+from dmpcqp.dcg import SchurPiece, dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
                            InconsistentWarmStart)
 from dmpcqp.fabric import verify_comm_identities
@@ -27,6 +29,10 @@ def random_pieces(rng, n_agents=3, n_rows=8, definite=True):
         pieces.append(SchurPiece(agent=i, rows=ri, schur=Si,
                                  schur_rhs=rng.normal(size=k)))
     return pieces
+
+
+def overlaps_of(pieces):
+    return build_overlaps([p.rows for p in pieces])
 
 
 def assemble(pieces, n_rows):
@@ -99,7 +105,8 @@ def test_matches_centralized_cg_per_iteration():
                                    max_iter=3 * n_rows + 60)
 
         fab = Fabric(len(pieces))
-        states, overlaps = dcg_init(pieces, None, fab)
+        overlaps = overlaps_of(pieces)
+        states = dcg_init(pieces, overlaps, None, fab)
         for it, lam_ref in enumerate(reference):
             done = dcg_iterate(states, overlaps, fab, eps=1e-9)
             lam = gather(pieces, [st.lam for st in states], n_rows)
@@ -117,7 +124,7 @@ def test_finite_convergence_and_true_solution():
         pieces = random_pieces(rng, n_rows=n_rows)
         S, s = assemble(pieces, n_rows)
         fab = Fabric(len(pieces))
-        res = dcg_solve(pieces, None, 1e-10, fab)
+        res = dcg_solve(pieces, overlaps_of(pieces), None, 1e-10, fab)
         assert res.converged
         assert res.iterations <= n_rows + 5
         lam = gather(pieces, res.lambdas, n_rows)
@@ -128,7 +135,7 @@ def test_solve_charges_exact_ledger():
     rng = np.random.default_rng(71)
     pieces = random_pieces(rng, n_agents=3, n_rows=9)
     fab = Fabric(3)
-    res = dcg_solve(pieces, None, 1e-10, fab)
+    res = dcg_solve(pieces, overlaps_of(pieces), None, 1e-10, fab)
     M, n_c, k = 3, 9, res.iterations
     verify_comm_identities(fab.ledger.delta(type(fab.ledger)()), M, n_c,
                            dcg_iterations=k)
@@ -147,7 +154,8 @@ def test_warm_start_at_solution_is_free():
     S, s = assemble(pieces, 7)
     lam_star = np.linalg.solve(S, s)
     fab = Fabric(len(pieces))
-    res = dcg_solve(pieces, [lam_star[p.rows] for p in pieces], 1e-7, fab)
+    res = dcg_solve(pieces, overlaps_of(pieces),
+                    [lam_star[p.rows] for p in pieces], 1e-7, fab)
     assert res.iterations == 0
     assert res.converged
     assert fab.ledger.phase("dcg").global_floats == 0
@@ -158,24 +166,63 @@ def test_inconsistent_warm_start_detected():
     pieces = random_pieces(rng, n_rows=6)
     lam0 = [rng.normal(size=p.rows.size) for p in pieces]  # disagrees on shares
     with pytest.raises(InconsistentWarmStart):
-        dcg_solve(pieces, lam0, 1e-8, Fabric(len(pieces)))
+        dcg_solve(pieces, overlaps_of(pieces), lam0, 1e-8,
+                  Fabric(len(pieces)))
 
 
 def test_negative_curvature_raises():
     rng = np.random.default_rng(83)
     pieces = random_pieces(rng, n_rows=6, definite=False)
     with pytest.raises(CurvatureBreakdown):
-        dcg_solve(pieces, None, 1e-10, Fabric(len(pieces)))
+        dcg_solve(pieces, overlaps_of(pieces), None, 1e-10,
+                  Fabric(len(pieces)))
 
 
 def test_overlaps_are_mutual():
     rng = np.random.default_rng(89)
     pieces = random_pieces(rng, n_rows=10)
-    overlaps = build_overlaps(pieces)
+    overlaps = overlaps_of(pieces)
     for (a, b), (ia, ib) in overlaps.items():
         np.testing.assert_array_equal(pieces[a].rows[ia], pieces[b].rows[ib])
         jb, ja = overlaps[(b, a)]
         np.testing.assert_array_equal(pieces[a].rows[ja], pieces[a].rows[ia])
+
+
+def _reference_overlaps(pieces):
+    """The pairwise search DCG ran on every solve before the coupling plan
+    held its result, kept verbatim as the reference."""
+    overlaps = {}
+    for a in range(len(pieces)):
+        for b in range(a + 1, len(pieces)):
+            shared, ia, ib = np.intersect1d(
+                pieces[a].rows, pieces[b].rows,
+                assume_unique=True, return_indices=True)
+            if shared.size:
+                overlaps[(a, b)] = (ia, ib)
+                overlaps[(b, a)] = (ib, ia)
+    return overlaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 6),
+       n_rows=st.integers(1, 30), horizon=st.integers(1, 4))
+def test_plan_overlaps_match_pairwise_search(seed, n_agents, n_rows,
+                                             horizon):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents,
+                         edge_prob=rng.uniform(0.2, 1.0))
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    network = [SchurPiece(qp.index, qp.coupled.rows, None, None)
+               for qp in qps]
+    synthetic = random_pieces(rng, n_agents, n_rows)
+    for pieces, overlaps in ((network, qps[0].coupling.overlaps),
+                             (synthetic, overlaps_of(synthetic))):
+        ref = _reference_overlaps(pieces)
+        assert list(overlaps) == list(ref)
+        for pair, (ia, ib) in ref.items():
+            got_a, got_b = overlaps[pair]
+            assert got_a.dtype == ia.dtype and np.array_equal(got_a, ia)
+            assert got_b.dtype == ib.dtype and np.array_equal(got_b, ib)
 
 
 def test_network_condensed_system_solves_coupling():
@@ -187,7 +234,7 @@ def test_network_condensed_system_solves_coupling():
     cas = [condense(qp, working_constraints(qp, [], homogeneous=False))
            for qp in qps]
     fab = Fabric(len(qps))
-    res = dcg_solve(cas, None, 1e-11, fab)
+    res = dcg_solve(cas, qps[0].coupling.overlaps, None, 1e-11, fab)
     S = np.zeros((n_c, n_c))
     s = np.zeros(n_c)
     for ca in cas:

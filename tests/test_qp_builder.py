@@ -1,11 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmpcqp.asm as asm_module
+import dmpcqp.cli as cli_module
+import dmpcqp.qp_builder as qp_builder_module
 from dmpcqp import (VariableLayout, build_agent_qp, build_coupling_index,
-                    build_network_qps, rollout_feasible_point, stack_global,
-                    update_initial_state)
+                    build_network_qps, build_overlaps, rollout_feasible_point,
+                    stack_global, update_initial_state)
+from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
 from dmpcqp.oracle import dense_qp_from_stacked, solve_dense_qp
 
 from conftest import norm_inf, random_network, random_x0
@@ -60,11 +67,100 @@ def test_coupling_rows_belong_to_exactly_two_agents():
         idx = build_coupling_index(net, horizon=3)
         hits = np.zeros(idx.n_coupling, dtype=int)
         for i in range(net.n_agents):
-            hits[idx.rows_of(i)] += 1
+            hits[idx.agents[i].rows] += 1
         assert np.all(hits == 2)
         total = sum(3 * net.agents[j].n
                     for i in range(net.n_agents) for j in net.in_neighbors(i))
         assert idx.n_coupling == total
+
+
+def _reference_cpl_matrix(coupling, layout, i):
+    """Agent ``i``'s coupling matrix from the per-edge loops that built it
+    before the coupling plan held its columns, kept as the reference."""
+    N = coupling.horizon
+    rows, cols, vals = [], [], []
+    for edge in coupling.edges:
+        if edge.owner == i:
+            for k in range(N):
+                base = edge.offset + k * edge.n_states
+                xs = layout.x_slice(k).start
+                for c in range(edge.n_states):
+                    rows.append(base + c)
+                    cols.append(xs + c)
+                    vals.append(1.0)
+        if edge.copier == i:
+            for k in range(N):
+                base = edge.offset + k * edge.n_states
+                vs = layout.v_slice(edge.owner, k).start
+                for c in range(edge.n_states):
+                    rows.append(base + c)
+                    cols.append(vs + c)
+                    vals.append(-1.0)
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(coupling.n_coupling, layout.size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 5),
+       horizon=st.integers(1, 4))
+def test_coupling_plan_selects_what_the_edge_loops_built(seed, n_agents,
+                                                         horizon):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents, max_state=3,
+                         edge_prob=rng.uniform(0.2, 1.0))
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    for qp in qps:
+        assert qp.coupling is qps[0].coupling
+        assert qp.coupled is qp.coupling.agents[qp.index]
+        ref = _reference_cpl_matrix(qp.coupling, qp.layout, qp.index)
+        assert (qp.cpl_matrix != ref).nnz == 0
+        dense = ref.toarray()[qp.coupled.rows]
+        z = rng.normal(size=qp.size)
+        lam = rng.normal(size=qp.coupled.rows.size)
+        assert np.array_equal(qp.coupled.gather(z), dense @ z)
+        assert np.allclose(qp.coupled.scatter(lam), dense.T @ lam,
+                           rtol=1e-15, atol=0.0)
+        gram = dense.T @ dense
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+
+
+def test_coupling_rows_must_be_shared_by_exactly_two_agents():
+    rows = [np.array([0, 1]), np.array([0, 1, 2]), np.array([2])]
+    build_overlaps(rows)
+    # row 2 held by one agent only
+    with pytest.raises(ValueError, match=r"exactly two agents: \{2: 1\}"):
+        build_overlaps(rows[:2])
+    # row 1 held by three agents
+    with pytest.raises(ValueError, match=r"exactly two agents: \{1: 3\}"):
+        build_overlaps(rows[:2] + [np.array([1, 2])])
+
+
+def test_coupling_plan_is_built_once_per_closed_loop(monkeypatch, chain3):
+    """The plan, and with it the sharing check, is made when the QPs are
+    built, not per DCG solve or per warm-start shift."""
+    calls = {"plan": 0, "overlaps": 0, "dcg_solve": 0, "shift_averaged": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(qp_builder_module, "build_coupling_index", "plan")
+    counting(qp_builder_module, "build_overlaps", "overlaps")
+    counting(asm_module, "dcg_solve", "dcg_solve")
+    counting(cli_module, "shift_averaged", "shift_averaged")
+    x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
+    cfg = ExperimentConfig(n_masses=3, horizon=6, steps=6, solver="asm-dcg")
+    for solver, repeated in (("asm-dcg", "dcg_solve"),
+                             ("admm2", "shift_averaged")):
+        calls.update(dict.fromkeys(calls, 0))
+        _closed_loop_distributed(
+            chain3, dataclasses.replace(cfg, solver=solver, rho=5.0), x0s)
+        assert calls["plan"] == calls["overlaps"] == 1
+        assert calls[repeated] >= cfg.steps
 
 
 def test_coupling_edges_ordered_by_copier_then_owner(chain10):
