@@ -34,10 +34,10 @@ from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
 from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
                   compute_step_length, initialize_feasible, network_objective,
                   shift_active, verify_iterate)
-from .condense import (AgentCoupling, CondensedAgent, DualRecovery,
-                       FactorCache, WorkingConstraints, WorkingSetFactor,
-                       backsubstitute, condense, recover_duals,
-                       working_constraints)
+from .condense import (AgentBounds, AgentCoupling, CondensedAgent,
+                       DualRecovery, FactorCache, WorkingConstraints,
+                       WorkingSetFactor, backsubstitute, condense,
+                       recover_duals, working_constraints)
 from .dcg import DcgResult, SchurPiece, dcg_init, dcg_iterate, dcg_solve
 from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,
@@ -62,10 +62,9 @@ __all__ = [
     "compute_step_length", "initialize_feasible", "network_objective",
     "shift_active", "verify_iterate",
     # condense
-    "AgentCoupling", "CondensedAgent", "DualRecovery", "FactorCache",
-    "WorkingConstraints",
-    "WorkingSetFactor", "backsubstitute", "condense", "recover_duals",
-    "working_constraints",
+    "AgentBounds", "AgentCoupling", "CondensedAgent", "DualRecovery",
+    "FactorCache", "WorkingConstraints", "WorkingSetFactor",
+    "backsubstitute", "condense", "recover_duals", "working_constraints",
     # dcg
     "DcgResult", "SchurPiece", "dcg_init", "dcg_iterate", "dcg_solve",
     # fabric

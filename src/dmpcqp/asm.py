@@ -105,8 +105,8 @@ def compute_step_length(z: np.ndarray, dz: np.ndarray, qp,
     pick the lowest row index.  A remaining bound already violated beyond
     :data:`VIOLATION_TOL` marks the iterate infeasible and raises.
     """
-    cdz = qp.ineq_matrix @ dz
-    slack = qp.ineq_rhs - qp.ineq_matrix @ z
+    cdz = qp.bounds.gather(dz)
+    slack = qp.ineq_rhs - qp.bounds.gather(z)
     eligible = cdz > RATIO_TOL
     eligible[list(active)] = False
     rows = np.flatnonzero(eligible)
@@ -131,7 +131,7 @@ def most_violated_bound(qp, z: np.ndarray, active: Sequence[int],
 
     Ties pick the lowest row index.
     """
-    viol = qp.ineq_matrix @ z - qp.ineq_rhs
+    viol = qp.bounds.gather(z) - qp.ineq_rhs
     viol[list(active)] = -np.inf
     if not viol.size:
         return None
@@ -176,8 +176,8 @@ def verify_iterate(qps, zs) -> None:
         if eq > EQUALITY_TOL:
             raise FeasibilityViolation(
                 f"agent {qp.index}: equality residual {eq:.3e}")
-        if qp.ineq_matrix.shape[0]:
-            vi = float((qp.ineq_matrix @ z - qp.ineq_rhs).max())
+        if qp.ineq_rhs.size:
+            vi = float((qp.bounds.gather(z) - qp.ineq_rhs).max())
             if vi > VIOLATION_TOL:
                 raise FeasibilityViolation(
                     f"agent {qp.index}: bound violation {vi:.3e}")
@@ -196,17 +196,11 @@ def shift_active(qp, rows: Sequence[int]) -> list[int]:
 
     A receding-horizon plan marches forward each sample, so a bound that was
     active at step ``k`` of the old plan is expected at step ``k - 1`` of the
-    new one.  Bound rows are stored time-major within each one-sided block,
-    so the move is a uniform offset of ``-n_inputs``; step-0 rows fall off
-    the front and the fresh terminal step starts unpinned.
+    new one, the row ``qp.bounds.shifted`` names; step-0 rows fall off the
+    front and the fresh terminal step starts unpinned.
     """
-    m = qp.layout.n_inputs
-    half = qp.layout.horizon * m
-    shifted = []
-    for row in rows:
-        if (int(row) % half) >= m:
-            shifted.append(int(row) - m)
-    return shifted
+    shifted = qp.bounds.shifted
+    return [int(shifted[row]) for row in rows if shifted[row] >= 0]
 
 
 def initialize_feasible(qps, warm_active, fabric: Fabric,

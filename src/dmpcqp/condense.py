@@ -72,12 +72,27 @@ class AgentCoupling:
 
 
 @dataclass(frozen=True)
-class WorkingConstraints:
-    """Working-set rows: equalities, then active bounds, stacked in
-    ``matrix`` on first read (by condensing only on a factor-cache miss)."""
+class AgentBounds:
+    """One agent's input box as signed unit rows.
 
-    eq_matrix: np.ndarray
-    ineq_matrix: np.ndarray
+    Row ``r`` reads ``signs[r] * z[cols[r]] <= ineq_rhs[r]`` and
+    ``shifted[r]`` is the same bound one stage earlier, ``-1`` at stage 0.
+    """
+
+    cols: np.ndarray
+    signs: np.ndarray
+    shifted: np.ndarray
+
+    def gather(self, z: np.ndarray) -> np.ndarray:
+        """Every bound row's value at ``z``."""
+        return self.signs * z[self.cols]
+
+
+@dataclass(frozen=True)
+class WorkingConstraints:
+    """A working set: the equality rows, then the ``active`` bound rows of
+    the QP's :class:`AgentBounds`, with their right-hand side."""
+
     rhs: np.ndarray
     n_eq: int
     active: tuple[int, ...]
@@ -85,12 +100,6 @@ class WorkingConstraints:
     @property
     def n_rows(self) -> int:
         return self.n_eq + len(self.active)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        bounds = self.ineq_matrix[list(self.active)]
-        return np.vstack([self.eq_matrix, bounds]) if self.active else \
-            self.eq_matrix
 
 
 def working_constraints(qp, active: Sequence[int], *,
@@ -102,7 +111,7 @@ def working_constraints(qp, active: Sequence[int], *,
     the absolute variable).
     """
     active = tuple(int(a) for a in active)
-    n_eq, n_ineq = qp.eq_matrix.shape[0], qp.ineq_matrix.shape[0]
+    n_eq, n_ineq = qp.eq_rhs.size, qp.ineq_rhs.size
     if active and not (0 <= min(active) and max(active) < n_ineq):
         bad = next(a for a in active if not 0 <= a < n_ineq)
         raise ValueError(f"active row {bad} out of range")
@@ -113,9 +122,7 @@ def working_constraints(qp, active: Sequence[int], *,
     else:
         rhs = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(active)]]) \
             if active else qp.eq_rhs.copy()
-    return WorkingConstraints(eq_matrix=qp.eq_matrix,
-                              ineq_matrix=qp.ineq_matrix, rhs=rhs,
-                              n_eq=n_eq, active=active)
+    return WorkingConstraints(rhs=rhs, n_eq=n_eq, active=active)
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,8 @@ class FactorCache:
     """The :class:`WorkingSetFactor` of each working set of one QP structure.
 
     Keyed by the active-row tuple and bound to the structural arrays
-    (``hessian``, ``eq_matrix``, ``ineq_matrix``, ``coupled``) of the QP
-    it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
+    (``hessian``, ``eq_matrix``) and plans (``bounds``, ``coupled``) of the
+    QP it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
     cache for a QP that does not share them.  Beyond :data:`MAX_FACTORS`
     entries the oldest is dropped.  It also holds the two per-structure
     maps every factor and :func:`recover_duals` read: ``C_x^{-1}`` and the
@@ -163,15 +170,14 @@ class FactorCache:
     """
 
     def __init__(self, qp):
-        self._structure = (qp.hessian, qp.eq_matrix, qp.ineq_matrix,
-                           qp.coupled)
+        self._structure = (qp.hessian, qp.eq_matrix, qp.bounds, qp.coupled)
         self._n_states = qp.layout.u_offset
         self._factors: dict[tuple[int, ...], WorkingSetFactor] = {}
 
     def bound_to(self, qp) -> bool:
         """Whether ``qp`` has the structural arrays this cache was made for."""
         return all(a is b for a, b in zip(self._structure, (
-            qp.hessian, qp.eq_matrix, qp.ineq_matrix, qp.coupled)))
+            qp.hessian, qp.eq_matrix, qp.bounds, qp.coupled)))
 
     def __len__(self) -> int:
         return len(self._factors)
@@ -202,13 +208,11 @@ def _factorize(qp, work: WorkingConstraints) -> WorkingSetFactor:
     """Factor the working set ``work`` of ``qp`` (a cache miss)."""
     H = qp.hessian
     nz = H.shape[0]
-    if work.matrix.shape[1] != nz:
-        raise ValueError("working set does not match the agent dimension")
     n_eq, nx = work.n_eq, qp.layout.u_offset
-    bounds = work.matrix[n_eq:]
-    k = bounds.shape[0]
-    pinned = np.abs(bounds).argmax(axis=1)
-    pin_signs = bounds[np.arange(k), pinned]
+    active = list(work.active)
+    k = len(active)
+    pinned = qp.bounds.cols[active]
+    pin_signs = qp.bounds.signs[active]
     cols = pinned.tolist()
     for pos, col in enumerate(cols):
         if col in cols[:pos]:
@@ -266,7 +270,6 @@ class CondensedAgent:
     bound multipliers.
     """
 
-    agent: int
     coupled: AgentCoupling
     factor: WorkingSetFactor
     offset: np.ndarray
@@ -295,16 +298,16 @@ def condense(qp, work: WorkingConstraints,
 
     Requires the structure :func:`~dmpcqp.qp_builder.build_agent_qp`
     gives: the equality rows' first ``layout.u_offset`` columns form a
-    square unit lower triangular block, and every activated row is a signed
-    unit row on a later column.  Two active rows pinning the same column
+    square unit lower triangular block, and every row of ``qp.bounds`` is a
+    signed unit row on a later column.  Two active rows pinning the same column
     raise :class:`RankDeficientWorkingSet` naming the later one.  The
     working set's factor comes from ``qp.factors`` and is made and stored
     there on a miss; a set that raises is not stored.
 
     Parameters
     ----------
-    qp : AgentQP (or any object with ``hessian``, ``coupled``, ``index``,
-        ``layout`` and ``factors`` attributes)
+    qp : AgentQP (or any object with ``hessian``, ``bounds``, ``coupled``,
+        ``index``, ``layout`` and ``factors`` attributes)
     work : WorkingConstraints
         Working set of ``qp``'s rows with its right-hand side ``d``.
     gradient : array, optional
@@ -322,8 +325,8 @@ def condense(qp, work: WorkingConstraints,
         qp.factors.put(work.active, factor)
     g = None if gradient is None else np.asarray(gradient, dtype=float)
     offset = factor.stationary_point(work.rhs, g)
-    return CondensedAgent(agent=qp.index, coupled=qp.coupled, factor=factor,
-                          offset=offset, schur_rhs=qp.coupled.gather(offset))
+    return CondensedAgent(coupled=qp.coupled, factor=factor, offset=offset,
+                          schur_rhs=qp.coupled.gather(offset))
 
 
 def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,

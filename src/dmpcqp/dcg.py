@@ -28,14 +28,13 @@ from .fabric import Fabric
 class SchurPiece:
     """One agent's compressed contribution to the aggregated system.
 
-    The solver reads only these four attributes, so a
+    The solver reads only these three attributes, so a
     :class:`~dmpcqp.condense.CondensedAgent` is accepted in its place.
     Where pieces share rows is passed beside them: the ``overlaps`` of the
     network's :class:`~dmpcqp.qp_builder.CouplingIndex` (built once per
     network), or :func:`~dmpcqp.qp_builder.build_overlaps` of their rows.
     """
 
-    agent: int
     rows: np.ndarray
     schur: np.ndarray
     schur_rhs: np.ndarray
@@ -45,8 +44,6 @@ class SchurPiece:
 class DcgLocalState:
     """Per-agent conjugate-gradient state, compressed to the agent's rows."""
 
-    agent: int
-    rows: np.ndarray
     schur: np.ndarray
     lam: np.ndarray
     residual: np.ndarray
@@ -105,10 +102,9 @@ def dcg_init(pieces: Sequence[SchurPiece], overlaps,
                               for pair, idx in overlaps.items()})
     locals_ = [p.schur_rhs - p.schur @ lam for p, lam in zip(pieces, lams)]
     residuals = _exchange_shared(locals_, overlaps, fabric, "init")
-    return [DcgLocalState(
-        agent=p.agent, rows=p.rows, schur=p.schur, lam=lams[i],
-        residual=residuals[i], direction=residuals[i].copy())
-        for i, p in enumerate(pieces)]
+    return [DcgLocalState(schur=p.schur, lam=lam, residual=res,
+                          direction=res.copy())
+            for p, lam, res in zip(pieces, lams, residuals)]
 
 
 def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,

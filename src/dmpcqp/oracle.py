@@ -311,17 +311,18 @@ class Rollout:
         return self.inputs[t, o[i]:o[i + 1]]
 
 
-def _warm_inputs(net: NetworkModel, horizon: int, active, stacked: StackedQp):
-    """Per-agent input trajectories that hold the given bound rows tight."""
-    inputs = [np.zeros((horizon, a.m)) for a in net.agents]
-    for row in active:
-        agent = int(np.searchsorted(stacked.ineq_offsets, row, side="right")) - 1
-        local = row - stacked.ineq_offsets[agent]
-        a = net.agents[agent]
-        block = horizon * a.m
-        upper = local < block
-        k, c = divmod(local if upper else local - block, a.m)
-        inputs[agent][k, c] = a.u_hi[c] if upper else a.u_lo[c]
+def _warm_inputs(qps, active, stacked: StackedQp):
+    """Per-agent input trajectories that hold the given stacked bound rows
+    tight."""
+    active = np.asarray(active, dtype=int)
+    inputs = []
+    for qp, off in zip(qps, stacked.ineq_offsets):
+        lay, bounds = qp.layout, qp.bounds
+        rows = active[(off <= active) & (active < off + qp.n_ineq)] - off
+        u = np.zeros((lay.horizon, lay.n_inputs))
+        u.flat[bounds.cols[rows] - lay.u_offset] = \
+            bounds.signs[rows] * qp.ineq_rhs[rows]
+        inputs.append(u)
     return inputs
 
 
@@ -360,7 +361,7 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
         sample_qp = replace(dense, eq_rhs=eq_rhs.copy())
         x_parts = [x[offs[i]:offs[i + 1]] for i in range(net.n_agents)]
         z0 = stacked.join(rollout_feasible_point(
-            net, horizon, x_parts, _warm_inputs(net, horizon, active, stacked)))
+            net, horizon, x_parts, _warm_inputs(qps, active, stacked)))
         sol = solve_dense_qp(sample_qp, z0, prepared=prepared,
                              warm_active=active)
         active = sol.active

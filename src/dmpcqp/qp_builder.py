@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .condense import AgentCoupling, FactorCache
-from .model import NetworkModel
+from .condense import AgentBounds, AgentCoupling, FactorCache
+from .model import NetworkModel, PlantState, plant_step
 
 
 @dataclass(frozen=True)
@@ -214,15 +213,16 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
 class AgentQP:
     """One agent's share of the partially separable QP.
 
-    Inequalities are one-sided rows ``ineq_matrix @ z <= ineq_rhs`` holding
-    the input box (all upper bounds first, then all lower bounds, each block
-    ordered by time step then input component).  ``cpl_matrix`` has one row
-    per global coupling row.  ``coupling`` is the network's shared plan and
-    ``coupled`` this agent's rows in it (none in ADMM's augmented QP).
+    Inequalities are the input box ``bounds``, one signed unit row per bound
+    with right-hand side ``ineq_rhs`` (all upper bounds first, then all
+    lower bounds, each block ordered by time step then input component).
+    ``coupling`` is the network's shared plan and ``coupled`` this agent's
+    rows in it (none in ADMM's augmented QP).  No dense copy of either
+    kind of row is kept.
 
     ``factors`` caches the working-set factors of :mod:`~dmpcqp.condense`.
     It is kept only while it is bound to this QP's ``hessian``,
-    ``eq_matrix``, ``ineq_matrix`` and ``coupled``: a
+    ``eq_matrix``, ``bounds`` and ``coupled``: a
     ``dataclasses.replace`` that keeps them (such as
     :func:`update_initial_state`) shares the cache, and one that changes
     any of them starts a fresh one.
@@ -233,9 +233,8 @@ class AgentQP:
     hessian: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    ineq_matrix: np.ndarray
+    bounds: AgentBounds
     ineq_rhs: np.ndarray
-    cpl_matrix: sp.csr_matrix
     coupling: CouplingIndex = field(repr=False)
     coupled: AgentCoupling
     factors: FactorCache | None = field(default=None, compare=False,
@@ -255,11 +254,11 @@ class AgentQP:
 
     @property
     def n_ineq(self) -> int:
-        return self.ineq_matrix.shape[0]
+        return self.ineq_rhs.size
 
     @property
     def n_coupling(self) -> int:
-        return self.cpl_matrix.shape[0]
+        return self.coupling.n_coupling
 
 
 def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
@@ -313,26 +312,18 @@ def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
         for j in layout.in_neighbors:
             C_eq[rows, layout.v_slice(j, k)] = -agent.A_in[j]
 
-    C_ineq = np.zeros((2 * N * m, nz))
-    b_ineq = np.zeros(2 * N * m)
-    for k in range(N):
-        for c in range(m):
-            row = k * m + c
-            col = layout.u_slice(k).start + c
-            C_ineq[row, col] = 1.0
-            b_ineq[row] = agent.u_hi[c]
-            C_ineq[N * m + row, col] = -1.0
-            b_ineq[N * m + row] = -agent.u_lo[c]
-
-    coupled = coupling.agents[i]
-    cpl = sp.csr_matrix((coupled.signs, (coupled.rows, coupled.cols)),
-                        shape=(coupling.n_coupling, nz))
+    # row k m + c of either side bounds input c at stage k
+    rows = np.arange(2 * N * m)
+    bounds = AgentBounds(
+        cols=layout.u_offset + rows % (N * m),
+        signs=np.repeat([1.0, -1.0], N * m),
+        shifted=np.where(rows % (N * m) >= m, rows - m, -1))
+    b_ineq = np.concatenate([np.tile(agent.u_hi, N), -np.tile(agent.u_lo, N)])
 
     return AgentQP(
         index=i, layout=layout, hessian=H,
-        eq_matrix=C_eq, eq_rhs=b_eq,
-        ineq_matrix=C_ineq, ineq_rhs=b_ineq,
-        cpl_matrix=cpl, coupling=coupling, coupled=coupled,
+        eq_matrix=C_eq, eq_rhs=b_eq, bounds=bounds, ineq_rhs=b_ineq,
+        coupling=coupling, coupled=coupling.agents[i],
     )
 
 
@@ -381,7 +372,8 @@ class StackedQp:
 
 
 def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
-    """Stack per-agent QPs into global matrices (agent-major ordering)."""
+    """Stack per-agent QPs into global dense matrices (agent-major ordering),
+    the bound and coupling rows from their plans."""
     n_c = {qp.n_coupling for qp in qps}
     if len(n_c) != 1:
         raise ValueError("agents disagree on the number of coupling rows")
@@ -397,11 +389,13 @@ def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
     H = np.zeros((nz, nz))
     C_eq = np.zeros((sum(eq_sizes), nz))
     C_ineq = np.zeros((sum(ineq_sizes), nz))
+    cpl = np.zeros((qps[0].n_coupling, nz))
     for qp, off, eo, io in zip(qps, offsets, eq_offsets, ineq_offsets):
         H[off:off + qp.size, off:off + qp.size] = qp.hessian
         C_eq[eo:eo + qp.n_eq, off:off + qp.size] = qp.eq_matrix
-        C_ineq[io:io + qp.n_ineq, off:off + qp.size] = qp.ineq_matrix
-    cpl = sp.hstack([qp.cpl_matrix for qp in qps]).toarray()
+        C_ineq[io + np.arange(qp.n_ineq), off + qp.bounds.cols] = \
+            qp.bounds.signs
+        cpl[qp.coupled.rows, off + qp.coupled.cols] = qp.coupled.signs
     return StackedQp(
         hessian=H,
         eq_matrix=C_eq,
@@ -438,29 +432,21 @@ def rollout_feasible_point(net: NetworkModel, horizon: int,
     M = net.n_agents
     if inputs is None:
         inputs = [np.zeros((horizon, net.agents[i].m)) for i in range(M)]
-    xs = [np.asarray(x0s[i], dtype=float).reshape(net.agents[i].n)
-          for i in range(M)]
-    traj = [[x.copy()] for x in xs]
+    state = PlantState(tuple(x0s))
+    traj = [state.states]
     for k in range(horizon):
-        nxt = []
-        for agent in net.agents:
-            u = np.asarray(inputs[agent.index][k], dtype=float)
-            xp = agent.A_self @ traj[agent.index][k] + agent.B @ u
-            for j, block in sorted(agent.A_in.items()):
-                xp = xp + block @ traj[j][k]
-            nxt.append(xp)
-        for i in range(M):
-            traj[i].append(nxt[i])
+        state = plant_step(net, state, [u[k] for u in inputs])
+        traj.append(state.states)
     zs = []
     for i in range(M):
         layout = _layout_for(net, i, horizon)
         z = np.zeros(layout.size)
         for k in range(horizon + 1):
-            z[layout.x_slice(k)] = traj[i][k]
+            z[layout.x_slice(k)] = traj[k][i]
         for k in range(horizon):
             z[layout.u_slice(k)] = inputs[i][k]
         for j in layout.in_neighbors:
             for k in range(horizon):
-                z[layout.v_slice(j, k)] = traj[j][k]
+                z[layout.v_slice(j, k)] = traj[k][j]
         zs.append(z)
     return zs

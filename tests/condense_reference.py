@@ -17,7 +17,7 @@ import scipy.linalg
 from dmpcqp.condense import PIVOT_TOL, WorkingConstraints
 from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
-from conftest import dense_coupling
+from conftest import dense_coupling, working_matrix
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,19 @@ def condense(qp, work: WorkingConstraints,
     """
     H = qp.hessian
     nz = H.shape[0]
-    if work.matrix.shape[1] != nz:
+    matrix = working_matrix(qp, work)
+    if matrix.shape[1] != nz:
         raise ValueError("working set does not match the agent dimension")
     g = np.zeros(nz) if gradient is None else np.asarray(gradient, dtype=float)
     n_eq, nx = work.n_eq, qp.layout.u_offset
-    bounds = work.matrix[n_eq:]
+    bounds = matrix[n_eq:]
     pinned = np.abs(bounds).argmax(axis=1)
     pin_signs = bounds[np.arange(pinned.size), pinned]
     cols = pinned.tolist()
     for pos, col in enumerate(cols):
         if col in cols[:pos]:
             raise RankDeficientWorkingSet(qp.index, n_eq + pos, pos)
-    C_eq = work.matrix[:n_eq]
+    C_eq = matrix[:n_eq]
     free = np.setdiff1d(np.arange(nx, nz), pinned)
     n_red = free.size
     Z = np.zeros((nz, n_red))

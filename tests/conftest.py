@@ -74,9 +74,25 @@ def dense_coupling(qp):
     The reference for the coupling plan's gathers and scatters, which
     replaced the products with this matrix.
     """
-    if not qp.coupled.rows.size:
-        return np.zeros((0, qp.size))
-    return qp.cpl_matrix[qp.coupled.rows].toarray()
+    coupled = qp.coupled
+    matrix = np.zeros((coupled.rows.size, qp.size))
+    matrix[np.arange(coupled.rows.size), coupled.cols] = coupled.signs
+    return matrix
+
+
+def dense_bounds(qp):
+    """The agent's bound rows as the dense matrix ``C_ineq``, one signed
+    unit row per bound, as the bound plan's gathers read them."""
+    bounds = qp.bounds
+    matrix = np.zeros((bounds.cols.size, qp.size))
+    matrix[np.arange(bounds.cols.size), bounds.cols] = bounds.signs
+    return matrix
+
+
+def working_matrix(qp, work):
+    """The working set's rows stacked densely: equalities, then the active
+    bound rows."""
+    return np.vstack([qp.eq_matrix, dense_bounds(qp)[list(work.active)]])
 
 
 def tiny_network(rng):

@@ -15,8 +15,8 @@ from dmpcqp.qp_builder import rollout_feasible_point
 
 import condense_reference as ref_kernel
 
-from conftest import (dense_coupling, norm_inf, random_network, random_x0,
-                      spd_matrix, stable_matrix)
+from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
+                      random_x0, spd_matrix, stable_matrix)
 
 
 def _problem(seed, n_agents=3, horizon=3):
@@ -65,7 +65,7 @@ def test_averaged_point_satisfies_coupling_exactly():
     z_avg = admm_average(qps, zs, Fabric(len(qps)))
     total = np.zeros(qps[0].n_coupling)
     for qp, zb in zip(qps, z_avg):
-        total += qp.cpl_matrix @ zb
+        total[qp.coupled.rows] += dense_coupling(qp) @ zb
     assert norm_inf(total) == 0.0
 
 
@@ -120,15 +120,15 @@ def test_local_solver_satisfies_kkt():
         grad = hess @ z + g
         # independent optimality certificate: stationarity over the working
         # rows via least squares, non-negative bound multipliers, feasibility
-        W = np.vstack([qp.eq_matrix, qp.ineq_matrix[list(act)]])
+        W = np.vstack([qp.eq_matrix, dense_bounds(qp)[list(act)]])
         mult = np.linalg.lstsq(W.T, -grad, rcond=None)[0]
         assert norm_inf(W.T @ mult + grad) < 1e-7
         nu = mult[qp.eq_matrix.shape[0]:]
         assert nu.size == 0 or nu.min() > -1e-8
         assert norm_inf(qp.eq_matrix @ z - qp.eq_rhs) < 1e-8
-        assert (qp.ineq_matrix @ z - qp.ineq_rhs).max() < 1e-9
+        assert (dense_bounds(qp) @ z - qp.ineq_rhs).max() < 1e-9
         if act:
-            tight = qp.ineq_matrix[list(act)] @ z - qp.ineq_rhs[list(act)]
+            tight = dense_bounds(qp)[list(act)] @ z - qp.ineq_rhs[list(act)]
             assert norm_inf(tight) < 1e-8
 
 
@@ -198,7 +198,7 @@ def test_one_iteration_matches_enumerated_reference():
             H = H + rho * dense_coupling(qp).T @ dense_coupling(qp)
         ref = _enumerated_min(H, local_linear_term(qp, zb, lam, rho),
                               qp.eq_matrix, qp.eq_rhs,
-                              qp.ineq_matrix, qp.ineq_rhs)
+                              dense_bounds(qp), qp.ineq_rhs)
         assert norm_inf(z - ref) < 1e-7
         zs.append(z)
 
@@ -285,7 +285,7 @@ def test_solve_matches_active_set_reference():
     assert dev < 1e-3
     total = np.zeros(qps[0].n_coupling)
     for qp, zb in zip(qps, res.z_avg):
-        total += qp.cpl_matrix @ zb
+        total[qp.coupled.rows] += dense_coupling(qp) @ zb
     assert norm_inf(total) == 0.0
 
 
@@ -340,7 +340,7 @@ def test_shift_averaged():
     # by the owners' shifted-in terminal states
     total = np.zeros(qps[0].n_coupling)
     for qp, zb in zip(qps, shifted):
-        total += qp.cpl_matrix @ zb
+        total[qp.coupled.rows] += dense_coupling(qp) @ zb
     from dmpcqp.qp_builder import build_coupling_index
     idx = build_coupling_index(net, N)
     for edge in idx.edges:

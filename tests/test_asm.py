@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmpcqp import (AsmConfig, Fabric, asm_solve, build_network_qps,
-                    compute_step_length, initialize_feasible, network_objective,
-                    shift_active, verify_iterate)
+from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
+                    build_network_qps, compute_step_length,
+                    initialize_feasible, network_objective, shift_active,
+                    verify_iterate)
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import dense_qp_from_stacked, kkt_residual, solve_dense_qp
 from dmpcqp.qp_builder import stack_global
 
-from conftest import norm_inf, random_network, random_x0
+from conftest import dense_bounds, norm_inf, random_network, random_x0
 
 
 def _network_problem(seed, n_agents=3, horizon=3, x0_scale=1.0):
@@ -114,7 +115,7 @@ def test_step_length_hits_bound_exactly():
     alpha, blocking = compute_step_length(z, dz, qp, [])
     hi = qp.ineq_rhs[blocking]
     assert blocking is not None
-    stepped = qp.ineq_matrix[blocking] @ (z + alpha * dz)
+    stepped = dense_bounds(qp)[blocking] @ (z + alpha * dz)
     assert abs(stepped - hi) < 1e-10
     assert 0.0 < alpha < 1.0
 
@@ -144,14 +145,15 @@ def test_violated_iterate_raises():
 
 def _loop_step_length(z, dz, qp, active):
     """Row-by-row ratio test the vectorized one replaced, kept as reference."""
-    if qp.ineq_matrix.shape[0] == 0:
+    ineq_matrix = dense_bounds(qp)
+    if ineq_matrix.shape[0] == 0:
         return 1.0, None
-    cz = qp.ineq_matrix @ z
-    cdz = qp.ineq_matrix @ dz
+    cz = ineq_matrix @ z
+    cdz = ineq_matrix @ dz
     slack = qp.ineq_rhs - cz
     active = set(int(a) for a in active)
     alpha, blocking = 1.0, None
-    for row in range(qp.ineq_matrix.shape[0]):
+    for row in range(ineq_matrix.shape[0]):
         if row in active or cdz[row] <= 1e-12:
             continue
         if slack[row] < -1e-9:
@@ -166,15 +168,15 @@ def _loop_step_length(z, dz, qp, active):
 
 def _loop_most_violated(qp, z, active, tol):
     """Inline most-violated pick the shared helper replaced."""
-    viol = qp.ineq_matrix @ z - qp.ineq_rhs
+    viol = dense_bounds(qp) @ z - qp.ineq_rhs
     viol[list(active)] = -np.inf
     row = int(np.argmax(viol)) if viol.size else 0
     return row if viol.size and viol[row] > tol else None
 
 
-# few distinct values and rows drawn from a pool of three, so equal ratios,
-# zero slacks, directions that leave a bound alone and violated rows all come
-# up often
+# few distinct values, and signed unit rows on at most three columns, so
+# repeated columns, equal ratios, zero slacks, directions that leave a bound
+# alone and violated rows all come up often
 _coef = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 _slack = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
 
@@ -187,11 +189,12 @@ def _ratio_case(draw):
     def vec(n, elements=_coef):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
 
-    pool = vec(3 * cols).reshape(3, cols)
-    matrix = pool[vec(rows, st.integers(0, 2)).astype(int)].reshape(rows, cols)
+    bounds = AgentBounds(cols=vec(rows, st.integers(0, cols - 1)).astype(int),
+                         signs=vec(rows, st.sampled_from([-1.0, 1.0])),
+                         shifted=np.full(rows, -1))
     z = vec(cols)
-    qp = SimpleNamespace(index=0, ineq_matrix=matrix,
-                         ineq_rhs=matrix @ z + vec(rows, _slack))
+    qp = SimpleNamespace(index=0, size=cols, bounds=bounds,
+                         ineq_rhs=bounds.gather(z) + vec(rows, _slack))
     active = draw(st.lists(st.integers(0, max(rows - 1, 0)), unique=True,
                            max_size=rows))
     return qp, z, 4.0 * vec(cols), active
@@ -252,7 +255,7 @@ def test_iteration_cap_carries_trace():
     net, qps = _network_problem(127)
     clean = asm_solve(qps)
     # pin a strictly slack bound: releasing it takes at least two iterations
-    slack = qps[0].ineq_rhs - qps[0].ineq_matrix @ clean.z[0]
+    slack = qps[0].ineq_rhs - dense_bounds(qps[0]) @ clean.z[0]
     planted = int(np.argmax(slack))
     warm = [list(a) for a in clean.active]
     assert planted not in warm[0]

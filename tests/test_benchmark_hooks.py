@@ -42,17 +42,20 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     ``condense.working_rows_per_call`` off ``dmpcqp.asm.condense`` and
     ``admm.factor_miss_ratio`` off ``dmpcqp.admm.condense``: the active-set
     solver condenses every agent once per round with a
-    ``WorkingConstraints``, and ADMM condenses once per factor-cache miss
-    and never on a hit."""
+    ``WorkingConstraints`` whose ``n_rows`` counts the equality and active
+    bound rows, and ADMM condenses once per factor-cache miss and never on
+    a hit."""
     real = importlib.import_module("dmpcqp.condense").condense
     asm_calls, admm_calls, solvers = [], [], []
 
     def asm_condense(qp, work, *args):
         asm_calls.append((qp.index, isinstance(work, WorkingConstraints)))
+        assert work.n_rows == qp.n_eq + len(work.active)
         return real(qp, work, *args)
 
     def admm_condense(qp, work, *args):
         assert isinstance(work, WorkingConstraints)
+        assert work.n_rows == qp.n_eq + len(work.active)
         assert qp.factors.get(work.active) is None
         admm_calls.append(work.active)
         return real(qp, work, *args)

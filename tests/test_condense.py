@@ -15,7 +15,8 @@ from dmpcqp import (backsubstitute, build_chain_of_masses, build_network_qps,
 from dmpcqp.admm import LocalQpSolver
 from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
-from conftest import dense_coupling, norm_inf, random_network, random_x0
+from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
+                      random_x0, working_matrix)
 
 
 def _kkt_step(qp, work, lam_global, gradient):
@@ -25,7 +26,7 @@ def _kkt_step(qp, work, lam_global, gradient):
     via the bordered system.
     """
     n = qp.size
-    C = work.matrix
+    C = working_matrix(qp, work)
     k = C.shape[0]
     K = np.zeros((n + k, n + k))
     K[:n, :n] = qp.hessian
@@ -56,7 +57,8 @@ def test_null_basis_spans_working_set_null_space():
         ca = condense(qp, work)
         # the factor keeps Z only as the range of its gain -Z (Z'HZ)^{-1} Z'
         K = ca.factor.gain
-        assert norm_inf(work.matrix @ K) < 1e-12 * max(norm_inf(K), 1.0)
+        assert norm_inf(working_matrix(qp, work) @ K) < \
+            1e-12 * max(norm_inf(K), 1.0)
         assert np.linalg.matrix_rank(K) == qp.size - work.n_rows
 
 
@@ -68,7 +70,8 @@ def test_particular_solution_satisfies_working_rows():
         act = _some_active(rng, qp)
         work = working_constraints(qp, act, homogeneous=False)
         ca = condense(qp, work)
-        assert norm_inf(work.matrix @ ca.offset - work.rhs) < 1e-10
+        assert norm_inf(working_matrix(qp, work) @ ca.offset - work.rhs) \
+            < 1e-10
         hom = working_constraints(qp, act, homogeneous=True)
         cah = condense(qp, hom)
         assert norm_inf(cah.offset) < 1e-12
@@ -109,7 +112,7 @@ def test_schur_contribution_matches_coupling_image():
     for qp, ca in zip(qps, cas):
         z1 = backsubstitute(ca, lam[ca.rows])
         z0 = backsubstitute(ca, np.zeros(ca.rows.size))
-        image += qp.cpl_matrix @ (z1 - z0)
+        image[qp.coupled.rows] += dense_coupling(qp) @ (z1 - z0)
     np.testing.assert_allclose(-(S @ lam), image, atol=1e-8)
 
 
@@ -121,7 +124,7 @@ def test_duplicate_active_row_is_rejected():
         working_constraints(qp, [1, 1], homogeneous=True)
 
 
-def test_working_set_rows_are_checked_and_stacked_on_a_miss_only():
+def test_working_set_rows_are_checked_and_never_stacked():
     rng = np.random.default_rng(49)
     net = random_network(rng, n_agents=2)
     qp = build_network_qps(net, 3, random_x0(rng, net))[0]
@@ -131,14 +134,18 @@ def test_working_set_rows_are_checked_and_stacked_on_a_miss_only():
     with pytest.raises(ValueError, match="active rows repeated"):
         working_constraints(qp, [2, 0, 2], homogeneous=False)
     act = _some_active(rng, qp)
-    for hit in (False, True):
+    rows = dense_bounds(qp)[act]
+    pinned = np.abs(rows).argmax(axis=1)
+    for _ in range(2):  # a miss, then a hit
         work = working_constraints(qp, act, homogeneous=True)
-        condense(qp, work)
+        ca = condense(qp, work)
         assert work.n_rows == qp.n_eq + len(act)
-        # a cache hit never stacks the working-set rows
-        assert ("matrix" in vars(work)) is not hit
-    np.testing.assert_array_equal(
-        work.matrix, np.vstack([qp.eq_matrix, qp.ineq_matrix[act]]))
+        # no rows ride on the working set: a miss reads the bound plan
+        assert set(vars(work)) == {"rhs", "n_eq", "active"}
+        # the columns and signs decoded from the stacked rows before
+        np.testing.assert_array_equal(ca.pinned, pinned)
+        np.testing.assert_array_equal(
+            ca.pin_signs, rows[np.arange(len(act)), pinned])
 
 
 def test_dependent_working_rows_raise_with_position():
@@ -168,7 +175,7 @@ def test_recovered_duals_reproduce_planted_multipliers():
             nu_true = rng.normal(size=work.n_rows)
             # plant a gradient that makes nu_true the exact multiplier
             grad = -(dense_coupling(qp).T @ lam[qp.coupled.rows]
-                     + work.matrix.T @ nu_true)
+                     + working_matrix(qp, work).T @ nu_true)
             ca = condense(qp, work, grad)
             rec = recover_duals(qp, ca, grad, lam[qp.coupled.rows])
             assert rec.residual < 1e-8
@@ -201,17 +208,19 @@ def test_recovered_duals_match_least_squares(seed, horizon, n_active,
         rhs = -(grad + dense_coupling(qp).T @ lam_local)
         gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert gamma.shape == (work.n_rows,)
-        left = work.matrix.T @ gamma - rhs
+        left = working_matrix(qp, work).T @ gamma - rhs
         tol = 1e-9 * (1.0 + norm_inf(rhs))
         assert abs(rec.residual - norm_inf(left)) <= tol
         assert norm_inf(left[:qp.layout.u_offset]) <= tol
         assert norm_inf(left[ca.pinned]) <= tol
 
         planted = rng.normal(size=work.n_rows)
-        grad = -(dense_coupling(qp).T @ lam_local + work.matrix.T @ planted)
+        grad = -(dense_coupling(qp).T @ lam_local
+                 + working_matrix(qp, work).T @ planted)
         rec = recover_duals(qp, condense(qp, work, grad), grad, lam_local)
         rhs = -(grad + dense_coupling(qp).T @ lam_local)
-        ref = np.linalg.lstsq(work.matrix.T, rhs, rcond=None)[0]
+        ref = np.linalg.lstsq(working_matrix(qp, work).T, rhs,
+                              rcond=None)[0]
         gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert norm_inf(gamma - ref) <= 1e-9 * (1.0 + norm_inf(ref))
         assert rec.residual <= 1e-9 * (1.0 + norm_inf(rhs))
@@ -228,7 +237,7 @@ def _qr_condense(qp, work, gradient):
     and ``R1`` (``C_work' = Y R1``) from a complete QR after a pivoted QR
     has named the first dependent row.
     """
-    matrix, n_eq, agent = work.matrix, work.n_eq, qp.index
+    matrix, n_eq, agent = working_matrix(qp, work), work.n_eq, qp.index
     n_rows, n_cols = matrix.shape
     if n_rows > n_cols:
         raise RankDeficientWorkingSet(agent, n_cols, max(0, n_cols - n_eq))

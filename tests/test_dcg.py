@@ -26,7 +26,7 @@ def random_pieces(rng, n_agents=3, n_rows=8, definite=True):
         k = ri.size
         F = rng.normal(size=(k, k))
         Si = F.T @ F + (0.3 * np.eye(k) if definite else -2.0 * np.eye(k))
-        pieces.append(SchurPiece(agent=i, rows=ri, schur=Si,
+        pieces.append(SchurPiece(rows=ri, schur=Si,
                                  schur_rhs=rng.normal(size=k)))
     return pieces
 
@@ -212,8 +212,7 @@ def test_plan_overlaps_match_pairwise_search(seed, n_agents, n_rows,
     net = random_network(rng, n_agents=n_agents,
                          edge_prob=rng.uniform(0.2, 1.0))
     qps = build_network_qps(net, horizon, random_x0(rng, net))
-    network = [SchurPiece(qp.index, qp.coupled.rows, None, None)
-               for qp in qps]
+    network = [SchurPiece(qp.coupled.rows, None, None) for qp in qps]
     synthetic = random_pieces(rng, n_agents, n_rows)
     for pieces, overlaps in ((network, qps[0].coupling.overlaps),
                              (synthetic, overlaps_of(synthetic))):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,12 @@ import dmpcqp.qp_builder as qp_builder_module
 from dmpcqp import (VariableLayout, build_agent_qp, build_coupling_index,
                     build_network_qps, build_overlaps, rollout_feasible_point,
                     stack_global, update_initial_state)
+from dmpcqp.asm import shift_active
 from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
-from dmpcqp.oracle import dense_qp_from_stacked, solve_dense_qp
+from dmpcqp.oracle import _warm_inputs, dense_qp_from_stacked, solve_dense_qp
 
-from conftest import norm_inf, random_network, random_x0
+from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
+                      random_x0)
 
 
 def _baseline_qps(chain10):
@@ -113,7 +116,9 @@ def test_coupling_plan_selects_what_the_edge_loops_built(seed, n_agents,
         assert qp.coupling is qps[0].coupling
         assert qp.coupled is qp.coupling.agents[qp.index]
         ref = _reference_cpl_matrix(qp.coupling, qp.layout, qp.index)
-        assert (qp.cpl_matrix != ref).nnz == 0
+        full = np.zeros((qp.n_coupling, qp.size))
+        full[qp.coupled.rows] = dense_coupling(qp)
+        assert np.array_equal(full, ref.toarray())
         dense = ref.toarray()[qp.coupled.rows]
         z = rng.normal(size=qp.size)
         lam = rng.normal(size=qp.coupled.rows.size)
@@ -122,6 +127,87 @@ def test_coupling_plan_selects_what_the_edge_loops_built(seed, n_agents,
                            rtol=1e-15, atol=0.0)
         gram = dense.T @ dense
         assert np.array_equal(gram, np.diag(np.diag(gram)))
+
+
+def _reference_bound_rows(agent, layout):
+    """``C_ineq`` and ``b_ineq`` from the loop that built them before the
+    bound plan, kept as the reference."""
+    N, m = layout.horizon, layout.n_inputs
+    C_ineq = np.zeros((2 * N * m, layout.size))
+    b_ineq = np.zeros(2 * N * m)
+    for k in range(N):
+        for c in range(m):
+            row = k * m + c
+            col = layout.u_slice(k).start + c
+            C_ineq[row, col] = 1.0
+            b_ineq[row] = agent.u_hi[c]
+            C_ineq[N * m + row, col] = -1.0
+            b_ineq[N * m + row] = -agent.u_lo[c]
+    return C_ineq, b_ineq
+
+
+def _reference_shift_active(qp, rows):
+    """The ``% (N m)`` arithmetic ``shift_active`` used, kept verbatim."""
+    m = qp.layout.n_inputs
+    half = qp.layout.horizon * m
+    shifted = []
+    for row in rows:
+        if (int(row) % half) >= m:
+            shifted.append(int(row) - m)
+    return shifted
+
+
+def _reference_warm_inputs(net, horizon, active, stacked):
+    """The oracle's ``divmod`` decode of stacked bound rows, kept verbatim."""
+    inputs = [np.zeros((horizon, a.m)) for a in net.agents]
+    for row in active:
+        agent = int(np.searchsorted(stacked.ineq_offsets, row, side="right")) - 1
+        local = row - stacked.ineq_offsets[agent]
+        a = net.agents[agent]
+        block = horizon * a.m
+        upper = local < block
+        k, c = divmod(local if upper else local - block, a.m)
+        inputs[agent][k, c] = a.u_hi[c] if upper else a.u_lo[c]
+    return inputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 3),
+       horizon=st.integers(1, 4))
+def test_bound_plan_reads_what_the_dense_rows_encoded(seed, n_agents,
+                                                      horizon):
+    """The bound plan, ``shift_active``, the oracle's warm inputs and the
+    stacked dense rows agree exactly with the dense-row code they replaced."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents, max_input=2)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    stacked = stack_global(qps)
+    ref_ineq, ref_cpl = [], []
+    for qp, agent in zip(qps, net.agents):
+        C_ineq, b_ineq = _reference_bound_rows(agent, qp.layout)
+        assert np.array_equal(dense_bounds(qp), C_ineq)
+        assert np.array_equal(qp.ineq_rhs, b_ineq)
+        ref_ineq.append(C_ineq)
+        ref_cpl.append(_reference_cpl_matrix(qp.coupling, qp.layout,
+                                             qp.index))
+        rows = rng.permutation(qp.n_ineq)[:rng.integers(qp.n_ineq + 1)]
+        for sample in (rows, range(qp.n_ineq)):
+            assert shift_active(qp, sample) == \
+                _reference_shift_active(qp, sample)
+    assert np.array_equal(stacked.ineq_matrix,
+                          scipy.linalg.block_diag(*ref_ineq))
+    assert np.array_equal(stacked.cpl_matrix, sp.hstack(ref_cpl).toarray())
+    # an oracle working set: at most one side of each input, in any order
+    active = []
+    for qp, off in zip(qps, stacked.ineq_offsets):
+        half = qp.n_ineq // 2
+        for pos in np.flatnonzero(rng.random(half) < 0.5):
+            active.append(int(off + pos + half * rng.integers(2)))
+    active = [active[i] for i in rng.permutation(len(active))]
+    for got, want in zip(_warm_inputs(qps, active, stacked),
+                         _reference_warm_inputs(net, horizon, active,
+                                                stacked)):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_coupling_rows_must_be_shared_by_exactly_two_agents():
@@ -194,7 +280,7 @@ def test_bound_rows_upper_then_lower(chain3):
     assert qp.n_ineq == 2 * N
     z = np.zeros(qp.size)
     z[qp.layout.u_slice(1)] = 0.7
-    vals = qp.ineq_matrix @ z
+    vals = dense_bounds(qp) @ z
     np.testing.assert_allclose(vals[:N], [0.0, 0.7, 0.0])
     np.testing.assert_allclose(vals[N:], [0.0, -0.7, 0.0])
     np.testing.assert_allclose(qp.ineq_rhs, np.ones(2 * N))
@@ -210,8 +296,8 @@ def test_rollout_feasible_point_satisfies_everything():
         total = np.zeros(qps[0].n_coupling)
         for qp, z in zip(qps, zs):
             assert norm_inf(qp.eq_matrix @ z - qp.eq_rhs) < 1e-10
-            assert np.all(qp.ineq_matrix @ z - qp.ineq_rhs <= 1e-12)
-            total += qp.cpl_matrix @ z
+            assert np.all(dense_bounds(qp) @ z - qp.ineq_rhs <= 1e-12)
+            total[qp.coupled.rows] += dense_coupling(qp) @ z
         assert norm_inf(total) < 1e-10
 
 
@@ -269,7 +355,7 @@ def test_stacked_blocks_match_agents(chain3):
     assembled = stacked.cpl_matrix @ np.concatenate(zs)
     total = np.zeros(qps[0].n_coupling)
     for qp, z in zip(qps, zs):
-        total += qp.cpl_matrix @ z
+        total[qp.coupled.rows] += dense_coupling(qp) @ z
     np.testing.assert_allclose(assembled, total, atol=1e-12)
 
 
