@@ -1,0 +1,110 @@
+"""Alternating before/after runs of the closed-loop benchmark.
+
+Usage (from the repository root)::
+
+    python3 scripts/bench_pairs.py --before OLD_CHECKOUT --after . \\
+        --workload chain10-warm --workload chain10-admm \\
+        --seed 2024 --seed 7 --out BENCH_oracle.json
+
+Each of the ``PAIRS`` pairs runs ``perfbench/run.py --trace 0`` once in each
+checkout, at the benchmark's own run length, the side that goes first
+alternating from pair to pair, so a drift of the machine's speed falls on
+both sides alike.  A gain is claimed only when the ``after`` side wins at
+least nine of the ten pairs.  For every seed, workload and
+end-to-end metric the output JSON holds each side's runs, median and
+quartiles, and the number of pairs the ``after`` side wins (strictly better
+in the metric's direction), ties and loses, and the distinct numeric
+environments the runs reported (``perfbench/run.py`` pins the BLAS thread
+variables to 1, and each environment records the values it used).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("before", "after")
+PAIRS = 10
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    return parser.parse_args(argv)
+
+
+def run_once(root: Path, workload: str, seed: int) -> dict:
+    """One untraced benchmark run in ``root``: its result line and the
+    numeric environment (versions, BLAS threads, CPU) it reported."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    env = next(json.loads(line.split(" ", 1)[1]) for line in lines
+               if line.startswith("environment "))
+    return dict(json.loads(lines[-1]), environment=env)
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict[str, list[dict]]) -> dict:
+    """Per metric: both sides' values and quartiles, and the pair tally
+    (every end-to-end metric of the benchmark is better lower)."""
+    metrics = {}
+    for name, first in runs["after"][0]["metrics"].items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in SIDES}
+        diffs = [a - b for b, a in zip(values["before"], values["after"])]
+        metrics[name] = {
+            "unit": first["unit"],
+            **{side: dict(quartiles(values[side]), runs=values[side])
+               for side in SIDES},
+            "after_wins": sum(d < 0 for d in diffs),
+            "ties": sum(d == 0 for d in diffs),
+            "after_losses": sum(d > 0 for d in diffs),
+        }
+    return metrics
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    report = {"pairs": PAIRS, "command": "perfbench/run.py --trace 0",
+              "seeds": {}}
+    for seed in args.seed:
+        for workload in args.workload:
+            runs = {side: [] for side in SIDES}
+            for pair in range(PAIRS):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    runs[side].append(run_once(roots[side], workload, seed))
+                print(f"seed {seed} {workload} pair {pair + 1}/{PAIRS}",
+                      file=sys.stderr, flush=True)
+            report["seeds"].setdefault(str(seed), {})[workload] = {
+                "correct": {side: [r["correct"] for r in runs[side]]
+                            for side in SIDES},
+                "failed": {side: [r["failed"] for r in runs[side]]
+                           for side in SIDES},
+                "environments": [json.loads(e) for e in sorted(
+                    {json.dumps(r["environment"], sort_keys=True)
+                     for side in SIDES for r in runs[side]})],
+                "metrics": summarize(runs),
+            }
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

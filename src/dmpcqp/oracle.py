@@ -1,9 +1,11 @@
 """Centralized reference solvers.
 
 This module provides single-process ground truth for the distributed
-machinery: a dense primal active-set QP solver working on saddle-point KKT
-systems, a brute-force solver that enumerates candidate active sets, and a
-centralized receding-horizon rollout.  It deliberately shares no solver code
+machinery: a primal active-set QP solver on the stacked problem, whose
+equality-only saddle-point matrix is assembled sparse and factored once with
+``scipy.sparse.linalg.splu`` (active bound rows enter as a border), a
+brute-force solver that enumerates candidate active sets, and a centralized
+receding-horizon rollout.  It deliberately shares no solver code
 with the distributed path (no null-space condensing, no decomposed CG); only
 problem construction from :mod:`dmpcqp.qp_builder` is reused.
 """
@@ -15,8 +17,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import InfeasibleProblem, SolverError
 from .model import NetworkModel
@@ -35,12 +38,15 @@ _BASE_ITERS = 30
 
 @dataclass(frozen=True)
 class DenseQp:
-    """Minimize ``0.5 z' H z`` subject to equalities and one-sided rows."""
+    """Minimize ``0.5 z' H z`` subject to equalities and one-sided rows.
 
-    hessian: np.ndarray
-    eq_matrix: np.ndarray
+    The matrices are ``scipy.sparse`` CSR arrays.
+    """
+
+    hessian: sp.csr_array
+    eq_matrix: sp.csr_array
     eq_rhs: np.ndarray
-    ineq_matrix: np.ndarray
+    ineq_matrix: sp.csr_array
     ineq_rhs: np.ndarray
 
     @property
@@ -62,7 +68,7 @@ class DenseSolution:
 def dense_qp_from_stacked(stacked: StackedQp) -> DenseQp:
     """Fold the coupling rows into the equality block of a stacked QP."""
     if stacked.cpl_matrix.shape[0]:
-        eq = np.vstack([stacked.eq_matrix, stacked.cpl_matrix])
+        eq = sp.vstack([stacked.eq_matrix, stacked.cpl_matrix], format="csr")
         rhs = np.concatenate([stacked.eq_rhs,
                               np.zeros(stacked.cpl_matrix.shape[0])])
     else:
@@ -73,27 +79,27 @@ def dense_qp_from_stacked(stacked: StackedQp) -> DenseQp:
 
 
 class PreparedKkt:
-    """LU factorization of the equality-only saddle-point matrix.
+    """Sparse LU factorization (``splu``) of the equality-only saddle-point
+    matrix.
 
     Active bound rows are appended as a low-rank border, so one
     factorization serves every working set of the same problem structure.
+    An exactly singular matrix raises :class:`SolverError`.
     """
 
     def __init__(self, qp: DenseQp):
         n, me = qp.size, qp.eq_matrix.shape[0]
-        K = np.zeros((n + me, n + me))
-        K[:n, :n] = qp.hessian
-        K[:n, n:] = qp.eq_matrix.T
-        K[n:, :n] = qp.eq_matrix
+        K = sp.block_array([[qp.hessian, qp.eq_matrix.T],
+                            [qp.eq_matrix, None]], format="csc")
         try:
-            self.lu = scipy.linalg.lu_factor(K)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            self.lu = spla.splu(K)
+        except RuntimeError as exc:
             raise SolverError(f"singular saddle-point matrix: {exc}") from exc
         self.n = n
         self.m_eq = me
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self.lu, rhs)
+        return self.lu.solve(rhs)
 
 
 def prepare_kkt(qp: DenseQp) -> PreparedKkt:
@@ -116,6 +122,25 @@ def _phase1(qp: DenseQp) -> np.ndarray:
     if not res.success:
         raise SolverError(f"phase-1 linear program failed: {res.message}")
     return np.asarray(res.x, dtype=float)
+
+
+def _ratio_test(cp: np.ndarray, slack: np.ndarray,
+                active: Sequence[int]) -> tuple[float, int | None]:
+    """Step length in ``[0, 1]`` along a direction with row products ``cp``,
+    and the blocking row (``None`` for a full step).
+
+    Rows in ``active`` and rows with ``cp <= _RATIO_TOL`` are skipped; the
+    lowest row attaining the smallest ratio below 1 blocks.
+    """
+    eligible = ~(cp <= _RATIO_TOL)
+    eligible[list(active)] = False
+    rows = np.flatnonzero(eligible)
+    ratios = slack[rows] / cp[rows]
+    ratios = np.where(ratios > 0.0, ratios, 0.0)
+    if rows.size == 0 or ratios.min() >= 1.0:
+        return 1.0, None
+    k = int(np.argmin(ratios))
+    return float(ratios[k]), int(rows[k])
 
 
 def kkt_residual(qp: DenseQp, z, eq_duals, ineq_duals, active=()) -> float:
@@ -142,7 +167,7 @@ def kkt_residual(qp: DenseQp, z, eq_duals, ineq_duals, active=()) -> float:
 def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
                    prepared: PreparedKkt | None = None,
                    warm_active: Sequence[int] = ()) -> DenseSolution:
-    """Primal active-set method on the stacked dense QP.
+    """Primal active-set method on the stacked QP.
 
     Starts from ``z0`` when given (must satisfy every constraint, and hold
     ``warm_active`` rows with equality), otherwise from a phase-1 linear
@@ -180,7 +205,7 @@ def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
         if active:
             E = qp.ineq_matrix[active]
             F = np.zeros((n + me, len(active)))
-            F[:n] = E.T
+            F[:n] = E.T.toarray()
             X = prepared.solve(F)
             S = E @ X[:n]
             target = qp.ineq_rhs[active] - E @ z
@@ -205,16 +230,9 @@ def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
             active.pop(int(np.argmin(nu)))
             continue
 
-        alpha, blocking = 1.0, None
-        if n_ineq:
-            cp = qp.ineq_matrix @ p
-            slack = qp.ineq_rhs - qp.ineq_matrix @ z
-            for row in range(n_ineq):
-                if row in active or cp[row] <= _RATIO_TOL:
-                    continue
-                ratio = max(0.0, slack[row] / cp[row])
-                if ratio < alpha:
-                    alpha, blocking = ratio, row
+        alpha, blocking = _ratio_test(qp.ineq_matrix @ p,
+                                      qp.ineq_rhs - qp.ineq_matrix @ z,
+                                      active)
         if alpha >= _DEGENERATE_STEP:
             z = z + alpha * p
         if blocking is not None:
@@ -235,16 +253,17 @@ def enumerate_active_sets(qp: DenseQp, max_ineq: int = 20) -> DenseSolution:
     if n_ineq > max_ineq:
         raise ValueError(f"{n_ineq} inequality rows exceed cap {max_ineq}")
     n, me = qp.size, qp.eq_matrix.shape[0]
+    H, C_eq, C_ineq = (m.toarray() for m in
+                       (qp.hessian, qp.eq_matrix, qp.ineq_matrix))
     best = None
     for size in range(n_ineq + 1):
         for subset in itertools.combinations(range(n_ineq), size):
-            A = np.vstack([qp.eq_matrix, qp.ineq_matrix[list(subset)]]) \
-                if subset else qp.eq_matrix
+            A = np.vstack([C_eq, C_ineq[list(subset)]]) if subset else C_eq
             b = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(subset)]]) \
                 if subset else qp.eq_rhs
             ma = A.shape[0]
             KKT = np.zeros((n + ma, n + ma))
-            KKT[:n, :n] = qp.hessian
+            KKT[:n, :n] = H
             KKT[:n, n:] = A.T
             KKT[n:, :n] = A
             rhs = np.concatenate([np.zeros(n), b])
@@ -254,13 +273,13 @@ def enumerate_active_sets(qp: DenseQp, max_ineq: int = 20) -> DenseSolution:
                 continue
             z, duals = sol[:n], sol[n:]
             others = [r for r in range(n_ineq) if r not in subset]
-            if others and (qp.ineq_matrix[others] @ z
+            if others and (C_ineq[others] @ z
                            - qp.ineq_rhs[others]).max() > 1e-9:
                 continue
             nu = duals[me:]
             if nu.size and nu.min() < -1e-9:
                 continue
-            obj = 0.5 * float(z @ (qp.hessian @ z))
+            obj = 0.5 * float(z @ (H @ z))
             if best is None or obj < best.objective - 1e-12:
                 best = DenseSolution(
                     z=z, eq_duals=duals[:me], ineq_duals=nu,
@@ -328,7 +347,7 @@ def _warm_inputs(qps, active, stacked: StackedQp):
 
 def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
                             horizon: int, steps: int) -> Rollout:
-    """Receding-horizon control with the dense oracle as the QP solver.
+    """Receding-horizon control with the centralized oracle as the QP solver.
 
     Per sample the stacked QP is refreshed with the measured state, a
     feasible start is built by simulating the network under inputs that keep

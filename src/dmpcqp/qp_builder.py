@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .condense import AgentBounds, AgentCoupling, FactorCache
 from .model import NetworkModel, PlantState, plant_step
@@ -351,14 +352,16 @@ def update_initial_state(qp: AgentQP, x0: np.ndarray) -> AgentQP:
 
 @dataclass(frozen=True)
 class StackedQp:
-    """All agents' blocks stacked into one flat QP (coupling kept separate)."""
+    """All agents' blocks stacked into one flat QP (coupling kept separate).
 
-    hessian: np.ndarray
-    eq_matrix: np.ndarray
+    The matrices are ``scipy.sparse`` CSR arrays."""
+
+    hessian: sp.csr_array
+    eq_matrix: sp.csr_array
     eq_rhs: np.ndarray
-    ineq_matrix: np.ndarray
+    ineq_matrix: sp.csr_array
     ineq_rhs: np.ndarray
-    cpl_matrix: np.ndarray
+    cpl_matrix: sp.csr_array
     offsets: tuple[int, ...]
     eq_offsets: tuple[int, ...]
     ineq_offsets: tuple[int, ...]
@@ -371,9 +374,21 @@ class StackedQp:
         return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
 
+def _sparse(shape, entries) -> sp.csr_array:
+    """CSR array from ``(rows, cols, values)`` triplets."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.csr_array((vals, (rows, cols)), shape=shape)
+
+
+def _block(row0, col0, block):
+    """Triplets of a dense block's nonzeros placed at ``(row0, col0)``."""
+    rows, cols = np.nonzero(block)
+    return rows + row0, cols + col0, block[rows, cols]
+
+
 def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
-    """Stack per-agent QPs into global dense matrices (agent-major ordering),
-    the bound and coupling rows from their plans."""
+    """Stack per-agent QPs into global sparse matrices (agent-major
+    ordering), the bound and coupling rows from their plans."""
     n_c = {qp.n_coupling for qp in qps}
     if len(n_c) != 1:
         raise ValueError("agents disagree on the number of coupling rows")
@@ -386,23 +401,20 @@ def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
     ineq_offsets = tuple(int(o) for o in
                          np.concatenate(([0], np.cumsum(ineq_sizes)[:-1])))
     nz = sum(sizes)
-    H = np.zeros((nz, nz))
-    C_eq = np.zeros((sum(eq_sizes), nz))
-    C_ineq = np.zeros((sum(ineq_sizes), nz))
-    cpl = np.zeros((qps[0].n_coupling, nz))
-    for qp, off, eo, io in zip(qps, offsets, eq_offsets, ineq_offsets):
-        H[off:off + qp.size, off:off + qp.size] = qp.hessian
-        C_eq[eo:eo + qp.n_eq, off:off + qp.size] = qp.eq_matrix
-        C_ineq[io + np.arange(qp.n_ineq), off + qp.bounds.cols] = \
-            qp.bounds.signs
-        cpl[qp.coupled.rows, off + qp.coupled.cols] = qp.coupled.signs
+    blocks = list(zip(qps, offsets, eq_offsets, ineq_offsets))
     return StackedQp(
-        hessian=H,
-        eq_matrix=C_eq,
+        hessian=_sparse((nz, nz), [_block(off, off, qp.hessian)
+                                   for qp, off, _, _ in blocks]),
+        eq_matrix=_sparse((sum(eq_sizes), nz), [
+            _block(eo, off, qp.eq_matrix) for qp, off, eo, _ in blocks]),
         eq_rhs=np.concatenate([qp.eq_rhs for qp in qps]),
-        ineq_matrix=C_ineq,
+        ineq_matrix=_sparse((sum(ineq_sizes), nz), [
+            (io + np.arange(qp.n_ineq), off + qp.bounds.cols, qp.bounds.signs)
+            for qp, off, _, io in blocks]),
         ineq_rhs=np.concatenate([qp.ineq_rhs for qp in qps]),
-        cpl_matrix=cpl,
+        cpl_matrix=_sparse((qps[0].n_coupling, nz), [
+            (qp.coupled.rows, off + qp.coupled.cols, qp.coupled.signs)
+            for qp, off, _, _ in blocks]),
         offsets=offsets,
         eq_offsets=eq_offsets,
         ineq_offsets=ineq_offsets,
@@ -437,16 +449,15 @@ def rollout_feasible_point(net: NetworkModel, horizon: int,
     for k in range(horizon):
         state = plant_step(net, state, [u[k] for u in inputs])
         traj.append(state.states)
+    # per agent its states x^0 .. x^N as one (horizon + 1, n_i) block
+    states = [np.array([x[i] for x in traj]) for i in range(M)]
     zs = []
     for i in range(M):
         layout = _layout_for(net, i, horizon)
         z = np.zeros(layout.size)
-        for k in range(horizon + 1):
-            z[layout.x_slice(k)] = traj[k][i]
-        for k in range(horizon):
-            z[layout.u_slice(k)] = inputs[i][k]
+        z[:layout.u_offset] = states[i].ravel()
+        z[layout.u_offset:layout.v_offset] = np.ravel(inputs[i])
         for j in layout.in_neighbors:
-            for k in range(horizon):
-                z[layout.v_slice(j, k)] = traj[k][j]
+            z[layout.v_block_slice(j)] = states[j][:horizon].ravel()
         zs.append(z)
     return zs

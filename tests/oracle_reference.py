@@ -1,0 +1,180 @@
+"""The dense oracle path the sparse one replaced.
+
+Kept as the reference that ``test_oracle.py`` and
+``test_qp_builder.py`` check the sparse path against: the stacked matrices
+assembled as dense ``nz x nz`` arrays, the saddle-point matrix factored
+with ``lu_factor``, the ratio test as a loop over the rows, and the
+feasible start filled slice by slice.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+import scipy.optimize
+
+from dmpcqp.errors import InfeasibleProblem, SolverError
+from dmpcqp.model import PlantState, plant_step
+from dmpcqp.oracle import (_BASE_ITERS, _DEGENERATE_STEP, _DUAL_TOL,
+                           _ITERS_PER_ROW, _RATIO_TOL, _STEP_TOL)
+from dmpcqp.qp_builder import _layout_for
+
+
+@dataclass(frozen=True)
+class ReferenceQp:
+    """The stacked QP with dense matrices, coupling rows folded into the
+    equalities."""
+
+    hessian: np.ndarray
+    eq_matrix: np.ndarray
+    eq_rhs: np.ndarray
+    ineq_matrix: np.ndarray
+    ineq_rhs: np.ndarray
+    cpl_matrix: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.hessian.shape[0]
+
+
+def stack_dense(qps) -> ReferenceQp:
+    """The stacked matrices as dense arrays, agent-major."""
+    sizes = [qp.size for qp in qps]
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    eq_sizes = [qp.n_eq for qp in qps]
+    ineq_sizes = [qp.n_ineq for qp in qps]
+    eq_offsets = np.concatenate(([0], np.cumsum(eq_sizes)[:-1]))
+    ineq_offsets = np.concatenate(([0], np.cumsum(ineq_sizes)[:-1]))
+    nz = sum(sizes)
+    H = np.zeros((nz, nz))
+    C_eq = np.zeros((sum(eq_sizes), nz))
+    C_ineq = np.zeros((sum(ineq_sizes), nz))
+    cpl = np.zeros((qps[0].n_coupling, nz))
+    for qp, off, eo, io in zip(qps, offsets, eq_offsets, ineq_offsets):
+        H[off:off + qp.size, off:off + qp.size] = qp.hessian
+        C_eq[eo:eo + qp.n_eq, off:off + qp.size] = qp.eq_matrix
+        C_ineq[io + np.arange(qp.n_ineq), off + qp.bounds.cols] = \
+            qp.bounds.signs
+        cpl[qp.coupled.rows, off + qp.coupled.cols] = qp.coupled.signs
+    eq_rhs = np.concatenate([qp.eq_rhs for qp in qps])
+    if cpl.shape[0]:
+        eq = np.vstack([C_eq, cpl])
+        rhs = np.concatenate([eq_rhs, np.zeros(cpl.shape[0])])
+    else:
+        eq, rhs = C_eq, eq_rhs
+    return ReferenceQp(hessian=H, eq_matrix=eq, eq_rhs=rhs,
+                       ineq_matrix=C_ineq,
+                       ineq_rhs=np.concatenate([qp.ineq_rhs for qp in qps]),
+                       cpl_matrix=cpl)
+
+
+def ratio_test_loop(cp, slack, active):
+    """Step length and blocking row, one row at a time."""
+    alpha, blocking = 1.0, None
+    for row in range(cp.size):
+        if row in active or cp[row] <= _RATIO_TOL:
+            continue
+        ratio = max(0.0, slack[row] / cp[row])
+        if ratio < alpha:
+            alpha, blocking = ratio, row
+    return alpha, blocking
+
+
+def _phase1(qp: ReferenceQp) -> np.ndarray:
+    n = qp.size
+    res = scipy.optimize.linprog(
+        c=np.zeros(n),
+        A_ub=qp.ineq_matrix if qp.ineq_matrix.shape[0] else None,
+        b_ub=qp.ineq_rhs if qp.ineq_matrix.shape[0] else None,
+        A_eq=qp.eq_matrix if qp.eq_matrix.shape[0] else None,
+        b_eq=qp.eq_rhs if qp.eq_matrix.shape[0] else None,
+        bounds=[(None, None)] * n,
+        method="highs",
+    )
+    if res.status == 2:
+        raise InfeasibleProblem("phase-1 linear program is infeasible")
+    if not res.success:
+        raise SolverError(f"phase-1 linear program failed: {res.message}")
+    return np.asarray(res.x, dtype=float)
+
+
+def solve_dense(qp: ReferenceQp, z0=None, warm_active=()):
+    """The active-set loop on ``lu_factor`` of the dense saddle-point matrix.
+
+    Returns ``(z, eq_duals, ineq_duals, active, iterations)``.
+    """
+    n_ineq = qp.ineq_matrix.shape[0]
+    max_iter = _ITERS_PER_ROW * n_ineq + _BASE_ITERS
+    n, me = qp.size, qp.eq_matrix.shape[0]
+    K = np.zeros((n + me, n + me))
+    K[:n, :n] = qp.hessian
+    K[:n, n:] = qp.eq_matrix.T
+    K[n:, :n] = qp.eq_matrix
+    lu = scipy.linalg.lu_factor(K)
+    if z0 is None:
+        z = _phase1(qp)
+        active = []
+    else:
+        z = np.asarray(z0, dtype=float).copy()
+        active = list(warm_active)
+    for it in range(1, max_iter + 1):
+        rhs = np.concatenate([-(qp.hessian @ z),
+                              qp.eq_rhs - qp.eq_matrix @ z])
+        base = scipy.linalg.lu_solve(lu, rhs)
+        if active:
+            E = qp.ineq_matrix[active]
+            F = np.zeros((n + me, len(active)))
+            F[:n] = E.T
+            X = scipy.linalg.lu_solve(lu, F)
+            S = E @ X[:n]
+            target = qp.ineq_rhs[active] - E @ z
+            nu = np.linalg.solve(S, E @ base[:n] - target)
+            y = base - X @ nu
+        else:
+            nu = np.zeros(0)
+            y = base
+        p, mu = y[:n], y[n:]
+
+        if np.abs(p).max(initial=0.0) <= \
+                _STEP_TOL * (1.0 + np.abs(z).max(initial=0.0)):
+            if nu.size == 0 or nu.min() >= -_DUAL_TOL:
+                return z, mu, nu, tuple(active), it
+            active.pop(int(np.argmin(nu)))
+            continue
+
+        alpha, blocking = 1.0, None
+        if n_ineq:
+            alpha, blocking = ratio_test_loop(
+                qp.ineq_matrix @ p, qp.ineq_rhs - qp.ineq_matrix @ z, active)
+        if alpha >= _DEGENERATE_STEP:
+            z = z + alpha * p
+        if blocking is not None:
+            active.append(blocking)
+    raise SolverError(f"active-set oracle hit the {max_iter}-iteration cap")
+
+
+def rollout_feasible_point_loop(net, horizon, x0s, inputs=None):
+    """The simulated feasible start, filled slice by slice."""
+    M = net.n_agents
+    if inputs is None:
+        inputs = [np.zeros((horizon, net.agents[i].m)) for i in range(M)]
+    state = PlantState(tuple(x0s))
+    traj = [state.states]
+    for k in range(horizon):
+        state = plant_step(net, state, [u[k] for u in inputs])
+        traj.append(state.states)
+    zs = []
+    for i in range(M):
+        layout = _layout_for(net, i, horizon)
+        z = np.zeros(layout.size)
+        for k in range(horizon + 1):
+            z[layout.x_slice(k)] = traj[k][i]
+        for k in range(horizon):
+            z[layout.u_slice(k)] = inputs[i][k]
+        for j in layout.in_neighbors:
+            for k in range(horizon):
+                z[layout.v_slice(j, k)] = traj[k][j]
+        zs.append(z)
+    return zs

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse
 
 import dmpcqp.cli
+import dmpcqp.oracle
 from dmpcqp import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
 from dmpcqp.cli import (ExperimentConfig, compare_runs, load_network, main,
@@ -274,6 +276,34 @@ def test_failed_reference_rollout_fails_only_its_init(tmp_path, monkeypatch,
     with open(tmp_path / "r" / "iterations.csv", newline="") as fh:
         assert [row["status"] for row in csv.DictReader(fh)] == \
             ["ok", "ok", failed[0].status]
+
+
+def test_singular_reference_kkt_fails_only_its_init(tmp_path, monkeypatch):
+    """A reference rollout whose saddle-point matrix is exactly singular (a
+    duplicated equality row) fails its init with a ``SolverError``."""
+    stack = dmpcqp.oracle.stack_global
+    calls = []
+
+    def duplicated_row(qps):
+        stacked = stack(qps)
+        calls.append(None)
+        if len(calls) != 2:
+            return stacked
+        return dataclasses.replace(
+            stacked,
+            eq_matrix=scipy.sparse.vstack([stacked.eq_matrix,
+                                           stacked.eq_matrix[[0]]]),
+            eq_rhs=np.append(stacked.eq_rhs, stacked.eq_rhs[0]))
+
+    monkeypatch.setattr(dmpcqp.oracle, "stack_global", duplicated_row)
+    res = run_experiment(_small_cfg(tmp_path / "r", steps=2, n_inits=3))
+    assert res.failures == 1
+    failed = [r for r in res.records if r.status != "ok"]
+    assert [(r.init, r.sample) for r in failed] == [(1, -1)]
+    assert failed[0].status.startswith(
+        "error: reference rollout: singular saddle-point matrix")
+    for init in (0, 2):
+        assert [r.sample for r in res.records if r.init == init] == [0, 1]
 
 
 def test_linalg_error_fails_only_its_init(tmp_path, monkeypatch):

@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmpcqp import build_chain_of_masses, build_network_qps
-from dmpcqp.errors import InfeasibleProblem
-from dmpcqp.oracle import (DenseQp, centralized_mpc_rollout,
+from dmpcqp.errors import InfeasibleProblem, SolverError
+from dmpcqp.oracle import (DenseQp, _ratio_test, centralized_mpc_rollout,
                            dense_qp_from_stacked, enumerate_active_sets,
                            kkt_residual, prepare_kkt, solve_dense_qp,
                            stacked_dynamics)
-from dmpcqp.qp_builder import stack_global
+from dmpcqp.qp_builder import rollout_feasible_point, stack_global
 
 from conftest import norm_inf, random_network, random_x0, tiny_network
+from oracle_reference import ratio_test_loop, solve_dense, stack_dense
 
 
 def _dense_problem(seed, **kwargs):
@@ -59,18 +65,18 @@ def test_enumeration_matches_active_set_solver():
 
 def test_enumeration_refuses_large_problems():
     rng = np.random.default_rng(314)
-    qp = DenseQp(hessian=np.eye(2),
-                 eq_matrix=np.zeros((0, 2)), eq_rhs=np.zeros(0),
-                 ineq_matrix=rng.normal(size=(21, 2)),
+    qp = DenseQp(hessian=sp.csr_array(np.eye(2)),
+                 eq_matrix=sp.csr_array((0, 2)), eq_rhs=np.zeros(0),
+                 ineq_matrix=sp.csr_array(rng.normal(size=(21, 2))),
                  ineq_rhs=np.ones(21))
     with pytest.raises(ValueError, match="exceed"):
         enumerate_active_sets(qp)
 
 
 def test_phase1_detects_infeasibility():
-    qp = DenseQp(hessian=np.eye(1),
-                 eq_matrix=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-                 ineq_matrix=np.array([[1.0], [-1.0]]),
+    qp = DenseQp(hessian=sp.csr_array(np.eye(1)),
+                 eq_matrix=sp.csr_array((0, 1)), eq_rhs=np.zeros(0),
+                 ineq_matrix=sp.csr_array(np.array([[1.0], [-1.0]])),
                  ineq_rhs=np.array([-1.0, -1.0]))   # x <= -1 and x >= 1
     with pytest.raises(InfeasibleProblem):
         solve_dense_qp(qp)
@@ -95,7 +101,7 @@ def test_start_point_must_be_feasible():
     grow = solve_dense_qp(dense).z.copy()
     if dense.ineq_matrix.shape[0]:
         slack = dense.ineq_rhs - dense.ineq_matrix @ grow
-        null = np.linalg.svd(dense.eq_matrix)[2][-1]
+        null = np.linalg.svd(dense.eq_matrix.toarray())[2][-1]
         # push far along an equality-nullspace direction that hits a bound
         push = dense.ineq_matrix @ null
         row = int(np.argmax(np.abs(push)))
@@ -161,3 +167,109 @@ def test_rollout_accessors():
     np.testing.assert_array_equal(roll.input_of(1, 2), roll.inputs[1, 2:3])
     assert roll.states.shape == (3, 6)
     assert roll.inputs.shape == (2, 3)
+
+
+def _same_up_to_zero_sign(sparse, dense):
+    """Entry for entry and byte for byte, reading a ``-0.0`` of the dense
+    array as the ``0.0`` a sparse array stores for it."""
+    got = sparse.toarray()
+    return got.shape == dense.shape and \
+        got.tobytes() == (dense + 0.0).tobytes()
+
+
+def _close(a, b, rtol=1e-9):
+    return norm_inf(a - b) <= rtol * max(1.0, norm_inf(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 4))
+def test_sparse_stacking_matches_dense_assembly(seed, n_agents, horizon):
+    """``stack_global`` and ``dense_qp_from_stacked`` hold the matrices the
+    dense assembly they replaced built."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    stacked = stack_global(qps)
+    ref = stack_dense(qps)
+    n_eq = stacked.eq_matrix.shape[0]
+    for name, want in (("hessian", ref.hessian),
+                       ("eq_matrix", ref.eq_matrix[:n_eq]),
+                       ("ineq_matrix", ref.ineq_matrix),
+                       ("cpl_matrix", ref.cpl_matrix)):
+        got = getattr(stacked, name)
+        assert isinstance(got, sp.csr_array), name
+        assert _same_up_to_zero_sign(got, want), name
+    dense = dense_qp_from_stacked(stacked)
+    assert _same_up_to_zero_sign(dense.eq_matrix, ref.eq_matrix)
+    assert np.array_equal(dense.eq_rhs, ref.eq_rhs)
+    assert np.array_equal(dense.ineq_rhs, ref.ineq_rhs)
+
+
+def _ratio_arrays():
+    # few distinct values, so ties and rows on the tolerance are common; a
+    # NaN row is taken as the loop took it (``cp <= tol`` is false)
+    value = st.sampled_from([-1.0, -1e-13, 0.0, 1e-13, 1e-12, 0.25, 0.5,
+                             1.0, 2.0, 4.0, float("nan")])
+    return st.integers(0, 12).flatmap(lambda size: st.tuples(
+        st.lists(value, min_size=size, max_size=size),
+        st.lists(value, min_size=size, max_size=size),
+        st.lists(st.integers(0, max(size - 1, 0)), max_size=size,
+                 unique=True) if size else st.just([])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratio_arrays())
+def test_vectorized_ratio_test_matches_row_loop(case):
+    cp, slack, active = (np.array(case[0]), np.array(case[1]), case[2])
+    got = _ratio_test(cp, slack, active)
+    want = ratio_test_loop(cp, slack, active)
+    assert got[1] == want[1]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 4), warm=st.booleans())
+def test_sparse_oracle_matches_dense_path(seed, n_agents, horizon, warm):
+    """The ``splu`` oracle ends where the ``lu_factor`` one ends: the same
+    active set after the same number of iterations, ``z`` and the
+    multipliers within 1e-9 relative; and a ratio test on the network's
+    rows picks the same row and step as the row loop."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents)
+    x0s = random_x0(rng, net, scale=2.0)
+    qps = build_network_qps(net, horizon, x0s)
+    ref = stack_dense(qps)
+    dense = dense_qp_from_stacked(stack_global(qps))
+    z0 = np.concatenate(rollout_feasible_point(net, horizon, x0s)) \
+        if warm else None
+    sol = solve_dense_qp(dense, z0)
+    z, mu, nu, active, iterations = solve_dense(ref, z0)
+    assert sol.active == active
+    assert sol.iterations == iterations
+    assert _close(sol.z, z)
+    assert _close(sol.eq_duals, mu)
+    assert _close(sol.ineq_duals, nu)
+    # one ratio test on the network's rows, from the start point
+    start = z0 if warm else sol.z
+    p = rng.normal(size=start.size)
+    rows = list(rng.permutation(ref.ineq_rhs.size)[:rng.integers(3)])
+    assert _ratio_test(dense.ineq_matrix @ p,
+                       dense.ineq_rhs - dense.ineq_matrix @ start, rows) == \
+        ratio_test_loop(ref.ineq_matrix @ p,
+                        ref.ineq_rhs - ref.ineq_matrix @ start, rows)
+
+
+def test_singular_saddle_point_matrix_is_a_solver_error(chain3):
+    """A duplicated equality row makes the saddle-point matrix exactly
+    singular; ``splu``'s ``RuntimeError`` becomes a ``SolverError``."""
+    qps = build_network_qps(chain3, 4, [np.ones(2)] * 3)
+    dense = dense_qp_from_stacked(stack_global(qps))
+    twice = dataclasses.replace(
+        dense, eq_matrix=sp.vstack([dense.eq_matrix, dense.eq_matrix[[0]]]),
+        eq_rhs=np.append(dense.eq_rhs, dense.eq_rhs[0]))
+    with pytest.raises(SolverError, match="singular saddle-point matrix"):
+        prepare_kkt(twice)
+    with pytest.raises(SolverError, match="singular saddle-point matrix"):
+        solve_dense_qp(twice)

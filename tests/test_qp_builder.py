@@ -19,6 +19,7 @@ from dmpcqp.oracle import _warm_inputs, dense_qp_from_stacked, solve_dense_qp
 
 from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
                       random_x0)
+from oracle_reference import rollout_feasible_point_loop
 
 
 def _baseline_qps(chain10):
@@ -194,9 +195,10 @@ def test_bound_plan_reads_what_the_dense_rows_encoded(seed, n_agents,
         for sample in (rows, range(qp.n_ineq)):
             assert shift_active(qp, sample) == \
                 _reference_shift_active(qp, sample)
-    assert np.array_equal(stacked.ineq_matrix,
+    assert np.array_equal(stacked.ineq_matrix.toarray(),
                           scipy.linalg.block_diag(*ref_ineq))
-    assert np.array_equal(stacked.cpl_matrix, sp.hstack(ref_cpl).toarray())
+    assert np.array_equal(stacked.cpl_matrix.toarray(),
+                          sp.hstack(ref_cpl).toarray())
     # an oracle working set: at most one side of each input, in any order
     active = []
     for qp, off in zip(qps, stacked.ineq_offsets):
@@ -301,6 +303,25 @@ def test_rollout_feasible_point_satisfies_everything():
         assert norm_inf(total) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 5), with_inputs=st.booleans())
+def test_rollout_feasible_point_blocks_match_slice_loop(
+        seed, n_agents, horizon, with_inputs):
+    """The per-block copies give exactly what the per-stage slice loop
+    copied."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents, max_state=3, max_input=2)
+    x0s = random_x0(rng, net)
+    inputs = [rng.uniform(-1, 1, size=(horizon, a.m)) for a in net.agents] \
+        if with_inputs else None
+    got = rollout_feasible_point(net, horizon, x0s, inputs)
+    want = rollout_feasible_point_loop(net, horizon, x0s, inputs)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_rollout_with_inputs_reproduces_plant():
     rng = np.random.default_rng(23)
     net = random_network(rng, n_agents=3)
@@ -348,7 +369,7 @@ def test_stacked_blocks_match_agents(chain3):
     for qp in qps:
         i = qp.index
         blk = stacked.hessian[o[i]:o[i] + qp.size, o[i]:o[i] + qp.size]
-        np.testing.assert_array_equal(blk, qp.hessian)
+        np.testing.assert_array_equal(blk.toarray(), qp.hessian)
     # coupling columns line up with per-agent restrictions
     rng = np.random.default_rng(1)
     zs = [rng.normal(size=qp.size) for qp in qps]
