@@ -1,0 +1,96 @@
+"""Compare the acceptance baseline's CSV files between two checkouts.
+
+Usage (from the repository root)::
+
+    python3 scripts/baseline_gate.py --before OLD_CHECKOUT --after .
+
+For each solver in ``SOLVERS`` the script runs ``dmpcqp run`` on the
+acceptance baseline (10 masses, horizon 12, 25 steps, 5 inits, seed 2024)
+once in each checkout, from that checkout's ``src`` and with one BLAS
+thread.  For every solver and CSV file it prints ``identical`` when the
+two files' bytes compare equal, and otherwise the largest absolute
+difference between numeric fields (or the first differing text field, or
+a differing row layout).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BASELINE = ("--masses", "10", "--horizon", "12", "--steps", "25",
+            "--inits", "5", "--seed", "2024")
+SOLVERS = {"asm-dcg": (), "admm1": ("--rho", "5"), "admm2": ("--rho", "5"),
+           "centralized": ()}
+CSV_FILES = ("iterations.csv", "communication.csv", "trajectories.csv",
+             "deviation.csv", "summary.csv")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--after", type=Path, required=True)
+    return parser.parse_args(argv)
+
+
+def run_baseline(root: Path, solver: str, out: Path) -> None:
+    """One baseline run of ``solver`` in ``root``, written to ``out``.
+
+    Exit code 1 (some initial conditions failed) still writes every file;
+    the failures then show in ``iterations.csv``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               **dict.fromkeys(THREAD_VARS, "1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmpcqp.cli", "run", *BASELINE,
+         "--solver", solver, *SOLVERS[solver], "--out", str(out)],
+        cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{root}: dmpcqp run --solver {solver} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+
+
+def difference(before: Path, after: Path) -> str:
+    """``identical``, or how the two CSV files differ."""
+    if before.read_bytes() == after.read_bytes():
+        return "identical"
+    tables = []
+    for path in (before, after):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return "row layout differs"
+    worst = 0.0
+    for row_b, row_a in zip(*tables):
+        for field_b, field_a in zip(row_b, row_a):
+            if field_b == field_a:
+                continue
+            try:
+                worst = max(worst, abs(float(field_a) - float(field_b)))
+            except ValueError:
+                return f"text differs: {field_b!r} vs {field_a!r}"
+    return f"max abs difference {worst:.3g}"
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for solver in SOLVERS:
+            outs = {side: Path(tmp) / f"{side}-{solver}" for side in roots}
+            for side, root in roots.items():
+                run_baseline(root, solver, outs[side])
+            for name in CSV_FILES:
+                print(f"{solver} {name}: "
+                      f"{difference(outs['before'] / name, outs['after'] / name)}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,16 +36,15 @@ from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
                   shift_active, verify_iterate)
 from .condense import (AgentBounds, AgentCoupling, CondensedAgent,
                        DualRecovery, FactorCache, WorkingConstraints,
-                       WorkingSetFactor, backsubstitute, condense,
-                       recover_duals, working_constraints)
+                       WorkingSetFactor, backsubstitute, recover_duals,
+                       working_constraints)
 from .dcg import DcgResult, SchurPiece, dcg_init, dcg_iterate, dcg_solve
 from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
 from .oracle import (DenseQp, DenseSolution, Rollout, centralized_mpc_rollout,
                      dense_qp_from_stacked, enumerate_active_sets,
-                     kkt_residual, prepare_kkt, solve_dense_qp,
-                     stacked_dynamics)
+                     kkt_residual, prepare_kkt, solve_dense_qp)
 from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_agent_qp, build_coupling_index,
                          build_network_qps, build_overlaps,
@@ -64,7 +63,7 @@ __all__ = [
     # condense
     "AgentBounds", "AgentCoupling", "CondensedAgent", "DualRecovery",
     "FactorCache", "WorkingConstraints", "WorkingSetFactor",
-    "backsubstitute", "condense", "recover_duals", "working_constraints",
+    "backsubstitute", "recover_duals", "working_constraints",
     # dcg
     "DcgResult", "SchurPiece", "dcg_init", "dcg_iterate", "dcg_solve",
     # fabric
@@ -75,7 +74,7 @@ __all__ = [
     # oracle
     "DenseQp", "DenseSolution", "Rollout", "centralized_mpc_rollout",
     "dense_qp_from_stacked", "enumerate_active_sets", "kkt_residual",
-    "prepare_kkt", "solve_dense_qp", "stacked_dynamics",
+    "prepare_kkt", "solve_dense_qp",
     # qp_builder
     "AgentQP", "CouplingIndex", "StackedQp", "VariableLayout",
     "build_agent_qp", "build_coupling_index", "build_network_qps",

@@ -40,6 +40,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +51,9 @@ from .admm import ADMM_PRESETS, AdmmConfig, admm_solve, shift_averaged
 from .asm import AsmConfig, asm_solve, shift_active
 from .errors import SolverError
 from .fabric import PHASES, Fabric, verify_comm_identities
-from .model import AgentModel, NetworkModel, PlantState, build_chain_of_masses, plant_step
+from .model import AgentModel, NetworkModel, build_chain_of_masses
 from .oracle import centralized_mpc_rollout
-from .qp_builder import build_network_qps, update_initial_state
+from .qp_builder import build_network_qps, closed_loop
 
 SOLVERS = ("asm-dcg", "admm1", "admm2", "centralized")
 
@@ -216,7 +217,7 @@ class ExperimentResult:
     failures: int
 
 
-def _asm_step(cfg, qps, warm, fabric, t):
+def _asm_step(cfg, fabric, qps, states, warm, t):
     """One sample of the distributed active-set solver.
 
     Returns the plan, the next warm start (the active rows shifted one step
@@ -235,7 +236,7 @@ def _asm_step(cfg, qps, warm, fabric, t):
         dcg_active_set=st.dcg_active_set, comm=st.ledger.as_dict())
 
 
-def _admm_step(cfg, qps, warm, fabric, t):
+def _admm_step(cfg, fabric, qps, states, warm, t):
     """One sample of consensus ADMM, warm-started from the shifted average."""
     admm_cfg = AdmmConfig.preset(cfg.solver, rho=cfg.rho)
     res = admm_solve(qps, fabric, admm_cfg, warm)
@@ -252,31 +253,14 @@ def _admm_step(cfg, qps, warm, fabric, t):
 def _closed_loop_distributed(net, cfg, x0s):
     """Run one initial condition with the configured distributed solver.
 
-    Each sample solves with the solver's step (which checks the ledger
-    identities and returns the next warm start and the sample's counters),
-    applies the first input of every agent and moves the QPs to the new
-    state.  Returns ``(states, inputs, samples)`` where states is a list of
-    per-agent state lists over time.
+    Each sample solves with the solver's step, which checks the ledger
+    identities and returns the next warm start and the sample's counters.
+    Returns :func:`~dmpcqp.qp_builder.closed_loop`'s
+    ``(states, inputs, samples)``.
     """
-    M = net.n_agents
     step = _asm_step if cfg.solver == "asm-dcg" else _admm_step
-    qps = build_network_qps(net, cfg.horizon, x0s)
-    fabric = Fabric(M)
-    state = PlantState(states=tuple(x0s))
-    states = [list(state.states)]
-    inputs = []
-    samples = []
-    warm = None
-    for t in range(cfg.steps):
-        z, warm, sample = step(cfg, qps, warm, fabric, t)
-        u = [z[i][qps[i].layout.u_slice(0)] for i in range(M)]
-        state = plant_step(net, state, u)
-        states.append(list(state.states))
-        inputs.append(u)
-        samples.append(sample)
-        qps = [update_initial_state(qp, x)
-               for qp, x in zip(qps, state.states)]
-    return states, inputs, samples
+    return closed_loop(net, build_network_qps(net, cfg.horizon, x0s), x0s,
+                       cfg.steps, partial(step, cfg, Fabric(net.n_agents)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -315,7 +299,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             reference = centralized_mpc_rollout(net, x0s, cfg.horizon,
                                                 cfg.steps)
             stage = ""
-            if cfg.solver != "centralized":
+            if cfg.solver == "centralized":
+                states, inputs = reference.states, reference.inputs
+                samples = [dict(oracle_iterations=k)
+                           for k in reference.iterations]
+            else:
                 states, inputs, samples = _closed_loop_distributed(
                     net, cfg, x0s)
         except (SolverError, np.linalg.LinAlgError) as exc:
@@ -325,23 +313,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             records.append(SampleRecord(init=idx, sample=-1,
                                         status=f"error: {stage}{kind}{exc}"))
             continue
-        if cfg.solver == "centralized":
-            states = [[reference.state_of(t, i) for i in range(net.n_agents)]
-                      for t in range(cfg.steps + 1)]
-            inputs = [[reference.input_of(t, i) for i in range(net.n_agents)]
-                      for t in range(cfg.steps)]
-            for t in range(cfg.steps):
-                records.append(SampleRecord(
-                    init=idx, sample=t, deviation=0.0,
-                    oracle_iterations=reference.iterations[t]))
-        else:
-            for t, sample in enumerate(samples):
-                dev = max(
-                    float(np.abs(np.asarray(states[t + 1][i])
-                                 - reference.state_of(t + 1, i)).max())
-                    for i in range(net.n_agents))
-                records.append(SampleRecord(init=idx, sample=t,
-                                            deviation=dev, **sample))
+        for t, sample in enumerate(samples):
+            dev = max(float(np.abs(states[t + 1][i]
+                                   - reference.state_of(t + 1, i)).max())
+                      for i in range(net.n_agents))
+            records.append(SampleRecord(init=idx, sample=t, deviation=dev,
+                                        **sample))
         for t in range(cfg.steps + 1):
             for i in range(net.n_agents):
                 row = {"init": idx, "time": t, "agent": i}

@@ -59,8 +59,6 @@ class DcgLocalState:
 class DcgResult:
     lambdas: list[np.ndarray]
     iterations: int
-    residual_inf: float
-    converged: bool
 
 
 def _exchange_shared(vectors, overlaps, fabric: Fabric, phase: str):
@@ -172,16 +170,11 @@ def dcg_solve(pieces: Sequence[SchurPiece], overlaps,
     n_c = sum(p.rows.size for p in pieces) // 2
     flags = [s.residual_norm() < eps for s in states]
     if fabric.global_flags(flags, phase="init"):
-        return DcgResult(lambdas=[s.lam for s in states], iterations=0,
-                         residual_inf=max(s.residual_norm() for s in states),
-                         converged=True)
+        return DcgResult(lambdas=[s.lam for s in states], iterations=0)
     for _ in range(3 * n_c + 60):
         if dcg_iterate(states, overlaps, fabric, eps):
-            return DcgResult(
-                lambdas=[s.lam for s in states],
-                iterations=states[0].iteration,
-                residual_inf=max(s.residual_norm() for s in states),
-                converged=True)
+            return DcgResult(lambdas=[s.lam for s in states],
+                             iterations=states[0].iteration)
     raise DcgIterationLimit(
         lambdas=[s.lam for s in states],
         residual_inf=max(s.residual_norm() for s in states),

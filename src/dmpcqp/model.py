@@ -150,9 +150,6 @@ class NetworkModel:
     def state_dims(self) -> tuple[int, ...]:
         return tuple(a.n for a in self.agents)
 
-    def input_dims(self) -> tuple[int, ...]:
-        return tuple(a.m for a in self.agents)
-
 
 @dataclass(frozen=True)
 class PlantState:

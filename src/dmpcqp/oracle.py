@@ -7,7 +7,8 @@ equality-only saddle-point matrix is assembled sparse and factored once with
 brute-force solver that enumerates candidate active sets, and a centralized
 receding-horizon rollout.  It deliberately shares no solver code
 with the distributed path (no null-space condensing, no decomposed CG); only
-problem construction from :mod:`dmpcqp.qp_builder` is reused.
+problem construction and the closed-loop driver from
+:mod:`dmpcqp.qp_builder` are reused.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ import scipy.sparse.linalg as spla
 
 from .errors import InfeasibleProblem, SolverError
 from .model import NetworkModel
-from .qp_builder import (StackedQp, build_network_qps, rollout_feasible_point,
-                         stack_global)
+from .qp_builder import (StackedQp, build_network_qps, closed_loop,
+                         rollout_feasible_point, stack_global)
 
 _RATIO_TOL = 1e-12
+#: Smallest accepted ratio ``min|diag U| / max|diag U|`` of the saddle-point
+#: matrix's LU factor; well-posed chains give about 3e-3, a duplicated
+#: dynamics row about 5e-18.
+_PIVOT_RTOL = 1e-12
 _DEGENERATE_STEP = 1e-12
 #: Negligible step (relative to ``1 + |z|_inf``), accepted negative
 #: multiplier, and the iteration cap ``_ITERS_PER_ROW n_ineq + _BASE_ITERS``.
@@ -84,7 +89,8 @@ class PreparedKkt:
 
     Active bound rows are appended as a low-rank border, so one
     factorization serves every working set of the same problem structure.
-    An exactly singular matrix raises :class:`SolverError`.
+    A singular matrix, exactly or up to a pivot ratio of ``_PIVOT_RTOL``,
+    raises :class:`SolverError`.
     """
 
     def __init__(self, qp: DenseQp):
@@ -95,6 +101,11 @@ class PreparedKkt:
             self.lu = spla.splu(K)
         except RuntimeError as exc:
             raise SolverError(f"singular saddle-point matrix: {exc}") from exc
+        pivots = np.abs(self.lu.U.diagonal())
+        if pivots.min() <= _PIVOT_RTOL * pivots.max():
+            raise SolverError(
+                "numerically singular saddle-point matrix: pivot ratio "
+                f"{pivots.min() / pivots.max():.1e}")
         self.n = n
         self.m_eq = me
 
@@ -290,44 +301,21 @@ def enumerate_active_sets(qp: DenseQp, max_ineq: int = 20) -> DenseSolution:
     return best
 
 
-def stacked_dynamics(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Blockwise dense assembly of the network update ``x+ = A x + B u``."""
-    dims = net.state_dims()
-    mdims = net.input_dims()
-    offs = np.concatenate(([0], np.cumsum(dims)))
-    moffs = np.concatenate(([0], np.cumsum(mdims)))
-    A = np.zeros((offs[-1], offs[-1]))
-    B = np.zeros((offs[-1], moffs[-1]))
-    for agent in net.agents:
-        i = agent.index
-        A[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = agent.A_self
-        B[offs[i]:offs[i + 1], moffs[i]:moffs[i + 1]] = agent.B
-        for j, block in agent.A_in.items():
-            A[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block
-    return A, B
-
-
 @dataclass(frozen=True)
 class Rollout:
     """Closed-loop trajectories from a receding-horizon run.
 
-    ``states`` has shape ``(steps + 1, sum n_i)``, ``inputs`` has shape
-    ``(steps, sum m_i)``; both are sliced per agent via the offset tuples.
+    ``states[t][i]`` is agent ``i``'s state at time ``t`` (``steps + 1``
+    entries), ``inputs[t][i]`` its applied input (``steps`` entries) and
+    ``iterations[t]`` the oracle's iterations at sample ``t``.
     """
 
-    states: np.ndarray
-    inputs: np.ndarray
-    state_offsets: tuple[int, ...]
-    input_offsets: tuple[int, ...]
+    states: list[list[np.ndarray]]
+    inputs: list[list[np.ndarray]]
     iterations: tuple[int, ...]
 
     def state_of(self, t: int, i: int) -> np.ndarray:
-        o = self.state_offsets
-        return self.states[t, o[i]:o[i + 1]]
-
-    def input_of(self, t: int, i: int) -> np.ndarray:
-        o = self.input_offsets
-        return self.inputs[t, o[i]:o[i + 1]]
+        return self.states[t][i]
 
 
 def _warm_inputs(qps, active, stacked: StackedQp):
@@ -349,10 +337,11 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
                             horizon: int, steps: int) -> Rollout:
     """Receding-horizon control with the centralized oracle as the QP solver.
 
-    Per sample the stacked QP is refreshed with the measured state, a
-    feasible start is built by simulating the network under inputs that keep
-    the previous sample's active bounds tight, and the first input move of
-    the minimizer is applied to the plant.
+    The QPs are stacked and their saddle-point matrix factored once.  On
+    each sample of :func:`~dmpcqp.qp_builder.closed_loop` the stacked QP
+    takes the equality right-hand sides of the moved agent QPs, and a
+    feasible start is built by simulating the network under inputs that
+    keep the previous sample's active bounds tight.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -360,37 +349,17 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
     stacked = stack_global(qps)
     dense = dense_qp_from_stacked(stacked)
     prepared = prepare_kkt(dense)
-    A, B = stacked_dynamics(net)
-    dims = net.state_dims()
-    offs = tuple(int(v) for v in np.concatenate(([0], np.cumsum(dims))))
-    moffs = tuple(int(v) for v in
-                  np.concatenate(([0], np.cumsum(net.input_dims()))))
-    eq_offsets = stacked.eq_offsets
+    coupling_rhs = dense.eq_rhs[stacked.eq_rhs.size:]
 
-    x = np.concatenate([np.asarray(v, dtype=float).ravel() for v in x0s])
-    states = [x.copy()]
-    inputs = []
-    iters = []
-    active: tuple[int, ...] = ()
-    eq_rhs = dense.eq_rhs.copy()
-    for _ in range(steps):
-        for i in range(net.n_agents):
-            eq_rhs[eq_offsets[i]:eq_offsets[i] + dims[i]] = \
-                x[offs[i]:offs[i + 1]]
-        sample_qp = replace(dense, eq_rhs=eq_rhs.copy())
-        x_parts = [x[offs[i]:offs[i + 1]] for i in range(net.n_agents)]
+    def step(qps, states, active, t):
+        active = active or ()
+        sample_qp = replace(dense, eq_rhs=np.concatenate(
+            [qp.eq_rhs for qp in qps] + [coupling_rhs]))
         z0 = stacked.join(rollout_feasible_point(
-            net, horizon, x_parts, _warm_inputs(qps, active, stacked)))
+            net, horizon, states, _warm_inputs(qps, active, stacked)))
         sol = solve_dense_qp(sample_qp, z0, prepared=prepared,
                              warm_active=active)
-        active = sol.active
-        u = np.concatenate([
-            stacked.split(sol.z)[i][qps[i].layout.u_slice(0)]
-            for i in range(net.n_agents)])
-        x = A @ x + B @ u
-        states.append(x.copy())
-        inputs.append(u)
-        iters.append(sol.iterations)
-    return Rollout(states=np.array(states), inputs=np.array(inputs),
-                   state_offsets=offs, input_offsets=moffs,
-                   iterations=tuple(iters))
+        return stacked.split(sol.z), sol.active, sol.iterations
+
+    states, inputs, iterations = closed_loop(net, qps, x0s, steps, step)
+    return Rollout(states=states, inputs=inputs, iterations=tuple(iterations))

@@ -350,6 +350,35 @@ def update_initial_state(qp: AgentQP, x0: np.ndarray) -> AgentQP:
     return dataclasses.replace(qp, eq_rhs=b)
 
 
+def closed_loop(net: NetworkModel, qps: Sequence[AgentQP],
+                x0s: Sequence[np.ndarray], steps: int, step):
+    """Receding-horizon control of the plant from ``x0s``.
+
+    Each sample calls ``step(qps, states, warm, t) -> (zs, warm, sample)``
+    with the measured per-agent states and the previous sample's ``warm``
+    (``None`` at the first), applies every agent's first input move of
+    ``zs`` with :func:`~dmpcqp.model.plant_step` and moves the QPs to the
+    new state.  Returns ``(states, inputs, samples)``: per time step the
+    per-agent states (``steps + 1`` entries) and inputs, and each sample's
+    ``sample``.
+    """
+    state = PlantState(states=tuple(x0s))
+    states = [list(state.states)]
+    inputs = []
+    samples = []
+    warm = None
+    for t in range(steps):
+        zs, warm, sample = step(qps, state.states, warm, t)
+        u = [z[qp.layout.u_slice(0)] for z, qp in zip(zs, qps)]
+        state = plant_step(net, state, u)
+        states.append(list(state.states))
+        inputs.append(u)
+        samples.append(sample)
+        qps = [update_initial_state(qp, x)
+               for qp, x in zip(qps, state.states)]
+    return states, inputs, samples
+
+
 @dataclass(frozen=True)
 class StackedQp:
     """All agents' blocks stacked into one flat QP (coupling kept separate).
@@ -363,7 +392,6 @@ class StackedQp:
     ineq_rhs: np.ndarray
     cpl_matrix: sp.csr_array
     offsets: tuple[int, ...]
-    eq_offsets: tuple[int, ...]
     ineq_offsets: tuple[int, ...]
     sizes: tuple[int, ...]
 
@@ -416,7 +444,6 @@ def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
             (qp.coupled.rows, off + qp.coupled.cols, qp.coupled.signs)
             for qp, off, _, _ in blocks]),
         offsets=offsets,
-        eq_offsets=eq_offsets,
         ineq_offsets=ineq_offsets,
         sizes=sizes,
     )

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from dmpcqp import (AsmConfig, Fabric, asm_solve, build_chain_of_masses,
-                    build_network_qps, condense, working_constraints)
+                    build_network_qps, working_constraints)
 from dmpcqp.cli import ExperimentConfig, run_experiment
+from dmpcqp.condense import condense
 from dmpcqp.dcg import dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import (dense_qp_from_stacked, enumerate_active_sets,

@@ -88,10 +88,19 @@ def test_single_step_run_has_empty_aggregates(tmp_path):
 
 
 def test_centralized_solver_has_zero_deviation(tmp_path):
-    run_experiment(_small_cfg(tmp_path / "r", solver="centralized"))
+    """``run --solver centralized`` records the oracle's iterations per
+    sample and a deviation of the reference from itself, exactly zero."""
+    assert main(["run", "--masses", "3", "--horizon", "5", "--steps", "3",
+                 "--inits", "2", "--seed", "7", "--solver", "centralized",
+                 "--out", str(tmp_path / "r")]) == 0
     with open(tmp_path / "r" / "deviation.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows and all(float(r["deviation"]) == 0.0 for r in rows)
+    assert len(rows) == 6
+    assert all(float(r["deviation"]) == 0.0 for r in rows)
+    with open(tmp_path / "r" / "iterations.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(int(r["oracle_iterations"]) >= 1 and r["asm_iterations"] == ""
+               for r in rows)
 
 
 def test_admm_solver_runs(tmp_path):

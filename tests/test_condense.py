@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import weakref
 
 import numpy as np
@@ -9,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condense_reference as ref_kernel
+import dmpcqp.condense as condense_module
 from dmpcqp import (backsubstitute, build_chain_of_masses, build_network_qps,
-                    condense, recover_duals, update_initial_state,
-                    working_constraints)
+                    recover_duals, update_initial_state, working_constraints)
 from dmpcqp.admm import LocalQpSolver
+from dmpcqp.condense import condense
 from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
 from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
@@ -515,9 +515,7 @@ def test_factor_cache_is_freed_with_its_qps():
 
 
 def test_factor_cache_drops_its_oldest_entry_beyond_the_bound(monkeypatch):
-    # the package's ``condense`` attribute is the function, not the module
-    monkeypatch.setattr(importlib.import_module("dmpcqp.condense"),
-                        "MAX_FACTORS", 2)
+    monkeypatch.setattr(condense_module, "MAX_FACTORS", 2)
     rng = np.random.default_rng(71)
     net = build_chain_of_masses(3)
     qp = build_network_qps(net, 4, random_x0(rng, net))[1]

@@ -6,12 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmpcqp import build_chain_of_masses, build_network_qps
+from dmpcqp import (PlantState, build_chain_of_masses, build_network_qps,
+                    plant_step)
 from dmpcqp.errors import InfeasibleProblem, SolverError
 from dmpcqp.oracle import (DenseQp, _ratio_test, centralized_mpc_rollout,
                            dense_qp_from_stacked, enumerate_active_sets,
-                           kkt_residual, prepare_kkt, solve_dense_qp,
-                           stacked_dynamics)
+                           kkt_residual, prepare_kkt, solve_dense_qp)
 from dmpcqp.qp_builder import rollout_feasible_point, stack_global
 
 from conftest import norm_inf, random_network, random_x0, tiny_network
@@ -119,23 +119,6 @@ def test_prepared_factorization_is_reusable():
     np.testing.assert_array_equal(a.z, b.z)
 
 
-def test_stacked_dynamics_blocks():
-    rng = np.random.default_rng(323)
-    net = random_network(rng)
-    A, B = stacked_dynamics(net)
-    offs = np.concatenate(([0], np.cumsum(net.state_dims())))
-    moffs = np.concatenate(([0], np.cumsum(net.input_dims())))
-    for agent in net.agents:
-        i = agent.index
-        np.testing.assert_array_equal(
-            A[offs[i]:offs[i + 1], offs[i]:offs[i + 1]], agent.A_self)
-        np.testing.assert_array_equal(
-            B[offs[i]:offs[i + 1], moffs[i]:moffs[i + 1]], agent.B)
-        for j, block in agent.A_in.items():
-            np.testing.assert_array_equal(
-                A[offs[i]:offs[i + 1], offs[j]:offs[j + 1]], block)
-
-
 def test_rollout_zero_state_stays_at_rest():
     net = build_chain_of_masses(3)
     roll = centralized_mpc_rollout(net, [np.zeros(2)] * 3, horizon=5, steps=4)
@@ -164,9 +147,20 @@ def test_rollout_accessors():
     x0s = [np.array([0.3, 0.0])] * 3
     roll = centralized_mpc_rollout(net, x0s, horizon=5, steps=2)
     np.testing.assert_array_equal(roll.state_of(0, 1), x0s[1])
-    np.testing.assert_array_equal(roll.input_of(1, 2), roll.inputs[1, 2:3])
-    assert roll.states.shape == (3, 6)
-    assert roll.inputs.shape == (2, 3)
+    assert roll.state_of(2, 1) is roll.states[2][1]
+    assert [len(x) for x in roll.states] == [3, 3, 3]
+    assert [[u.shape for u in us] for us in roll.inputs] == [[(1,)] * 3] * 2
+
+
+def test_reference_steps_the_shared_plant(chain3):
+    """The reference applies its inputs with ``plant_step``, bit for bit."""
+    x0s = [np.array([0.6, 0.0]), np.array([-0.4, 0.2]), np.array([0.5, -0.1])]
+    roll = centralized_mpc_rollout(chain3, x0s, horizon=8, steps=10)
+    for t in range(10):
+        nxt = plant_step(chain3, PlantState(tuple(roll.states[t])),
+                         roll.inputs[t])
+        for i in range(3):
+            assert roll.states[t + 1][i].tobytes() == nxt.states[i].tobytes()
 
 
 def _same_up_to_zero_sign(sparse, dense):
@@ -273,3 +267,19 @@ def test_singular_saddle_point_matrix_is_a_solver_error(chain3):
         prepare_kkt(twice)
     with pytest.raises(SolverError, match="singular saddle-point matrix"):
         solve_dense_qp(twice)
+
+
+@pytest.mark.parametrize("horizon", [4, 12])
+def test_numerically_singular_saddle_point_matrix_is_a_solver_error(
+        chain3, horizon):
+    """A duplicated dynamics row leaves ``splu`` a pivot near 1e-17 instead
+    of an exact zero; the pivot ratio check turns it into a
+    ``SolverError``."""
+    qps = build_network_qps(chain3, horizon, [np.ones(2)] * 3)
+    dense = dense_qp_from_stacked(stack_global(qps))
+    twice = dataclasses.replace(
+        dense, eq_matrix=sp.vstack([dense.eq_matrix, dense.eq_matrix[[5]]]),
+        eq_rhs=np.append(dense.eq_rhs, dense.eq_rhs[5]))
+    with pytest.raises(SolverError,
+                       match="numerically singular saddle-point matrix"):
+        prepare_kkt(twice)
