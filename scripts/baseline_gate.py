@@ -10,7 +10,8 @@ once in each checkout, from that checkout's ``src`` and with one BLAS
 thread.  For every solver and CSV file it prints ``identical`` when the
 two files' bytes compare equal, and otherwise the largest absolute
 difference between numeric fields (or the first differing text field, or
-a differing row layout).
+a differing row layout).  After printing every line it exits 1 when any
+file is not ``identical``, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -80,16 +81,18 @@ def difference(before: Path, after: Path) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
+    identical = True
     with tempfile.TemporaryDirectory() as tmp:
         for solver in SOLVERS:
             outs = {side: Path(tmp) / f"{side}-{solver}" for side in roots}
             for side, root in roots.items():
                 run_baseline(root, solver, outs[side])
             for name in CSV_FILES:
-                print(f"{solver} {name}: "
-                      f"{difference(outs['before'] / name, outs['after'] / name)}",
-                      flush=True)
-    return 0
+                result = difference(outs["before"] / name,
+                                    outs["after"] / name)
+                identical = identical and result == "identical"
+                print(f"{solver} {name}: {result}", flush=True)
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .oracle import (DenseQp, DenseSolution, Rollout, centralized_mpc_rollout,
                      kkt_residual, prepare_kkt, solve_dense_qp)
 from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_agent_qp, build_coupling_index,
-                         build_network_qps, build_overlaps,
+                         build_network_qps, build_partner,
                          rollout_feasible_point, stack_global,
                          update_initial_state)
 
@@ -78,6 +78,6 @@ __all__ = [
     # qp_builder
     "AgentQP", "CouplingIndex", "StackedQp", "VariableLayout",
     "build_agent_qp", "build_coupling_index", "build_network_qps",
-    "build_overlaps", "rollout_feasible_point", "stack_global",
+    "build_partner", "rollout_feasible_point", "stack_global",
     "update_initial_state",
 ]

@@ -177,37 +177,31 @@ def admm_average(qps, zs, fabric: Fabric):
 
     Out-neighbors send their copied trajectories to the owner, who averages
     its own prediction with the copies (each coupling row is shared by
-    exactly two agents, so the owner weight equals the number of copies);
-    the averaged trajectory is then sent back to every copier.  Both
-    exchanges are charged to the ``admm`` phase.  Returns the averaged
-    decision vectors.
+    exactly two agents, so the owner weight equals the number of copies),
+    adding them in ascending copier order; the averaged trajectory is then
+    sent back to every copier.  Both exchanges are charged to the ``admm``
+    phase.  Returns the averaged decision vectors.
     """
     plan = qps[0].coupling
-    delivered = fabric.neighbor_exchange(
-        {(i, j): zs[i][blk] for i, own_blocks in enumerate(plan.blocks)
-         for j, blk in own_blocks}, phase="admm")
-
-    averaged = []
-    for i, srcs in enumerate(plan.copiers):
-        own = zs[i][:plan.n_own[i]]
-        if srcs:
-            total = len(srcs) * own
-            for src in srcs:
-                total += delivered[(src, i)]
-            averaged.append(total / (2.0 * len(srcs)))
-        else:
-            averaged.append(own.copy())
-
-    delivered_avg = fabric.neighbor_exchange(
-        {(j, i): averaged[j] for i, own_blocks in enumerate(plan.blocks)
-         for j, _ in own_blocks}, phase="admm")
+    owned, slots, n_copies = plan.owned, plan.slots, plan.n_copies
+    # the copies' entries, row by row with the owned ones
+    copied = plan.partner[owned]
+    # every agent's entry of each of its coupling rows, on the flat layout
+    entries = np.concatenate([z[a.cols] for z, a in zip(zs, plan.agents)])
+    copies = fabric.neighbor_exchange(entries, copied, phase="admm")
+    total = np.empty(n_copies.size)
+    total[slots] = entries[owned]
+    total *= n_copies
+    # owned entries run in ascending copier order per owner, and add.at
+    # adds in index order
+    np.add.at(total, slots, copies)
+    entries[owned] = (total / (2.0 * n_copies))[slots]
+    entries[copied] = fabric.neighbor_exchange(entries, owned, phase="admm")
 
     z_avg = []
-    for i, own_blocks in enumerate(plan.blocks):
-        zb = zs[i].copy()
-        zb[:plan.n_own[i]] = averaged[i]
-        for j, blk in own_blocks:
-            zb[blk] = delivered_avg[(j, i)]
+    for z, a, seg in zip(zs, plan.agents, plan.segments):
+        zb = z.copy()
+        zb[a.cols] = entries[seg]
         z_avg.append(zb)
     return z_avg
 
@@ -284,7 +278,6 @@ def admm_solve(qps, fabric: Fabric | None = None,
     """
     cfg = cfg or AdmmConfig()
     fabric = fabric if fabric is not None else Fabric(len(qps))
-    fabric.register_overlaps(qps[0].coupling.channels)
     start = fabric.ledger.snapshot()
     stats = AdmmStats()
     solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]

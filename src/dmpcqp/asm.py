@@ -225,7 +225,7 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
         cas = _condense_all(qps, active, None, homogeneous=False,
                             repair=repair)
         repair = False
-        sol = dcg_solve(cas, qps[0].coupling.overlaps, None, cfg.eps_dcg,
+        sol = dcg_solve(cas, qps[0].coupling.partner, None, cfg.eps_dcg,
                         fabric)
         stats.dcg_feasible_guess += sol.iterations
         stats.init_rounds += 1
@@ -280,7 +280,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
         stats.outer_iterations += 1
         gradients = [qp.hessian @ z for qp, z in zip(qps, zs)]
         cas = _condense_all(qps, active, gradients, homogeneous=True)
-        sol = dcg_solve(cas, qps[0].coupling.overlaps, lam_seed,
+        sol = dcg_solve(cas, qps[0].coupling.partner, lam_seed,
                         cfg.eps_dcg, fabric)
         stats.dcg_active_set += sol.iterations
         lam_seed = list(sol.lambdas)

@@ -16,8 +16,8 @@ the output directory:
 - ``summary.csv``       mean/max aggregates over all samples except the
   first of each initial condition,
 - ``meta.json``         configuration, problem dimensions, numeric
-  environment (numpy and scipy versions, BLAS thread variables), and
-  aggregates.
+  environment (numpy and scipy versions, the name, version and build
+  configuration of numpy's BLAS, BLAS thread variables), and aggregates.
 
 Initial conditions are drawn independently per agent, uniformly from
 ``[-y0_range, y0_range]`` for the first state component and
@@ -263,6 +263,14 @@ def _closed_loop_distributed(net, cfg, x0s):
                        cfg.steps, partial(step, cfg, Fabric(net.n_agents)))
 
 
+def _blas_identity() -> dict:
+    """Name, version and build configuration of numpy's BLAS (the
+    configuration is OpenBLAS's; ``None`` for other libraries)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "configuration": blas.get("openblas configuration")}
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and write its artifacts.
 
@@ -347,6 +355,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "prng": {"generator": "numpy.random.default_rng",
                  "bit_generator": "PCG64", "seed": cfg.seed},
         "numeric": {"numpy": np.__version__, "scipy": scipy.__version__,
+                    "blas": _blas_identity(),
                     **{var: os.environ.get(var) for var in THREAD_VARS}},
         "aggregates": aggregates,
         "failures": failures,

@@ -7,10 +7,15 @@ the multiplier, residual, and search direction on its own coupling rows
 norms are formed from local contributions, the residual's weighted by one
 half as every row is held twice, and combined through two coordinator sums
 per iteration; matrix-vector products are completed by exchanging shared
-entries with neighbors, at the ``overlaps`` of the network's coupling plan.
-Per iteration the fabric charges ``4 M`` global floats, ``2 M`` global
-booleans, and ``2 n_c`` local floats; the residual bootstrap before the
-first iteration is charged to the ``init`` phase.
+entries with neighbors, at the ``partner`` index of the network's coupling
+plan.  Per iteration the fabric charges ``4 M`` global floats, ``2 M``
+global booleans, and ``2 n_c`` local floats; the residual bootstrap before
+the first iteration is charged to the ``init`` phase.
+
+The simulation stores all agents' local vectors end to end, agent ``i``'s
+entries in its segment, so a neighbor exchange is one gather.  Every
+product and dot product an agent forms is still one call on its own
+segment.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ class SchurPiece:
 
     The solver reads only these three attributes, so a
     :class:`~dmpcqp.condense.CondensedAgent` is accepted in its place.
-    Where pieces share rows is passed beside them: the ``overlaps`` of the
-    network's :class:`~dmpcqp.qp_builder.CouplingIndex` (built once per
-    network), or :func:`~dmpcqp.qp_builder.build_overlaps` of their rows.
+    Where pieces share rows is passed beside them: the ``partner`` index of
+    the network's :class:`~dmpcqp.qp_builder.CouplingIndex` (built once per
+    network), or :func:`~dmpcqp.qp_builder.build_partner` of their rows.
     """
 
     rows: np.ndarray
@@ -41,18 +46,32 @@ class SchurPiece:
 
 
 @dataclass
-class DcgLocalState:
-    """Per-agent conjugate-gradient state, compressed to the agent's rows."""
+class DcgState:
+    """All agents' CG vectors, agent ``i``'s entries in ``segments[i]``."""
 
-    schur: np.ndarray
+    schurs: list[np.ndarray]
+    segments: list[slice]
     lam: np.ndarray
     residual: np.ndarray
     direction: np.ndarray
     eta: float = 0.0
     iteration: int = 0
 
-    def residual_norm(self) -> float:
-        return float(np.abs(self.residual).max(initial=0.0))
+    def flags(self, eps: float) -> list[bool]:
+        """Each agent's ``||r_i||_inf < eps``, ``0 < eps`` for no rows."""
+        filled = [i for i, seg in enumerate(self.segments)
+                  if seg.stop > seg.start]
+        norms = np.zeros(len(self.segments))
+        # reduceat gives an empty segment the next one's first entry, so
+        # only the agents with rows take part
+        if filled:
+            norms[filled] = np.maximum.reduceat(
+                np.abs(self.residual), [self.segments[i].start
+                                        for i in filled])
+        return (norms < eps).tolist()
+
+    def lambdas(self) -> list[np.ndarray]:
+        return [self.lam[seg] for seg in self.segments]
 
 
 @dataclass(frozen=True)
@@ -61,51 +80,40 @@ class DcgResult:
     iterations: int
 
 
-def _exchange_shared(vectors, overlaps, fabric: Fabric, phase: str):
-    """Send shared entries of per-agent vectors and sum them at receivers.
-
-    Returns per-agent ``sum_j I_ij vectors_j`` including the own term.  Each
-    entry of a receiver comes from exactly one sender, so every sum has two
-    terms and does not depend on the order the shares arrive in.
-    """
-    payloads = {(src, dst): vectors[src][src_idx]
-                for (src, dst), (src_idx, _) in overlaps.items()}
-    delivered = fabric.neighbor_exchange(payloads, phase=phase)
-    sums = [vec.copy() for vec in vectors]
-    for (src, dst), (_, dst_idx) in overlaps.items():
-        sums[dst][dst_idx] += delivered[(src, dst)]
-    return sums
-
-
-def dcg_init(pieces: Sequence[SchurPiece], overlaps,
+def dcg_init(pieces: Sequence[SchurPiece], partner: np.ndarray,
              lambda0: Sequence[np.ndarray] | None,
-             fabric: Fabric) -> list[DcgLocalState]:
-    """Bootstrap the per-agent CG states for a warm-started multiplier.
+             fabric: Fabric) -> DcgState:
+    """Bootstrap the CG state for a warm-started multiplier.
 
-    ``overlaps`` are the pieces' shared rows (see :class:`SchurPiece`).
+    ``partner`` is the pieces' shared rows (see :class:`SchurPiece`).
     Validates that the warm start agrees exactly on shared rows, then forms
     the initial residual ``r0 = s - S lam0`` with one neighbor exchange,
     charged to the ``init`` phase.
     """
+    bounds = np.cumsum([0] + [p.rows.size for p in pieces]).tolist()
+    if bounds[-1] != partner.size:
+        raise ValueError(f"{bounds[-1]} coupling entries for a partner "
+                         f"index of {partner.size}")
+    segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     if lambda0 is None:
-        lams = [np.zeros(p.rows.size) for p in pieces]
+        lam = np.zeros(partner.size)
     else:
-        lams = [np.asarray(l, dtype=float).reshape(p.rows.size).copy()
-                for l, p in zip(lambda0, pieces)]
-        for (a, b), (ia, ib) in overlaps.items():
-            if a < b and not np.array_equal(lams[a][ia], lams[b][ib]):
-                raise InconsistentWarmStart(
-                    f"multiplier warm start differs between agents {a} and {b}")
-    fabric.register_overlaps({pair: idx[0].size
-                              for pair, idx in overlaps.items()})
-    locals_ = [p.schur_rhs - p.schur @ lam for p, lam in zip(pieces, lams)]
-    residuals = _exchange_shared(locals_, overlaps, fabric, "init")
-    return [DcgLocalState(schur=p.schur, lam=lam, residual=res,
-                          direction=res.copy())
-            for p, lam, res in zip(pieces, lams, residuals)]
+        lam = np.concatenate([np.asarray(l, dtype=float).reshape(p.rows.size)
+                              for l, p in zip(lambda0, pieces)])
+        if not np.array_equal(lam, lam[partner]):
+            entry = int(np.flatnonzero(lam != lam[partner])[0])
+            a, b = (int(np.searchsorted(bounds, e, side="right")) - 1
+                    for e in (entry, partner[entry]))
+            raise InconsistentWarmStart(
+                f"multiplier warm start differs between agents {a} and {b}")
+    local = np.concatenate([p.schur_rhs - p.schur @ lam[seg]
+                            for p, seg in zip(pieces, segments)])
+    residual = local + fabric.neighbor_exchange(local, partner, phase="init")
+    return DcgState(schurs=[p.schur for p in pieces], segments=segments,
+                    lam=lam, residual=residual, direction=residual.copy())
 
 
-def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
+def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
                 eps: float) -> bool:
     """One synchronous CG round; returns the aggregated convergence flag.
 
@@ -115,26 +123,30 @@ def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
     convergence flags on the updated residual, all charged to the ``dcg``
     phase.
     """
+    s = state
     # every row is shared by exactly two agents, so each local share of the
-    # residual norm carries weight one half
-    etas = [float(s.residual @ (0.5 * s.residual)) for s in states]
-    eta = fabric.global_reduce(etas, op="sum", phase="dcg")
-    for s in states:
-        if s.iteration == 0:
-            s.direction = s.residual.copy()
-        else:
-            beta = eta / s.eta if s.eta > 0.0 else 0.0
-            s.direction = s.residual + beta * s.direction
-        s.eta = eta
+    # residual norm carries weight one half; ndarray.dot makes the BLAS call
+    # of ``@`` with less dispatch
+    half = 0.5 * s.residual
+    eta = fabric.global_reduce([s.residual[seg].dot(half[seg])
+                                for seg in s.segments], op="sum", phase="dcg")
+    if s.iteration == 0:
+        s.direction = s.residual.copy()
+    else:
+        beta = eta / s.eta if s.eta > 0.0 else 0.0
+        s.direction = s.residual + beta * s.direction
+    s.eta = eta
 
-    products = [s.schur @ s.direction for s in states]
-    sigmas = [float(s.direction @ t) for s, t in zip(states, products)]
-    sigma = fabric.global_reduce(sigmas, op="sum", phase="dcg")
+    products = [schur.dot(s.direction[seg])
+                for schur, seg in zip(s.schurs, s.segments)]
+    sigma = fabric.global_reduce([s.direction[seg].dot(t) for seg, t in
+                                  zip(s.segments, products)],
+                                 op="sum", phase="dcg")
     if sigma <= 0.0:
         # Zero or negative curvature is fatal unless the residual is already
         # negligible; in that case finish the round with a zero step so the
         # per-iteration communication pattern stays intact.
-        residual_inf = max(s.residual_norm() for s in states)
+        residual_inf = float(np.abs(s.residual).max(initial=0.0))
         if residual_inf > eps:
             raise CurvatureBreakdown(sigma, residual_inf)
         step = 0.0
@@ -143,39 +155,35 @@ def dcg_iterate(states: Sequence[DcgLocalState], overlaps, fabric: Fabric,
         step = eta / sigma
         forced = False
 
-    summed = _exchange_shared(products, overlaps, fabric, "dcg")
-    flags = []
-    for s, total in zip(states, summed):
-        s.lam = s.lam + step * s.direction
-        s.residual = s.residual - step * total
-        s.iteration += 1
-        flags.append(s.residual_norm() < eps)
-    return fabric.global_flags(flags, phase="dcg") or forced
+    product = np.concatenate(products)
+    total = product + fabric.neighbor_exchange(product, partner, phase="dcg")
+    s.lam = s.lam + step * s.direction
+    s.residual = s.residual - step * total
+    s.iteration += 1
+    return fabric.global_flags(s.flags(eps), phase="dcg") or forced
 
 
-def dcg_solve(pieces: Sequence[SchurPiece], overlaps,
+def dcg_solve(pieces: Sequence[SchurPiece], partner: np.ndarray,
               lambda0: Sequence[np.ndarray] | None,
               eps: float, fabric: Fabric) -> DcgResult:
     """Drive the decentralized CG to ``max_i ||r_i||_inf < eps``.
 
-    ``overlaps`` are the pieces' shared rows (see :class:`SchurPiece`).  The
+    ``partner`` is the pieces' shared rows (see :class:`SchurPiece`).  The
     bootstrap (initial residual exchange and the pre-loop convergence
     flags) is charged to the ``init`` phase so per-iteration accounting
     identities stay exact.  Raises :class:`DcgIterationLimit` carrying the
-    best iterate after ``3 n_c + 60`` iterations (``n_c`` coupling rows).
+    last iterate after ``3 n_c + 60`` iterations (``n_c`` coupling rows).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    states = dcg_init(pieces, overlaps, lambda0, fabric)
-    n_c = sum(p.rows.size for p in pieces) // 2
-    flags = [s.residual_norm() < eps for s in states]
-    if fabric.global_flags(flags, phase="init"):
-        return DcgResult(lambdas=[s.lam for s in states], iterations=0)
-    for _ in range(3 * n_c + 60):
-        if dcg_iterate(states, overlaps, fabric, eps):
-            return DcgResult(lambdas=[s.lam for s in states],
-                             iterations=states[0].iteration)
+    state = dcg_init(pieces, partner, lambda0, fabric)
+    if fabric.global_flags(state.flags(eps), phase="init"):
+        return DcgResult(lambdas=state.lambdas(), iterations=0)
+    for _ in range(3 * (partner.size // 2) + 60):
+        if dcg_iterate(state, partner, fabric, eps):
+            return DcgResult(lambdas=state.lambdas(),
+                             iterations=state.iteration)
     raise DcgIterationLimit(
-        lambdas=[s.lam for s in states],
-        residual_inf=max(s.residual_norm() for s in states),
-        iterations=states[0].iteration)
+        lambdas=state.lambdas(),
+        residual_inf=float(np.abs(state.residual).max(initial=0.0)),
+        iterations=state.iteration)

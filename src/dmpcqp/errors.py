@@ -56,7 +56,7 @@ class InconsistentWarmStart(SolverError):
 
 
 class DcgIterationLimit(SolverError):
-    """Distributed CG hit its iteration cap; carries the best iterate."""
+    """Distributed CG hit its iteration cap; carries the last iterate."""
 
     def __init__(self, lambdas, residual_inf, iterations):
         self.lambdas = lambdas

@@ -1,22 +1,19 @@
 """Synchronous message fabric with exact communication metering.
 
 All cross-agent traffic goes through a :class:`Fabric`: scalar reductions and
-convergence flags through a central coordinator, vector payloads through
-point-to-point neighbor channels.  Every operation charges a
+convergence flags through a central coordinator, vector entries between
+the neighbors that share a coupling row.  Every operation charges a
 :class:`CommLedger` under one of four phases so experiments can report exact
 communication footprints and verify per-iteration accounting identities.
 
 The fabric simulates one synchronous round per collective call inside one
 process; agents are evaluated sequentially but the reduction order is fixed
-(ascending agent index) so results do not depend on scheduling.  Neighbor
-payloads are delivered by reference.
+(ascending agent index) so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CommAccountingError, FabricDeadlock
 
@@ -110,7 +107,7 @@ class CommLedger:
 
 
 class Fabric:
-    """Coordinator plus neighbor channels for a fixed set of agents."""
+    """Coordinator plus neighbor exchange for a fixed set of agents."""
 
     def __init__(self, n_agents):
         if n_agents < 1:
@@ -118,22 +115,6 @@ class Fabric:
         self.n_agents = int(n_agents)
         self.ledger = CommLedger()
         self.round_index = 0
-        self._overlap_sizes = None
-
-    def register_overlaps(self, sizes):
-        """Declare expected payload sizes per directed pair (src, dst).
-
-        A value may be a single size or a collection of admissible sizes
-        (one directed channel can carry differently sized payloads at
-        different points of an iteration).
-        """
-        norm = {}
-        for pair, size in sizes.items():
-            if isinstance(size, (set, frozenset, tuple, list)):
-                norm[pair] = frozenset(int(s) for s in size)
-            else:
-                norm[pair] = frozenset((int(size),))
-        self._overlap_sizes = norm
 
     def _require_all(self, values, what):
         if len(values) < self.n_agents:
@@ -179,29 +160,18 @@ class Fabric:
         self.round_index += 1
         return all(bool(f) for f in flags)
 
-    def neighbor_exchange(self, payloads, phase="dcg"):
-        """Deliver vectors between neighbor pairs; charges their total length.
+    def neighbor_exchange(self, values, source, phase="dcg"):
+        """Deliver entry ``source[k]`` of ``values`` to receiving entry ``k``.
 
-        ``payloads`` maps directed pairs ``(src, dst)`` to 1-D arrays.  When
-        overlap sizes were registered, payload sizes are validated against
-        them.
+        ``values`` holds every agent's entries on the coupling plan's flat
+        layout and ``source`` names, per receiving entry, the entry sent to
+        it (each a neighbor's entry of the same coupling row).  Charges
+        ``source.size`` local floats.
         """
-        total = 0
-        for (src, dst), vec in payloads.items():
-            if not (0 <= src < self.n_agents and 0 <= dst < self.n_agents):
-                raise ValueError(f"neighbor_exchange: bad pair {(src, dst)}")
-            vec = np.asarray(vec)
-            if self._overlap_sizes is not None:
-                expected = self._overlap_sizes.get((src, dst))
-                if expected is None or vec.size not in expected:
-                    allowed = sorted(expected) if expected else None
-                    raise ValueError(
-                        f"neighbor_exchange: payload {(src, dst)} has size "
-                        f"{vec.size}, expected {allowed}")
-            total += vec.size
-        self.ledger.charge(phase, local_floats=total)
+        delivered = values[source]
+        self.ledger.charge(phase, local_floats=source.size)
         self.round_index += 1
-        return dict(payloads)
+        return delivered
 
 
 def verify_comm_identities(delta, n_agents, n_coupling, *, dcg_iterations=0,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -118,6 +117,10 @@ def prepare_kkt(qp: DenseQp) -> PreparedKkt:
 
 
 def _phase1(qp: DenseQp) -> np.ndarray:
+    # imported here: only a cold solve_dense_qp needs it, and importing it
+    # takes about a third of the package's import time
+    import scipy.optimize
+
     n = qp.size
     res = scipy.optimize.linprog(
         c=np.zeros(n),

@@ -108,36 +108,35 @@ class CouplingEdge:
     n_states: int
 
 
-def build_overlaps(rows: Sequence[np.ndarray]) -> dict:
-    """Positions ``{(a, b): (ia, ib)}``, ``rows[a][ia] == rows[b][ib]``, of
-    the coupling rows (sorted and distinct per agent) each directed pair of
-    agents shares.  Raises ``ValueError`` naming each row not held by
+def build_partner(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The partner index of the concatenated coupling rows (sorted and
+    distinct per agent): entry ``e`` and ``partner[e]`` hold the same row in
+    two different agents.  Raises ``ValueError`` naming each row not held by
     exactly two agents."""
-    counts = np.bincount(np.concatenate(rows))
+    flat = np.concatenate(rows)
+    counts = np.bincount(flat)
     bad = np.flatnonzero((counts != 0) & (counts != 2))
     if bad.size:
         raise ValueError("coupling rows not shared by exactly two agents: "
                          f"{dict(zip(bad.tolist(), counts[bad].tolist()))}")
-    overlaps = {}
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            shared, ia, ib = np.intersect1d(
-                rows[a], rows[b], assume_unique=True, return_indices=True)
-            if shared.size:
-                overlaps[(a, b)], overlaps[(b, a)] = (ia, ib), (ib, ia)
-    return overlaps
+    # the two holders of a row are adjacent in row order
+    order = np.argsort(flat, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    return partner
 
 
 @dataclass(frozen=True)
 class CouplingIndex:
     """The network's coupling plan, built and checked once per network.
 
-    Each ``edge`` is a block of the ``n_coupling`` rows; ``agents[i]`` and
-    ``overlaps`` (see :func:`build_overlaps`) locate them per agent and per
-    pair.  For ADMM, ``n_own[i]`` is the length of agent ``i``'s averaged
-    prefix, ``blocks[i]`` pairs each in-neighbor of ``i`` with the slice of
-    its copy, ``copiers[i]`` lists the agents copying ``i`` (ascending),
-    ``channels`` the payload sizes per directed pair, and ``shift_dst`` and
+    Each ``edge`` is a block of the ``n_coupling`` rows, and ``agents[i]``
+    locates them in agent ``i``.  The plan's flat layout concatenates every
+    agent's entries of its rows; ``segments[i]`` are agent ``i``'s, and
+    ``partner`` (see :func:`build_partner`) maps each entry to the same row
+    at its other holder.  For ADMM, ``owned`` are the owners' entries
+    (ascending), ``slots[k]`` numbers the owned state that ``owned[k]``
+    reads, ``n_copies`` counts each slot's copiers, and ``shift_dst`` and
     ``shift_src`` index the one-step warm-start shift.
     """
 
@@ -145,11 +144,11 @@ class CouplingIndex:
     n_coupling: int
     edges: tuple[CouplingEdge, ...]
     agents: tuple[AgentCoupling, ...]
-    overlaps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    n_own: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, slice], ...], ...]
-    copiers: tuple[tuple[int, ...], ...]
-    channels: dict[tuple[int, int], set[int]]
+    segments: tuple[slice, ...]
+    partner: np.ndarray
+    owned: np.ndarray
+    slots: np.ndarray
+    n_copies: np.ndarray
     shift_dst: tuple[np.ndarray, ...]
     shift_src: tuple[np.ndarray, ...]
 
@@ -174,7 +173,7 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     ties the owner's state ``x^k_c`` to the copier's copy of it."""
     layouts = [_layout_for(net, i, horizon) for i in range(net.n_agents)]
     # per row: its (owner, copier) and the column each of them reads
-    edges, channels, holders, cols = [], {}, [], []
+    edges, holders, cols = [], [], []
     for copier, lay in enumerate(layouts):
         for owner, n_owner in zip(lay.in_neighbors, lay.neighbor_dims):
             width = horizon * n_owner
@@ -182,11 +181,6 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
             holders += [(owner, copier)] * width
             start = lay.v_block_slice(owner).start
             cols += [(k, start + k) for k in range(width)]
-            # copied trajectory to the owner, averaged trajectory back; on
-            # a bidirectional edge the same channel also carries the
-            # reverse role, so sizes accumulate instead of overwriting
-            for pair in ((copier, owner), (owner, copier)):
-                channels.setdefault(pair, set()).add(width)
     holders = np.array(holders, dtype=int).reshape(-1, 2)
     cols = np.array(cols, dtype=int).reshape(-1, 2)
     agents = []
@@ -195,17 +189,21 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
         rows, side = np.nonzero(holders == i)
         agents.append(AgentCoupling(rows=rows, cols=cols[rows, side],
                                     signs=1.0 - 2.0 * side, size=lay.size))
+    ends = np.cumsum([0] + [a.rows.size for a in agents]).tolist()
+    owned = np.flatnonzero(np.concatenate([a.signs for a in agents]) > 0)
+    # an owned entry's state as a column of all agents' stacked variables
+    starts = np.cumsum([0] + [lay.size for lay in layouts])
+    columns = np.concatenate([start + a.cols for start, a in
+                              zip(starts, agents)])[owned]
+    _, slots, n_copies = np.unique(columns, return_inverse=True,
+                                   return_counts=True)
     shifts = [_shift_indices(lay) for lay in layouts]
     return CouplingIndex(
         horizon=horizon, n_coupling=len(holders), edges=tuple(edges),
         agents=tuple(agents),
-        overlaps=build_overlaps([a.rows for a in agents]),
-        n_own=tuple(horizon * lay.n_states for lay in layouts),
-        blocks=tuple(tuple((j, lay.v_block_slice(j))
-                           for j in lay.in_neighbors) for lay in layouts),
-        copiers=tuple(tuple(e.copier for e in edges if e.owner == i)
-                      for i in range(len(layouts))),
-        channels=channels,
+        segments=tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:])),
+        partner=build_partner([a.rows for a in agents]),
+        owned=owned, slots=slots, n_copies=n_copies,
         shift_dst=tuple(d for d, _ in shifts),
         shift_src=tuple(s for _, s in shifts))
 

@@ -32,14 +32,20 @@ def stable_matrix(rng, n, radius=0.9):
 
 
 def random_network(rng, n_agents=3, max_state=2, max_input=2,
-                   edge_prob=0.6, coupling_scale=0.25, terminal_cost=True):
+                   edge_prob=0.6, coupling_scale=0.25, terminal_cost=True,
+                   edges=None):
     """Random coupled network with mildly stable dynamics.
 
-    Always contains at least one coupling edge so the Schur system is
+    ``edges`` are ``(copier, owner)`` pairs, each agent ``copier`` reading
+    the state of ``owner``; when omitted they are drawn with ``edge_prob``,
+    and always contain at least one coupling edge so the Schur system is
     non-trivial; decoupled corner cases get dedicated tests.
     """
+    drawn = edges
     while True:
         dims = [int(rng.integers(1, max_state + 1)) for _ in range(n_agents)]
+        if drawn is not None:
+            break
         edges = [(i, j) for i in range(n_agents) for j in range(n_agents)
                  if i != j and rng.random() < edge_prob]
         if edges:

@@ -183,18 +183,18 @@ def test_criterion_6_dcg_finite_convergence():
                   for qp in qps]
         reference = centralized_cg(pieces, n_c, eps=1e-7, max_iter=n_c + 5)
         fab = Fabric(len(pieces))
-        overlaps = qps[0].coupling.overlaps
-        states = dcg_init(pieces, overlaps, None, fab)
+        partner = qps[0].coupling.partner
+        state = dcg_init(pieces, partner, None, fab)
         done = False
         for lam_ref in reference:
-            done = dcg_iterate(states, overlaps, fab, eps=1e-7)
-            lam = gather(pieces, [st.lam for st in states], n_c)
+            done = dcg_iterate(state, partner, fab, eps=1e-7)
+            lam = gather(pieces, state.lambdas(), n_c)
             scale = max(1.0, norm_inf(lam_ref))
             worst_dev = max(worst_dev, norm_inf(lam - lam_ref) / scale)
             if done:
                 break
         S, s = assemble(pieces, n_c)
-        lam = gather(pieces, [st.lam for st in states], n_c)
+        lam = gather(pieces, state.lambdas(), n_c)
         worst_res = max(worst_res, norm_inf(s - S @ lam))
         worst_iters = max(worst_iters, len(reference))
         if not done:

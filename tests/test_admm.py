@@ -14,6 +14,7 @@ from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import rollout_feasible_point
 
 import condense_reference as ref_kernel
+from dcg_reference import neighbor_exchange
 
 from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
                       random_x0, spd_matrix, stable_matrix)
@@ -479,7 +480,7 @@ def _reference_average(qps, zs, fabric, phase="admm"):
         lay = qp.layout
         for j in lay.in_neighbors:
             to_owner[(qp.index, j)] = zs[qp.index][lay.v_block_slice(j)]
-    delivered = fabric.neighbor_exchange(to_owner, phase=phase)
+    delivered = neighbor_exchange(fabric, to_owner, phase=phase)
 
     averaged = []
     for qp in qps:
@@ -500,7 +501,7 @@ def _reference_average(qps, zs, fabric, phase="admm"):
         lay = qp.layout
         for j in lay.in_neighbors:
             to_copier[(j, qp.index)] = averaged[j]
-    delivered_avg = fabric.neighbor_exchange(to_copier, phase=phase)
+    delivered_avg = neighbor_exchange(fabric, to_copier, phase=phase)
 
     z_avg = []
     for qp in qps:
@@ -561,16 +562,38 @@ def _reference_consensus_index(qps):
             tuple(tuple(sorted(c)) for c in copiers), tuple(dst), tuple(src))
 
 
-def _reference_channels(qps):
-    """The channel sizes ``admm_solve`` registered before the plan held
-    them, kept verbatim as the reference."""
-    sizes = {}
-    for qp in qps:
-        lay = qp.layout
-        for j, nj in zip(lay.in_neighbors, lay.neighbor_dims):
-            sizes.setdefault((qp.index, j), set()).add(lay.horizon * nj)
-            sizes.setdefault((j, qp.index), set()).add(lay.horizon * nj)
-    return sizes
+def _dict_average(qps, zs, fabric):
+    """The averaging over per-pair payload dicts that the index-based
+    exchange replaced, kept verbatim as the reference, with its plan
+    fields from :func:`_reference_consensus_index`."""
+    n_own, blocks, copiers, _, _ = _reference_consensus_index(qps)
+    delivered = neighbor_exchange(
+        fabric, {(i, j): zs[i][blk] for i, own_blocks in enumerate(blocks)
+                 for j, blk in own_blocks}, phase="admm")
+
+    averaged = []
+    for i, srcs in enumerate(copiers):
+        own = zs[i][:n_own[i]]
+        if srcs:
+            total = len(srcs) * own
+            for src in srcs:
+                total += delivered[(src, i)]
+            averaged.append(total / (2.0 * len(srcs)))
+        else:
+            averaged.append(own.copy())
+
+    delivered_avg = neighbor_exchange(
+        fabric, {(j, i): averaged[j] for i, own_blocks in enumerate(blocks)
+                 for j, _ in own_blocks}, phase="admm")
+
+    z_avg = []
+    for i, own_blocks in enumerate(blocks):
+        zb = zs[i].copy()
+        zb[:n_own[i]] = averaged[i]
+        for j, blk in own_blocks:
+            zb[blk] = delivered_avg[(j, i)]
+        z_avg.append(zb)
+    return z_avg
 
 
 @settings(max_examples=40, deadline=None)
@@ -583,22 +606,20 @@ def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
                          max_input=2, edge_prob=rng.uniform(0.2, 1.0))
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     plan = qps[0].coupling
-    n_own, blocks, copiers, shift_dst, shift_src = \
-        _reference_consensus_index(qps)
-    assert (plan.n_own, plan.blocks, plan.copiers) == (n_own, blocks,
-                                                       copiers)
+    *_, shift_dst, shift_src = _reference_consensus_index(qps)
     for got, want in zip(plan.shift_dst + plan.shift_src,
                          shift_dst + shift_src):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert plan.channels == _reference_channels(qps)
 
     zs = [rng.normal(size=qp.size) for qp in qps]
-    fab_ref, fab = Fabric(len(qps)), Fabric(len(qps))
-    ref = _reference_average(qps, zs, fab_ref)
+    fab = Fabric(len(qps))
     got = admm_average(qps, zs, fab)
-    assert [z.tobytes() for z in got] == [z.tobytes() for z in ref]
-    assert fab.ledger.as_dict() == fab_ref.ledger.as_dict()
-    assert fab.round_index == fab_ref.round_index
+    for reference in (_reference_average, _dict_average):
+        fab_ref = Fabric(len(qps))
+        ref = reference(qps, zs, fab_ref)
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in ref]
+        assert fab.ledger.as_dict() == fab_ref.ledger.as_dict()
+        assert fab.round_index == fab_ref.round_index
 
     ref_shift = _reference_shift(qps, ref)
     assert [z.tobytes() for z in shift_averaged(qps, ref)] == \

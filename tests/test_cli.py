@@ -71,10 +71,15 @@ def test_meta_contents(tmp_path):
     # four directed edges carrying ten coupling rows each
     assert meta["dims"] == {"n_z": 91, "eq": 36, "ineq": 30, "coupling": 40}
     assert meta["prng"]["bit_generator"] == "PCG64"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert meta["numeric"] == {
         "numpy": np.__version__, "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"],
+                 "configuration": blas.get("openblas configuration")},
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1"}
+    assert meta["numeric"]["blas"]["name"]
+    assert meta["numeric"]["blas"]["version"]
     assert meta["config"]["solver"] == "asm-dcg"
     assert meta["failures"] == 0
     assert meta["aggregates"]["deviation"]["max"] < 1e-6

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmpcqp import (Fabric, build_network_qps, build_overlaps,
+from dmpcqp import (Fabric, build_network_qps, build_partner,
                     working_constraints)
 from dmpcqp.condense import condense
 from dmpcqp.dcg import SchurPiece, dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
-                           InconsistentWarmStart)
+                           DcgIterationLimit, InconsistentWarmStart,
+                           SolverError)
 from dmpcqp.fabric import verify_comm_identities
 
+import dcg_reference
 from conftest import norm_inf, random_network, random_x0
 
 
@@ -32,8 +34,8 @@ def random_pieces(rng, n_agents=3, n_rows=8, definite=True):
     return pieces
 
 
-def overlaps_of(pieces):
-    return build_overlaps([p.rows for p in pieces])
+def partner_of(pieces):
+    return build_partner([p.rows for p in pieces])
 
 
 def assemble(pieces, n_rows):
@@ -106,11 +108,11 @@ def test_matches_centralized_cg_per_iteration():
                                    max_iter=3 * n_rows + 60)
 
         fab = Fabric(len(pieces))
-        overlaps = overlaps_of(pieces)
-        states = dcg_init(pieces, overlaps, None, fab)
+        partner = partner_of(pieces)
+        state = dcg_init(pieces, partner, None, fab)
         for it, lam_ref in enumerate(reference):
-            done = dcg_iterate(states, overlaps, fab, eps=1e-9)
-            lam = gather(pieces, [st.lam for st in states], n_rows)
+            done = dcg_iterate(state, partner, fab, eps=1e-9)
+            lam = gather(pieces, state.lambdas(), n_rows)
             scale = max(1.0, norm_inf(lam_ref))
             assert norm_inf(lam - lam_ref) <= 1e-12 * scale
             if done:
@@ -125,7 +127,7 @@ def test_finite_convergence_and_true_solution():
         pieces = random_pieces(rng, n_rows=n_rows)
         S, s = assemble(pieces, n_rows)
         fab = Fabric(len(pieces))
-        res = dcg_solve(pieces, overlaps_of(pieces), None, 1e-10, fab)
+        res = dcg_solve(pieces, partner_of(pieces), None, 1e-10, fab)
         assert res.iterations <= n_rows + 5
         lam = gather(pieces, res.lambdas, n_rows)
         assert norm_inf(S @ lam - s) < 1e-8
@@ -135,7 +137,7 @@ def test_solve_charges_exact_ledger():
     rng = np.random.default_rng(71)
     pieces = random_pieces(rng, n_agents=3, n_rows=9)
     fab = Fabric(3)
-    res = dcg_solve(pieces, overlaps_of(pieces), None, 1e-10, fab)
+    res = dcg_solve(pieces, partner_of(pieces), None, 1e-10, fab)
     M, n_c, k = 3, 9, res.iterations
     verify_comm_identities(fab.ledger.delta(type(fab.ledger)()), M, n_c,
                            dcg_iterations=k)
@@ -154,7 +156,7 @@ def test_warm_start_at_solution_is_free():
     S, s = assemble(pieces, 7)
     lam_star = np.linalg.solve(S, s)
     fab = Fabric(len(pieces))
-    res = dcg_solve(pieces, overlaps_of(pieces),
+    res = dcg_solve(pieces, partner_of(pieces),
                     [lam_star[p.rows] for p in pieces], 1e-7, fab)
     assert res.iterations == 0
     assert fab.ledger.phase("dcg").global_floats == 0
@@ -165,7 +167,7 @@ def test_inconsistent_warm_start_detected():
     pieces = random_pieces(rng, n_rows=6)
     lam0 = [rng.normal(size=p.rows.size) for p in pieces]  # disagrees on shares
     with pytest.raises(InconsistentWarmStart):
-        dcg_solve(pieces, overlaps_of(pieces), lam0, 1e-8,
+        dcg_solve(pieces, partner_of(pieces), lam0, 1e-8,
                   Fabric(len(pieces)))
 
 
@@ -173,33 +175,31 @@ def test_negative_curvature_raises():
     rng = np.random.default_rng(83)
     pieces = random_pieces(rng, n_rows=6, definite=False)
     with pytest.raises(CurvatureBreakdown):
-        dcg_solve(pieces, overlaps_of(pieces), None, 1e-10,
+        dcg_solve(pieces, partner_of(pieces), None, 1e-10,
                   Fabric(len(pieces)))
 
 
+def segments_of(pieces):
+    bounds = np.cumsum([0] + [p.rows.size for p in pieces])
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def test_overlaps_are_mutual():
+    """The partner index is an involution without a fixed point, and both
+    ends of every pair hold the same row in different agents."""
     rng = np.random.default_rng(89)
-    pieces = random_pieces(rng, n_rows=10)
-    overlaps = overlaps_of(pieces)
-    for (a, b), (ia, ib) in overlaps.items():
-        np.testing.assert_array_equal(pieces[a].rows[ia], pieces[b].rows[ib])
-        jb, ja = overlaps[(b, a)]
-        np.testing.assert_array_equal(pieces[a].rows[ja], pieces[a].rows[ia])
-
-
-def _reference_overlaps(pieces):
-    """The pairwise search DCG ran on every solve before the coupling plan
-    held its result, kept verbatim as the reference."""
-    overlaps = {}
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            shared, ia, ib = np.intersect1d(
-                pieces[a].rows, pieces[b].rows,
-                assume_unique=True, return_indices=True)
-            if shared.size:
-                overlaps[(a, b)] = (ia, ib)
-                overlaps[(b, a)] = (ib, ia)
-    return overlaps
+    for n_agents in (2, 3, 5):
+        pieces = random_pieces(rng, n_agents=n_agents, n_rows=10)
+        partner = partner_of(pieces)
+        flat = np.concatenate([p.rows for p in pieces])
+        holder = np.repeat(np.arange(n_agents),
+                           [p.rows.size for p in pieces])
+        assert partner.shape == flat.shape
+        np.testing.assert_array_equal(partner[partner],
+                                      np.arange(flat.size))
+        assert not np.any(partner == np.arange(flat.size))
+        np.testing.assert_array_equal(flat[partner], flat)
+        assert not np.any(holder[partner] == holder)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,20 +207,96 @@ def _reference_overlaps(pieces):
        n_rows=st.integers(1, 30), horizon=st.integers(1, 4))
 def test_plan_overlaps_match_pairwise_search(seed, n_agents, n_rows,
                                              horizon):
+    """The plan's partner index pairs exactly the positions the pairwise
+    search of the reference solver finds."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_agents=n_agents,
                          edge_prob=rng.uniform(0.2, 1.0))
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     network = [SchurPiece(qp.coupled.rows, None, None) for qp in qps]
     synthetic = random_pieces(rng, n_agents, n_rows)
-    for pieces, overlaps in ((network, qps[0].coupling.overlaps),
-                             (synthetic, overlaps_of(synthetic))):
-        ref = _reference_overlaps(pieces)
-        assert list(overlaps) == list(ref)
-        for pair, (ia, ib) in ref.items():
-            got_a, got_b = overlaps[pair]
-            assert got_a.dtype == ia.dtype and np.array_equal(got_a, ia)
-            assert got_b.dtype == ib.dtype and np.array_equal(got_b, ib)
+    for pieces, partner in ((network, qps[0].coupling.partner),
+                            (synthetic, partner_of(synthetic))):
+        segments = segments_of(pieces)
+        if pieces is network:
+            assert list(qps[0].coupling.segments) == segments
+        paired = np.full(partner.size, -1)
+        ref = dcg_reference.build_overlaps([p.rows for p in pieces])
+        for (a, b), (ia, ib) in ref.items():
+            paired[segments[a].start + ia] = segments[b].start + ib
+        assert partner.dtype == paired.dtype
+        np.testing.assert_array_equal(partner, paired)
+
+
+def network_with_isolated_agent(rng, n_agents):
+    """A random network whose last agent has no coupling rows and whose
+    others share at least one bidirectional edge."""
+    linked = n_agents - 1
+    edges = {(0, 1), (1, 0)}
+    edges |= {(i, j) for i in range(linked) for j in range(linked)
+              if i != j and rng.random() < rng.uniform(0.2, 0.8)}
+    return random_network(rng, n_agents=n_agents, max_state=2, max_input=2,
+                          edges=sorted(edges))
+
+
+def random_working_set(rng, qp):
+    """Bound rows with at most one side of each input active."""
+    half = qp.n_ineq // 2
+    picked = np.flatnonzero(rng.random(half) < 0.4)
+    return [int(r + half * rng.integers(2)) for r in picked]
+
+
+def outcome(solve, *args):
+    """``solve``'s multipliers, iterations and ledger, or its error."""
+    fab = Fabric(len(args[0]))
+    try:
+        res = solve(*args, fab)
+    except DcgIterationLimit as err:
+        kept = ("limit", [l.tobytes() for l in err.lambdas],
+                err.residual_inf, err.iterations)
+    except SolverError as err:
+        kept = (type(err).__name__, str(err))
+    else:
+        kept = ("done", [l.tobytes() for l in res.lambdas], res.iterations)
+    return kept, fab.ledger.as_dict(), fab.round_index
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(3, 6),
+       horizon=st.integers(1, 4), warm=st.booleans())
+def test_flat_solver_matches_reference_bit_for_bit(seed, n_agents, horizon,
+                                                   warm):
+    rng = np.random.default_rng(seed)
+    net = network_with_isolated_agent(rng, n_agents)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    assert qps[-1].coupled.rows.size == 0
+    pieces = [condense(qp, working_constraints(
+        qp, random_working_set(rng, qp), homogeneous=False)) for qp in qps]
+    lam0 = None
+    if warm:
+        shared = rng.normal(size=qps[0].n_coupling)
+        lam0 = [shared[p.rows] for p in pieces]
+    plan = qps[0].coupling
+    overlaps = dcg_reference.build_overlaps([p.rows for p in pieces])
+    for eps in (1e-10, 1e-300):
+        got = outcome(dcg_solve, pieces, plan.partner, lam0, eps)
+        want = outcome(dcg_reference.dcg_solve, pieces, overlaps, lam0, eps)
+        assert got == want
+
+
+def test_iteration_limit_carries_the_last_iterate():
+    rng = np.random.default_rng(101)
+    pieces = random_pieces(rng, n_agents=4, n_rows=12)
+    overlaps = dcg_reference.build_overlaps([p.rows for p in pieces])
+    # no residual reaches this, so both solvers run to the cap
+    with pytest.raises(DcgIterationLimit) as got:
+        dcg_solve(pieces, partner_of(pieces), None, 1e-300, Fabric(4))
+    with pytest.raises(DcgIterationLimit) as want:
+        dcg_reference.dcg_solve(pieces, overlaps, None, 1e-300, Fabric(4))
+    assert got.value.iterations == want.value.iterations == 3 * 12 + 60
+    assert got.value.residual_inf == want.value.residual_inf > 0.0
+    assert [l.tobytes() for l in got.value.lambdas] == \
+        [l.tobytes() for l in want.value.lambdas]
 
 
 def test_network_condensed_system_solves_coupling():
@@ -232,7 +308,7 @@ def test_network_condensed_system_solves_coupling():
     cas = [condense(qp, working_constraints(qp, [], homogeneous=False))
            for qp in qps]
     fab = Fabric(len(qps))
-    res = dcg_solve(cas, qps[0].coupling.overlaps, None, 1e-11, fab)
+    res = dcg_solve(cas, qps[0].coupling.partner, None, 1e-11, fab)
     S = np.zeros((n_c, n_c))
     s = np.zeros(n_c)
     for ca in cas:

@@ -78,16 +78,17 @@ def test_missing_contribution_deadlocks():
 
 def test_neighbor_exchange_meters_and_validates_sizes():
     fab = Fabric(2)
-    out = fab.neighbor_exchange({(0, 1): np.arange(3.0),
-                                 (1, 0): np.arange(2.0)}, phase="dcg")
-    assert fab.ledger.phase("dcg").local_floats == 5
-    np.testing.assert_array_equal(out[(0, 1)], [0.0, 1.0, 2.0])
-
-    fab.register_overlaps({(0, 1): 3, (1, 0): 3})
-    with pytest.raises(ValueError):
-        fab.neighbor_exchange({(0, 1): np.arange(2.0)})
-    with pytest.raises(ValueError):
-        fab.neighbor_exchange({(0, 5): np.arange(3.0)})
+    values = np.arange(5.0)
+    out = fab.neighbor_exchange(values, np.array([3, 4, 0]), phase="dcg")
+    np.testing.assert_array_equal(out, [3.0, 4.0, 0.0])
+    assert fab.ledger.phase("dcg").local_floats == 3
+    assert fab.round_index == 1
+    # the delivery is a copy: the sender's later updates do not reach it
+    values[3] = -1.0
+    assert out[0] == 3.0
+    with pytest.raises(IndexError):
+        fab.neighbor_exchange(values, np.array([5]))
+    assert fab.round_index == 1
 
 
 @given(dcg=st.integers(0, 40), asm=st.integers(0, 10), admm=st.integers(0, 40),

@@ -11,7 +11,7 @@ import dmpcqp.asm as asm_module
 import dmpcqp.cli as cli_module
 import dmpcqp.qp_builder as qp_builder_module
 from dmpcqp import (VariableLayout, build_agent_qp, build_coupling_index,
-                    build_network_qps, build_overlaps, rollout_feasible_point,
+                    build_network_qps, build_partner, rollout_feasible_point,
                     stack_global, update_initial_state)
 from dmpcqp.asm import shift_active
 from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
@@ -214,19 +214,19 @@ def test_bound_plan_reads_what_the_dense_rows_encoded(seed, n_agents,
 
 def test_coupling_rows_must_be_shared_by_exactly_two_agents():
     rows = [np.array([0, 1]), np.array([0, 1, 2]), np.array([2])]
-    build_overlaps(rows)
+    np.testing.assert_array_equal(build_partner(rows), [2, 3, 0, 1, 5, 4])
     # row 2 held by one agent only
     with pytest.raises(ValueError, match=r"exactly two agents: \{2: 1\}"):
-        build_overlaps(rows[:2])
+        build_partner(rows[:2])
     # row 1 held by three agents
     with pytest.raises(ValueError, match=r"exactly two agents: \{1: 3\}"):
-        build_overlaps(rows[:2] + [np.array([1, 2])])
+        build_partner(rows[:2] + [np.array([1, 2])])
 
 
 def test_coupling_plan_is_built_once_per_closed_loop(monkeypatch, chain3):
     """The plan, and with it the sharing check, is made when the QPs are
     built, not per DCG solve or per warm-start shift."""
-    calls = {"plan": 0, "overlaps": 0, "dcg_solve": 0, "shift_averaged": 0}
+    calls = {"plan": 0, "partner": 0, "dcg_solve": 0, "shift_averaged": 0}
 
     def counting(module, name, key):
         real = getattr(module, name)
@@ -237,7 +237,7 @@ def test_coupling_plan_is_built_once_per_closed_loop(monkeypatch, chain3):
         monkeypatch.setattr(module, name, wrapped)
 
     counting(qp_builder_module, "build_coupling_index", "plan")
-    counting(qp_builder_module, "build_overlaps", "overlaps")
+    counting(qp_builder_module, "build_partner", "partner")
     counting(asm_module, "dcg_solve", "dcg_solve")
     counting(cli_module, "shift_averaged", "shift_averaged")
     x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
@@ -247,7 +247,7 @@ def test_coupling_plan_is_built_once_per_closed_loop(monkeypatch, chain3):
         calls.update(dict.fromkeys(calls, 0))
         _closed_loop_distributed(
             chain3, dataclasses.replace(cfg, solver=solver, rho=5.0), x0s)
-        assert calls["plan"] == calls["overlaps"] == 1
+        assert calls["plan"] == calls["partner"] == 1
         assert calls[repeated] >= cfg.steps
 
 
