@@ -11,22 +11,27 @@ solvers (:mod:`~dmpcqp.oracle`), a metered communication fabric
 (:mod:`~dmpcqp.cli`).
 
 Importing the package sets the BLAS thread variables in
-:data:`THREAD_VARS` to one thread unless they are already set or numpy is
-already loaded: floating-point results then do not depend on the core
-count, and ``meta.json`` reports the count the run used.
+:data:`THREAD_VARS` to one thread unless they are already set: floating-point
+results then do not depend on the core count, and ``meta.json`` reports the
+count the run used.  If numpy is already loaded, it warns instead.
 """
 
 import os as _os
 import sys as _sys
+import warnings as _warnings
 
 #: Environment variables that set the BLAS thread count; results depend on it.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # must run before the first numpy import: BLAS reads the variables once,
 # when numpy loads it
+_unset = [_var for _var in THREAD_VARS if _var not in _os.environ]
 if "numpy" not in _sys.modules:
-    for _var in THREAD_VARS:
-        _os.environ.setdefault(_var, "1")
+    _os.environ.update(dict.fromkeys(_unset, "1"))
+elif _unset:
+    _warnings.warn(f"numpy was imported before dmpcqp with "
+                   f"{', '.join(_unset)} unset, so BLAS may run "
+                   "multi-threaded", RuntimeWarning, stacklevel=2)
 
 from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
                    admm_converged, admm_dual_update, admm_solve,

@@ -2,11 +2,11 @@
 
 Each iteration solves one augmented QP per agent (the agent's objective plus
 a penalty tying its coupling image to the current averaged trajectories),
-averages owned states with the copies held by out-neighbors, rebuilds the
-averaged decision vectors, and takes a dual ascent step on the coupling
-multipliers.  Two neighbor exchanges per iteration move copied trajectories
-to their owners and averaged trajectories back to the copiers, totalling
-``2 n_c`` local floats; convergence flags add one coordinator round.
+averages owned states with the copies held by out-neighbors, and takes a
+dual ascent step on the coupling multipliers.  Two neighbor exchanges per
+iteration move copied trajectories to their owners and averaged
+trajectories back to the copiers, totalling ``2 n_c`` local floats;
+convergence flags add one coordinator round.
 
 The local QPs are solved by the single-agent specialization of the
 active-set machinery (no coupling rows, hence no multiplier system): the
@@ -15,9 +15,10 @@ working-set factors of :mod:`~dmpcqp.condense`.  With the active set
 fixed, the local minimizer and its bound multipliers are affine in the
 linear term, so each active set is condensed once, on a miss in the
 augmented QP's factor cache; consecutive ADMM iterations revisit the same
-sets, and a revisit costs a few matrix-vector products.  Averaging, the
-warm-start shift and the coupling products use the network's coupling plan
-(:class:`~dmpcqp.qp_builder.CouplingIndex`), built once per network.
+sets, and a revisit costs a few matrix-vector products.  As in
+:mod:`~dmpcqp.dcg`, all agents' coupling values and multipliers are kept on
+the flat layout of the network's coupling plan
+(:class:`~dmpcqp.qp_builder.CouplingIndex`), and their iterates stacked.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .condense import (AgentCoupling, WorkingSetFactor, condense,
                        working_constraints)
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
+from .qp_builder import segment_max
 
 #: Named tolerance presets ``(eps_primal, eps_dual)``.
 ADMM_PRESETS = {
@@ -72,7 +74,6 @@ class AdmmConfig:
 
 @dataclass
 class AdmmStats:
-    iterations: int = 0
     local_asm_iterations: int = 0
     ledger: CommLedger | None = None
 
@@ -81,7 +82,6 @@ class AdmmStats:
 class AdmmResult:
     z: list[np.ndarray]
     z_avg: list[np.ndarray]
-    cpl_duals: list[np.ndarray]
     iterations: int
     converged: bool
     stats: AdmmStats
@@ -163,16 +163,18 @@ class LocalQpSolver:
                            f"exceeded {LOCAL_MAX_ITER} iterations")
 
 
-def local_linear_term(qp, z_avg: np.ndarray, lam_local: np.ndarray,
+def local_linear_term(plan, z_bar: np.ndarray, lam: np.ndarray,
                       rho: float) -> np.ndarray:
-    """Linear term ``Cc' lam - rho Cc' Cc z_avg`` of the augmented QP."""
-    coupled = qp.coupled
-    return coupled.scatter(np.asarray(lam_local, dtype=float)
-                           - rho * coupled.gather(np.asarray(z_avg,
-                                                             dtype=float)))
+    """The augmented QPs' linear terms ``Cc' lam - rho Cc' Cc z_avg``,
+    stacked, from the averaged values ``z_bar`` on the plan's flat layout;
+    each agent's summed in row order, as ``AgentCoupling.scatter`` does."""
+    size = sum(a.size for a in plan.agents)
+    # an empty bincount is an integer array whatever the weights
+    return np.bincount(plan.columns, plan.signs * (lam - rho * (
+        plan.signs * z_bar)), minlength=size).astype(float, copy=False)
 
 
-def admm_average(qps, zs, fabric: Fabric):
+def admm_average(plan, z: np.ndarray, fabric: Fabric) -> np.ndarray:
     """Average owned trajectories with their copies and redistribute.
 
     Out-neighbors send their copied trajectories to the owner, who averages
@@ -180,61 +182,50 @@ def admm_average(qps, zs, fabric: Fabric):
     exactly two agents, so the owner weight equals the number of copies),
     adding them in ascending copier order; the averaged trajectory is then
     sent back to every copier.  Both exchanges are charged to the ``admm``
-    phase.  Returns the averaged decision vectors.
+    phase.  ``z`` and the returned averages are on the plan's flat layout.
     """
-    plan = qps[0].coupling
     owned, slots, n_copies = plan.owned, plan.slots, plan.n_copies
     # the copies' entries, row by row with the owned ones
     copied = plan.partner[owned]
-    # every agent's entry of each of its coupling rows, on the flat layout
-    entries = np.concatenate([z[a.cols] for z, a in zip(zs, plan.agents)])
-    copies = fabric.neighbor_exchange(entries, copied, phase="admm")
+    copies = fabric.neighbor_exchange(z, copied, phase="admm")
     total = np.empty(n_copies.size)
-    total[slots] = entries[owned]
+    total[slots] = z[owned]
     total *= n_copies
     # owned entries run in ascending copier order per owner, and add.at
     # adds in index order
     np.add.at(total, slots, copies)
-    entries[owned] = (total / (2.0 * n_copies))[slots]
-    entries[copied] = fabric.neighbor_exchange(entries, owned, phase="admm")
-
-    z_avg = []
-    for z, a, seg in zip(zs, plan.agents, plan.segments):
-        zb = z.copy()
-        zb[a.cols] = entries[seg]
-        z_avg.append(zb)
-    return z_avg
+    z_bar = np.empty_like(z)
+    z_bar[owned] = (total / (2.0 * n_copies))[slots]
+    z_bar[copied] = fabric.neighbor_exchange(z_bar, owned, phase="admm")
+    return z_bar
 
 
-def admm_dual_update(qp, z: np.ndarray, z_avg: np.ndarray,
-                     lam_local: np.ndarray, rho: float) -> np.ndarray:
-    """Dual ascent step on the agent's compressed coupling multipliers."""
-    return lam_local + rho * qp.coupled.gather(z - z_avg)
+def admm_dual_update(plan, z: np.ndarray, z_bar: np.ndarray,
+                     lam: np.ndarray, rho: float) -> np.ndarray:
+    """Dual ascent step on the multipliers, one per flat entry."""
+    return lam + rho * (plan.signs * (z - z_bar))
 
 
-def admm_converged(qp, z, z_avg, z_prev, lam_local, rho, eps_primal,
-                   eps_dual) -> bool:
-    """Relative primal/dual stopping test for one agent.
+def admm_converged(plan, z, z_bar, z_prev, lam, rho, eps_primal,
+                   eps_dual) -> list[bool]:
+    """Relative primal/dual stopping test, per agent, on the flat layout.
 
-    The primal residual compares the coupling images of ``z`` and ``z_avg``;
+    The primal residual compares the coupling images of ``z`` and ``z_bar``;
     the dual residual bounds the multiplier movement.  On the first
     iteration (``z_prev = None``) the dual test fails unless the agent has
     no coupling rows.
     """
-    coupled = qp.coupled
-    if coupled.rows.size == 0:
-        return True
-    img_z = coupled.gather(z)
-    img_avg = coupled.gather(z_avg)
-    primal = float(np.abs(img_z - img_avg).max())
-    scale_p = min(max(np.abs(img_z).max(), np.abs(img_avg).max()), 1.0)
-    if primal > eps_primal * scale_p:
-        return False
     if z_prev is None:
-        return False
-    dual = float(np.abs(rho * coupled.gather(z - z_prev)).max())
-    scale_d = min(float(np.abs(lam_local).max(initial=0.0)), 1.0)
-    return dual <= eps_dual * scale_d
+        return [seg.stop == seg.start for seg in plan.segments]
+    img_z = plan.signs * z
+    img_avg = plan.signs * z_bar
+    primal, top_z, top_avg, dual, top_lam = segment_max(np.abs(np.stack([
+        img_z - img_avg, img_z, img_avg, rho * (plan.signs * (z - z_prev)),
+        lam])), plan.segments)
+    scale_p = np.minimum(np.maximum(top_z, top_avg), 1.0)
+    scale_d = np.minimum(top_lam, 1.0)
+    return ((primal <= eps_primal * scale_p)
+            & (dual <= eps_dual * scale_d)).tolist()
 
 
 def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -273,44 +264,41 @@ def admm_solve(qps, fabric: Fabric | None = None,
     Returns
     -------
     AdmmResult
-        Final iterates, averaged iterates, compressed multipliers, and the
-        iteration count.
+        Final iterates, averaged iterates, and the iteration count.
     """
     cfg = cfg or AdmmConfig()
     fabric = fabric if fabric is not None else Fabric(len(qps))
     start = fabric.ledger.snapshot()
     stats = AdmmStats()
+    plan = qps[0].coupling
     solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]
-    if z_avg0 is None:
-        z_avg = [np.zeros(qp.size) for qp in qps]
-    else:
-        z_avg = [np.asarray(zb, dtype=float).copy() for zb in z_avg0]
-    lams = [np.zeros(qp.coupled.rows.size) for qp in qps]
+    # all agents' iterates stacked; each local solve writes its block
+    ends = np.cumsum([0] + [qp.size for qp in qps]).tolist()
+    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    z = np.zeros(ends[-1])
+    z_bar = (np.zeros(plan.columns.size) if z_avg0 is None
+             else np.concatenate(z_avg0, dtype=float)[plan.columns])
+    lam = np.zeros(plan.columns.size)
     warm: list[tuple[int, ...]] = [() for _ in qps]
-    zs_prev = None
-    zs = None
-    converged = False
-    for _ in range(cfg.max_iter):
-        stats.iterations += 1
-        zs = []
-        for qp, solver, zb, lam, wa in zip(qps, solvers, z_avg, lams, warm):
-            g = local_linear_term(qp, zb, lam, cfg.rho)
-            z, act, its = solver.solve(g, wa)
+    z_prev = None
+    for iterations in range(1, cfg.max_iter + 1):
+        g = local_linear_term(plan, z_bar, lam, cfg.rho)
+        for i, (solver, block) in enumerate(zip(solvers, blocks)):
+            z[block], warm[i], its = solver.solve(g[block], warm[i])
             stats.local_asm_iterations += its
-            warm[qp.index] = act
-            zs.append(z)
-        z_avg = admm_average(qps, zs, fabric)
-        lams = [admm_dual_update(qp, z, zb, lam, cfg.rho)
-                for qp, z, zb, lam in zip(qps, zs, z_avg, lams)]
-        flags = [admm_converged(qp, z, zb, None if zs_prev is None
-                                else zs_prev[qp.index], lam, cfg.rho,
-                                cfg.eps_primal, cfg.eps_dual)
-                 for qp, z, zb, lam in zip(qps, zs, z_avg, lams)]
-        zs_prev = zs
-        if fabric.global_flags(flags, phase="admm"):
-            converged = True
+        entries = z[plan.columns]
+        z_bar = admm_average(plan, entries, fabric)
+        lam = admm_dual_update(plan, entries, z_bar, lam, cfg.rho)
+        flags = admm_converged(plan, entries, z_bar, z_prev, lam, cfg.rho,
+                               cfg.eps_primal, cfg.eps_dual)
+        z_prev = entries
+        converged = fabric.global_flags(flags, phase="admm")
+        if converged:
             break
     stats.ledger = fabric.ledger.delta(start)
-    return AdmmResult(z=zs, z_avg=z_avg, cpl_duals=lams,
-                      iterations=stats.iterations, converged=converged,
+    z_avg = z.copy()
+    z_avg[plan.columns] = z_bar
+    return AdmmResult(z=np.split(z, ends[1:-1]),
+                      z_avg=np.split(z_avg, ends[1:-1]),
+                      iterations=iterations, converged=converged,
                       stats=stats)

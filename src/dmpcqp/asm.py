@@ -156,13 +156,6 @@ def _condense_all(qps, active, gradients, *, homogeneous, repair=False):
     return cas
 
 
-def _coupling_residual(qps, zs) -> float:
-    total = np.zeros(qps[0].n_coupling)
-    for qp, z in zip(qps, zs):
-        total[qp.coupled.rows] += qp.coupled.gather(z)
-    return float(np.abs(total).max(initial=0.0))
-
-
 def verify_iterate(qps, zs) -> None:
     """Assert primal feasibility of a distributed iterate.
 
@@ -181,7 +174,10 @@ def verify_iterate(qps, zs) -> None:
             if vi > VIOLATION_TOL:
                 raise FeasibilityViolation(
                     f"agent {qp.index}: bound violation {vi:.3e}")
-    cpl = _coupling_residual(qps, zs)
+    # each row's two entries on the coupling plan's flat layout
+    plan = qps[0].coupling
+    image = plan.signs * np.concatenate(zs)[plan.columns]
+    cpl = float(np.abs(image + image[plan.partner]).max(initial=0.0))
     if cpl > COUPLING_TOL:
         raise FeasibilityViolation(f"coupling residual {cpl:.3e}")
 

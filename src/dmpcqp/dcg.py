@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CurvatureBreakdown, DcgIterationLimit, InconsistentWarmStart
 from .fabric import Fabric
+from .qp_builder import segment_max
 
 
 @dataclass(frozen=True)
@@ -59,16 +60,8 @@ class DcgState:
 
     def flags(self, eps: float) -> list[bool]:
         """Each agent's ``||r_i||_inf < eps``, ``0 < eps`` for no rows."""
-        filled = [i for i, seg in enumerate(self.segments)
-                  if seg.stop > seg.start]
-        norms = np.zeros(len(self.segments))
-        # reduceat gives an empty segment the next one's first entry, so
-        # only the agents with rows take part
-        if filled:
-            norms[filled] = np.maximum.reduceat(
-                np.abs(self.residual), [self.segments[i].start
-                                        for i in filled])
-        return (norms < eps).tolist()
+        return (segment_max(np.abs(self.residual), self.segments)
+                < eps).tolist()
 
     def lambdas(self) -> list[np.ndarray]:
         return [self.lam[seg] for seg in self.segments]

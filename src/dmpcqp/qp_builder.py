@@ -126,6 +126,20 @@ def build_partner(rows: Sequence[np.ndarray]) -> np.ndarray:
     return partner
 
 
+def segment_max(values: np.ndarray, segments: Sequence[slice]) -> np.ndarray:
+    """The maximum of ``values`` over each segment of its last axis, ``0``
+    for an empty one; the segments run end to end, as on the flat layout of
+    a :class:`CouplingIndex`."""
+    filled = [i for i, seg in enumerate(segments) if seg.stop > seg.start]
+    out = np.zeros((len(segments),) + values.shape[:-1])
+    # reduceat gives an empty segment the next one's first entry, so only
+    # the segments with entries take part
+    if filled:
+        out[filled] = np.maximum.reduceat(
+            values, [segments[i].start for i in filled], axis=-1).T
+    return out.T
+
+
 @dataclass(frozen=True)
 class CouplingIndex:
     """The network's coupling plan, built and checked once per network.
@@ -134,10 +148,11 @@ class CouplingIndex:
     locates them in agent ``i``.  The plan's flat layout concatenates every
     agent's entries of its rows; ``segments[i]`` are agent ``i``'s, and
     ``partner`` (see :func:`build_partner`) maps each entry to the same row
-    at its other holder.  For ADMM, ``owned`` are the owners' entries
-    (ascending), ``slots[k]`` numbers the owned state that ``owned[k]``
-    reads, ``n_copies`` counts each slot's copiers, and ``shift_dst`` and
-    ``shift_src`` index the one-step warm-start shift.
+    at its other holder; entry ``e`` reads ``signs[e]`` times column
+    ``columns[e]`` of the agents' stacked decision vectors.  For ADMM,
+    ``owned`` are the owners' entries (ascending), ``slots[k]`` numbers the
+    owned state that ``owned[k]`` reads, ``n_copies`` counts each slot's
+    copiers, and ``shift_dst`` and ``shift_src`` index the one-step shift.
     """
 
     horizon: int
@@ -146,6 +161,8 @@ class CouplingIndex:
     agents: tuple[AgentCoupling, ...]
     segments: tuple[slice, ...]
     partner: np.ndarray
+    columns: np.ndarray
+    signs: np.ndarray
     owned: np.ndarray
     slots: np.ndarray
     n_copies: np.ndarray
@@ -190,12 +207,12 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
         agents.append(AgentCoupling(rows=rows, cols=cols[rows, side],
                                     signs=1.0 - 2.0 * side, size=lay.size))
     ends = np.cumsum([0] + [a.rows.size for a in agents]).tolist()
-    owned = np.flatnonzero(np.concatenate([a.signs for a in agents]) > 0)
-    # an owned entry's state as a column of all agents' stacked variables
+    signs = np.concatenate([a.signs for a in agents])
+    owned = np.flatnonzero(signs > 0)
     starts = np.cumsum([0] + [lay.size for lay in layouts])
     columns = np.concatenate([start + a.cols for start, a in
-                              zip(starts, agents)])[owned]
-    _, slots, n_copies = np.unique(columns, return_inverse=True,
+                              zip(starts, agents)])
+    _, slots, n_copies = np.unique(columns[owned], return_inverse=True,
                                    return_counts=True)
     shifts = [_shift_indices(lay) for lay in layouts]
     return CouplingIndex(
@@ -203,7 +220,8 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
         agents=tuple(agents),
         segments=tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:])),
         partner=build_partner([a.rows for a in agents]),
-        owned=owned, slots=slots, n_copies=n_copies,
+        columns=columns, signs=signs, owned=owned, slots=slots,
+        n_copies=n_copies,
         shift_dst=tuple(d for d, _ in shifts),
         shift_src=tuple(s for _, s in shifts))
 

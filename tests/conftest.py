@@ -74,6 +74,17 @@ def random_network(rng, n_agents=3, max_state=2, max_input=2,
     return NetworkModel(agents)
 
 
+def network_with_isolated_agent(rng, n_agents):
+    """A random network whose last agent has no coupling rows and whose
+    others share at least one bidirectional edge."""
+    linked = n_agents - 1
+    edges = {(0, 1), (1, 0)}
+    edges |= {(i, j) for i in range(linked) for j in range(linked)
+              if i != j and rng.random() < rng.uniform(0.2, 0.8)}
+    return random_network(rng, n_agents=n_agents, max_state=2, max_input=2,
+                          edges=sorted(edges))
+
+
 def dense_coupling(qp):
     """The agent's coupling rows as the dense +-1 matrix ``Cc``.
 

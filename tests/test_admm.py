@@ -10,14 +10,17 @@ from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_solve, asm_solve, build_chain_of_masses,
                     build_network_qps, shift_averaged, working_constraints)
 from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
+from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import rollout_feasible_point
 
+import admm_reference as ref_admm
 import condense_reference as ref_kernel
 from dcg_reference import neighbor_exchange
 
-from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
-                      random_x0, spd_matrix, stable_matrix)
+from conftest import (dense_bounds, dense_coupling, network_with_isolated_agent,
+                      norm_inf, random_network, random_x0, spd_matrix,
+                      stable_matrix)
 
 
 def _problem(seed, n_agents=3, horizon=3):
@@ -25,6 +28,16 @@ def _problem(seed, n_agents=3, horizon=3):
     net = random_network(rng, n_agents=n_agents)
     x0s = random_x0(rng, net)
     return rng, net, x0s, build_network_qps(net, horizon, x0s)
+
+
+def _flat_average(qps, zs, fabric):
+    """Flat :func:`admm_average` of per-agent iterates, written back into
+    full-length per-agent vectors as the per-agent averaging returned
+    them."""
+    plan = qps[0].coupling
+    z = np.concatenate(zs)
+    z[plan.columns] = admm_average(plan, z[plan.columns], fabric)
+    return np.split(z, np.cumsum([qp.size for qp in qps])[:-1])
 
 
 def _directed_pair(rng, extra_isolated=False):
@@ -55,7 +68,7 @@ def test_averaging_consensus_fixed_point():
     # every copy already equals the owner's trajectory, so averaging is a no-op
     rng, net, x0s, qps = _problem(201)
     zs = rollout_feasible_point(net, 3, x0s)
-    z_avg = admm_average(qps, zs, Fabric(len(qps)))
+    z_avg = _flat_average(qps, zs, Fabric(len(qps)))
     for z, zb in zip(zs, z_avg):
         np.testing.assert_allclose(zb, z, atol=1e-12)
 
@@ -63,7 +76,7 @@ def test_averaging_consensus_fixed_point():
 def test_averaged_point_satisfies_coupling_exactly():
     rng, net, x0s, qps = _problem(203)
     zs = [rng.normal(size=qp.size) for qp in qps]
-    z_avg = admm_average(qps, zs, Fabric(len(qps)))
+    z_avg = _flat_average(qps, zs, Fabric(len(qps)))
     total = np.zeros(qps[0].n_coupling)
     for qp, zb in zip(qps, z_avg):
         total[qp.coupled.rows] += dense_coupling(qp) @ zb
@@ -79,7 +92,7 @@ def test_negated_copy_averages_to_zero():
     zs = [rng.normal(size=qp.size) for qp in qps]
     lay1 = qps[1].layout
     zs[1][lay1.v_block_slice(0)] = -zs[0][:horizon * n0]
-    z_avg = admm_average(qps, zs, Fabric(2))
+    z_avg = _flat_average(qps, zs, Fabric(2))
     # owner 0 has exactly one copier, so its averaged trajectory vanishes
     np.testing.assert_array_equal(z_avg[0][:horizon * n0],
                                   np.zeros(horizon * n0))
@@ -100,8 +113,9 @@ def test_dual_update_trivia():
     qp = next(q for q in qps if dense_coupling(q).shape[0])
     lam = rng.normal(size=dense_coupling(qp).shape[0])
     z = rng.normal(size=qp.size)
-    np.testing.assert_array_equal(admm_dual_update(qp, z, z, lam, 2.0), lam)
-    moved = admm_dual_update(qp, z, np.zeros_like(z), lam, 2.0)
+    np.testing.assert_array_equal(
+        ref_admm.admm_dual_update(qp, z, z, lam, 2.0), lam)
+    moved = ref_admm.admm_dual_update(qp, z, np.zeros_like(z), lam, 2.0)
     np.testing.assert_allclose(moved, lam + 2.0 * (dense_coupling(qp) @ z),
                                atol=1e-12)
 
@@ -113,7 +127,7 @@ def test_local_solver_satisfies_kkt():
         z_avg = rng.normal(size=qp.size)
         lam = rng.normal(size=dense_coupling(qp).shape[0])
         solver = LocalQpSolver(qp, rho)
-        g = local_linear_term(qp, z_avg, lam, rho)
+        g = ref_admm.local_linear_term(qp, z_avg, lam, rho)
         z, act, _ = solver.solve(g)
         hess = 2.0 * qp.hessian
         if dense_coupling(qp).shape[0]:
@@ -137,8 +151,9 @@ def test_local_solver_warm_start_and_cache():
     rng, net, x0s, qps = _problem(221)
     qp = qps[0]
     solver = LocalQpSolver(qp, 1.0)
-    g = local_linear_term(qp, rng.normal(size=qp.size),
-                          rng.normal(size=dense_coupling(qp).shape[0]), 1.0)
+    g = ref_admm.local_linear_term(
+        qp, rng.normal(size=qp.size),
+        rng.normal(size=dense_coupling(qp).shape[0]), 1.0)
     z1, act1, _ = solver.solve(g)
     cached = len(solver.local.factors)
     z2, act2, its2 = solver.solve(g, act1)
@@ -193,17 +208,17 @@ def test_one_iteration_matches_enumerated_reference():
     zs = []
     for qp, zb, lam in zip(qps, z_avg, lams):
         z, _, _ = LocalQpSolver(qp, rho).solve(
-            local_linear_term(qp, zb, lam, rho))
+            ref_admm.local_linear_term(qp, zb, lam, rho))
         H = 2.0 * qp.hessian
         if dense_coupling(qp).shape[0]:
             H = H + rho * dense_coupling(qp).T @ dense_coupling(qp)
-        ref = _enumerated_min(H, local_linear_term(qp, zb, lam, rho),
+        ref = _enumerated_min(H, ref_admm.local_linear_term(qp, zb, lam, rho),
                               qp.eq_matrix, qp.eq_rhs,
                               dense_bounds(qp), qp.ineq_rhs)
         assert norm_inf(z - ref) < 1e-7
         zs.append(z)
 
-    z_avg_next = admm_average(qps, zs, Fabric(2))
+    z_avg_next = _flat_average(qps, zs, Fabric(2))
     # owner 0 has the single copier 1: arithmetic mean of prediction and copy
     n0 = net.agents[0].n
     lay1 = qps[1].layout
@@ -214,7 +229,7 @@ def test_one_iteration_matches_enumerated_reference():
                                atol=1e-12)
 
     for qp, z, zb, lam in zip(qps, zs, z_avg_next, lams):
-        updated = admm_dual_update(qp, z, zb, lam, rho)
+        updated = ref_admm.admm_dual_update(qp, z, zb, lam, rho)
         expected = lam + rho * (dense_coupling(qp) @ (z - zb)) \
             if dense_coupling(qp).shape[0] else lam
         np.testing.assert_allclose(updated, expected, atol=1e-12)
@@ -228,8 +243,9 @@ def test_large_penalty_projects_coupling_image():
     for qp in qps:
         if dense_coupling(qp).shape[0] == 0:
             continue
-        g = local_linear_term(qp, z_avg[qp.index],
-                              np.zeros(dense_coupling(qp).shape[0]), 1e6)
+        g = ref_admm.local_linear_term(qp, z_avg[qp.index],
+                                       np.zeros(dense_coupling(qp).shape[0]),
+                                       1e6)
         z, _, _ = LocalQpSolver(qp, 1e6).solve(g)
         img = dense_coupling(qp) @ z - dense_coupling(qp) @ z_avg[qp.index]
         assert norm_inf(img) < 1e-3
@@ -253,11 +269,17 @@ def test_decoupled_agent_ignores_penalty():
     assert dense_coupling(qp).shape[0] == 0
     lam = np.zeros(0)
     z_small, _, _ = LocalQpSolver(qp, 0.5).solve(
-        local_linear_term(qp, rng.normal(size=qp.size), lam, 0.5))
+        ref_admm.local_linear_term(qp, rng.normal(size=qp.size), lam, 0.5))
     z_large, _, _ = LocalQpSolver(qp, 50.0).solve(
-        local_linear_term(qp, rng.normal(size=qp.size), lam, 50.0))
+        ref_admm.local_linear_term(qp, rng.normal(size=qp.size), lam, 50.0))
     np.testing.assert_allclose(z_small, z_large, atol=1e-10)
-    assert admm_converged(qp, z_small, z_small, None, lam, 0.5, 1e-6, 1e-3)
+    assert ref_admm.admm_converged(qp, z_small, z_small, None, lam, 0.5,
+                                   1e-6, 1e-3)
+    # the flat test flags the agent on the first iteration as well
+    plan = qp.coupling
+    entries = rng.normal(size=plan.columns.size)
+    assert admm_converged(plan, entries, entries, None,
+                          np.zeros(entries.size), 0.5, 1e-6, 1e-3)[2]
 
 
 def test_converged_edge_cases():
@@ -265,16 +287,17 @@ def test_converged_edge_cases():
     qp = next(q for q in qps if dense_coupling(q).shape[0])
     z = rng.normal(size=qp.size)
     lam = rng.normal(size=dense_coupling(qp).shape[0])
+    converged = ref_admm.admm_converged
     # first iteration: primal consensus alone is not enough
-    assert not admm_converged(qp, z, z, None, lam, 2.0, 1e-6, 1e-3)
+    assert not converged(qp, z, z, None, lam, 2.0, 1e-6, 1e-3)
     # consensus and a stationary iterate pass both tests
-    assert admm_converged(qp, z, z, z, lam, 2.0, 1e-6, 1e-3)
+    assert converged(qp, z, z, z, lam, 2.0, 1e-6, 1e-3)
     # large multiplier movement fails the dual test
     far = z + 10.0 * rng.normal(size=qp.size)
-    assert not admm_converged(qp, z, z, far, lam, 2.0, 1e-6, 1e-3)
+    assert not converged(qp, z, z, far, lam, 2.0, 1e-6, 1e-3)
     # primal residual check uses the coupling image
     off = z + rng.normal(size=qp.size)
-    assert not admm_converged(qp, z, off, z, lam, 2.0, 1e-6, 1e-3)
+    assert not converged(qp, z, off, z, lam, 2.0, 1e-6, 1e-3)
 
 
 def test_solve_matches_active_set_reference():
@@ -420,30 +443,48 @@ def _dense_admm_products(qp, rho, z, z_avg, z_prev, lam, eps):
 def test_coupling_selections_match_dense_admm_products(seed, n_agents,
                                                        horizon, rho, gap,
                                                        eps):
-    """ADMM's coupling terms from the plan's gathers and scatters equal the
+    """ADMM's coupling terms on the plan's flat layout equal each agent's
     dense products byte for byte, up to the sign of zero (at most three
-    agents, so a column sums at most two multipliers); ``gap`` moves the
-    averaged and previous iterates so both flags take both values."""
+    agents, so a column sums at most two multipliers), and each agent's
+    flag equals the dense test's, an agent without coupling rows included;
+    ``gap`` moves the averaged and previous iterates so both flags take
+    both values."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_agents=n_agents)
     qps = build_network_qps(net, horizon, random_x0(rng, net))
+    plan = qps[0].coupling
+    ends = np.cumsum([0] + [qp.size for qp in qps])
 
     def same_bytes(a, b):
         return a.dtype == b.dtype and a.shape == b.shape and \
             (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
-    for qp in qps:
-        z = rng.normal(size=qp.size)
-        z_avg = z + gap * rng.normal(size=qp.size)
-        lam = rng.normal(size=qp.coupled.rows.size)
-        for z_prev in (None, z, z + gap * rng.normal(size=qp.size)):
-            hess, linear, moved, flag = _dense_admm_products(
-                qp, rho, z, z_avg, z_prev, lam, eps)
-            assert admm_converged(qp, z, z_avg, z_prev, lam, rho,
-                                  *eps) == flag
+    def entries(zs):
+        return np.concatenate(zs)[plan.columns]
+
+    zs = [rng.normal(size=qp.size) for qp in qps]
+    z_avgs = [z + gap * rng.normal(size=z.size) for z in zs]
+    lam = rng.normal(size=plan.columns.size)
+    for z_prevs in (None, zs, [z + gap * rng.normal(size=z.size)
+                               for z in zs]):
+        flags = admm_converged(plan, entries(zs), entries(z_avgs),
+                               None if z_prevs is None else entries(z_prevs),
+                               lam, rho, *eps)
+        for qp, seg in zip(qps, plan.segments):
+            z_prev = None if z_prevs is None else z_prevs[qp.index]
+            *_, flag = _dense_admm_products(qp, rho, zs[qp.index],
+                                            z_avgs[qp.index], z_prev,
+                                            lam[seg], eps)
+            assert flags[qp.index] == flag
+    linear = local_linear_term(plan, entries(z_avgs), lam, rho)
+    moved = admm_dual_update(plan, entries(zs), entries(z_avgs), lam, rho)
+    for qp, seg in zip(qps, plan.segments):
+        hess, linear_ref, moved_ref, _ = _dense_admm_products(
+            qp, rho, zs[qp.index], z_avgs[qp.index], None, lam[seg], eps)
         assert same_bytes(LocalQpSolver(qp, rho).local.hessian, hess)
-        assert same_bytes(local_linear_term(qp, z_avg, lam, rho), linear)
-        assert same_bytes(admm_dual_update(qp, z, z_avg, lam, rho), moved)
+        assert same_bytes(linear[ends[qp.index]:ends[qp.index + 1]],
+                          linear_ref)
+        assert same_bytes(moved[seg], moved_ref)
 
 
 def test_local_solver_result_does_not_depend_on_cache_state():
@@ -456,9 +497,9 @@ def test_local_solver_result_does_not_depend_on_cache_state():
     rho = 5.0
     for qp in qps:
         def linear_term():
-            return local_linear_term(qp, rng.normal(scale=8.0, size=qp.size),
-                                     rng.normal(size=dense_coupling(qp).shape[0]),
-                                     rho)
+            return ref_admm.local_linear_term(
+                qp, rng.normal(scale=8.0, size=qp.size),
+                rng.normal(size=dense_coupling(qp).shape[0]), rho)
         used = LocalQpSolver(qp, rho)
         warm = ()
         for _ in range(4):
@@ -613,7 +654,7 @@ def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
 
     zs = [rng.normal(size=qp.size) for qp in qps]
     fab = Fabric(len(qps))
-    got = admm_average(qps, zs, fab)
+    got = _flat_average(qps, zs, fab)
     for reference in (_reference_average, _dict_average):
         fab_ref = Fabric(len(qps))
         ref = reference(qps, zs, fab_ref)
@@ -624,3 +665,44 @@ def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
     ref_shift = _reference_shift(qps, ref)
     assert [z.tobytes() for z in shift_averaged(qps, ref)] == \
         [z.tobytes() for z in ref_shift]
+
+
+def _solve_outcome(solve, qps, cfg, z_avg0):
+    fab = Fabric(len(qps))
+    try:
+        res = solve(qps, fab, cfg, z_avg0)
+    except LocalQpError as err:
+        return str(err), fab.ledger.as_dict(), fab.round_index
+    return ([z.tobytes() for z in res.z], [z.tobytes() for z in res.z_avg],
+            res.iterations, res.converged, res.stats.local_asm_iterations,
+            fab.ledger.as_dict(), fab.round_index)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 4), isolated=st.booleans(),
+       rho=st.sampled_from([1.0, 5.0]),
+       preset=st.sampled_from(sorted(ADMM_PRESETS)))
+def test_flat_solve_matches_reference_bit_for_bit(seed, n_agents, horizon,
+                                                  isolated, rho, preset):
+    """The flat iteration gives the per-agent reference's iterates, counts,
+    ledger and rounds, cold, warm-started from the shifted average, and
+    stopped by the iteration cap; ``isolated`` draws explicit edges that
+    leave the last agent with no coupling rows."""
+    rng = np.random.default_rng(seed)
+    if isolated:
+        net = network_with_isolated_agent(rng, n_agents + 1)
+    else:
+        net = random_network(rng, n_agents=n_agents)
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    assert not isolated or qps[-1].coupled.rows.size == 0
+    cfg = AdmmConfig.preset(preset, rho=rho)
+    cold = _solve_outcome(admm_solve, qps, cfg, None)
+    assert cold == _solve_outcome(ref_admm.admm_solve, qps, cfg, None)
+    warm = shift_averaged(qps, ref_admm.admm_solve(qps, None, cfg).z_avg)
+    assert _solve_outcome(admm_solve, qps, cfg, warm) == \
+        _solve_outcome(ref_admm.admm_solve, qps, cfg, warm)
+    capped = AdmmConfig(rho=rho, max_iter=3)
+    got = _solve_outcome(admm_solve, qps, capped, None)
+    assert got == _solve_outcome(ref_admm.admm_solve, qps, capped, None)
+    assert got[2:4] == (3, False)

@@ -9,13 +9,15 @@ from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
                     build_network_qps, compute_step_length,
                     initialize_feasible, network_objective, shift_active,
                     verify_iterate)
+import dmpcqp.asm as asm_module
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import dense_qp_from_stacked, kkt_residual, solve_dense_qp
 from dmpcqp.qp_builder import stack_global
 
-from conftest import dense_bounds, norm_inf, random_network, random_x0
+from conftest import (dense_bounds, network_with_isolated_agent, norm_inf,
+                      random_network, random_x0)
 
 
 def _network_problem(seed, n_agents=3, horizon=3, x0_scale=1.0):
@@ -214,6 +216,38 @@ def test_step_length_matches_row_loop(case):
         assert compute_step_length(z, dz, qp, active) == expected
     assert most_violated_bound(qp, z, active, 1e-9) == \
         _loop_most_violated(qp, z, active, 1e-9)
+
+
+def _loop_coupling_residual(qps, zs):
+    """The row-by-row coupling residual that ``verify_iterate`` summed
+    before the plan's flat layout, kept as the reference."""
+    total = np.zeros(qps[0].n_coupling)
+    for qp, z in zip(qps, zs):
+        total[qp.coupled.rows] += qp.coupled.gather(z)
+    return float(np.abs(total).max(initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 5),
+       horizon=st.integers(1, 4), isolated=st.booleans())
+def test_coupling_check_matches_row_loop(seed, n_agents, horizon, isolated):
+    """``verify_iterate``'s coupling residual is the reference's bit for
+    bit: with the other checks off it passes at a tolerance equal to the
+    reference and fails at the next float below."""
+    rng = np.random.default_rng(seed)
+    net = (network_with_isolated_agent(rng, n_agents + 1) if isolated
+           else random_network(rng, n_agents=n_agents))
+    qps = build_network_qps(net, horizon, random_x0(rng, net))
+    zs = [rng.normal(size=qp.size) for qp in qps]
+    ref = _loop_coupling_residual(qps, zs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asm_module, "EQUALITY_TOL", np.inf)
+        mp.setattr(asm_module, "VIOLATION_TOL", np.inf)
+        mp.setattr(asm_module, "COUPLING_TOL", ref)
+        verify_iterate(qps, zs)
+        mp.setattr(asm_module, "COUPLING_TOL", np.nextafter(ref, -np.inf))
+        with pytest.raises(FeasibilityViolation, match="coupling residual"):
+            verify_iterate(qps, zs)
 
 
 def test_initialization_repairs_dependent_warm_rows():

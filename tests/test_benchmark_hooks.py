@@ -4,8 +4,8 @@
 names in ``bench.ATTACH_POINTS``.  A renamed or removed function only drops
 that span's metrics with a warning, and ``perfbench``'s own tests are not
 part of this suite, so a rename is caught here, and so is a change to how
-often the ``condense`` spans are entered or to the signatures of the calls
-the benchmark's closed loop makes.
+often the ``condense`` and ADMM spans are entered or to the signatures of
+the calls the benchmark's closed loop makes.
 """
 
 import dataclasses
@@ -81,6 +81,40 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     _closed_loop_distributed(net, cfg, x0s)
     assert len(asm_calls) == 3 * rounds
     assert len(admm_calls) == sum(len(s.local.factors) for s in solvers) > 0
+
+
+def test_admm_spans_keep_their_meaning(monkeypatch):
+    """The benchmark times ``admm.local_linear_term``,
+    ``admm.admm_average``, ``admm.admm_dual_update`` and
+    ``admm.admm_converged`` off the module attributes of ``dmpcqp.admm``,
+    and ``admm.local_solve`` off ``LocalQpSolver.solve``: each of the four
+    is entered once per ADMM iteration, in that order, and the local solve
+    once per agent per iteration, before the averaging."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spans = ("local_linear_term", "admm_average", "admm_dual_update",
+             "admm_converged")
+    for name in spans:
+        monkeypatch.setattr(admm_module, name,
+                            counted(name, getattr(admm_module, name)))
+    monkeypatch.setattr(LocalQpSolver, "solve",
+                        counted("solve", LocalQpSolver.solve))
+
+    net = build_chain_of_masses(3)
+    x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
+    cfg = ExperimentConfig(n_masses=3, horizon=6, steps=6, solver="admm2",
+                           rho=5.0)
+    _, _, samples = _closed_loop_distributed(net, cfg, x0s)
+    iterations = sum(s["admm_iterations"] for s in samples)
+    assert iterations > len(samples)
+    one = [spans[0]] + ["solve"] * 3 + list(spans[1:])
+    assert calls == one * iterations
 
 
 def test_benchmark_loop_runs_against_the_package(monkeypatch):

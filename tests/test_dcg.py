@@ -13,7 +13,8 @@ from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
 from dmpcqp.fabric import verify_comm_identities
 
 import dcg_reference
-from conftest import norm_inf, random_network, random_x0
+from conftest import (network_with_isolated_agent, norm_inf, random_network,
+                      random_x0)
 
 
 def random_pieces(rng, n_agents=3, n_rows=8, definite=True):
@@ -226,17 +227,6 @@ def test_plan_overlaps_match_pairwise_search(seed, n_agents, n_rows,
             paired[segments[a].start + ia] = segments[b].start + ib
         assert partner.dtype == paired.dtype
         np.testing.assert_array_equal(partner, paired)
-
-
-def network_with_isolated_agent(rng, n_agents):
-    """A random network whose last agent has no coupling rows and whose
-    others share at least one bidirectional edge."""
-    linked = n_agents - 1
-    edges = {(0, 1), (1, 0)}
-    edges |= {(i, j) for i in range(linked) for j in range(linked)
-              if i != j and rng.random() < rng.uniform(0.2, 0.8)}
-    return random_network(rng, n_agents=n_agents, max_state=2, max_input=2,
-                          edges=sorted(edges))
 
 
 def random_working_set(rng, qp):

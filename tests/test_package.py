@@ -36,3 +36,30 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def _import_in_subprocess(first):
+    """Import ``first`` and then the other of numpy and ``dmpcqp`` in a
+    fresh interpreter with no BLAS thread variable set; returns its
+    warnings (stderr) and the variables it ended with (stdout)."""
+    code = (f"import os, {first}, {'dmpcqp' if first == 'numpy' else 'numpy'}"
+            "; print([os.environ.get(v) for v in dmpcqp.THREAD_VARS])")
+    env = {k: v for k, v in os.environ.items()
+           if k not in dmpcqp.THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(dmpcqp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-W", "default", "-c", code],
+                         check=True, capture_output=True, text=True, env=env)
+    return out.stderr, out.stdout.strip()
+
+
+def test_numpy_loaded_first_warns_and_leaves_thread_variables_unset():
+    stderr, found = _import_in_subprocess("numpy")
+    assert "RuntimeWarning" in stderr
+    assert all(var in stderr for var in dmpcqp.THREAD_VARS)
+    assert found == str([None] * len(dmpcqp.THREAD_VARS))
+
+
+def test_package_loaded_first_pins_one_thread_without_warning():
+    stderr, found = _import_in_subprocess("dmpcqp")
+    assert "Warning" not in stderr
+    assert found == str(["1"] * len(dmpcqp.THREAD_VARS))
