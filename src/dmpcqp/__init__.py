@@ -5,8 +5,8 @@ systems (:mod:`~dmpcqp.model`, :mod:`~dmpcqp.qp_builder`), solves them with
 a distributed primal active-set method whose inner systems are condensed
 per agent and resolved by a decentralized conjugate gradient
 (:mod:`~dmpcqp.condense`, :mod:`~dmpcqp.dcg`, :mod:`~dmpcqp.asm`), and ships
-a consensus ADMM baseline (:mod:`~dmpcqp.admm`), centralized reference
-solvers (:mod:`~dmpcqp.oracle`), a metered communication fabric
+a consensus ADMM baseline (:mod:`~dmpcqp.admm`), a centralized reference
+solver (:mod:`~dmpcqp.oracle`), a metered communication fabric
 (:mod:`~dmpcqp.fabric`), and a closed-loop experiment CLI
 (:mod:`~dmpcqp.cli`).
 
@@ -47,8 +47,7 @@ from .dcg import DcgResult, SchurPiece, dcg_init, dcg_iterate, dcg_solve
 from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
-from .oracle import (DenseQp, DenseSolution, Rollout, centralized_mpc_rollout,
-                     dense_qp_from_stacked, enumerate_active_sets,
+from .oracle import (DenseSolution, Rollout, centralized_mpc_rollout,
                      kkt_residual, prepare_kkt, solve_dense_qp)
 from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_agent_qp, build_coupling_index,
@@ -77,8 +76,7 @@ __all__ = [
     "AgentModel", "NetworkModel", "PlantState", "build_chain_of_masses",
     "plant_step",
     # oracle
-    "DenseQp", "DenseSolution", "Rollout", "centralized_mpc_rollout",
-    "dense_qp_from_stacked", "enumerate_active_sets", "kkt_residual",
+    "DenseSolution", "Rollout", "centralized_mpc_rollout", "kkt_residual",
     "prepare_kkt", "solve_dense_qp",
     # qp_builder
     "AgentQP", "CouplingIndex", "StackedQp", "VariableLayout",

@@ -228,28 +228,24 @@ def admm_converged(plan, z, z_bar, z_prev, lam, rho, eps_primal,
             & (dual <= eps_dual * scale_d)).tolist()
 
 
-def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Warm start for the next sample: shift trajectories one step.
+def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> np.ndarray:
+    """Warm start for the next sample: the averaged coupling values one
+    step later, on the coupling plan's flat layout.
 
-    States move forward by one step with the terminal state filling the last
-    stage; the vacated terminal state and final input are zero-padded.
-    Copies shift the same way with a zero-padded final stage, which keeps
-    every interior coupling row consistent; the final-stage rows are off by
-    the owner's shifted-in terminal state, which the warm-started iteration
-    absorbs.
+    Each entry takes its column one stage later (the plan's ``shift_src``):
+    owned states move forward with the terminal state filling the last
+    stage, and copies move the same way with a zero final stage.  That
+    keeps every interior coupling row consistent; the final-stage rows are
+    off by the owner's shifted-in terminal state, which the warm-started
+    iteration absorbs.
     """
-    plan = qps[0].coupling
-    shifted = []
-    for zb, dst, src in zip(z_avg, plan.shift_dst, plan.shift_src):
-        out = np.zeros_like(zb)
-        out[dst] = zb[src]
-        shifted.append(out)
-    return shifted
+    src = qps[0].coupling.shift_src
+    return np.where(src >= 0, np.concatenate(z_avg)[src], 0.0)
 
 
 def admm_solve(qps, fabric: Fabric | None = None,
                cfg: AdmmConfig | None = None,
-               z_avg0: Sequence[np.ndarray] | None = None) -> AdmmResult:
+               z_avg0: np.ndarray | None = None) -> AdmmResult:
     """Run consensus ADMM until both stopping criteria hold for all agents.
 
     Parameters
@@ -257,9 +253,10 @@ def admm_solve(qps, fabric: Fabric | None = None,
     qps : sequence of AgentQP
     fabric : Fabric, optional
     cfg : AdmmConfig, optional
-    z_avg0 : sequence of arrays, optional
-        Averaged decision vectors to warm start from (cold start is zero).
-        Multipliers always start at zero.
+    z_avg0 : array, optional
+        Averaged coupling values on the coupling plan's flat layout to warm
+        start from, as :func:`shift_averaged` gives them (cold start is
+        zero).  Multipliers always start at zero.
 
     Returns
     -------
@@ -277,7 +274,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
     blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
     z = np.zeros(ends[-1])
     z_bar = (np.zeros(plan.columns.size) if z_avg0 is None
-             else np.concatenate(z_avg0, dtype=float)[plan.columns])
+             else np.asarray(z_avg0, dtype=float))
     lam = np.zeros(plan.columns.size)
     warm: list[tuple[int, ...]] = [() for _ in qps]
     z_prev = None

@@ -104,6 +104,12 @@ class ExperimentConfig:
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value}")
+        # build_chain_of_masses checks the signs
+        for name in ("mass", "stiffness", "damping", "u_max", "q_diag",
+                     "r_weight", "p_weight"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 _AGENT_KEYS = ("A_self", "B", "u_lo", "u_hi", "Q", "R", "P")

@@ -104,9 +104,5 @@ class CommAccountingError(SolverError):
     """Measured communication disagrees with the per-iteration identities."""
 
 
-class InfeasibleProblem(SolverError):
-    """The constraint system admits no feasible point."""
-
-
 class LocalQpError(SolverError):
     """Single-agent QP subsolver failed."""

@@ -143,13 +143,6 @@ class NetworkModel:
         """Agents whose dynamics depend on agent i's state."""
         return self._out[i]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Union of in- and out-neighbors."""
-        return tuple(sorted(set(self._in[i]) | set(self._out[i])))
-
-    def state_dims(self) -> tuple[int, ...]:
-        return tuple(a.n for a in self.agents)
-
 
 @dataclass(frozen=True)
 class PlantState:

@@ -1,11 +1,10 @@
-"""Centralized reference solvers.
+"""Centralized reference solver.
 
 This module provides single-process ground truth for the distributed
 machinery: a primal active-set QP solver on the stacked problem, whose
 equality-only saddle-point matrix is assembled sparse and factored once with
-``scipy.sparse.linalg.splu`` (active bound rows enter as a border), a
-brute-force solver that enumerates candidate active sets, and a centralized
-receding-horizon rollout.  It deliberately shares no solver code
+``scipy.sparse.linalg.splu`` (active bound rows enter as a border), and a
+centralized receding-horizon rollout.  It deliberately shares no solver code
 with the distributed path (no null-space condensing, no decomposed CG); only
 problem construction and the closed-loop driver from
 :mod:`dmpcqp.qp_builder` are reused.
@@ -13,7 +12,6 @@ problem construction and the closed-loop driver from
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -21,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InfeasibleProblem, SolverError
+from .errors import SolverError
 from .model import NetworkModel
 from .qp_builder import (StackedQp, build_network_qps, closed_loop,
                          rollout_feasible_point, stack_global)
@@ -41,24 +39,6 @@ _BASE_ITERS = 30
 
 
 @dataclass(frozen=True)
-class DenseQp:
-    """Minimize ``0.5 z' H z`` subject to equalities and one-sided rows.
-
-    The matrices are ``scipy.sparse`` CSR arrays.
-    """
-
-    hessian: sp.csr_array
-    eq_matrix: sp.csr_array
-    eq_rhs: np.ndarray
-    ineq_matrix: sp.csr_array
-    ineq_rhs: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.hessian.shape[0]
-
-
-@dataclass(frozen=True)
 class DenseSolution:
     z: np.ndarray
     eq_duals: np.ndarray
@@ -67,19 +47,6 @@ class DenseSolution:
     objective: float
     iterations: int
     kkt_residual: float
-
-
-def dense_qp_from_stacked(stacked: StackedQp) -> DenseQp:
-    """Fold the coupling rows into the equality block of a stacked QP."""
-    if stacked.cpl_matrix.shape[0]:
-        eq = sp.vstack([stacked.eq_matrix, stacked.cpl_matrix], format="csr")
-        rhs = np.concatenate([stacked.eq_rhs,
-                              np.zeros(stacked.cpl_matrix.shape[0])])
-    else:
-        eq, rhs = stacked.eq_matrix, stacked.eq_rhs
-    return DenseQp(hessian=stacked.hessian, eq_matrix=eq, eq_rhs=rhs,
-                   ineq_matrix=stacked.ineq_matrix,
-                   ineq_rhs=stacked.ineq_rhs)
 
 
 class PreparedKkt:
@@ -92,7 +59,7 @@ class PreparedKkt:
     raises :class:`SolverError`.
     """
 
-    def __init__(self, qp: DenseQp):
+    def __init__(self, qp: StackedQp):
         n, me = qp.size, qp.eq_matrix.shape[0]
         K = sp.block_array([[qp.hessian, qp.eq_matrix.T],
                             [qp.eq_matrix, None]], format="csc")
@@ -112,30 +79,8 @@ class PreparedKkt:
         return self.lu.solve(rhs)
 
 
-def prepare_kkt(qp: DenseQp) -> PreparedKkt:
+def prepare_kkt(qp: StackedQp) -> PreparedKkt:
     return PreparedKkt(qp)
-
-
-def _phase1(qp: DenseQp) -> np.ndarray:
-    # imported here: only a cold solve_dense_qp needs it, and importing it
-    # takes about a third of the package's import time
-    import scipy.optimize
-
-    n = qp.size
-    res = scipy.optimize.linprog(
-        c=np.zeros(n),
-        A_ub=qp.ineq_matrix if qp.ineq_matrix.shape[0] else None,
-        b_ub=qp.ineq_rhs if qp.ineq_matrix.shape[0] else None,
-        A_eq=qp.eq_matrix if qp.eq_matrix.shape[0] else None,
-        b_eq=qp.eq_rhs if qp.eq_matrix.shape[0] else None,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    if res.status == 2:
-        raise InfeasibleProblem("phase-1 linear program is infeasible")
-    if not res.success:
-        raise SolverError(f"phase-1 linear program failed: {res.message}")
-    return np.asarray(res.x, dtype=float)
 
 
 def _ratio_test(cp: np.ndarray, slack: np.ndarray,
@@ -157,7 +102,7 @@ def _ratio_test(cp: np.ndarray, slack: np.ndarray,
     return float(ratios[k]), int(rows[k])
 
 
-def kkt_residual(qp: DenseQp, z, eq_duals, ineq_duals, active=()) -> float:
+def kkt_residual(qp: StackedQp, z, eq_duals, ineq_duals, active=()) -> float:
     """Max-norm KKT residual (stationarity, feasibility, complementarity)."""
     grad = qp.hessian @ z
     if qp.eq_matrix.shape[0]:
@@ -178,16 +123,15 @@ def kkt_residual(qp: DenseQp, z, eq_duals, ineq_duals, active=()) -> float:
     return float(max(parts))
 
 
-def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
-                   prepared: PreparedKkt | None = None,
+def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *, prepared: PreparedKkt,
                    warm_active: Sequence[int] = ()) -> DenseSolution:
     """Primal active-set method on the stacked QP.
 
-    Starts from ``z0`` when given (must satisfy every constraint, and hold
-    ``warm_active`` rows with equality), otherwise from a phase-1 linear
-    program.  Each inner equality-constrained step is solved through the
-    bordered saddle-point system; small equality drift in the start point is
-    corrected by the first step.
+    Starts from ``z0``, which must satisfy every constraint and hold the
+    ``warm_active`` rows with equality.  Each inner equality-constrained
+    step is solved through the bordered saddle-point system ``prepared``
+    factors (see :func:`prepare_kkt`); small equality drift in the start
+    point is corrected by the first step.
 
     Returns
     -------
@@ -197,19 +141,13 @@ def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
     """
     n_ineq = qp.ineq_matrix.shape[0]
     max_iter = _ITERS_PER_ROW * n_ineq + _BASE_ITERS
-    if prepared is None:
-        prepared = prepare_kkt(qp)
-    if z0 is None:
-        z = _phase1(qp)
-        active: list[int] = []
-    else:
-        z = np.asarray(z0, dtype=float).copy()
-        active = list(warm_active)
-        if qp.eq_matrix.shape[0] and \
-                np.abs(qp.eq_matrix @ z - qp.eq_rhs).max() > 1e-7:
-            raise ValueError("start point violates equality rows")
-        if n_ineq and (qp.ineq_matrix @ z - qp.ineq_rhs).max() > 1e-8:
-            raise ValueError("start point violates inequality rows")
+    z = np.asarray(z0, dtype=float).copy()
+    active = list(warm_active)
+    if qp.eq_matrix.shape[0] and \
+            np.abs(qp.eq_matrix @ z - qp.eq_rhs).max() > 1e-7:
+        raise ValueError("start point violates equality rows")
+    if n_ineq and (qp.ineq_matrix @ z - qp.ineq_rhs).max() > 1e-8:
+        raise ValueError("start point violates inequality rows")
 
     n, me = prepared.n, prepared.m_eq
     for it in range(1, max_iter + 1):
@@ -254,56 +192,6 @@ def solve_dense_qp(qp: DenseQp, z0: np.ndarray | None = None, *,
     raise SolverError(f"active-set oracle hit the {max_iter}-iteration cap")
 
 
-def enumerate_active_sets(qp: DenseQp, max_ineq: int = 20) -> DenseSolution:
-    """Brute-force minimizer by enumerating candidate active sets.
-
-    Every subset of inequality rows is treated as equalities, the resulting
-    KKT system solved by least squares, and candidates kept when the system
-    is consistent, the remaining rows feasible, and the subset multipliers
-    non-negative.  Intended for tiny problems; refuses more than
-    ``max_ineq`` inequality rows.
-    """
-    n_ineq = qp.ineq_matrix.shape[0]
-    if n_ineq > max_ineq:
-        raise ValueError(f"{n_ineq} inequality rows exceed cap {max_ineq}")
-    n, me = qp.size, qp.eq_matrix.shape[0]
-    H, C_eq, C_ineq = (m.toarray() for m in
-                       (qp.hessian, qp.eq_matrix, qp.ineq_matrix))
-    best = None
-    for size in range(n_ineq + 1):
-        for subset in itertools.combinations(range(n_ineq), size):
-            A = np.vstack([C_eq, C_ineq[list(subset)]]) if subset else C_eq
-            b = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(subset)]]) \
-                if subset else qp.eq_rhs
-            ma = A.shape[0]
-            KKT = np.zeros((n + ma, n + ma))
-            KKT[:n, :n] = H
-            KKT[:n, n:] = A.T
-            KKT[n:, :n] = A
-            rhs = np.concatenate([np.zeros(n), b])
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-            scale = 1.0 + np.abs(rhs).max(initial=0.0)
-            if np.abs(KKT @ sol - rhs).max(initial=0.0) > 1e-8 * scale:
-                continue
-            z, duals = sol[:n], sol[n:]
-            others = [r for r in range(n_ineq) if r not in subset]
-            if others and (C_ineq[others] @ z
-                           - qp.ineq_rhs[others]).max() > 1e-9:
-                continue
-            nu = duals[me:]
-            if nu.size and nu.min() < -1e-9:
-                continue
-            obj = 0.5 * float(z @ (H @ z))
-            if best is None or obj < best.objective - 1e-12:
-                best = DenseSolution(
-                    z=z, eq_duals=duals[:me], ineq_duals=nu,
-                    active=subset, objective=obj, iterations=0,
-                    kkt_residual=kkt_residual(qp, z, duals[:me], nu, subset))
-    if best is None:
-        raise InfeasibleProblem("no active set yields a feasible KKT point")
-    return best
-
-
 @dataclass(frozen=True)
 class Rollout:
     """Closed-loop trajectories from a receding-horizon run.
@@ -321,12 +209,12 @@ class Rollout:
         return self.states[t][i]
 
 
-def _warm_inputs(qps, active, stacked: StackedQp):
+def _warm_inputs(qps, active):
     """Per-agent input trajectories that hold the given stacked bound rows
     tight."""
     active = np.asarray(active, dtype=int)
     inputs = []
-    for qp, off in zip(qps, stacked.ineq_offsets):
+    for qp, off in zip(qps, np.cumsum([0] + [qp.n_ineq for qp in qps])):
         lay, bounds = qp.layout, qp.bounds
         rows = active[(off <= active) & (active < off + qp.n_ineq)] - off
         u = np.zeros((lay.horizon, lay.n_inputs))
@@ -350,19 +238,19 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
         raise ValueError("steps must be at least 1")
     qps = build_network_qps(net, horizon, x0s)
     stacked = stack_global(qps)
-    dense = dense_qp_from_stacked(stacked)
-    prepared = prepare_kkt(dense)
-    coupling_rhs = dense.eq_rhs[stacked.eq_rhs.size:]
+    prepared = prepare_kkt(stacked)
+    coupling_rhs = np.zeros(qps[0].n_coupling)
+    ends = np.cumsum([qp.size for qp in qps])[:-1]
 
     def step(qps, states, active, t):
         active = active or ()
-        sample_qp = replace(dense, eq_rhs=np.concatenate(
+        sample_qp = replace(stacked, eq_rhs=np.concatenate(
             [qp.eq_rhs for qp in qps] + [coupling_rhs]))
-        z0 = stacked.join(rollout_feasible_point(
-            net, horizon, states, _warm_inputs(qps, active, stacked)))
+        z0 = np.concatenate(rollout_feasible_point(
+            net, horizon, states, _warm_inputs(qps, active)))
         sol = solve_dense_qp(sample_qp, z0, prepared=prepared,
                              warm_active=active)
-        return stacked.split(sol.z), sol.active, sol.iterations
+        return np.split(sol.z, ends), sol.active, sol.iterations
 
     states, inputs, iterations = closed_loop(net, qps, x0s, steps, step)
     return Rollout(states=states, inputs=inputs, iterations=tuple(iterations))

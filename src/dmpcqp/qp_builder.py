@@ -152,7 +152,9 @@ class CouplingIndex:
     ``columns[e]`` of the agents' stacked decision vectors.  For ADMM,
     ``owned`` are the owners' entries (ascending), ``slots[k]`` numbers the
     owned state that ``owned[k]`` reads, ``n_copies`` counts each slot's
-    copiers, and ``shift_dst`` and ``shift_src`` index the one-step shift.
+    copiers, and ``shift_src[e]`` is the stacked column entry ``e`` reads
+    one stage later (the owner's last stage reads its terminal state, and
+    a copier's last stage, with no later stage, is ``-1``).
     """
 
     horizon: int
@@ -166,31 +168,16 @@ class CouplingIndex:
     owned: np.ndarray
     slots: np.ndarray
     n_copies: np.ndarray
-    shift_dst: tuple[np.ndarray, ...]
-    shift_src: tuple[np.ndarray, ...]
-
-
-def _shift_indices(lay: VariableLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Destination and source entries of a one-step trajectory shift."""
-    N, n, m = lay.horizon, lay.n_states, lay.n_inputs
-    # each run moves one step: states by n (the terminal state fills the
-    # last stage), inputs by m and copies by their width, leaving the final
-    # input and copied stages zero
-    runs = [(0, N * n, n), (lay.u_offset, (N - 1) * m, m)]
-    runs += [(lay.v_block_slice(j).start, (N - 1) * nj, nj)
-             for j, nj in zip(lay.in_neighbors, lay.neighbor_dims)]
-    dst = np.concatenate([np.arange(start, start + length)
-                          for start, length, _ in runs])
-    return dst, dst + np.repeat([w for *_, w in runs],
-                                [length for _, length, _ in runs])
+    shift_src: np.ndarray
 
 
 def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     """The :class:`CouplingIndex` of ``net``; an edge's row ``k n + c``
     ties the owner's state ``x^k_c`` to the copier's copy of it."""
     layouts = [_layout_for(net, i, horizon) for i in range(net.n_agents)]
-    # per row: its (owner, copier) and the column each of them reads
-    edges, holders, cols = [], [], []
+    # per row: its (owner, copier), the column each of them reads, its
+    # stage width and whether it is in the last stage
+    edges, holders, cols, widths, last = [], [], [], [], []
     for copier, lay in enumerate(layouts):
         for owner, n_owner in zip(lay.in_neighbors, lay.neighbor_dims):
             width = horizon * n_owner
@@ -198,6 +185,8 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
             holders += [(owner, copier)] * width
             start = lay.v_block_slice(owner).start
             cols += [(k, start + k) for k in range(width)]
+            widths += [n_owner] * width
+            last += [k >= width - n_owner for k in range(width)]
     holders = np.array(holders, dtype=int).reshape(-1, 2)
     cols = np.array(cols, dtype=int).reshape(-1, 2)
     agents = []
@@ -214,7 +203,10 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
                               zip(starts, agents)])
     _, slots, n_copies = np.unique(columns[owned], return_inverse=True,
                                    return_counts=True)
-    shifts = [_shift_indices(lay) for lay in layouts]
+    rows = np.concatenate([a.rows for a in agents])
+    # one stage later is one stage width on: the owner's last stage reads
+    # its terminal state, and a copy has no stage after its last
+    copier_last = (signs < 0) & np.array(last, dtype=bool)[rows]
     return CouplingIndex(
         horizon=horizon, n_coupling=len(holders), edges=tuple(edges),
         agents=tuple(agents),
@@ -222,8 +214,8 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
         partner=build_partner([a.rows for a in agents]),
         columns=columns, signs=signs, owned=owned, slots=slots,
         n_copies=n_copies,
-        shift_dst=tuple(d for d, _ in shifts),
-        shift_src=tuple(s for _, s in shifts))
+        shift_src=np.where(copier_last, -1,
+                           columns + np.array(widths, dtype=int)[rows]))
 
 
 @dataclass(frozen=True)
@@ -397,25 +389,22 @@ def closed_loop(net: NetworkModel, qps: Sequence[AgentQP],
 
 @dataclass(frozen=True)
 class StackedQp:
-    """All agents' blocks stacked into one flat QP (coupling kept separate).
+    """All agents' blocks stacked into one flat QP: minimize ``0.5 z' H z``
+    subject to ``eq_matrix z = eq_rhs`` and ``ineq_matrix z <= ineq_rhs``.
 
-    The matrices are ``scipy.sparse`` CSR arrays."""
+    The equality rows are the agents' rows, agent-major, followed by the
+    coupling rows with a zero right-hand side.  The matrices are
+    ``scipy.sparse`` CSR arrays."""
 
     hessian: sp.csr_array
     eq_matrix: sp.csr_array
     eq_rhs: np.ndarray
     ineq_matrix: sp.csr_array
     ineq_rhs: np.ndarray
-    cpl_matrix: sp.csr_array
-    offsets: tuple[int, ...]
-    ineq_offsets: tuple[int, ...]
-    sizes: tuple[int, ...]
 
-    def split(self, z: np.ndarray) -> list[np.ndarray]:
-        return [z[o:o + s] for o, s in zip(self.offsets, self.sizes)]
-
-    def join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+    @property
+    def size(self) -> int:
+        return self.hessian.shape[0]
 
 
 def _sparse(shape, entries) -> sp.csr_array:
@@ -436,32 +425,23 @@ def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
     n_c = {qp.n_coupling for qp in qps}
     if len(n_c) != 1:
         raise ValueError("agents disagree on the number of coupling rows")
-    sizes = tuple(qp.size for qp in qps)
-    offsets = tuple(int(o) for o in np.concatenate(([0], np.cumsum(sizes)[:-1])))
-    eq_sizes = [qp.n_eq for qp in qps]
-    ineq_sizes = [qp.n_ineq for qp in qps]
-    eq_offsets = tuple(int(o) for o in
-                       np.concatenate(([0], np.cumsum(eq_sizes)[:-1])))
-    ineq_offsets = tuple(int(o) for o in
-                         np.concatenate(([0], np.cumsum(ineq_sizes)[:-1])))
-    nz = sum(sizes)
+    offsets = np.cumsum([0] + [qp.size for qp in qps])
+    eq_offsets = np.cumsum([0] + [qp.n_eq for qp in qps])
+    ineq_offsets = np.cumsum([0] + [qp.n_ineq for qp in qps])
+    nz, n_eq, n_c = offsets[-1], eq_offsets[-1], qps[0].n_coupling
     blocks = list(zip(qps, offsets, eq_offsets, ineq_offsets))
     return StackedQp(
         hessian=_sparse((nz, nz), [_block(off, off, qp.hessian)
                                    for qp, off, _, _ in blocks]),
-        eq_matrix=_sparse((sum(eq_sizes), nz), [
-            _block(eo, off, qp.eq_matrix) for qp, off, eo, _ in blocks]),
-        eq_rhs=np.concatenate([qp.eq_rhs for qp in qps]),
-        ineq_matrix=_sparse((sum(ineq_sizes), nz), [
+        eq_matrix=_sparse((n_eq + n_c, nz), [
+            _block(eo, off, qp.eq_matrix) for qp, off, eo, _ in blocks] + [
+            (n_eq + qp.coupled.rows, off + qp.coupled.cols, qp.coupled.signs)
+            for qp, off, _, _ in blocks]),
+        eq_rhs=np.concatenate([qp.eq_rhs for qp in qps] + [np.zeros(n_c)]),
+        ineq_matrix=_sparse((ineq_offsets[-1], nz), [
             (io + np.arange(qp.n_ineq), off + qp.bounds.cols, qp.bounds.signs)
             for qp, off, _, io in blocks]),
         ineq_rhs=np.concatenate([qp.ineq_rhs for qp in qps]),
-        cpl_matrix=_sparse((qps[0].n_coupling, nz), [
-            (qp.coupled.rows, off + qp.coupled.cols, qp.coupled.signs)
-            for qp, off, _, _ in blocks]),
-        offsets=offsets,
-        ineq_offsets=ineq_offsets,
-        sizes=sizes,
     )
 
 

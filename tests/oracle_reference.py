@@ -1,25 +1,40 @@
-"""The dense oracle path the sparse one replaced.
+"""The dense oracle path the sparse one replaced, and the oracle's
+test-only solvers.
 
 Kept as the reference that ``test_oracle.py`` and
 ``test_qp_builder.py`` check the sparse path against: the stacked matrices
 assembled as dense ``nz x nz`` arrays, the saddle-point matrix factored
-with ``lu_factor``, the ratio test as a loop over the rows, and the
-feasible start filled slice by slice.
+with ``lu_factor``, the ratio test as a loop over the rows, the feasible
+start filled slice by slice, and the coupling rows folded into the
+stacked equalities by ``sp.vstack``.
+
+The solvers only tests call live here too: the phase-1 linear program
+(:func:`phase1`) that gives a cold start, :func:`cold_solve`, which runs
+the sparse oracle from it, and the brute-force
+:func:`enumerate_active_sets`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
 
-from dmpcqp.errors import InfeasibleProblem, SolverError
+from dmpcqp.errors import SolverError
 from dmpcqp.model import PlantState, plant_step
 from dmpcqp.oracle import (_BASE_ITERS, _DEGENERATE_STEP, _DUAL_TOL,
-                           _ITERS_PER_ROW, _RATIO_TOL, _STEP_TOL)
-from dmpcqp.qp_builder import _layout_for
+                           _ITERS_PER_ROW, _RATIO_TOL, _STEP_TOL,
+                           DenseSolution, kkt_residual, prepare_kkt,
+                           solve_dense_qp)
+from dmpcqp.qp_builder import StackedQp, _block, _layout_for, _sparse
+
+
+class InfeasibleProblem(SolverError):
+    """The constraint system admits no feasible point."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +97,9 @@ def ratio_test_loop(cp, slack, active):
     return alpha, blocking
 
 
-def _phase1(qp: ReferenceQp) -> np.ndarray:
+def phase1(qp) -> np.ndarray:
+    """A feasible point of a stacked QP (dense or sparse), from a
+    zero-cost ``linprog``."""
     n = qp.size
     res = scipy.optimize.linprog(
         c=np.zeros(n),
@@ -114,7 +131,7 @@ def solve_dense(qp: ReferenceQp, z0=None, warm_active=()):
     K[n:, :n] = qp.eq_matrix
     lu = scipy.linalg.lu_factor(K)
     if z0 is None:
-        z = _phase1(qp)
+        z = phase1(qp)
         active = []
     else:
         z = np.asarray(z0, dtype=float).copy()
@@ -178,3 +195,91 @@ def rollout_feasible_point_loop(net, horizon, x0s, inputs=None):
                 z[layout.v_slice(j, k)] = traj[k][j]
         zs.append(z)
     return zs
+
+
+def cold_solve(qp: StackedQp) -> DenseSolution:
+    """The sparse oracle from the phase-1 start, with a fresh factor."""
+    z0 = phase1(qp)
+    return solve_dense_qp(qp, z0, prepared=prepare_kkt(qp))
+
+
+def enumerate_active_sets(qp, max_ineq: int = 20) -> DenseSolution:
+    """Brute-force minimizer by enumerating candidate active sets.
+
+    Every subset of inequality rows is treated as equalities, the resulting
+    KKT system solved by least squares, and candidates kept when the system
+    is consistent, the remaining rows feasible, and the subset multipliers
+    non-negative.  Intended for tiny problems; refuses more than
+    ``max_ineq`` inequality rows.
+    """
+    n_ineq = qp.ineq_matrix.shape[0]
+    if n_ineq > max_ineq:
+        raise ValueError(f"{n_ineq} inequality rows exceed cap {max_ineq}")
+    n, me = qp.size, qp.eq_matrix.shape[0]
+    H, C_eq, C_ineq = (m.toarray() for m in
+                       (qp.hessian, qp.eq_matrix, qp.ineq_matrix))
+    best = None
+    for size in range(n_ineq + 1):
+        for subset in itertools.combinations(range(n_ineq), size):
+            A = np.vstack([C_eq, C_ineq[list(subset)]]) if subset else C_eq
+            b = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(subset)]]) \
+                if subset else qp.eq_rhs
+            ma = A.shape[0]
+            KKT = np.zeros((n + ma, n + ma))
+            KKT[:n, :n] = H
+            KKT[:n, n:] = A.T
+            KKT[n:, :n] = A
+            rhs = np.concatenate([np.zeros(n), b])
+            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+            scale = 1.0 + np.abs(rhs).max(initial=0.0)
+            if np.abs(KKT @ sol - rhs).max(initial=0.0) > 1e-8 * scale:
+                continue
+            z, duals = sol[:n], sol[n:]
+            others = [r for r in range(n_ineq) if r not in subset]
+            if others and (C_ineq[others] @ z
+                           - qp.ineq_rhs[others]).max() > 1e-9:
+                continue
+            nu = duals[me:]
+            if nu.size and nu.min() < -1e-9:
+                continue
+            obj = 0.5 * float(z @ (H @ z))
+            if best is None or obj < best.objective - 1e-12:
+                best = DenseSolution(
+                    z=z, eq_duals=duals[:me], ineq_duals=nu,
+                    active=subset, objective=obj, iterations=0,
+                    kkt_residual=kkt_residual(qp, z, duals[:me], nu, subset))
+    if best is None:
+        raise InfeasibleProblem("no active set yields a feasible KKT point")
+    return best
+
+
+def stack_vstack(qps) -> StackedQp:
+    """The stacked QP as the oracle built it before ``stack_global`` folded
+    the coupling rows in: the agents' equality rows and the coupling rows
+    assembled apart, then joined by ``sp.vstack``."""
+    sizes = [qp.size for qp in qps]
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    eq_sizes = [qp.n_eq for qp in qps]
+    ineq_sizes = [qp.n_ineq for qp in qps]
+    eq_offsets = np.concatenate(([0], np.cumsum(eq_sizes)[:-1]))
+    ineq_offsets = np.concatenate(([0], np.cumsum(ineq_sizes)[:-1]))
+    nz = sum(sizes)
+    blocks = list(zip(qps, offsets, eq_offsets, ineq_offsets))
+    eq = _sparse((sum(eq_sizes), nz), [
+        _block(eo, off, qp.eq_matrix) for qp, off, eo, _ in blocks])
+    eq_rhs = np.concatenate([qp.eq_rhs for qp in qps])
+    cpl = _sparse((qps[0].n_coupling, nz), [
+        (qp.coupled.rows, off + qp.coupled.cols, qp.coupled.signs)
+        for qp, off, _, _ in blocks])
+    if cpl.shape[0]:
+        eq = sp.vstack([eq, cpl], format="csr")
+        eq_rhs = np.concatenate([eq_rhs, np.zeros(cpl.shape[0])])
+    return StackedQp(
+        hessian=_sparse((nz, nz), [_block(off, off, qp.hessian)
+                                   for qp, off, _, _ in blocks]),
+        eq_matrix=eq, eq_rhs=eq_rhs,
+        ineq_matrix=_sparse((sum(ineq_sizes), nz), [
+            (io + np.arange(qp.n_ineq), off + qp.bounds.cols, qp.bounds.signs)
+            for qp, off, _, io in blocks]),
+        ineq_rhs=np.concatenate([qp.ineq_rhs for qp in qps]))
+

@@ -21,11 +21,10 @@ from dmpcqp.cli import ExperimentConfig, run_experiment
 from dmpcqp.condense import condense
 from dmpcqp.dcg import dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.fabric import verify_comm_identities
-from dmpcqp.oracle import (dense_qp_from_stacked, enumerate_active_sets,
-                           solve_dense_qp)
 from dmpcqp.qp_builder import stack_global
 
 from conftest import norm_inf, random_network, random_x0, tiny_network
+from oracle_reference import cold_solve, enumerate_active_sets
 from test_dcg import assemble, centralized_cg, gather
 
 BASELINE = dict(scenario="chain", n_masses=10, horizon=12, steps=25,
@@ -95,7 +94,7 @@ def test_criterion_2_oracle_equivalence():
         net = random_network(rng, n_agents=m_agents)
         qps = build_network_qps(net, horizon, random_x0(rng, net))
         res = asm_solve(qps)
-        ref = solve_dense_qp(dense_qp_from_stacked(stack_global(qps)))
+        ref = cold_solve(stack_global(qps))
         worst_z = max(worst_z, norm_inf(np.concatenate(res.z) - ref.z))
         worst_obj = max(worst_obj, abs(res.objective - ref.objective))
     elapsed = time.perf_counter() - t0
@@ -117,7 +116,7 @@ def test_criterion_3_brute_force_equivalence():
             continue
         count += 1
         res = asm_solve(qps)
-        ref = enumerate_active_sets(dense_qp_from_stacked(stack_global(qps)))
+        ref = enumerate_active_sets(stack_global(qps))
         worst = max(worst, norm_inf(np.concatenate(res.z) - ref.z))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 60.0

@@ -348,32 +348,23 @@ def test_shift_averaged():
     inputs = [0.1 * rng.uniform(-1.0, 1.0, size=(3, a.m)) for a in net.agents]
     zs = rollout_feasible_point(net, 3, x0s, inputs=inputs)
     shifted = shift_averaged(qps, zs)
-    lay = qps[0].layout
-    N = lay.horizon
-    np.testing.assert_array_equal(shifted[0][lay.x_slice(0)],
-                                  zs[0][lay.x_slice(1)])
-    np.testing.assert_array_equal(shifted[0][lay.x_slice(N - 1)],
-                                  zs[0][lay.x_slice(N)])
-    np.testing.assert_array_equal(shifted[0][lay.x_slice(N)],
-                                  np.zeros(lay.n_states))
-    np.testing.assert_array_equal(shifted[0][lay.u_slice(0)],
-                                  zs[0][lay.u_slice(1)])
-    np.testing.assert_array_equal(shifted[0][lay.u_slice(N - 1)],
-                                  np.zeros(lay.n_inputs))
-    # interior coupling rows stay exactly consistent; the final stage is off
-    # by the owners' shifted-in terminal states
-    total = np.zeros(qps[0].n_coupling)
-    for qp, zb in zip(qps, shifted):
-        total[qp.coupled.rows] += dense_coupling(qp) @ zb
-    from dmpcqp.qp_builder import build_coupling_index
-    idx = build_coupling_index(net, N)
-    for edge in idx.edges:
+    plan = qps[0].coupling
+    N = plan.horizon
+    assert shifted.shape == plan.columns.shape
+    # each entry and its partner hold one row: interior coupling rows stay
+    # exactly consistent, and the final stage is off by the owner's
+    # shifted-in terminal state
+    image = plan.signs * shifted
+    total = np.empty(plan.n_coupling)
+    total[np.concatenate([a.rows for a in plan.agents])] = \
+        image + image[plan.partner]
+    for edge in plan.edges:
         rows = np.arange(edge.offset, edge.offset + N * edge.n_states)
         interior, last = rows[:-edge.n_states], rows[-edge.n_states:]
         assert norm_inf(total[interior]) == 0.0
         lay_o = qps[edge.owner].layout
-        expected = np.abs(zs[edge.owner][lay_o.x_slice(N)])
-        np.testing.assert_allclose(np.abs(total[last]), expected, atol=1e-15)
+        np.testing.assert_array_equal(total[last],
+                                      zs[edge.owner][lay_o.x_slice(N)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,38 +567,28 @@ def _reference_shift(qps, z_avg):
 
 
 def _reference_consensus_index(qps):
-    """The per-solve averaging and shift index ADMM built before the
-    coupling plan held it, kept verbatim as the reference:
-    ``(n_own, blocks, copiers, shift_dst, shift_src)``."""
-    n_own, blocks, dst, src = [], [], [], []
+    """The per-solve averaging index ADMM built before the coupling plan
+    held it, kept verbatim as the reference: ``(n_own, blocks,
+    copiers)``."""
+    n_own, blocks = [], []
     copiers = [[] for _ in qps]
     for qp in qps:
         lay = qp.layout
-        N, n, m = lay.horizon, lay.n_states, lay.n_inputs
-        n_own.append(N * n)
+        n_own.append(lay.horizon * lay.n_states)
         own_blocks = tuple((j, lay.v_block_slice(j))
                            for j in lay.in_neighbors)
         blocks.append(own_blocks)
         for j, _ in own_blocks:
             copiers[j].append(qp.index)
-        runs = [(0, N * n, n), (lay.u_offset, (N - 1) * m, m)]
-        runs += [(blk.start, (N - 1) * nj, nj) for (_, blk), nj
-                 in zip(own_blocks, lay.neighbor_dims)]
-        d = np.concatenate([np.arange(start, start + length)
-                            for start, length, _ in runs])
-        step = np.concatenate([np.full(length, width)
-                               for _, length, width in runs])
-        dst.append(d)
-        src.append(d + step)
     return (tuple(n_own), tuple(blocks),
-            tuple(tuple(sorted(c)) for c in copiers), tuple(dst), tuple(src))
+            tuple(tuple(sorted(c)) for c in copiers))
 
 
 def _dict_average(qps, zs, fabric):
     """The averaging over per-pair payload dicts that the index-based
     exchange replaced, kept verbatim as the reference, with its plan
     fields from :func:`_reference_consensus_index`."""
-    n_own, blocks, copiers, _, _ = _reference_consensus_index(qps)
+    n_own, blocks, copiers = _reference_consensus_index(qps)
     delivered = neighbor_exchange(
         fabric, {(i, j): zs[i][blk] for i, own_blocks in enumerate(blocks)
                  for j, blk in own_blocks}, phase="admm")
@@ -647,11 +628,6 @@ def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
                          max_input=2, edge_prob=rng.uniform(0.2, 1.0))
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     plan = qps[0].coupling
-    *_, shift_dst, shift_src = _reference_consensus_index(qps)
-    for got, want in zip(plan.shift_dst + plan.shift_src,
-                         shift_dst + shift_src):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
     zs = [rng.normal(size=qp.size) for qp in qps]
     fab = Fabric(len(qps))
     got = _flat_average(qps, zs, fab)
@@ -662,9 +638,8 @@ def test_indexed_averaging_and_shift_match_reference_loops(seed, n_agents,
         assert fab.ledger.as_dict() == fab_ref.ledger.as_dict()
         assert fab.round_index == fab_ref.round_index
 
-    ref_shift = _reference_shift(qps, ref)
-    assert [z.tobytes() for z in shift_averaged(qps, ref)] == \
-        [z.tobytes() for z in ref_shift]
+    ref_shift = np.concatenate(_reference_shift(qps, ref))[plan.columns]
+    assert shift_averaged(qps, ref).tobytes() == ref_shift.tobytes()
 
 
 def _solve_outcome(solve, qps, cfg, z_avg0):
@@ -699,9 +674,11 @@ def test_flat_solve_matches_reference_bit_for_bit(seed, n_agents, horizon,
     cfg = AdmmConfig.preset(preset, rho=rho)
     cold = _solve_outcome(admm_solve, qps, cfg, None)
     assert cold == _solve_outcome(ref_admm.admm_solve, qps, cfg, None)
-    warm = shift_averaged(qps, ref_admm.admm_solve(qps, None, cfg).z_avg)
-    assert _solve_outcome(admm_solve, qps, cfg, warm) == \
-        _solve_outcome(ref_admm.admm_solve, qps, cfg, warm)
+    z_avg = ref_admm.admm_solve(qps, None, cfg).z_avg
+    assert _solve_outcome(admm_solve, qps, cfg,
+                          shift_averaged(qps, z_avg)) == \
+        _solve_outcome(ref_admm.admm_solve, qps, cfg,
+                       _reference_shift(qps, z_avg))
     capped = AdmmConfig(rho=rho, max_iter=3)
     got = _solve_outcome(admm_solve, qps, capped, None)
     assert got == _solve_outcome(ref_admm.admm_solve, qps, capped, None)

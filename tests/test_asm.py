@@ -13,11 +13,12 @@ import dmpcqp.asm as asm_module
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
-from dmpcqp.oracle import dense_qp_from_stacked, kkt_residual, solve_dense_qp
+from dmpcqp.oracle import kkt_residual
 from dmpcqp.qp_builder import stack_global
 
 from conftest import (dense_bounds, network_with_isolated_agent, norm_inf,
                       random_network, random_x0)
+from oracle_reference import cold_solve
 
 
 def _network_problem(seed, n_agents=3, horizon=3, x0_scale=1.0):
@@ -31,7 +32,7 @@ def test_matches_dense_oracle():
     for seed in (101, 102, 103, 104):
         net, qps = _network_problem(seed)
         res = asm_solve(qps)
-        ref = solve_dense_qp(dense_qp_from_stacked(stack_global(qps)))
+        ref = cold_solve(stack_global(qps))
         z = np.concatenate(res.z)
         assert norm_inf(z - ref.z) < 1e-6
         assert abs(res.objective - ref.objective) < 1e-8 * (1 + abs(ref.objective))
@@ -40,7 +41,7 @@ def test_matches_dense_oracle():
 def test_terminal_kkt_residual_small():
     net, qps = _network_problem(105)
     res = asm_solve(qps)
-    dqp = dense_qp_from_stacked(stack_global(qps))
+    dqp = stack_global(qps)
     z = np.concatenate(res.z)
     # stacked convention: per-agent equality rows first, coupling rows last
     lam = np.full(qps[0].n_coupling, np.nan)
@@ -71,7 +72,7 @@ def test_interior_optimum_needs_one_iteration():
     res = asm_solve(qps)
     assert res.stats.outer_iterations == 1
     assert all(len(a) == 0 for a in res.active)
-    ref = solve_dense_qp(dense_qp_from_stacked(stack_global(qps)))
+    ref = cold_solve(stack_global(qps))
     assert norm_inf(np.concatenate(res.z) - ref.z) < 1e-8
 
 

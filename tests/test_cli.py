@@ -163,6 +163,14 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ExperimentConfig(**{name: bad}).validate()
         ExperimentConfig(**{name: 0.0}).validate()
+    for name in ("mass", "stiffness", "damping", "u_max", "r_weight",
+                 "p_weight"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ExperimentConfig(**{name: bad}).validate()
+    for bad in ((1.0, float("nan")), (float("inf"), 1.0)):
+        with pytest.raises(ValueError, match="q_diag must be finite"):
+            ExperimentConfig(q_diag=bad).validate()
 
 
 def test_initial_state_sampling_ranges():
@@ -193,9 +201,13 @@ def test_cli_run_and_compare_exit_codes(tmp_path, capsys):
     assert main(argv[:-1] + [str(tmp_path / "d"), "--rho", "nan"]) == 2
     assert not (tmp_path / "d").exists()
     capsys.readouterr()
-    for flag, bad in (("--y0-range", "nan"), ("--v0-range", "nan"),
-                      ("--y0-range", "-1"), ("--dt", "nan")):
-        assert main(argv[:-1] + [str(tmp_path / "e"), flag, bad]) == 2
+    for flag, *bad in (("--y0-range", "nan"), ("--v0-range", "nan"),
+                       ("--y0-range", "-1"), ("--dt", "nan"),
+                       ("--stiffness", "nan"), ("--damping", "inf"),
+                       ("--mass", "inf"), ("--u-max", "inf"),
+                       ("--q-diag", "1", "nan"), ("--r-weight", "nan"),
+                       ("--p-weight", "nan")):
+        assert main(argv[:-1] + [str(tmp_path / "e"), flag, *bad]) == 2
         assert f"{flag[2:].replace('-', '_')} must be finite" in \
             capsys.readouterr().err
         assert not (tmp_path / "e").exists()

@@ -100,7 +100,7 @@ def test_plant_step_matches_block_matrix():
     u = [rng.normal(size=a.m) for a in net.agents]
     nxt = plant_step(net, PlantState(states=tuple(x0)), u)
 
-    dims = net.state_dims()
+    dims = [a.n for a in net.agents]
     offs = np.concatenate([[0], np.cumsum(dims)])
     A = np.zeros((offs[-1], offs[-1]))
     for a in net.agents:

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from dmpcqp import (PlantState, build_chain_of_masses, build_network_qps,
                     plant_step)
-from dmpcqp.errors import InfeasibleProblem, SolverError
-from dmpcqp.oracle import (DenseQp, _ratio_test, centralized_mpc_rollout,
-                           dense_qp_from_stacked, enumerate_active_sets,
-                           kkt_residual, prepare_kkt, solve_dense_qp)
-from dmpcqp.qp_builder import rollout_feasible_point, stack_global
+import dmpcqp.oracle
+from dmpcqp.errors import SolverError
+from dmpcqp.oracle import (_ratio_test, centralized_mpc_rollout, kkt_residual,
+                           prepare_kkt, solve_dense_qp)
+from dmpcqp.qp_builder import StackedQp, rollout_feasible_point, stack_global
 
 from conftest import norm_inf, random_network, random_x0, tiny_network
-from oracle_reference import ratio_test_loop, solve_dense, stack_dense
+from oracle_reference import (InfeasibleProblem, cold_solve,
+                              enumerate_active_sets, phase1, ratio_test_loop,
+                              solve_dense, stack_dense, stack_vstack)
 
 
 def _dense_problem(seed, **kwargs):
@@ -23,13 +25,13 @@ def _dense_problem(seed, **kwargs):
     net = random_network(rng, **kwargs)
     x0s = random_x0(rng, net)
     qps = build_network_qps(net, 3, x0s)
-    return rng, dense_qp_from_stacked(stack_global(qps))
+    return rng, stack_global(qps)
 
 
 def test_solution_kkt_residual():
     for seed in (300, 301, 302):
         rng, dense = _dense_problem(seed)
-        sol = solve_dense_qp(dense)
+        sol = cold_solve(dense)
         assert sol.kkt_residual < 1e-8
         recomputed = kkt_residual(dense, sol.z, sol.eq_duals,
                                   sol.ineq_duals, sol.active)
@@ -40,7 +42,7 @@ def test_solution_kkt_residual():
 
 def test_kkt_residual_flags_bad_points():
     rng, dense = _dense_problem(303)
-    sol = solve_dense_qp(dense)
+    sol = cold_solve(dense)
     off = sol.z + 0.1
     assert kkt_residual(dense, off, sol.eq_duals, sol.ineq_duals,
                         sol.active) > 1e-3
@@ -54,10 +56,10 @@ def test_enumeration_matches_active_set_solver():
         rng = np.random.default_rng(seed)
         net = tiny_network(rng)
         qps = build_network_qps(net, 2, random_x0(rng, net))
-        dense = dense_qp_from_stacked(stack_global(qps))
+        dense = stack_global(qps)
         assert dense.ineq_matrix.shape[0] <= 10
         brute = enumerate_active_sets(dense)
-        sol = solve_dense_qp(dense)
+        sol = cold_solve(dense)
         assert norm_inf(brute.z - sol.z) < 1e-6
         assert abs(brute.objective - sol.objective) < 1e-8
         assert brute.kkt_residual < 1e-7
@@ -65,27 +67,28 @@ def test_enumeration_matches_active_set_solver():
 
 def test_enumeration_refuses_large_problems():
     rng = np.random.default_rng(314)
-    qp = DenseQp(hessian=sp.csr_array(np.eye(2)),
-                 eq_matrix=sp.csr_array((0, 2)), eq_rhs=np.zeros(0),
-                 ineq_matrix=sp.csr_array(rng.normal(size=(21, 2))),
-                 ineq_rhs=np.ones(21))
+    qp = StackedQp(hessian=sp.csr_array(np.eye(2)),
+                   eq_matrix=sp.csr_array((0, 2)), eq_rhs=np.zeros(0),
+                   ineq_matrix=sp.csr_array(rng.normal(size=(21, 2))),
+                   ineq_rhs=np.ones(21))
     with pytest.raises(ValueError, match="exceed"):
         enumerate_active_sets(qp)
 
 
 def test_phase1_detects_infeasibility():
-    qp = DenseQp(hessian=sp.csr_array(np.eye(1)),
-                 eq_matrix=sp.csr_array((0, 1)), eq_rhs=np.zeros(0),
-                 ineq_matrix=sp.csr_array(np.array([[1.0], [-1.0]])),
-                 ineq_rhs=np.array([-1.0, -1.0]))   # x <= -1 and x >= 1
+    qp = StackedQp(hessian=sp.csr_array(np.eye(1)),
+                   eq_matrix=sp.csr_array((0, 1)), eq_rhs=np.zeros(0),
+                   ineq_matrix=sp.csr_array(np.array([[1.0], [-1.0]])),
+                   ineq_rhs=np.array([-1.0, -1.0]))   # x <= -1 and x >= 1
     with pytest.raises(InfeasibleProblem):
-        solve_dense_qp(qp)
+        cold_solve(qp)
 
 
 def test_warm_start_at_solution_is_a_fixed_point():
     rng, dense = _dense_problem(320)
-    sol = solve_dense_qp(dense)
-    again = solve_dense_qp(dense, sol.z, warm_active=sol.active)
+    sol = cold_solve(dense)
+    again = solve_dense_qp(dense, sol.z, prepared=prepare_kkt(dense),
+                           warm_active=sol.active)
     assert again.iterations == 1
     np.testing.assert_array_equal(again.z, sol.z)
     assert again.active == sol.active
@@ -93,12 +96,13 @@ def test_warm_start_at_solution_is_a_fixed_point():
 
 def test_start_point_must_be_feasible():
     rng, dense = _dense_problem(321)
-    sol = solve_dense_qp(dense)
+    prepared = prepare_kkt(dense)
+    sol = cold_solve(dense)
     bad = sol.z + 1.0
     with pytest.raises(ValueError, match="equality"):
-        solve_dense_qp(dense, bad)
+        solve_dense_qp(dense, bad, prepared=prepared)
     # satisfy equalities but overshoot a bound
-    grow = solve_dense_qp(dense).z.copy()
+    grow = sol.z.copy()
     if dense.ineq_matrix.shape[0]:
         slack = dense.ineq_rhs - dense.ineq_matrix @ grow
         null = np.linalg.svd(dense.eq_matrix.toarray())[2][-1]
@@ -108,14 +112,16 @@ def test_start_point_must_be_feasible():
         if abs(push[row]) > 1e-9:
             step = 2.0 * (slack[row] + 1.0) / push[row]
             with pytest.raises(ValueError, match="inequality"):
-                solve_dense_qp(dense, grow + step * null)
+                solve_dense_qp(dense, grow + step * null,
+                               prepared=prepared)
 
 
 def test_prepared_factorization_is_reusable():
     rng, dense = _dense_problem(322)
     prepared = prepare_kkt(dense)
-    a = solve_dense_qp(dense, prepared=prepared)
-    b = solve_dense_qp(dense, prepared=prepared)
+    z0 = phase1(dense)
+    a = solve_dense_qp(dense, z0, prepared=prepared)
+    b = solve_dense_qp(dense, z0, prepared=prepared)
     np.testing.assert_array_equal(a.z, b.z)
 
 
@@ -177,27 +183,59 @@ def _close(a, b, rtol=1e-9):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
-       horizon=st.integers(1, 4))
-def test_sparse_stacking_matches_dense_assembly(seed, n_agents, horizon):
-    """``stack_global`` and ``dense_qp_from_stacked`` hold the matrices the
-    dense assembly they replaced built."""
+       horizon=st.integers(1, 4), coupled=st.booleans())
+def test_sparse_stacking_matches_dense_assembly(seed, n_agents, horizon,
+                                                coupled):
+    """``stack_global`` holds the matrices the dense assembly it replaced
+    built (the equality rows are the agents' rows followed by the coupling
+    rows), and its CSR arrays are, byte for byte, those of the
+    ``sp.vstack`` fold it replaced; ``coupled`` false draws networks with
+    no coupling rows."""
     rng = np.random.default_rng(seed)
-    net = random_network(rng, n_agents=n_agents)
+    net = random_network(rng, n_agents=n_agents,
+                         edges=None if coupled else [])
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     stacked = stack_global(qps)
     ref = stack_dense(qps)
-    n_eq = stacked.eq_matrix.shape[0]
+    assert (ref.cpl_matrix.shape[0] > 0) == coupled
     for name, want in (("hessian", ref.hessian),
-                       ("eq_matrix", ref.eq_matrix[:n_eq]),
-                       ("ineq_matrix", ref.ineq_matrix),
-                       ("cpl_matrix", ref.cpl_matrix)):
+                       ("eq_matrix", ref.eq_matrix),
+                       ("ineq_matrix", ref.ineq_matrix)):
         got = getattr(stacked, name)
         assert isinstance(got, sp.csr_array), name
         assert _same_up_to_zero_sign(got, want), name
-    dense = dense_qp_from_stacked(stacked)
-    assert _same_up_to_zero_sign(dense.eq_matrix, ref.eq_matrix)
-    assert np.array_equal(dense.eq_rhs, ref.eq_rhs)
-    assert np.array_equal(dense.ineq_rhs, ref.ineq_rhs)
+    assert stacked.eq_rhs.tobytes() == ref.eq_rhs.tobytes()
+    assert stacked.ineq_rhs.tobytes() == ref.ineq_rhs.tobytes()
+    folded = stack_vstack(qps)
+    for name in ("hessian", "eq_matrix", "ineq_matrix"):
+        got, want = getattr(stacked, name), getattr(folded, name)
+        assert got.shape == want.shape, name
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert getattr(got, part).tobytes() == \
+                getattr(want, part).tobytes(), (name, part)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 4), coupled=st.booleans())
+def test_rollout_matches_rollout_on_vstack_fold(seed, n_agents, horizon,
+                                                coupled):
+    """The rollout on ``stack_global``'s folded rows gives the states,
+    inputs and iterations, bit for bit, of the same rollout on the
+    ``sp.vstack`` fold it replaced."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents,
+                         edges=None if coupled else [])
+    x0s = random_x0(rng, net, scale=2.0)
+    got = centralized_mpc_rollout(net, x0s, horizon, steps=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmpcqp.oracle, "stack_global", stack_vstack)
+        want = centralized_mpc_rollout(net, x0s, horizon, steps=3)
+    assert got.iterations == want.iterations
+    for name in ("states", "inputs"):
+        assert [[x.tobytes() for x in row] for row in getattr(got, name)] == \
+            [[x.tobytes() for x in row] for row in getattr(want, name)], name
 
 
 def _ratio_arrays():
@@ -235,10 +273,11 @@ def test_sparse_oracle_matches_dense_path(seed, n_agents, horizon, warm):
     x0s = random_x0(rng, net, scale=2.0)
     qps = build_network_qps(net, horizon, x0s)
     ref = stack_dense(qps)
-    dense = dense_qp_from_stacked(stack_global(qps))
+    dense = stack_global(qps)
     z0 = np.concatenate(rollout_feasible_point(net, horizon, x0s)) \
         if warm else None
-    sol = solve_dense_qp(dense, z0)
+    sol = solve_dense_qp(dense, z0, prepared=prepare_kkt(dense)) \
+        if warm else cold_solve(dense)
     z, mu, nu, active, iterations = solve_dense(ref, z0)
     assert sol.active == active
     assert sol.iterations == iterations
@@ -259,14 +298,14 @@ def test_singular_saddle_point_matrix_is_a_solver_error(chain3):
     """A duplicated equality row makes the saddle-point matrix exactly
     singular; ``splu``'s ``RuntimeError`` becomes a ``SolverError``."""
     qps = build_network_qps(chain3, 4, [np.ones(2)] * 3)
-    dense = dense_qp_from_stacked(stack_global(qps))
+    dense = stack_global(qps)
     twice = dataclasses.replace(
         dense, eq_matrix=sp.vstack([dense.eq_matrix, dense.eq_matrix[[0]]]),
         eq_rhs=np.append(dense.eq_rhs, dense.eq_rhs[0]))
     with pytest.raises(SolverError, match="singular saddle-point matrix"):
         prepare_kkt(twice)
     with pytest.raises(SolverError, match="singular saddle-point matrix"):
-        solve_dense_qp(twice)
+        cold_solve(twice)
 
 
 @pytest.mark.parametrize("horizon", [4, 12])
@@ -276,7 +315,7 @@ def test_numerically_singular_saddle_point_matrix_is_a_solver_error(
     of an exact zero; the pivot ratio check turns it into a
     ``SolverError``."""
     qps = build_network_qps(chain3, horizon, [np.ones(2)] * 3)
-    dense = dense_qp_from_stacked(stack_global(qps))
+    dense = stack_global(qps)
     twice = dataclasses.replace(
         dense, eq_matrix=sp.vstack([dense.eq_matrix, dense.eq_matrix[[5]]]),
         eq_rhs=np.append(dense.eq_rhs, dense.eq_rhs[5]))

@@ -15,8 +15,10 @@ def test_star_import_exports_the_listed_names_and_no_submodule():
     assert len(dmpcqp.__all__) == len(exported)
     assert [name for name in exported
             if isinstance(namespace[name], types.ModuleType)] == []
-    assert {"WorkingSetFactor", "FactorCache", "build_partner"} <= exported
-    assert "build_overlaps" not in exported
+    assert {"WorkingSetFactor", "FactorCache", "build_partner",
+            "StackedQp", "solve_dense_qp", "prepare_kkt"} <= exported
+    assert not {"build_overlaps", "DenseQp", "dense_qp_from_stacked",
+                "enumerate_active_sets"} & exported
 
 
 def test_condense_is_the_submodule():
@@ -27,8 +29,8 @@ def test_condense_is_the_submodule():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    """Only a cold ``solve_dense_qp`` needs ``scipy.optimize``; importing the
-    command line interface does not load it."""
+    """Only the tests' phase-1 start needs ``scipy.optimize``; importing
+    the command line interface does not load it."""
     code = ("import sys, dmpcqp.cli; "
             "print('scipy.optimize' in sys.modules)")
     src = str(Path(dmpcqp.__file__).resolve().parents[1])

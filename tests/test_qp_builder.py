@@ -15,11 +15,11 @@ from dmpcqp import (VariableLayout, build_agent_qp, build_coupling_index,
                     stack_global, update_initial_state)
 from dmpcqp.asm import shift_active
 from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
-from dmpcqp.oracle import _warm_inputs, dense_qp_from_stacked, solve_dense_qp
+from dmpcqp.oracle import _warm_inputs
 
 from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
                       random_x0)
-from oracle_reference import rollout_feasible_point_loop
+from oracle_reference import cold_solve, rollout_feasible_point_loop
 
 
 def _baseline_qps(chain10):
@@ -158,12 +158,12 @@ def _reference_shift_active(qp, rows):
     return shifted
 
 
-def _reference_warm_inputs(net, horizon, active, stacked):
+def _reference_warm_inputs(net, horizon, active, ineq_offsets):
     """The oracle's ``divmod`` decode of stacked bound rows, kept verbatim."""
     inputs = [np.zeros((horizon, a.m)) for a in net.agents]
     for row in active:
-        agent = int(np.searchsorted(stacked.ineq_offsets, row, side="right")) - 1
-        local = row - stacked.ineq_offsets[agent]
+        agent = int(np.searchsorted(ineq_offsets, row, side="right")) - 1
+        local = row - ineq_offsets[agent]
         a = net.agents[agent]
         block = horizon * a.m
         upper = local < block
@@ -197,18 +197,20 @@ def test_bound_plan_reads_what_the_dense_rows_encoded(seed, n_agents,
                 _reference_shift_active(qp, sample)
     assert np.array_equal(stacked.ineq_matrix.toarray(),
                           scipy.linalg.block_diag(*ref_ineq))
-    assert np.array_equal(stacked.cpl_matrix.toarray(),
+    n_eq = sum(qp.n_eq for qp in qps)
+    assert np.array_equal(stacked.eq_matrix[n_eq:].toarray(),
                           sp.hstack(ref_cpl).toarray())
     # an oracle working set: at most one side of each input, in any order
+    ineq_offsets = np.cumsum([0] + [qp.n_ineq for qp in qps])[:-1]
     active = []
-    for qp, off in zip(qps, stacked.ineq_offsets):
+    for qp, off in zip(qps, ineq_offsets):
         half = qp.n_ineq // 2
         for pos in np.flatnonzero(rng.random(half) < 0.5):
             active.append(int(off + pos + half * rng.integers(2)))
     active = [active[i] for i in rng.permutation(len(active))]
-    for got, want in zip(_warm_inputs(qps, active, stacked),
+    for got, want in zip(_warm_inputs(qps, active),
                          _reference_warm_inputs(net, horizon, active,
-                                                stacked)):
+                                                ineq_offsets)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -345,27 +347,16 @@ def test_update_initial_state_idempotent_and_fresh(chain3):
         np.testing.assert_array_equal(a.eq_rhs, b.eq_rhs)
 
     fresh = build_network_qps(chain3, 5, y0s)
-    sol_moved = solve_dense_qp(dense_qp_from_stacked(stack_global(moved)))
-    sol_fresh = solve_dense_qp(dense_qp_from_stacked(stack_global(fresh)))
+    sol_moved = cold_solve(stack_global(moved))
+    sol_fresh = cold_solve(stack_global(fresh))
     assert norm_inf(sol_moved.z - sol_fresh.z) < 1e-9
-
-
-def test_stack_split_join_roundtrip(chain3):
-    x0s = [np.zeros(2)] * 3
-    qps = build_network_qps(chain3, 3, x0s)
-    stacked = stack_global(qps)
-    rng = np.random.default_rng(0)
-    z = rng.normal(size=stacked.hessian.shape[0])
-    parts = stacked.split(z)
-    assert [p.size for p in parts] == [qp.size for qp in qps]
-    np.testing.assert_array_equal(stacked.join(parts), z)
 
 
 def test_stacked_blocks_match_agents(chain3):
     x0s = [np.array([0.1, 0.2])] * 3
     qps = build_network_qps(chain3, 3, x0s)
     stacked = stack_global(qps)
-    o = stacked.offsets
+    o = np.cumsum([0] + [qp.size for qp in qps])
     for qp in qps:
         i = qp.index
         blk = stacked.hessian[o[i]:o[i] + qp.size, o[i]:o[i] + qp.size]
@@ -373,7 +364,8 @@ def test_stacked_blocks_match_agents(chain3):
     # coupling columns line up with per-agent restrictions
     rng = np.random.default_rng(1)
     zs = [rng.normal(size=qp.size) for qp in qps]
-    assembled = stacked.cpl_matrix @ np.concatenate(zs)
+    n_eq = sum(qp.n_eq for qp in qps)
+    assembled = stacked.eq_matrix[n_eq:] @ np.concatenate(zs)
     total = np.zeros(qps[0].n_coupling)
     for qp, z in zip(qps, zs):
         total[qp.coupled.rows] += dense_coupling(qp) @ z
