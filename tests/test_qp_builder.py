@@ -124,8 +124,13 @@ def test_coupling_plan_selects_what_the_edge_loops_built(seed, n_agents,
         z = rng.normal(size=qp.size)
         lam = rng.normal(size=qp.coupled.rows.size)
         assert np.array_equal(qp.coupled.gather(z), dense @ z)
-        assert np.allclose(qp.coupled.scatter(lam), dense.T @ lam,
-                           rtol=1e-15, atol=0.0)
+        # ``Cc' lam`` summed in row order, as the scatter promises: a BLAS
+        # product may order a variable's three or more terms otherwise and
+        # differ in the last bits where they cancel
+        row_order = np.zeros(qp.size)
+        for row, mult in zip(dense, lam):
+            row_order += row * mult
+        assert np.array_equal(qp.coupled.scatter(lam), row_order)
         gram = dense.T @ dense
         assert np.array_equal(gram, np.diag(np.diag(gram)))
 
