@@ -15,7 +15,8 @@ working-set factors of :mod:`~dmpcqp.condense`.  With the active set
 fixed, the local minimizer and its bound multipliers are affine in the
 linear term, so each active set is condensed once, on a miss in the
 augmented QP's factor cache; consecutive ADMM iterations revisit the same
-sets, and a revisit costs a few matrix-vector products.  As in
+sets, and a revisit costs a few matrix-vector products.  The augmented QPs
+and their factors are kept for the whole closed loop.  As in
 :mod:`~dmpcqp.dcg`, all agents' coupling values and multipliers are kept on
 the flat layout of the network's coupling plan
 (:class:`~dmpcqp.qp_builder.CouplingIndex`), and their iterates stacked.
@@ -93,19 +94,26 @@ class LocalQpSolver:
     Minimizes ``z' H z + g' z`` subject to the agent's equality rows and
     input box, where ``H = 2 H_agent + rho * Cc' Cc`` stays fixed while the
     linear term tracks the ADMM iterates.  ``local`` is that QP, with no
-    coupling rows of its own; each visited active set is condensed once
-    into ``local.factors``.
+    coupling rows of its own and ``qp``'s equality right-hand side.  It is
+    built once per penalty weight and kept in ``qp.factors.augmented``, so
+    its factor cache, where each visited active set is condensed once,
+    lasts the closed loop, as the agent's own cache does.
     """
 
     def __init__(self, qp, rho: float):
-        hess = 2.0 * qp.hessian
-        # Cc' Cc is diagonal: the number of coupling rows reading each entry
-        hess[np.diag_indices(qp.size)] += float(rho) * np.bincount(
-            qp.coupled.cols, minlength=qp.size)
-        no_rows = np.zeros(0, dtype=int)
-        self.local = dataclasses.replace(qp, hessian=hess, coupled=(
-            AgentCoupling(rows=no_rows, cols=no_rows, signs=np.zeros(0),
-                          size=qp.size)))
+        augmented = qp.factors.augmented.get(rho)
+        if augmented is None:
+            hess = 2.0 * qp.hessian
+            # Cc' Cc is diagonal: the number of coupling rows reading each
+            # entry
+            hess[np.diag_indices(qp.size)] += float(rho) * np.bincount(
+                qp.coupled.cols, minlength=qp.size)
+            no_rows = np.zeros(0, dtype=int)
+            augmented = qp.factors.augmented[rho] = dataclasses.replace(
+                qp, hessian=hess, coupled=AgentCoupling(
+                    rows=no_rows, cols=no_rows, signs=np.zeros(0),
+                    size=qp.size))
+        self.local = dataclasses.replace(augmented, eq_rhs=qp.eq_rhs)
         self._last: tuple | None = None
 
     def working_set(self, active: tuple[int, ...]
@@ -117,7 +125,7 @@ class LocalQpSolver:
         from the set the previous one ended on.
         """
         if self._last is None or self._last[0] != active:
-            work = working_constraints(self.local, active, homogeneous=False)
+            work = working_constraints(self.local, active)
             factor = self.local.factors.get(active)
             if factor is None:
                 factor = condense(self.local, work).factor

@@ -1,18 +1,19 @@
 """Distributed primal active-set method over a message fabric.
 
 The solver keeps one working set per agent.  Every outer iteration condenses
-the agents' step systems onto their working-set null spaces, solves the
+the agents' working-set systems onto their null spaces, solves the
 coupling-multiplier system with the decentralized conjugate gradient, and
-back-substitutes per-agent steps.  When all steps are negligible the
-working-set multipliers are recovered locally and either certify optimality
-or name the constraint to release; otherwise the largest feasible step is
-taken and the blocking bound activated.
+back-substitutes per-agent working-set minimizers; the step is the
+minimizer minus the iterate.  When all steps are negligible the working-set
+multipliers are recovered locally and either certify optimality or name the
+constraint to release; otherwise the largest feasible step is taken and the
+blocking bound activated.
 
 Communication per outer iteration is one flag round plus one scalar min
 reduction (the step length or the smallest multiplier); all remaining
-traffic belongs to the inner CG.  The feasible-point initialization resolves
-the warm-started working set in the absolute variable and activates each
-agent's most violated bound until none remain.
+traffic belongs to the inner CG.  The feasible-point initialization solves
+the warm-started working set the same way and activates each agent's most
+violated bound until none remain.
 """
 
 from __future__ import annotations
@@ -139,15 +140,14 @@ def most_violated_bound(qp, z: np.ndarray, active: Sequence[int],
     return row if viol[row] > tol else None
 
 
-def _condense_all(qps, active, gradients, *, homogeneous, repair=False):
+def _condense_all(qps, active, repair=False):
     """Condense every agent, optionally dropping dependent warm-start rows."""
     cas = []
     for qp, act in zip(qps, active):
-        grad = gradients[qp.index] if gradients is not None else None
         while True:
-            work = working_constraints(qp, act, homogeneous=homogeneous)
+            work = working_constraints(qp, act)
             try:
-                cas.append(condense(qp, work, grad))
+                cas.append(condense(qp, work))
                 break
             except RankDeficientWorkingSet as exc:
                 if not repair or exc.active_position is None:
@@ -205,11 +205,10 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
     """Produce a primal feasible iterate whose working set is consistent.
 
     Starting from the warm-started working set (of two warm rows on the
-    same input, the later is dropped), the working-set system is solved in
-    the absolute variable with a cold multiplier.  Agents then activate
-    their most violated bound and re-solve until every bound holds; the
-    violation flags ride one coordinator round per pass, charged to the
-    ``init`` phase.
+    same input, the later is dropped), the working-set system is solved
+    with a cold multiplier.  Agents then activate their most violated
+    bound and re-solve until every bound holds; the violation flags ride
+    one coordinator round per pass, charged to the ``init`` phase.
     """
     cfg = cfg or AsmConfig()
     stats = stats if stats is not None else AsmStats()
@@ -218,8 +217,7 @@ def initialize_feasible(qps, warm_active, fabric: Fabric,
               for rows in (warm_active or [[] for _ in range(M)])]
     repair = True
     for _ in range(sum(qp.n_ineq for qp in qps) + 2):
-        cas = _condense_all(qps, active, None, homogeneous=False,
-                            repair=repair)
+        cas = _condense_all(qps, active, repair)
         repair = False
         sol = dcg_solve(cas, qps[0].coupling.partner, None, cfg.eps_dcg,
                         fabric)
@@ -274,19 +272,19 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     trace = []
     for _ in range(max_outer):
         stats.outer_iterations += 1
-        gradients = [qp.hessian @ z for qp, z in zip(qps, zs)]
-        cas = _condense_all(qps, active, gradients, homogeneous=True)
+        cas = _condense_all(qps, active)
         sol = dcg_solve(cas, qps[0].coupling.partner, lam_seed,
                         cfg.eps_dcg, fabric)
         stats.dcg_active_set += sol.iterations
         lam_seed = list(sol.lambdas)
-        dzs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
+        dzs = [backsubstitute(ca, lam) - z
+               for ca, lam, z in zip(cas, sol.lambdas, zs)]
         small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
                  for dz in dzs]
         if fabric.global_flags(small, phase="asm"):
-            recoveries = [recover_duals(qp, ca, grad, lam)
-                          for qp, ca, grad, lam in
-                          zip(qps, cas, gradients, sol.lambdas)]
+            recoveries = [recover_duals(qp, ca, qp.hessian @ z, lam)
+                          for qp, ca, z, lam in
+                          zip(qps, cas, zs, sol.lambdas)]
             mins = []
             for rec in recoveries:
                 nu = rec.ineq_duals

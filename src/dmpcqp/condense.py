@@ -8,20 +8,21 @@ has the fixed basis ``Z = [-C_x^{-1} C_w[:, free]; I[:, free]]``, with
 ``free`` the coordinates of ``w`` no active row pins.  The constrained
 stationary point of
 
-    min 0.5 dz' H dz + g' dz   s.t.  C_work dz = d,  coupling rows shared
+    min 0.5 z' H z   s.t.  C_work z = d,  coupling rows shared
 
 is split into a particular point (pinned coordinates at their bounds, states
 from the dynamics) and a reduced unknown on ``Z``.  Eliminating the reduced
 unknown yields each agent's contribution to the coupling-multiplier system,
 which does not depend on the basis: a local Schur matrix and right-hand
 side, compressed to the coupling rows the agent actually touches.  The
-working-set multipliers take one transposed triangular solve on the state
-rows plus a read-off on the pinned rows.
+working-set multipliers are linear in the objective gradient: a transposed
+triangular solve on the state rows and a read-off on the pinned rows.
 
-Everything above except ``d``, ``g`` and the multipliers depends only on the
-QP's matrices and the active rows.  That structural part is a
-:class:`WorkingSetFactor`: linear maps from ``d`` and ``g`` to the
-stationary point, the coupling gain and the Schur matrix.  Each QP carries a
+Everything above except ``d`` and the multipliers depends only on the QP's
+matrices and the active rows.  That structural part is a
+:class:`WorkingSetFactor`: linear maps from ``d`` to the stationary point
+and from the gradient to the bound multipliers, the coupling gain and the
+Schur matrix.  Each QP carries a
 :class:`FactorCache` keyed by the active rows, so a working set is factored
 once and every later :func:`condense` of it costs a few matrix-vector
 products; the cache survives :func:`~dmpcqp.qp_builder.update_initial_state`,
@@ -102,14 +103,9 @@ class WorkingConstraints:
         return self.n_eq + len(self.active)
 
 
-def working_constraints(qp, active: Sequence[int], *,
-                        homogeneous: bool) -> WorkingConstraints:
-    """Assemble the working set of ``qp`` for the given active rows.
-
-    With ``homogeneous=True`` the right-hand side is zero (step systems);
-    otherwise it carries the equality and activated bound values (solves in
-    the absolute variable).
-    """
+def working_constraints(qp, active: Sequence[int]) -> WorkingConstraints:
+    """Assemble the working set of ``qp`` for the given active rows, with
+    the equality and activated bound values as its right-hand side."""
     active = tuple(int(a) for a in active)
     n_eq, n_ineq = qp.eq_rhs.size, qp.ineq_rhs.size
     if active and not (0 <= min(active) and max(active) < n_ineq):
@@ -117,11 +113,8 @@ def working_constraints(qp, active: Sequence[int], *,
         raise ValueError(f"active row {bad} out of range")
     if len(set(active)) != len(active):
         raise ValueError("active rows repeated")
-    if homogeneous:
-        rhs = np.zeros(n_eq + len(active))
-    else:
-        rhs = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(active)]]) \
-            if active else qp.eq_rhs.copy()
+    rhs = np.concatenate([qp.eq_rhs, qp.ineq_rhs[list(active)]]) \
+        if active else qp.eq_rhs.copy()
     return WorkingConstraints(rhs=rhs, n_eq=n_eq, active=active)
 
 
@@ -131,30 +124,22 @@ class WorkingSetFactor:
 
     With ``K = -Z (Z' H Z)^{-1} Z'`` (``gain``) and ``P`` the map from the
     working-set right-hand side ``d`` to the particular point, the
-    working-set minimizer of ``0.5 z' H z + (g + Cc' lam)' z`` is
-    ``rhs_gain @ d + gain @ (g + Cc' lam)`` with ``rhs_gain = P + K H P``.
+    working-set minimizer of ``0.5 z' H z + g' z`` is
+    ``rhs_gain @ d + gain @ g`` with ``rhs_gain = P + K H P``.
     ``schur`` is the agent's Schur matrix ``Cc Z (Z' H Z)^{-1} Z' Cc'``,
-    i.e. ``-Cc K Cc'``.  ``pinned`` (the columns the active rows pin, in
-    active order) and ``pin_signs`` locate the bound multipliers, which at
-    a point with objective gradient ``r`` (coupling term included) are
-    ``duals @ r``.
+    i.e. ``-Cc K Cc'``.  At a point with objective gradient ``r``
+    (coupling term included) the bound multipliers are ``duals @ r``.
     """
 
-    pinned: np.ndarray
-    pin_signs: np.ndarray
     gain: np.ndarray
     rhs_gain: np.ndarray
     schur: np.ndarray
     duals: np.ndarray
 
-    def stationary_point(self, rhs: np.ndarray,
-                         gradient: np.ndarray | None = None) -> np.ndarray:
-        """Working-set minimizer for right-hand side ``rhs`` and linear
-        term ``gradient`` (zero when omitted) at zero coupling multipliers."""
-        point = self.rhs_gain @ rhs
-        if gradient is not None:
-            point += self.gain @ gradient
-        return point
+    def stationary_point(self, rhs: np.ndarray) -> np.ndarray:
+        """Working-set minimizer for right-hand side ``rhs`` at zero linear
+        term."""
+        return self.rhs_gain @ rhs
 
 
 class FactorCache:
@@ -165,14 +150,17 @@ class FactorCache:
     QP it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
     cache for a QP that does not share them.  Beyond :data:`MAX_FACTORS`
     entries the oldest is dropped.  It also holds the two per-structure
-    maps every factor and :func:`recover_duals` read: ``C_x^{-1}`` and the
-    states' response ``W = C_x^{-1} C_eq`` to the inputs and copies.
+    maps every factor reads, ``C_x^{-1}`` (which :func:`recover_duals` reads
+    too) and the states' response ``W = C_x^{-1} C_eq`` to the inputs and
+    copies, and ``augmented``: ADMM's augmented QP of this structure per
+    penalty weight, which has a cache of its own.
     """
 
     def __init__(self, qp):
         self._structure = (qp.hessian, qp.eq_matrix, qp.bounds, qp.coupled)
         self._n_states = qp.layout.u_offset
         self._factors: dict[tuple[int, ...], WorkingSetFactor] = {}
+        self.augmented: dict[float, object] = {}
 
     def bound_to(self, qp) -> bool:
         """Whether ``qp`` has the structural arrays this cache was made for."""
@@ -253,21 +241,20 @@ def _factorize(qp, work: WorkingConstraints) -> WorkingSetFactor:
     duals[:, :nx] = W[:, pinned].T
     duals[np.arange(k), pinned] = -1.0
     duals *= pin_signs[:, None]
-    return WorkingSetFactor(
-        pinned=pinned, pin_signs=pin_signs, gain=gain, rhs_gain=rhs_gain,
-        schur=0.5 * (schur + schur.T), duals=duals)
+    return WorkingSetFactor(gain=gain, rhs_gain=rhs_gain,
+                            schur=0.5 * (schur + schur.T), duals=duals)
 
 
 @dataclass(frozen=True)
 class CondensedAgent:
-    """One agent's condensed step system.
+    """One agent's condensed working-set system.
 
     ``schur`` and ``schur_rhs`` are the agent's contribution to the coupling
     multiplier system, compressed to ``rows`` (the global coupling rows with
     a nonzero entry for this agent).  ``offset`` is the working-set
     minimizer at zero multipliers; ``factor`` and the agent's coupling rows
-    ``coupled`` turn multipliers into the step, and ``factor`` locates the
-    bound multipliers.
+    ``coupled`` turn multipliers into the minimizer, and ``factor`` maps
+    the objective gradient to the bound multipliers.
     """
 
     coupled: AgentCoupling
@@ -283,18 +270,9 @@ class CondensedAgent:
     def schur(self) -> np.ndarray:
         return self.factor.schur
 
-    @property
-    def pinned(self) -> np.ndarray:
-        return self.factor.pinned
 
-    @property
-    def pin_signs(self) -> np.ndarray:
-        return self.factor.pin_signs
-
-
-def condense(qp, work: WorkingConstraints,
-             gradient: np.ndarray | None = None) -> CondensedAgent:
-    """Reduce one agent's step system onto the working-set null space.
+def condense(qp, work: WorkingConstraints) -> CondensedAgent:
+    """Reduce one agent's working-set system onto its null space.
 
     Requires the structure :func:`~dmpcqp.qp_builder.build_agent_qp`
     gives: the equality rows' first ``layout.u_offset`` columns form a
@@ -310,8 +288,6 @@ def condense(qp, work: WorkingConstraints,
         ``index``, ``layout`` and ``factors`` attributes)
     work : WorkingConstraints
         Working set of ``qp``'s rows with its right-hand side ``d``.
-    gradient : array, optional
-        Linear term of the step objective (zero when omitted).
 
     Returns
     -------
@@ -323,24 +299,16 @@ def condense(qp, work: WorkingConstraints,
     if factor is None:
         factor = _factorize(qp, work)
         qp.factors.put(work.active, factor)
-    g = None if gradient is None else np.asarray(gradient, dtype=float)
-    offset = factor.stationary_point(work.rhs, g)
+    offset = factor.stationary_point(work.rhs)
     return CondensedAgent(coupled=qp.coupled, factor=factor, offset=offset,
                           schur_rhs=qp.coupled.gather(offset))
 
 
-def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray,
-                   gradient: np.ndarray | None = None) -> np.ndarray:
-    """Recover the agent's step from the coupling multipliers.
-
-    ``lam_local`` must be compressed to ``ca.rows``.  ``gradient`` is added
-    to the linear term ``ca`` was condensed with.
-    """
+def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray) -> np.ndarray:
+    """The agent's working-set minimizer at the coupling multipliers
+    ``lam_local``, compressed to ``ca.rows``."""
     lam_local = np.asarray(lam_local, dtype=float).reshape(ca.rows.size)
-    linear = ca.coupled.scatter(lam_local)
-    if gradient is not None:
-        linear += gradient
-    return ca.offset + ca.factor.gain @ linear
+    return ca.offset + ca.factor.gain @ ca.coupled.scatter(lam_local)
 
 
 @dataclass(frozen=True)
@@ -349,27 +317,18 @@ class DualRecovery:
 
     eq_duals: np.ndarray
     ineq_duals: np.ndarray
-    residual: float
 
 
 def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
                   lam_local: np.ndarray) -> DualRecovery:
     """Working-set multipliers of ``ca`` at a stationary point.
 
-    Solves ``C_work' gamma = rhs`` with ``rhs = -(gradient + C_cpl' lam)``
-    on its square part: the state rows give the equality multipliers
-    (``mu = C_x^{-T} rhs_x``) and the pinned rows the bound multipliers
-    (``nu = sign * (rhs - C_eq' mu)`` there, with ``C_eq' mu = W' rhs_x``).
-    The attained residual ``|C_work' gamma - rhs|``, which only the free
-    rows can carry, is reported so callers can judge stationarity.
+    With the objective gradient ``r = gradient + Cc' lam``, the bound
+    multipliers are ``ca.factor.duals @ r`` and the equality multipliers
+    ``mu = -C_x^{-T} r_x``, from the state rows.
     """
     lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled.rows.size)
-    rhs = -np.asarray(gradient, dtype=float) - qp.coupled.scatter(lam_local)
-    cache = qp.factors
-    rhs_x = rhs[:cache.state_inverse.shape[0]]
-    mu = cache.state_inverse.T @ rhs_x
-    left = rhs - cache.state_response.T @ rhs_x
-    nu = ca.pin_signs * left[ca.pinned]
-    left[ca.pinned] = 0.0
-    return DualRecovery(eq_duals=mu, ineq_duals=nu,
-                        residual=float(np.abs(left).max(initial=0.0)))
+    r = np.asarray(gradient, dtype=float) + qp.coupled.scatter(lam_local)
+    inverse = qp.factors.state_inverse
+    return DualRecovery(eq_duals=-(inverse.T @ r[:inverse.shape[0]]),
+                        ineq_duals=ca.factor.duals @ r)

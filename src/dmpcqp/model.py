@@ -33,7 +33,7 @@ def _check_symmetric(mat, name):
 
 @dataclass(frozen=True)
 class AgentModel:
-    """Dynamics and cost data for one agent.
+    """Dynamics and cost data for one agent; every entry must be finite.
 
     Parameters
     ----------
@@ -72,18 +72,26 @@ class AgentModel:
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError("B must have n rows")
         m = B.shape[1]
-        object.__setattr__(self, "A_self", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "A_in", dict(self.A_in))
+        A_in = {j: np.asarray(blk, dtype=float)
+                for j, blk in dict(self.A_in).items()}
         lo = np.asarray(self.u_lo, dtype=float).reshape(m)
         hi = np.asarray(self.u_hi, dtype=float).reshape(m)
+        Q = _as_matrix(self.Q, n, n, "Q")
+        R = _as_matrix(self.R, m, m, "R")
+        P = _as_matrix(self.P, n, n, "P")
+        for name, arr in (("A_self", A), ("B", B), *(
+                (f"A_in[{j}]", blk) for j, blk in A_in.items()),
+                ("u_lo", lo), ("u_hi", hi), ("Q", Q), ("R", R), ("P", P)):
+            if not np.isfinite(arr).all():
+                raise ValueError(
+                    f"agent {self.index}: {name} must be finite")
+        object.__setattr__(self, "A_self", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "A_in", A_in)
         if not (np.all(lo < 0.0) and np.all(hi > 0.0)):
             raise ValueError("input bounds must satisfy u_lo < 0 < u_hi")
         object.__setattr__(self, "u_lo", lo)
         object.__setattr__(self, "u_hi", hi)
-        Q = _as_matrix(self.Q, n, n, "Q")
-        R = _as_matrix(self.R, m, m, "R")
-        P = _as_matrix(self.P, n, n, "P")
         for name, mat in (("Q", Q), ("R", R), ("P", P)):
             _check_symmetric(mat, name)
         if np.min(np.linalg.eigvalsh(Q)) <= 0.0:

@@ -1,0 +1,130 @@
+"""The step-variable active-set loop, kept as the reference.
+
+This is the loop :func:`dmpcqp.asm.asm_solve` replaced: every outer
+iteration condenses each agent's step system, with a zero working-set
+right-hand side and the linear term ``H z``, so that back-substitution
+gives the step itself, and the bound multipliers are read off through the
+states' response ``W = C_x^{-1} C_eq``.  The start, the ratio test and
+the checks are the package's; only the step systems and the dual recovery
+are the old ones, rebuilt here from the package's cached working-set
+factors.  The loop's comments and statements are otherwise unchanged.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+
+from dmpcqp.asm import (DEGENERATE_STEP, DUAL_TOL, OBJECTIVE_TOL, AsmConfig,
+                        AsmResult, AsmStats, compute_step_length,
+                        initialize_feasible, network_objective, verify_iterate)
+from dmpcqp.condense import (DualRecovery, backsubstitute, condense,
+                             working_constraints)
+from dmpcqp.dcg import dcg_solve
+from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
+from dmpcqp.fabric import Fabric
+
+
+def condense_step(qp, active, gradient):
+    """The agent's step system: a homogeneous working set and the linear
+    term ``gradient``, so the minimizer at zero multipliers is
+    ``gain @ gradient``."""
+    work = working_constraints(qp, active)
+    ca = condense(qp, work)
+    offset = ca.factor.rhs_gain @ np.zeros(work.n_rows)
+    offset += ca.factor.gain @ gradient
+    return dataclasses.replace(ca, offset=offset,
+                               schur_rhs=qp.coupled.gather(offset))
+
+
+def recover_duals(qp, active, gradient, lam_local):
+    """Working-set multipliers at a stationary point, through ``W``.
+
+    Solves ``C_work' gamma = rhs`` with ``rhs = -(gradient + C_cpl' lam)``
+    on its square part: the state rows give the equality multipliers
+    (``mu = C_x^{-T} rhs_x``) and the pinned rows the bound multipliers
+    (``nu = sign * (rhs - C_eq' mu)`` there, with ``C_eq' mu = W' rhs_x``).
+    """
+    pinned = qp.bounds.cols[list(active)]
+    pin_signs = qp.bounds.signs[list(active)]
+    rhs = -np.asarray(gradient, dtype=float) - qp.coupled.scatter(lam_local)
+    cache = qp.factors
+    rhs_x = rhs[:cache.state_inverse.shape[0]]
+    mu = cache.state_inverse.T @ rhs_x
+    left = rhs - cache.state_response.T @ rhs_x
+    return DualRecovery(eq_duals=mu, ineq_duals=pin_signs * left[pinned])
+
+
+def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
+              fabric: Fabric | None = None) -> AsmResult:
+    """Distributed active-set solve with steps from step systems."""
+    cfg = cfg or AsmConfig()
+    fabric = fabric if fabric is not None else Fabric(len(qps))
+    start = fabric.ledger.snapshot()
+    stats = AsmStats()
+    state = initialize_feasible(qps, warm_active, fabric, cfg, stats)
+    zs, active, lam_seed = state.z, state.active, state.lambdas
+    verify_iterate(qps, zs)
+    objective = network_objective(qps, zs)
+
+    max_outer = cfg.max_outer
+    if max_outer is None:
+        max_outer = 10 * sum(qp.n_ineq for qp in qps)
+    trace = []
+    for _ in range(max_outer):
+        stats.outer_iterations += 1
+        gradients = [qp.hessian @ z for qp, z in zip(qps, zs)]
+        cas = [condense_step(qp, act, grad)
+               for qp, act, grad in zip(qps, active, gradients)]
+        sol = dcg_solve(cas, qps[0].coupling.partner, lam_seed,
+                        cfg.eps_dcg, fabric)
+        stats.dcg_active_set += sol.iterations
+        lam_seed = list(sol.lambdas)
+        dzs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
+        small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
+                 for dz in dzs]
+        if fabric.global_flags(small, phase="asm"):
+            recoveries = [recover_duals(qp, act, grad, lam)
+                          for qp, act, grad, lam in
+                          zip(qps, active, gradients, sol.lambdas)]
+            mins = []
+            for rec in recoveries:
+                nu = rec.ineq_duals
+                mins.append(float(nu.min()) if nu.size else np.inf)
+            worst, agent = fabric.global_reduce(mins, op="min", phase="asm")
+            if worst >= -DUAL_TOL:
+                stats.ledger = fabric.ledger.delta(start)
+                return AsmResult(
+                    z=zs, active=tuple(tuple(a) for a in active),
+                    eq_duals=[r.eq_duals for r in recoveries],
+                    ineq_duals=[r.ineq_duals for r in recoveries],
+                    cpl_duals=list(sol.lambdas),
+                    objective=objective, stats=stats)
+            nu = recoveries[agent].ineq_duals
+            pos = int(np.argmin(nu))
+            trace.append(("release", agent, active[agent][pos]))
+            del active[agent][pos]
+        else:
+            steps = [compute_step_length(z, dz, qp, act)
+                     for z, dz, qp, act in zip(zs, dzs, qps, active)]
+            alpha, agent = fabric.global_reduce(
+                [s[0] for s in steps], op="min", phase="asm")
+            alpha = min(alpha, 1.0)
+            if alpha >= DEGENERATE_STEP:
+                zs = [z + alpha * dz for z, dz in zip(zs, dzs)]
+            if alpha < 1.0:
+                blocking = steps[agent][1]
+                trace.append(("activate", agent, blocking))
+                active[agent].append(blocking)
+            else:
+                trace.append(("step", -1, None))
+            verify_iterate(qps, zs)
+            new_objective = network_objective(qps, zs)
+            if new_objective > objective + OBJECTIVE_TOL * (
+                    1.0 + abs(objective)):
+                raise FeasibilityViolation(
+                    f"objective increased from {objective:.12e} to "
+                    f"{new_objective:.12e}")
+            objective = new_objective
+    raise AsmIterationLimit(stats.outer_iterations, trace[-20:])

@@ -178,8 +178,7 @@ def test_criterion_6_dcg_finite_convergence():
         horizon = int(rng.integers(2, 5))
         qps = build_network_qps(net, horizon, random_x0(rng, net))
         n_c = qps[0].n_coupling
-        pieces = [condense(qp, working_constraints(qp, [], homogeneous=False))
-                  for qp in qps]
+        pieces = [condense(qp, working_constraints(qp, [])) for qp in qps]
         reference = centralized_cg(pieces, n_c, eps=1e-7, max_iter=n_c + 5)
         fab = Fabric(len(pieces))
         partner = qps[0].coupling.partner

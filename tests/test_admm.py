@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_average, admm_converged, admm_dual_update,
                     admm_solve, asm_solve, build_chain_of_masses,
-                    build_network_qps, shift_averaged, working_constraints)
+                    build_network_qps, shift_averaged, update_initial_state,
+                    working_constraints)
 from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
 from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import verify_comm_identities
@@ -161,6 +163,14 @@ def test_local_solver_warm_start_and_cache():
     assert act1 == act2
     assert its2 == 1                      # the feasible warm start's dual check
     assert len(solver.local.factors) == cached   # no new factorizations
+    # the next sample's solver keeps the augmented QP and its factors,
+    # kept per penalty weight, and takes the new initial state
+    moved = update_initial_state(qp, rng.normal(size=qp.layout.n_states))
+    again = LocalQpSolver(moved, 1.0)
+    assert again.local.hessian is solver.local.hessian
+    assert again.local.factors is solver.local.factors
+    assert again.local.eq_rhs is moved.eq_rhs
+    assert LocalQpSolver(moved, 2.0).local.factors is not solver.local.factors
 
 
 def _enumerated_min(H, g, A, b, C, d):
@@ -390,8 +400,7 @@ def test_affine_map_matches_condensed_kernel(seed, n_masses, horizon, agent,
     factor, offset = solver.working_set(active)
     z = offset + factor.gain @ g
     local = solver.local
-    ca = ref_kernel.condense(local, working_constraints(local, active,
-                                                        homogeneous=False))
+    ca = ref_kernel.condense(local, working_constraints(local, active))
     ref = ref_kernel.backsubstitute(ca, (), g)
     assert norm_inf(z - ref) <= 1e-9 * max(norm_inf(ref), 1.0)
 
@@ -497,7 +506,9 @@ def test_local_solver_result_does_not_depend_on_cache_state():
             _, warm, _ = used.solve(linear_term(), warm)
         assert len(used.local.factors) > 1
         g = linear_term()
-        fresh = LocalQpSolver(qp, rho)
+        # the augmented QP, and so its cache, is kept on qp's factor cache
+        fresh = LocalQpSolver(dataclasses.replace(qp, factors=None), rho)
+        assert len(fresh.local.factors) == 0
         z_fresh, act_fresh, its_fresh = fresh.solve(g, warm)
         z_used, act_used, its_used = used.solve(g, warm)
         assert z_fresh.tobytes() == z_used.tobytes()

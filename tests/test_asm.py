@@ -11,11 +11,14 @@ from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
                     verify_iterate)
 import dmpcqp.asm as asm_module
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
+from dmpcqp.cli import (ExperimentConfig, _closed_loop_distributed,
+                        build_network, sample_initial_states)
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.oracle import kkt_residual
 from dmpcqp.qp_builder import stack_global
 
+import asm_reference
 from conftest import (dense_bounds, network_with_isolated_agent, norm_inf,
                       random_network, random_x0)
 from oracle_reference import cold_solve
@@ -298,3 +301,44 @@ def test_iteration_cap_carries_trace():
     with pytest.raises(AsmIterationLimit) as exc:
         asm_solve(qps, warm_active=warm, cfg=AsmConfig(max_outer=1))
     assert exc.value.iterations == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 5), x0_scale=st.sampled_from([0.5, 2.0, 4.0]))
+def test_solve_matches_step_variable_reference(seed, n_agents, horizon,
+                                               x0_scale):
+    """Steps taken as the working-set minimizer minus the iterate end on
+    the active sets, iterate and objective of the step-variable loop they
+    replaced."""
+    net, qps = _network_problem(seed, n_agents, horizon, x0_scale)
+    res = asm_solve(qps)
+    ref = asm_reference.asm_solve(qps)
+    assert res.active == ref.active
+    assert norm_inf(np.concatenate(res.z) - np.concatenate(ref.z)) < 1e-6
+    assert abs(res.objective - ref.objective) <= 1e-8 * abs(ref.objective)
+
+
+def test_accepted_iterates_keep_the_coupling_residual_of_one_dcg_solve(
+        monkeypatch):
+    """Every accepted iterate is a convex combination of working-set
+    minimizers, each solved to the DCG tolerance, so its coupling residual
+    does not grow with the steps of a solve, on a chain whose inputs
+    saturate for many samples."""
+    worst = []
+
+    def recorded(qps, zs):
+        plan = qps[0].coupling
+        image = plan.signs * np.concatenate(zs)[plan.columns]
+        worst.append(float(np.abs(image + image[plan.partner]).max()))
+        verify_iterate(qps, zs)
+
+    monkeypatch.setattr(asm_module, "verify_iterate", recorded)
+    cfg = ExperimentConfig(n_masses=5, horizon=12, u_max=0.3)
+    net = build_network(cfg)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        _closed_loop_distributed(net, cfg, sample_initial_states(
+            net, rng, cfg.y0_range, cfg.v0_range))
+    assert len(worst) > 10 * cfg.steps
+    assert max(worst) <= 1.5 * cfg.eps_dcg

@@ -44,7 +44,7 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     solver condenses every agent once per round with a
     ``WorkingConstraints`` whose ``n_rows`` counts the equality and active
     bound rows, and ADMM condenses once per factor-cache miss and never on
-    a hit."""
+    a hit, over the closed loop."""
     real = importlib.import_module("dmpcqp.condense").condense
     asm_calls, admm_calls, solvers = [], [], []
 
@@ -80,7 +80,10 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     cfg = dataclasses.replace(cfg, solver="admm2", rho=5.0)
     _closed_loop_distributed(net, cfg, x0s)
     assert len(asm_calls) == 3 * rounds
-    assert len(admm_calls) == sum(len(s.local.factors) for s in solvers) > 0
+    # the samples' solvers share each agent's augmented QP and its cache
+    caches = {id(s.local.factors): s.local.factors for s in solvers}
+    assert len(caches) == 3 < len(solvers)
+    assert len(admm_calls) == sum(len(c) for c in caches.values()) > 0
 
 
 def test_admm_spans_keep_their_meaning(monkeypatch):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,22 @@ def test_malformed_network_file_exits_with_2(tmp_path, capsys):
         files.append(tmp_path / f"bad{i}.json")
         files[-1].write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="must be"):
+            load_network(files[-1])
+    # a NaN or infinite entry in any matrix or bound names it
+    save_network(build_chain_of_masses(3), tmp_path / "chain.json")
+    doc = json.loads((tmp_path / "chain.json").read_text())
+    for key, bad in (("A_self", "nan"), ("B", "inf"), ("A_in", "nan"),
+                     ("u_lo", "-inf"), ("u_hi", "inf"), ("Q", "nan"),
+                     ("R", "inf"), ("P", "nan")):
+        entry = json.loads(json.dumps(doc))
+        block = entry["agents"][1][key]
+        block = block["0"] if key == "A_in" else block
+        (block[0] if isinstance(block[0], list) else block)[0] = float(bad)
+        files.append(tmp_path / f"{key}.json")
+        files[-1].write_text(json.dumps(entry))
+        label = "A_in[0]" if key == "A_in" else key
+        with pytest.raises(ValueError, match=re.escape(
+                f"agent 1: {label} must be finite")):
             load_network(files[-1])
     for network in files:
         assert main(["run", "--scenario", "file", "--network", str(network),

@@ -19,10 +19,10 @@ from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
                       random_x0, working_matrix)
 
 
-def _kkt_step(qp, work, lam_global, gradient):
+def _kkt_step(qp, work, lam_global):
     """Dense stationary point of the working-set EQP, for checking.
 
-    Solves min 0.5 z'Hz + (g + C_cpl' lam)'z  s.t.  C_work z = d  directly
+    Solves min 0.5 z'Hz + (C_cpl' lam)'z  s.t.  C_work z = d  directly
     via the bordered system.
     """
     n = qp.size
@@ -32,7 +32,7 @@ def _kkt_step(qp, work, lam_global, gradient):
     K[:n, :n] = qp.hessian
     K[:n, n:] = C.T
     K[n:, :n] = C
-    g = gradient + dense_coupling(qp).T @ lam_global
+    g = dense_coupling(qp).T @ lam_global
     rhs = np.concatenate([-g, work.rhs])
     sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     return sol[:n]
@@ -53,7 +53,7 @@ def test_null_basis_spans_working_set_null_space():
     net = random_network(rng, n_agents=3)
     qps = build_network_qps(net, 3, random_x0(rng, net))
     for qp in qps:
-        work = working_constraints(qp, _some_active(rng, qp), homogeneous=True)
+        work = working_constraints(qp, _some_active(rng, qp))
         ca = condense(qp, work)
         # the factor keeps Z only as the range of its gain -Z (Z'HZ)^{-1} Z'
         K = ca.factor.gain
@@ -68,13 +68,10 @@ def test_particular_solution_satisfies_working_rows():
     qps = build_network_qps(net, 3, random_x0(rng, net))
     for qp in qps:
         act = _some_active(rng, qp)
-        work = working_constraints(qp, act, homogeneous=False)
+        work = working_constraints(qp, act)
         ca = condense(qp, work)
         assert norm_inf(working_matrix(qp, work) @ ca.offset - work.rhs) \
             < 1e-10
-        hom = working_constraints(qp, act, homogeneous=True)
-        cah = condense(qp, hom)
-        assert norm_inf(cah.offset) < 1e-12
 
 
 def test_backsubstitute_matches_dense_kkt():
@@ -85,12 +82,10 @@ def test_backsubstitute_matches_dense_kkt():
         n_c = qps[0].n_coupling
         lam = rng.normal(size=n_c)
         for qp in qps:
-            grad = rng.normal(size=qp.size)
-            work = working_constraints(qp, _some_active(rng, qp),
-                                       homogeneous=False)
-            ca = condense(qp, work, grad)
+            work = working_constraints(qp, _some_active(rng, qp))
+            ca = condense(qp, work)
             z = backsubstitute(ca, lam[ca.rows])
-            z_ref = _kkt_step(qp, work, lam, grad)
+            z_ref = _kkt_step(qp, work, lam)
             assert norm_inf(z - z_ref) < 1e-8
 
 
@@ -103,8 +98,7 @@ def test_schur_contribution_matches_coupling_image():
     S = np.zeros((n_c, n_c))
     cas = []
     for qp in qps:
-        work = working_constraints(qp, [], homogeneous=False)
-        ca = condense(qp, work, np.zeros(qp.size))
+        ca = condense(qp, working_constraints(qp, []))
         S[np.ix_(ca.rows, ca.rows)] += ca.schur
         cas.append(ca)
     lam = rng.normal(size=n_c)
@@ -121,7 +115,7 @@ def test_duplicate_active_row_is_rejected():
     net = random_network(rng, n_agents=2)
     qp = build_network_qps(net, 3, random_x0(rng, net))[0]
     with pytest.raises(ValueError):
-        working_constraints(qp, [1, 1], homogeneous=True)
+        working_constraints(qp, [1, 1])
 
 
 def test_working_set_rows_are_checked_and_never_stacked():
@@ -130,22 +124,21 @@ def test_working_set_rows_are_checked_and_never_stacked():
     qp = build_network_qps(net, 3, random_x0(rng, net))[0]
     for rows, bad in (([0, qp.n_ineq], qp.n_ineq), ([1, -1, 99], -1)):
         with pytest.raises(ValueError, match=f"active row {bad} out of range"):
-            working_constraints(qp, rows, homogeneous=True)
+            working_constraints(qp, rows)
     with pytest.raises(ValueError, match="active rows repeated"):
-        working_constraints(qp, [2, 0, 2], homogeneous=False)
+        working_constraints(qp, [2, 0, 2])
     act = _some_active(rng, qp)
     rows = dense_bounds(qp)[act]
-    pinned = np.abs(rows).argmax(axis=1)
+    nx = qp.layout.u_offset
     for _ in range(2):  # a miss, then a hit
-        work = working_constraints(qp, act, homogeneous=True)
+        work = working_constraints(qp, act)
         ca = condense(qp, work)
         assert work.n_rows == qp.n_eq + len(act)
         # no rows ride on the working set: a miss reads the bound plan
         assert set(vars(work)) == {"rhs", "n_eq", "active"}
-        # the columns and signs decoded from the stacked rows before
-        np.testing.assert_array_equal(ca.pinned, pinned)
-        np.testing.assert_array_equal(
-            ca.pin_signs, rows[np.arange(len(act)), pinned])
+        # off the states, each bound multiplier reads minus its row's
+        # entry: the column and sign the stacked rows encoded before
+        np.testing.assert_array_equal(ca.factor.duals[:, nx:], -rows[:, nx:])
 
 
 def test_dependent_working_rows_raise_with_position():
@@ -154,7 +147,7 @@ def test_dependent_working_rows_raise_with_position():
     qp = build_network_qps(net, 3, random_x0(rng, net))[0]
     # upper and lower bound of the same input are linearly dependent rows
     N = qp.layout.horizon
-    work = working_constraints(qp, [0, N], homogeneous=True)
+    work = working_constraints(qp, [0, N])
     with pytest.raises(RankDeficientWorkingSet) as exc:
         condense(qp, work)
     assert exc.value.agent == qp.index
@@ -171,14 +164,13 @@ def test_recovered_duals_reproduce_planted_multipliers():
         lam = rng.normal(size=n_c)
         for qp in qps:
             act = _some_active(rng, qp)
-            work = working_constraints(qp, act, homogeneous=True)
+            work = working_constraints(qp, act)
             nu_true = rng.normal(size=work.n_rows)
             # plant a gradient that makes nu_true the exact multiplier
             grad = -(dense_coupling(qp).T @ lam[qp.coupled.rows]
                      + working_matrix(qp, work).T @ nu_true)
-            ca = condense(qp, work, grad)
+            ca = condense(qp, work)
             rec = recover_duals(qp, ca, grad, lam[qp.coupled.rows])
-            assert rec.residual < 1e-8
             nu = np.concatenate([rec.eq_duals, rec.ineq_duals])
             assert norm_inf(nu - nu_true) < 1e-7
             assert rec.eq_duals.size == work.n_eq
@@ -187,50 +179,49 @@ def test_recovered_duals_reproduce_planted_multipliers():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
-       n_active=st.integers(0, 4), homogeneous=st.booleans())
-def test_recovered_duals_match_least_squares(seed, horizon, n_active,
-                                              homogeneous):
-    """The reported residual is that of the returned multipliers, it is
-    carried by the free input rows only, and where the right-hand side lies
-    in the range of the working rows the multipliers are the least-squares
-    (there: exact) ones."""
+       n_active=st.integers(0, 4))
+def test_recovered_duals_match_least_squares(seed, horizon, n_active):
+    """The returned multipliers solve the stationarity rows of the states
+    and of the pinned coordinates, so only the free input rows carry a
+    residual, and where the right-hand side lies in the range of the
+    working rows they are the least-squares (there: exact) ones."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_agents=2)
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     lam = rng.normal(size=qps[0].n_coupling)
     for qp in qps:
-        work = working_constraints(qp, _some_active(rng, qp, n_active),
-                                   homogeneous=homogeneous)
+        act = _some_active(rng, qp, n_active)
+        work = working_constraints(qp, act)
+        ca = condense(qp, work)
         lam_local = lam[qp.coupled.rows]
         grad = rng.normal(size=qp.size)
-        ca = condense(qp, work, grad)
         rec = recover_duals(qp, ca, grad, lam_local)
         rhs = -(grad + dense_coupling(qp).T @ lam_local)
         gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert gamma.shape == (work.n_rows,)
         left = working_matrix(qp, work).T @ gamma - rhs
         tol = 1e-9 * (1.0 + norm_inf(rhs))
-        assert abs(rec.residual - norm_inf(left)) <= tol
         assert norm_inf(left[:qp.layout.u_offset]) <= tol
-        assert norm_inf(left[ca.pinned]) <= tol
+        assert norm_inf(left[qp.bounds.cols[act]]) <= tol
 
         planted = rng.normal(size=work.n_rows)
         grad = -(dense_coupling(qp).T @ lam_local
                  + working_matrix(qp, work).T @ planted)
-        rec = recover_duals(qp, condense(qp, work, grad), grad, lam_local)
+        rec = recover_duals(qp, ca, grad, lam_local)
         rhs = -(grad + dense_coupling(qp).T @ lam_local)
         ref = np.linalg.lstsq(working_matrix(qp, work).T, rhs,
                               rcond=None)[0]
         gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert norm_inf(gamma - ref) <= 1e-9 * (1.0 + norm_inf(ref))
-        assert rec.residual <= 1e-9 * (1.0 + norm_inf(rhs))
+        left = working_matrix(qp, work).T @ gamma - rhs
+        assert norm_inf(left) <= 1e-9 * (1.0 + norm_inf(rhs))
 
 
 #: Relative threshold on QR diagonals of the reference for dependent rows.
 RANK_TOL = 1e-10
 
 
-def _qr_condense(qp, work, gradient):
+def _qr_condense(qp, work):
     """Condensing on orthonormal QR bases, as before the dynamics basis.
 
     Kept as the reference the dynamics basis is checked against: ``Y``/``Z``
@@ -254,7 +245,7 @@ def _qr_condense(qp, work, gradient):
     particular = Y @ scipy.linalg.solve_triangular(R1.T, work.rhs, lower=True)
     chol = scipy.linalg.cho_factor(Z.T @ H @ Z)
     cpl_reduced = Cc @ Z
-    reduced_grad = Z.T @ (gradient + H @ particular)
+    reduced_grad = Z.T @ (H @ particular)
     schur = cpl_reduced @ scipy.linalg.cho_solve(chol, cpl_reduced.T)
 
     def backsubstitute(lam_local, extra):
@@ -280,10 +271,8 @@ def _outcome(fn, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
-       n_active=st.integers(0, 4), homogeneous=st.booleans(),
-       twin=st.booleans())
-def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active,
-                                              homogeneous, twin):
+       n_active=st.integers(0, 4), twin=st.booleans())
+def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active, twin):
     """Schur pieces, back-substituted steps and multipliers at stationarity
     agree with the QR reference; a working set holding both sides of one
     input fails in both, and the dynamics basis names the later side."""
@@ -300,11 +289,10 @@ def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active,
             pos = int(rng.integers(len(act) + 1))
             act.insert(pos, (act[k] + half) % (2 * half))
             pair = tuple(sorted((pos, k + (pos <= k))))
-        work = working_constraints(qp, act, homogeneous=homogeneous)
+        work = working_constraints(qp, act)
         lam_local = lam[qp.coupled.rows]
-        grad = rng.normal(size=qp.size)
-        ref = _outcome(_qr_condense, qp, work, grad)
-        ca = _outcome(condense, qp, work, grad)
+        ref = _outcome(_qr_condense, qp, work)
+        ca = _outcome(condense, qp, work)
         if pair:
             assert isinstance(ca, RankDeficientWorkingSet)
             assert isinstance(ref, RankDeficientWorkingSet)
@@ -322,20 +310,18 @@ def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active,
             return norm_inf(a - b) <= 1e-9 * (1.0 + norm_inf(b))
 
         assert close(ca.schur, schur) and close(ca.schur_rhs, schur_rhs)
+        z = backsubstitute(ca, lam_local)
+        assert close(z, ref_backsubstitute(lam_local, np.zeros(qp.size)))
+        # a linear term moves the minimizer by the gain, as ADMM reads it
         extra = rng.normal(size=qp.size)
-        for lin in (None, extra):
-            z = backsubstitute(ca, lam_local, lin)
-            z_ref = ref_backsubstitute(lam_local,
-                                       np.zeros(qp.size) if lin is None
-                                       else lin)
-            assert close(z, z_ref)
-        stationary = qp.hessian @ z_ref + grad + extra
+        z_ref = ref_backsubstitute(lam_local, extra)
+        assert close(z + ca.factor.gain @ extra, z_ref)
+        stationary = qp.hessian @ z_ref + extra
         rec = recover_duals(qp, ca, stationary, lam_local)
         gamma_ref, residual_ref = ref_recover(stationary, lam_local)
         assert close(np.concatenate([rec.eq_duals, rec.ineq_duals]),
                      gamma_ref)
-        scale = 1e-9 * (1.0 + norm_inf(stationary))
-        assert rec.residual <= scale and residual_ref <= scale
+        assert residual_ref <= 1e-9 * (1.0 + norm_inf(stationary))
 
 
 def _raised(fn, *args):
@@ -348,11 +334,9 @@ def _raised(fn, *args):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 4),
-       n_active=st.integers(0, 4), homogeneous=st.booleans(),
-       with_gradient=st.booleans(),
+       n_active=st.integers(0, 4),
        fault=st.sampled_from([None, "twin", "indefinite"]))
 def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
-                                               homogeneous, with_gradient,
                                                fault):
     """Condensing through the factor cache gives the per-call kernel's
     Schur piece, steps and multipliers, on the miss and on the hit after a
@@ -377,12 +361,11 @@ def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
         lam_local = lam[qp.coupled.rows]
         moved = update_initial_state(qp, rng.normal(size=qp.layout.n_states))
         for q in (qp, moved):  # a miss, then a hit on the carried cache
-            work = working_constraints(q, act, homogeneous=homogeneous)
-            grad = rng.normal(size=q.size) if with_gradient else None
-            expected = _raised(ref_kernel.condense, q, work, grad)
+            work = working_constraints(q, act)
+            expected = _raised(ref_kernel.condense, q, work)
             if expected is not None:
                 for _ in range(2):
-                    got = _raised(condense, q, work, grad)
+                    got = _raised(condense, q, work)
                     assert type(got) is type(expected)
                     assert got.agent == expected.agent == q.index
                     if isinstance(expected, RankDeficientWorkingSet):
@@ -390,21 +373,21 @@ def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
                             expected.working_row, expected.active_position)
                 assert len(q.factors) == 0
                 continue
-            ca = condense(q, work, grad)
+            ca = condense(q, work)
             assert len(q.factors) == 1
-            ref = ref_kernel.condense(q, work, grad)
+            ref = ref_kernel.condense(q, work)
             assert close(ca.schur, ref.schur)
             assert close(ca.schur_rhs, ref.schur_rhs)
-            for lin in (None, rng.normal(size=q.size)):
-                assert close(backsubstitute(ca, lam_local, lin),
-                             ref_kernel.backsubstitute(ref, lam_local, lin))
+            z = backsubstitute(ca, lam_local)
+            assert close(z, ref_kernel.backsubstitute(ref, lam_local))
+            lin = rng.normal(size=q.size)
+            assert close(z + ca.factor.gain @ lin,
+                         ref_kernel.backsubstitute(ref, lam_local, lin))
             r = rng.normal(size=q.size)
             got = recover_duals(q, ca, r, lam_local)
             want = ref_kernel.recover_duals(q, ref, r, lam_local)
             assert close(got.eq_duals, want.eq_duals)
             assert close(got.ineq_duals, want.ineq_duals)
-            assert abs(got.residual - want.residual) <= 1e-9 * (
-                1.0 + want.residual)
 
 
 def _dense_schur(qp, factor):
@@ -415,26 +398,18 @@ def _dense_schur(qp, factor):
     return 0.5 * (schur + schur.T)
 
 
-def _dense_backsubstitute(qp, ca, lam_local, gradient=None):
-    """:func:`backsubstitute` with the dense ``Cc' lam``, kept verbatim."""
-    linear = dense_coupling(qp).T @ lam_local
-    if gradient is not None:
-        linear += gradient
-    return ca.offset + ca.factor.gain @ linear
+def _dense_backsubstitute(qp, ca, lam_local):
+    """:func:`backsubstitute` with the dense ``Cc' lam``."""
+    return ca.offset + ca.factor.gain @ (dense_coupling(qp).T @ lam_local)
 
 
 def _dense_recover_duals(qp, ca, gradient, lam_local):
-    """:func:`recover_duals` with the dense ``Cc' lam``, kept verbatim."""
-    rhs = -np.asarray(gradient, dtype=float)
+    """:func:`recover_duals` with the dense ``Cc' lam``."""
+    r = np.asarray(gradient, dtype=float)
     if lam_local.size:
-        rhs = rhs - dense_coupling(qp).T @ lam_local
-    cache = qp.factors
-    rhs_x = rhs[:cache.state_inverse.shape[0]]
-    mu = cache.state_inverse.T @ rhs_x
-    left = rhs - cache.state_response.T @ rhs_x
-    nu = ca.pin_signs * left[ca.pinned]
-    left[ca.pinned] = 0.0
-    return mu, nu, float(np.abs(left).max(initial=0.0))
+        r = r + dense_coupling(qp).T @ lam_local
+    inverse = qp.factors.state_inverse
+    return -(inverse.T @ r[:inverse.shape[0]]), ca.factor.duals @ r
 
 
 def _same_bytes(a, b):
@@ -447,10 +422,9 @@ def _same_bytes(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 3),
-       horizon=st.integers(1, 4), n_active=st.integers(0, 4),
-       homogeneous=st.booleans())
+       horizon=st.integers(1, 4), n_active=st.integers(0, 4))
 def test_coupling_selections_match_dense_products(seed, n_agents, horizon,
-                                                  n_active, homogeneous):
+                                                  n_active):
     """The plan's gathers and scatters give the dense coupling products
     byte for byte, up to the sign of zero: a row selects one entry and,
     with at most two copies of a state (at most three agents), a column
@@ -460,22 +434,18 @@ def test_coupling_selections_match_dense_products(seed, n_agents, horizon,
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     lam = rng.normal(size=qps[0].n_coupling)
     for qp in qps:
-        work = working_constraints(qp, _some_active(rng, qp, n_active),
-                                   homogeneous=homogeneous)
-        grad = rng.normal(size=qp.size)
-        ca = condense(qp, work, grad)
+        work = working_constraints(qp, _some_active(rng, qp, n_active))
+        ca = condense(qp, work)
         lam_local = lam[qp.coupled.rows]
         assert _same_bytes(ca.schur, _dense_schur(qp, ca.factor))
         assert _same_bytes(ca.schur_rhs, dense_coupling(qp) @ ca.offset)
-        for extra in (None, rng.normal(size=qp.size)):
-            assert _same_bytes(backsubstitute(ca, lam_local, extra),
-                               _dense_backsubstitute(qp, ca, lam_local,
-                                                     extra))
+        assert _same_bytes(backsubstitute(ca, lam_local),
+                           _dense_backsubstitute(qp, ca, lam_local))
+        grad = rng.normal(size=qp.size)
         rec = recover_duals(qp, ca, grad, lam_local)
-        mu, nu, residual = _dense_recover_duals(qp, ca, grad, lam_local)
+        mu, nu = _dense_recover_duals(qp, ca, grad, lam_local)
         assert _same_bytes(rec.eq_duals, mu)
         assert _same_bytes(rec.ineq_duals, nu)
-        assert rec.residual == residual
 
 
 def test_factor_cache_follows_the_qp_structure():
@@ -483,10 +453,9 @@ def test_factor_cache_follows_the_qp_structure():
     net = random_network(rng, n_agents=2)
     qp = build_network_qps(net, 3, random_x0(rng, net))[0]
     act = _some_active(rng, qp)
-    first = condense(qp, working_constraints(qp, act, homogeneous=False))
+    first = condense(qp, working_constraints(qp, act))
     moved = update_initial_state(qp, rng.normal(size=qp.layout.n_states))
-    again = condense(moved, working_constraints(moved, act,
-                                                homogeneous=False))
+    again = condense(moved, working_constraints(moved, act))
     assert moved.factors is qp.factors
     assert again.factor is first.factor and len(qp.factors) == 1
     # a new Hessian or new coupling rows (the ADMM local QP has both)
@@ -495,8 +464,7 @@ def test_factor_cache_follows_the_qp_structure():
                     LocalQpSolver(qp, 5.0).local):
         assert changed.factors is not qp.factors
         assert len(changed.factors) == 0
-        ca = condense(changed, working_constraints(changed, act,
-                                                   homogeneous=False))
+        ca = condense(changed, working_constraints(changed, act))
         assert ca.factor is not first.factor
     assert len(qp.factors) == 1
 
@@ -508,7 +476,7 @@ def test_factor_cache_is_freed_with_its_qps():
     for _ in range(20):
         qps = build_network_qps(net, 4, random_x0(rng, net))
         for qp in qps:
-            condense(qp, working_constraints(qp, (), homogeneous=True))
+            condense(qp, working_constraints(qp, ()))
         caches += [weakref.ref(qp.factors) for qp in qps]
     live = [c() for c in caches if c() is not None]
     assert sum(len(c) for c in live) == len(qps)
@@ -520,7 +488,7 @@ def test_factor_cache_drops_its_oldest_entry_beyond_the_bound(monkeypatch):
     net = build_chain_of_masses(3)
     qp = build_network_qps(net, 4, random_x0(rng, net))[1]
     sets = [(0,), (1,), (2,)]
-    made = [condense(qp, working_constraints(qp, a, homogeneous=True)).factor
+    made = [condense(qp, working_constraints(qp, a)).factor
             for a in sets]
     assert len(qp.factors) == 2
     assert qp.factors.get(sets[0]) is None

@@ -261,7 +261,7 @@ def test_flat_solver_matches_reference_bit_for_bit(seed, n_agents, horizon,
     qps = build_network_qps(net, horizon, random_x0(rng, net))
     assert qps[-1].coupled.rows.size == 0
     pieces = [condense(qp, working_constraints(
-        qp, random_working_set(rng, qp), homogeneous=False)) for qp in qps]
+        qp, random_working_set(rng, qp))) for qp in qps]
     lam0 = None
     if warm:
         shared = rng.normal(size=qps[0].n_coupling)
@@ -295,8 +295,7 @@ def test_network_condensed_system_solves_coupling():
     net = random_network(rng, n_agents=3)
     qps = build_network_qps(net, 3, random_x0(rng, net))
     n_c = qps[0].n_coupling
-    cas = [condense(qp, working_constraints(qp, [], homogeneous=False))
-           for qp in qps]
+    cas = [condense(qp, working_constraints(qp, [])) for qp in qps]
     fab = Fabric(len(qps))
     res = dcg_solve(cas, qps[0].coupling.partner, None, 1e-11, fab)
     S = np.zeros((n_c, n_c))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ def test_agent_validation_rejects_bad_data():
         AgentModel(**{**ok, "Q": np.array([[1.0, 0.3], [0.0, 1.0]])})
     with pytest.raises(ValueError):
         AgentModel(**{**ok, "P": -eye})
+    # a non-finite entry is named, before any sign or symmetry check
+    ok["A_in"] = {1: eye}
+    for name in ("A_self", "B", "A_in", "u_lo", "u_hi", "Q", "R", "P"):
+        for bad in (np.nan, np.inf):
+            if name == "A_in":
+                value, label = {1: np.full((2, 2), bad)}, "A_in[1]"
+            else:
+                value, label = np.array(ok[name], dtype=float), name
+                value[(0,) * value.ndim] = bad
+            message = re.escape(f"agent 0: {label} must be finite")
+            with pytest.raises(ValueError, match=message):
+                AgentModel(**{**ok, name: value})
 
 
 def test_network_validation():
