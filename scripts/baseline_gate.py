@@ -1,4 +1,4 @@
-"""Compare the acceptance baseline's CSV files between two checkouts.
+"""Compare the acceptance baseline's artifacts between two checkouts.
 
 Usage (from the repository root)::
 
@@ -10,14 +10,17 @@ once in each checkout, from that checkout's ``src`` and with one BLAS
 thread.  For every solver and CSV file it prints ``identical`` when the
 two files' bytes compare equal, and otherwise the largest absolute
 difference between numeric fields (or the first differing text field, or
-a differing row layout).  After printing every line it exits 1 when any
-file is not ``identical``, and 0 otherwise.
+a differing row layout).  It then prints ``meta.json: identical`` when the
+two ``meta.json`` files agree once ``config.out_dir`` is dropped, and
+otherwise the top-level keys that differ.  After printing every line it
+exits 1 when any file is not ``identical``, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -78,6 +81,20 @@ def difference(before: Path, after: Path) -> str:
     return f"max abs difference {worst:.3g}"
 
 
+def meta_difference(before: Path, after: Path) -> str:
+    """``identical``, or the top-level keys in which the two ``meta.json``
+    files differ; ``config.out_dir`` names the output directory and is
+    dropped."""
+    metas = []
+    for path in (before, after):
+        meta = json.loads(path.read_text())
+        meta.get("config", {}).pop("out_dir", None)
+        metas.append(meta)
+    keys = sorted(key for key in metas[0].keys() | metas[1].keys()
+                  if metas[0].get(key) != metas[1].get(key))
+    return "keys differ: " + ", ".join(keys) if keys else "identical"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
@@ -87,9 +104,10 @@ def main(argv=None) -> int:
             outs = {side: Path(tmp) / f"{side}-{solver}" for side in roots}
             for side, root in roots.items():
                 run_baseline(root, solver, outs[side])
-            for name in CSV_FILES:
-                result = difference(outs["before"] / name,
-                                    outs["after"] / name)
+            for name in (*CSV_FILES, "meta.json"):
+                compare = meta_difference if name == "meta.json" \
+                    else difference
+                result = compare(outs["before"] / name, outs["after"] / name)
                 identical = identical and result == "identical"
                 print(f"{solver} {name}: {result}", flush=True)
     return 0 if identical else 1

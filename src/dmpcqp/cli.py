@@ -192,9 +192,16 @@ def sample_initial_states(net: NetworkModel, rng: np.random.Generator,
     return states
 
 
+#: ``iterations.csv``'s per-sample counters, in column order.
+_COUNTERS = ("asm_iterations", "init_rounds", "dcg_feasible_guess",
+             "dcg_active_set", "dcg_total", "admm_iterations",
+             "oracle_iterations")
+
+
 @dataclass
 class SampleRecord:
-    """Everything recorded about one MPC sample."""
+    """Everything recorded about one MPC sample; ``None`` marks a counter
+    the solver does not have."""
 
     init: int
     sample: int
@@ -203,16 +210,11 @@ class SampleRecord:
     init_rounds: int | None = None
     dcg_feasible_guess: int | None = None
     dcg_active_set: int | None = None
+    dcg_total: int | None = None
     admm_iterations: int | None = None
     oracle_iterations: int | None = None
     comm: dict = field(default_factory=dict)
     deviation: float | None = None
-
-    @property
-    def dcg_total(self) -> int | None:
-        if self.dcg_feasible_guess is None:
-            return None
-        return self.dcg_feasible_guess + self.dcg_active_set
 
 
 @dataclass
@@ -239,7 +241,8 @@ def _asm_step(cfg, fabric, qps, states, warm, t):
     return res.z, warm, dict(
         asm_iterations=st.outer_iterations, init_rounds=st.init_rounds,
         dcg_feasible_guess=st.dcg_feasible_guess,
-        dcg_active_set=st.dcg_active_set, comm=st.ledger.as_dict())
+        dcg_active_set=st.dcg_active_set, dcg_total=st.dcg_total,
+        comm=st.ledger.as_dict())
 
 
 def _admm_step(cfg, fabric, qps, states, warm, t):
@@ -345,16 +348,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aggregates = _aggregate(records)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_iterations(out / "iterations.csv", records)
-    _write_communication(out / "communication.csv", records)
+    rows = [dataclasses.asdict(r) for r in records]
+    _write_rows(out / "iterations.csv",
+                ["init", "sample", "status", *_COUNTERS], rows)
+    _write_rows(out / "communication.csv",
+                ["init", "sample", "phase", "global_floats",
+                 "global_booleans", "local_floats"],
+                [{"init": r.init, "sample": r.sample, "phase": phase,
+                  **r.comm[phase]} for r in records if r.comm
+                 for phase in PHASES])
     _write_rows(out / "trajectories.csv",
                 ["init", "time", "agent", "y", "v", "u"] + state_cols[2:]
                 + input_cols[1:], trajectory_rows)
-    _write_rows(out / "deviation.csv", ["init", "sample", "deviation"],
-                [{"init": r.init, "sample": r.sample,
-                  "deviation": r.deviation if r.deviation is not None else ""}
-                 for r in records])
-    _write_summary(out / "summary.csv", aggregates)
+    _write_rows(out / "deviation.csv", ["init", "sample", "deviation"], rows)
+    _write_rows(out / "summary.csv", ["metric", "mean", "max"],
+                [{"metric": m, **agg} for m, agg in aggregates.items()])
     meta = {
         "config": dataclasses.asdict(cfg),
         "dims": dims,
@@ -377,23 +385,13 @@ _METRICS = ("asm_iterations", "dcg_feasible_guess", "dcg_active_set",
             "global_floats", "global_booleans", "local_floats", "deviation")
 
 
-def _metric_value(record: SampleRecord, metric: str):
-    if metric in ("global_floats", "global_booleans", "local_floats"):
-        if not record.comm:
-            return None
-        return record.comm["total"][metric]
-    if metric == "dcg_total":
-        return record.dcg_total
-    return getattr(record, metric)
-
-
 def _aggregate(records) -> dict:
     """Mean/max per metric over all samples except each init's first."""
-    rows = [r for r in records if r.sample > 0 and r.status == "ok"]
+    rows = [{**dataclasses.asdict(r), **r.comm.get("total", {})}
+            for r in records if r.sample > 0 and r.status == "ok"]
     out = {}
     for metric in _METRICS:
-        values = [_metric_value(r, metric) for r in rows]
-        values = [v for v in values if v is not None]
+        values = [row[metric] for row in rows if row.get(metric) is not None]
         if values:
             out[metric] = {"mean": float(np.mean(values)),
                            "max": float(np.max(values))}
@@ -401,47 +399,12 @@ def _aggregate(records) -> dict:
 
 
 def _write_rows(path, header, rows):
+    """One CSV file: the ``header`` columns of each row dict, ``None`` and
+    missing entries as empty fields."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _write_iterations(path, records):
-    header = ["init", "sample", "status", "asm_iterations", "init_rounds",
-              "dcg_feasible_guess", "dcg_active_set", "dcg_total",
-              "admm_iterations", "oracle_iterations"]
-    rows = []
-    for r in records:
-        row = {h: "" for h in header}
-        row.update(init=r.init, sample=r.sample, status=r.status)
-        for name in header[3:]:
-            value = r.dcg_total if name == "dcg_total" else getattr(r, name)
-            if value is not None:
-                row[name] = value
-        rows.append(row)
-    _write_rows(path, header, rows)
-
-
-def _write_communication(path, records):
-    header = ["init", "sample", "phase", "global_floats", "global_booleans",
-              "local_floats"]
-    rows = []
-    for r in records:
-        if not r.comm:
-            continue
-        for phase in PHASES:
-            counts = r.comm[phase]
-            rows.append({"init": r.init, "sample": r.sample, "phase": phase,
-                         **counts})
-    _write_rows(path, header, rows)
-
-
-def _write_summary(path, aggregates):
-    header = ["metric", "mean", "max"]
-    rows = [{"metric": m, "mean": agg["mean"], "max": agg["max"]}
-            for m, agg in aggregates.items()]
-    _write_rows(path, header, rows)
 
 
 @dataclass(frozen=True)
@@ -456,10 +419,8 @@ class ComparisonResult:
             pair["a"] == pair["b"] for pair in self.metrics.values())
 
 
-_SCENARIO_KEYS = ("scenario", "network_file", "n_masses", "mass", "stiffness",
-                  "damping", "dt", "u_max", "q_diag", "r_weight", "p_weight",
-                  "horizon", "steps", "n_inits", "seed", "y0_range",
-                  "v0_range")
+#: ``ExperimentConfig`` fields two compared runs may differ in.
+_SOLVER_KEYS = ("solver", "rho", "eps_dcg", "eps_asm", "out_dir")
 
 
 def compare_runs(run_a, run_b) -> ComparisonResult:
@@ -467,14 +428,25 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
 
     Requires both runs to share the scenario definition and seed; solver
     settings may differ.  Returns per-metric aggregate pairs and the largest
-    recorded trajectory difference.
+    recorded trajectory difference.  A ``meta.json`` that is not JSON or
+    lacks a ``config`` and ``aggregates`` object, or a ``trajectories.csv``
+    without the ``init, time, agent`` columns, raises :class:`ValueError`
+    naming it.
     """
     run_a, run_b = Path(run_a), Path(run_b)
     metas = []
-    for run in (run_a, run_b):
-        with open(run / "meta.json") as fh:
-            metas.append(json.load(fh))
-    for key in _SCENARIO_KEYS:
+    for path in (run_a / "meta.json", run_b / "meta.json"):
+        with open(path) as fh:
+            try:
+                metas.append(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        if not (isinstance(metas[-1], dict) and all(
+                isinstance(metas[-1].get(k), dict)
+                for k in ("config", "aggregates"))):
+            raise ValueError(f"{path}: not a run's meta.json")
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig)
+                if f.name not in _SOLVER_KEYS):
         va, vb = metas[0]["config"].get(key), metas[1]["config"].get(key)
         if va != vb:
             raise ValueError(f"scenario mismatch: {key} differs ({va} vs {vb})")
@@ -485,9 +457,13 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
             metrics[metric] = {"a": pair[0], "b": pair[1]}
 
     def _read_traj(run):
-        with open(run / "trajectories.csv", newline="") as fh:
-            reader = csv.DictReader(fh)
-            columns = (reader.fieldnames or [])[3:]
+        path = run / "trajectories.csv"
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            if (reader.fieldnames or [])[:3] != ["init", "time", "agent"]:
+                raise ValueError(f"{path}: lacks the init, time and agent "
+                                 f"columns")
+            columns = reader.fieldnames[3:]
             return {(row["init"], row["time"], row["agent"]):
                     {c: float(row[c]) for c in columns if row[c] != ""}
                     for row in reader}

@@ -49,38 +49,26 @@ class DenseSolution:
     kkt_residual: float
 
 
-class PreparedKkt:
-    """Sparse LU factorization (``splu``) of the equality-only saddle-point
-    matrix.
+def prepare_kkt(qp: StackedQp) -> spla.SuperLU:
+    """Sparse LU factor (``splu``) of the equality-only saddle-point matrix.
 
     Active bound rows are appended as a low-rank border, so one
     factorization serves every working set of the same problem structure.
     A singular matrix, exactly or up to a pivot ratio of ``_PIVOT_RTOL``,
     raises :class:`SolverError`.
     """
-
-    def __init__(self, qp: StackedQp):
-        n, me = qp.size, qp.eq_matrix.shape[0]
-        K = sp.block_array([[qp.hessian, qp.eq_matrix.T],
-                            [qp.eq_matrix, None]], format="csc")
-        try:
-            self.lu = spla.splu(K)
-        except RuntimeError as exc:
-            raise SolverError(f"singular saddle-point matrix: {exc}") from exc
-        pivots = np.abs(self.lu.U.diagonal())
-        if pivots.min() <= _PIVOT_RTOL * pivots.max():
-            raise SolverError(
-                "numerically singular saddle-point matrix: pivot ratio "
-                f"{pivots.min() / pivots.max():.1e}")
-        self.n = n
-        self.m_eq = me
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
-
-
-def prepare_kkt(qp: StackedQp) -> PreparedKkt:
-    return PreparedKkt(qp)
+    K = sp.block_array([[qp.hessian, qp.eq_matrix.T],
+                        [qp.eq_matrix, None]], format="csc")
+    try:
+        lu = spla.splu(K)
+    except RuntimeError as exc:
+        raise SolverError(f"singular saddle-point matrix: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= _PIVOT_RTOL * pivots.max():
+        raise SolverError(
+            "numerically singular saddle-point matrix: pivot ratio "
+            f"{pivots.min() / pivots.max():.1e}")
+    return lu
 
 
 def _ratio_test(cp: np.ndarray, slack: np.ndarray,
@@ -123,7 +111,8 @@ def kkt_residual(qp: StackedQp, z, eq_duals, ineq_duals, active=()) -> float:
     return float(max(parts))
 
 
-def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *, prepared: PreparedKkt,
+def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *,
+                   prepared: spla.SuperLU,
                    warm_active: Sequence[int] = ()) -> DenseSolution:
     """Primal active-set method on the stacked QP.
 
@@ -149,14 +138,14 @@ def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *, prepared: PreparedKkt,
     if n_ineq and (qp.ineq_matrix @ z - qp.ineq_rhs).max() > 1e-8:
         raise ValueError("start point violates inequality rows")
 
-    n, me = prepared.n, prepared.m_eq
+    n = qp.size
     for it in range(1, max_iter + 1):
         rhs = np.concatenate([-(qp.hessian @ z),
                               qp.eq_rhs - qp.eq_matrix @ z])
         base = prepared.solve(rhs)
         if active:
             E = qp.ineq_matrix[active]
-            F = np.zeros((n + me, len(active)))
+            F = np.zeros((prepared.shape[0], len(active)))
             F[:n] = E.T.toarray()
             X = prepared.solve(F)
             S = E @ X[:n]

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -9,17 +10,20 @@ gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(gate)
 
 
-@pytest.mark.parametrize("differs", [False, True])
-def test_gate_fails_when_any_file_differs(tmp_path, monkeypatch, capsys,
-                                          differs):
+def _run_gate(tmp_path, monkeypatch, capsys, changed=None):
+    """Run the gate on fake baselines whose ``after`` side of ``admm1``
+    writes ``changed`` (a file name) with a different value."""
     def fake_baseline(root, solver, out):
         out.mkdir()
+        moved = root.name == "after" and solver == "admm1"
         for name in gate.CSV_FILES:
-            value = "2"
-            if (differs and root.name == "after" and solver == "admm1"
-                    and name == "summary.csv"):
-                value = "2.5"
+            value = "2.5" if moved and name == changed else "2"
             (out / name).write_text(f"a,b\n1,{value}\n")
+        failures = 1 if moved and changed == "meta.json" else 0
+        # the output directory differs between the sides and is dropped
+        (out / "meta.json").write_text(json.dumps(
+            {"config": {"seed": 2024, "out_dir": str(out)},
+             "aggregates": {}, "failures": failures}))
 
     monkeypatch.setattr(gate, "run_baseline", fake_baseline)
     roots = [tmp_path / side for side in ("before", "after")]
@@ -28,7 +32,15 @@ def test_gate_fails_when_any_file_differs(tmp_path, monkeypatch, capsys,
     code = gate.main(["--before", str(roots[0]), "--after", str(roots[1])])
     lines = capsys.readouterr().out.splitlines()
     # every line is printed, also after the differing file
-    assert len(lines) == len(gate.SOLVERS) * len(gate.CSV_FILES)
+    assert len(lines) == len(gate.SOLVERS) * (len(gate.CSV_FILES) + 1)
+    return code, lines
+
+
+@pytest.mark.parametrize("differs", [False, True])
+def test_gate_fails_when_any_file_differs(tmp_path, monkeypatch, capsys,
+                                          differs):
+    code, lines = _run_gate(tmp_path, monkeypatch, capsys,
+                            "summary.csv" if differs else None)
     if differs:
         assert code == 1
         assert "admm1 summary.csv: max abs difference 0.5" in lines
@@ -36,3 +48,12 @@ def test_gate_fails_when_any_file_differs(tmp_path, monkeypatch, capsys,
     else:
         assert code == 0
         assert all(line.endswith(": identical") for line in lines)
+        assert "centralized meta.json: identical" in lines
+
+
+def test_gate_fails_when_only_meta_json_differs(tmp_path, monkeypatch,
+                                                capsys):
+    code, lines = _run_gate(tmp_path, monkeypatch, capsys, "meta.json")
+    assert code == 1
+    assert "admm1 meta.json: keys differ: failures" in lines
+    assert sum(not line.endswith(": identical") for line in lines) == 1

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from dmpcqp import (AgentModel, NetworkModel, PlantState,
 from dmpcqp.cli import (ExperimentConfig, compare_runs, load_network, main,
                         run_experiment, sample_initial_states, save_network)
 from dmpcqp.errors import SolverError
+from dmpcqp.fabric import PHASES
 
 from conftest import random_network
 
@@ -251,6 +253,121 @@ def test_compare_exit_code_flags_differing_runs(tmp_path, capsys):
     assert not compare_runs(tmp_path / "a", tmp_path / "b").identical
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "run"
+    run_experiment(_small_cfg(out, n_masses=2, horizon=2, steps=2,
+                              n_inits=1))
+    return out
+
+
+def _rewrite_rows(path, edit):
+    with open(path, newline="") as fh:
+        rows = edit(list(csv.reader(fh)))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("name, spoil, message", [
+    ("meta.json", lambda p: p.write_text(json.dumps(
+        {k: v for k, v in json.loads(p.read_text()).items()
+         if k != "config"})), None),
+    ("meta.json", lambda p: p.write_text("[1, 2]"), None),
+    ("meta.json", lambda p: p.write_text("{"), None),
+    ("trajectories.csv",
+     lambda p: _rewrite_rows(p, lambda rows: [r[3:] for r in rows]), None),
+    ("trajectories.csv",
+     lambda p: _rewrite_rows(p, lambda rows: rows[:1] + [rows[1][:4]]
+                             + rows[2:]), "do not align"),
+], ids=["meta-without-config", "meta-list", "meta-not-json",
+        "trajectories-without-keys", "trajectories-short-row"])
+def test_compare_exits_2_on_a_malformed_run(tmp_path, capsys, small_run,
+                                            name, spoil, message):
+    """A broken run directory is an error, not a difference: ``compare``
+    exits 2, and names the file when the file itself is malformed."""
+    broken = tmp_path / "broken"
+    shutil.copytree(small_run, broken)
+    spoil(broken / name)
+    message = message or str(broken / name)
+    for pair in ((small_run, broken), (broken, small_run)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compare_runs(*pair)
+        assert main(["compare", *map(str, pair)]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["compare", str(small_run), str(small_run)]) == 0
+
+
+@pytest.mark.parametrize("solver", ["asm-dcg", "centralized"])
+def test_artifacts_are_the_records(tmp_path, monkeypatch, solver):
+    """Every row of ``iterations.csv``, ``deviation.csv`` and
+    ``communication.csv`` is its sample's record, a missing counter or
+    deviation read back as an empty field, and ``summary.csv`` is the
+    aggregates."""
+    rollout = dmpcqp.cli.centralized_mpc_rollout
+    calls = []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("planted oracle failure")
+        return rollout(*args)
+
+    monkeypatch.setattr(dmpcqp.cli, "centralized_mpc_rollout", fail_second)
+    res = run_experiment(_small_cfg(tmp_path, solver=solver, horizon=4,
+                                    n_inits=3))
+    assert res.failures == 1 and len(res.records) == 7
+    assert res.records[3].deviation is None
+
+    def read(name):
+        with open(tmp_path / name, newline="") as fh:
+            reader = csv.DictReader(fh)
+            return reader.fieldnames, list(reader)
+
+    def cell(value):
+        return "" if value is None else str(value)
+
+    counters = ["asm_iterations", "init_rounds", "dcg_feasible_guess",
+                "dcg_active_set", "dcg_total", "admm_iterations",
+                "oracle_iterations"]
+    header, rows = read("iterations.csv")
+    assert header == ["init", "sample", "status"] + counters
+    assert rows == [{k: cell(getattr(r, k)) for k in header}
+                    for r in res.records]
+    for r in res.records:
+        if r.status != "ok":
+            continue
+        if solver == "asm-dcg":
+            assert r.dcg_total == r.dcg_feasible_guess + r.dcg_active_set
+            assert r.oracle_iterations is None
+        else:
+            assert r.oracle_iterations >= 1
+            assert r.asm_iterations is r.dcg_total is None
+
+    header, rows = read("deviation.csv")
+    assert header == ["init", "sample", "deviation"]
+    assert rows == [{k: cell(getattr(r, k)) for k in header}
+                    for r in res.records]
+
+    header, rows = read("communication.csv")
+    assert header == ["init", "sample", "phase", "global_floats",
+                      "global_booleans", "local_floats"]
+    assert rows == [{"init": str(r.init), "sample": str(r.sample),
+                     "phase": phase,
+                     **{k: str(v) for k, v in r.comm[phase].items()}}
+                    for r in res.records if r.comm for phase in PHASES]
+    assert bool(rows) == (solver == "asm-dcg")
+
+    header, rows = read("summary.csv")
+    assert header == ["metric", "mean", "max"]
+    assert [row["metric"] for row in rows] == \
+        [m for m in dmpcqp.cli._METRICS if m in res.aggregates]
+    assert rows == [{"metric": m, "mean": str(agg["mean"]),
+                     "max": str(agg["max"])}
+                    for m, agg in res.aggregates.items()]
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["aggregates"] == res.aggregates
 
 
 def test_malformed_network_file_exits_with_2(tmp_path, capsys):
