@@ -40,15 +40,14 @@ from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
                   compute_step_length, initialize_feasible, network_objective,
                   shift_active, verify_iterate)
 from .condense import (AgentBounds, AgentCoupling, CondensedAgent,
-                       DualRecovery, FactorCache, WorkingConstraints,
-                       WorkingSetFactor, backsubstitute, recover_duals,
-                       working_constraints)
-from .dcg import DcgResult, SchurPiece, dcg_init, dcg_iterate, dcg_solve
+                       FactorCache, WorkingConstraints, WorkingSetFactor,
+                       backsubstitute, recover_duals, working_constraints)
+from .dcg import DcgResult, dcg_init, dcg_iterate, dcg_solve
 from .fabric import CommLedger, Fabric, verify_comm_identities
 from .model import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
 from .oracle import (DenseSolution, Rollout, centralized_mpc_rollout,
-                     kkt_residual, prepare_kkt, solve_dense_qp)
+                     prepare_kkt, solve_dense_qp)
 from .qp_builder import (AgentQP, CouplingIndex, StackedQp, VariableLayout,
                          build_agent_qp, build_coupling_index,
                          build_network_qps, build_partner,
@@ -65,19 +64,19 @@ __all__ = [
     "compute_step_length", "initialize_feasible", "network_objective",
     "shift_active", "verify_iterate",
     # condense
-    "AgentBounds", "AgentCoupling", "CondensedAgent", "DualRecovery",
-    "FactorCache", "WorkingConstraints", "WorkingSetFactor",
-    "backsubstitute", "recover_duals", "working_constraints",
+    "AgentBounds", "AgentCoupling", "CondensedAgent", "FactorCache",
+    "WorkingConstraints", "WorkingSetFactor", "backsubstitute",
+    "recover_duals", "working_constraints",
     # dcg
-    "DcgResult", "SchurPiece", "dcg_init", "dcg_iterate", "dcg_solve",
+    "DcgResult", "dcg_init", "dcg_iterate", "dcg_solve",
     # fabric
     "CommLedger", "Fabric", "verify_comm_identities",
     # model
     "AgentModel", "NetworkModel", "PlantState", "build_chain_of_masses",
     "plant_step",
     # oracle
-    "DenseSolution", "Rollout", "centralized_mpc_rollout", "kkt_residual",
-    "prepare_kkt", "solve_dense_qp",
+    "DenseSolution", "Rollout", "centralized_mpc_rollout", "prepare_kkt",
+    "solve_dense_qp",
     # qp_builder
     "AgentQP", "CouplingIndex", "StackedQp", "VariableLayout",
     "build_agent_qp", "build_coupling_index", "build_network_qps",

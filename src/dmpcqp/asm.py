@@ -4,7 +4,7 @@ The solver keeps one working set per agent.  Every outer iteration condenses
 the agents' working-set systems onto their null spaces, solves the
 coupling-multiplier system with the decentralized conjugate gradient, and
 back-substitutes per-agent working-set minimizers; the step is the
-minimizer minus the iterate.  When all steps are negligible the working-set
+minimizer minus the iterate.  When all steps are negligible the bound
 multipliers are recovered locally and either certify optimality or name the
 constraint to release; otherwise the largest feasible step is taken and the
 blocking bound activated.
@@ -90,10 +90,7 @@ class AsmState:
 class AsmResult:
     z: list[np.ndarray]
     active: tuple[tuple[int, ...], ...]
-    eq_duals: list[np.ndarray]
-    ineq_duals: list[np.ndarray]
     cpl_duals: list[np.ndarray]
-    objective: float
     stats: AsmStats
 
 
@@ -254,8 +251,8 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     Returns
     -------
     AsmResult
-        Minimizing iterates, final working sets, working-set and coupling
-        multipliers, and solver statistics.
+        Minimizing iterates, final working sets, coupling multipliers and
+        solver statistics.
     """
     cfg = cfg or AsmConfig()
     fabric = fabric if fabric is not None else Fabric(len(qps))
@@ -282,24 +279,16 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
         small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
                  for dz in dzs]
         if fabric.global_flags(small, phase="asm"):
-            recoveries = [recover_duals(qp, ca, qp.hessian @ z, lam)
-                          for qp, ca, z, lam in
-                          zip(qps, cas, zs, sol.lambdas)]
-            mins = []
-            for rec in recoveries:
-                nu = rec.ineq_duals
-                mins.append(float(nu.min()) if nu.size else np.inf)
-            worst, agent = fabric.global_reduce(mins, op="min", phase="asm")
+            duals = [recover_duals(qp, ca, qp.hessian @ z, lam)
+                     for qp, ca, z, lam in zip(qps, cas, zs, sol.lambdas)]
+            worst, agent = fabric.global_reduce(
+                [float(nu.min()) if nu.size else np.inf for nu in duals],
+                op="min", phase="asm")
             if worst >= -DUAL_TOL:
                 stats.ledger = fabric.ledger.delta(start)
-                return AsmResult(
-                    z=zs, active=tuple(tuple(a) for a in active),
-                    eq_duals=[r.eq_duals for r in recoveries],
-                    ineq_duals=[r.ineq_duals for r in recoveries],
-                    cpl_duals=list(sol.lambdas),
-                    objective=objective, stats=stats)
-            nu = recoveries[agent].ineq_duals
-            pos = int(np.argmin(nu))
+                return AsmResult(z=zs, active=tuple(tuple(a) for a in active),
+                                 cpl_duals=list(sol.lambdas), stats=stats)
+            pos = int(np.argmin(duals[agent]))
             trace.append(("release", agent, active[agent][pos]))
             del active[agent][pos]
         else:

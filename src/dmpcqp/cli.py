@@ -47,7 +47,7 @@ import numpy as np
 import scipy
 
 from . import THREAD_VARS
-from .admm import ADMM_PRESETS, AdmmConfig, admm_solve, shift_averaged
+from .admm import AdmmConfig, admm_solve, shift_averaged
 from .asm import AsmConfig, asm_solve, shift_active
 from .errors import SolverError
 from .fabric import PHASES, Fabric, verify_comm_identities
@@ -286,7 +286,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Solver failures, including a failed reference rollout, and numerical
     failures (``LinAlgError``, recorded as ``error: LinAlgError: ...``) are
     recorded per initial condition; remaining initial conditions still run.
-    Returns the collected records and aggregate statistics.
+    The output directory is made before the first solve, so a path that
+    cannot be one raises ``OSError`` at once.  Returns the collected
+    records and aggregate statistics.
     """
     cfg.validate()
     net = build_network(cfg)
@@ -307,6 +309,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     input_cols = ["u"] + [f"u{c}" for c in
                           range(1, max(a.m for a in net.agents))]
 
+    # before the first solve, so an unusable output path costs no solve
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     records: list[SampleRecord] = []
     trajectory_rows = []
     failures = 0
@@ -346,8 +351,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 trajectory_rows.append(row)
 
     aggregates = _aggregate(records)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [dataclasses.asdict(r) for r in records]
     _write_rows(out / "iterations.csv",
                 ["init", "sample", "status", *_COUNTERS], rows)
@@ -528,7 +531,7 @@ def main(argv=None) -> int:
                                   in vars(args).items() if name != "command"})
         try:
             result = run_experiment(cfg)
-        except (ValueError, SolverError) as exc:
+        except (ValueError, SolverError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {result.out_dir}")

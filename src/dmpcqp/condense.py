@@ -15,8 +15,7 @@ from the dynamics) and a reduced unknown on ``Z``.  Eliminating the reduced
 unknown yields each agent's contribution to the coupling-multiplier system,
 which does not depend on the basis: a local Schur matrix and right-hand
 side, compressed to the coupling rows the agent actually touches.  The
-working-set multipliers are linear in the objective gradient: a transposed
-triangular solve on the state rows and a read-off on the pinned rows.
+bound multipliers of the working set are linear in the objective gradient.
 
 Everything above except ``d`` and the multipliers depends only on the QP's
 matrices and the active rows.  That structural part is a
@@ -150,10 +149,10 @@ class FactorCache:
     QP it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
     cache for a QP that does not share them.  Beyond :data:`MAX_FACTORS`
     entries the oldest is dropped.  It also holds the two per-structure
-    maps every factor reads, ``C_x^{-1}`` (which :func:`recover_duals` reads
-    too) and the states' response ``W = C_x^{-1} C_eq`` to the inputs and
-    copies, and ``augmented``: ADMM's augmented QP of this structure per
-    penalty weight, which has a cache of its own.
+    maps every factor reads, ``C_x^{-1}`` and the states' response
+    ``W = C_x^{-1} C_eq`` to the inputs and copies, and ``augmented``:
+    ADMM's augmented QP of this structure per penalty weight, which has a
+    cache of its own.
     """
 
     def __init__(self, qp):
@@ -311,24 +310,11 @@ def backsubstitute(ca: CondensedAgent, lam_local: np.ndarray) -> np.ndarray:
     return ca.offset + ca.factor.gain @ ca.coupled.scatter(lam_local)
 
 
-@dataclass(frozen=True)
-class DualRecovery:
-    """Working-set multipliers for one agent."""
-
-    eq_duals: np.ndarray
-    ineq_duals: np.ndarray
-
-
 def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
-                  lam_local: np.ndarray) -> DualRecovery:
-    """Working-set multipliers of ``ca`` at a stationary point.
-
-    With the objective gradient ``r = gradient + Cc' lam``, the bound
-    multipliers are ``ca.factor.duals @ r`` and the equality multipliers
-    ``mu = -C_x^{-T} r_x``, from the state rows.
-    """
+                  lam_local: np.ndarray) -> np.ndarray:
+    """Bound multipliers of ``ca``'s active rows at a stationary point:
+    ``ca.factor.duals @ r`` with the objective gradient
+    ``r = gradient + Cc' lam``."""
     lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled.rows.size)
     r = np.asarray(gradient, dtype=float) + qp.coupled.scatter(lam_local)
-    inverse = qp.factors.state_inverse
-    return DualRecovery(eq_duals=-(inverse.T @ r[:inverse.shape[0]]),
-                        ineq_duals=ca.factor.duals @ r)
+    return ca.factor.duals @ r

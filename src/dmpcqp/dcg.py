@@ -16,6 +16,14 @@ The simulation stores all agents' local vectors end to end, agent ``i``'s
 entries in its segment, so a neighbor exchange is one gather.  Every
 product and dot product an agent forms is still one call on its own
 segment.
+
+The solver takes one condensed agent per agent
+(:class:`~dmpcqp.condense.CondensedAgent`) and reads only its ``rows``
+(the coupling rows it holds, ascending), ``schur`` and ``schur_rhs`` (its
+contribution to the aggregated system on those rows).  Where the agents
+share rows is passed beside them: the ``partner`` index of the network's
+:class:`~dmpcqp.qp_builder.CouplingIndex` (built once per network), or
+:func:`~dmpcqp.qp_builder.build_partner` of their rows.
 """
 
 from __future__ import annotations
@@ -25,25 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .condense import CondensedAgent
 from .errors import CurvatureBreakdown, DcgIterationLimit, InconsistentWarmStart
 from .fabric import Fabric
 from .qp_builder import segment_max
-
-
-@dataclass(frozen=True)
-class SchurPiece:
-    """One agent's compressed contribution to the aggregated system.
-
-    The solver reads only these three attributes, so a
-    :class:`~dmpcqp.condense.CondensedAgent` is accepted in its place.
-    Where pieces share rows is passed beside them: the ``partner`` index of
-    the network's :class:`~dmpcqp.qp_builder.CouplingIndex` (built once per
-    network), or :func:`~dmpcqp.qp_builder.build_partner` of their rows.
-    """
-
-    rows: np.ndarray
-    schur: np.ndarray
-    schur_rhs: np.ndarray
 
 
 @dataclass
@@ -73,12 +66,12 @@ class DcgResult:
     iterations: int
 
 
-def dcg_init(pieces: Sequence[SchurPiece], partner: np.ndarray,
+def dcg_init(pieces: Sequence[CondensedAgent], partner: np.ndarray,
              lambda0: Sequence[np.ndarray] | None,
              fabric: Fabric) -> DcgState:
     """Bootstrap the CG state for a warm-started multiplier.
 
-    ``partner`` is the pieces' shared rows (see :class:`SchurPiece`).
+    ``partner`` is the pieces' shared rows (see the module docstring).
     Validates that the warm start agrees exactly on shared rows, then forms
     the initial residual ``r0 = s - S lam0`` with one neighbor exchange,
     charged to the ``init`` phase.
@@ -156,12 +149,12 @@ def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
     return fabric.global_flags(s.flags(eps), phase="dcg") or forced
 
 
-def dcg_solve(pieces: Sequence[SchurPiece], partner: np.ndarray,
+def dcg_solve(pieces: Sequence[CondensedAgent], partner: np.ndarray,
               lambda0: Sequence[np.ndarray] | None,
               eps: float, fabric: Fabric) -> DcgResult:
     """Drive the decentralized CG to ``max_i ||r_i||_inf < eps``.
 
-    ``partner`` is the pieces' shared rows (see :class:`SchurPiece`).  The
+    ``partner`` is the pieces' shared rows (see the module docstring).  The
     bootstrap (initial residual exchange and the pre-loop convergence
     flags) is charged to the ``init`` phase so per-iteration accounting
     identities stay exact.  Raises :class:`DcgIterationLimit` carrying the

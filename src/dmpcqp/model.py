@@ -13,7 +13,7 @@ command line experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -157,7 +157,6 @@ class PlantState:
     """Snapshot of all agent states at one sampling instant."""
 
     states: tuple[np.ndarray, ...]
-    time: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -179,7 +178,7 @@ def plant_step(net: NetworkModel, state: PlantState, inputs: Sequence[np.ndarray
     Returns
     -------
     PlantState
-        States at ``state.time + 1``.
+        States one sampling interval later.
     """
     if len(state.states) != net.n_agents or len(inputs) != net.n_agents:
         raise ValueError("state/input count does not match the network")
@@ -193,7 +192,7 @@ def plant_step(net: NetworkModel, state: PlantState, inputs: Sequence[np.ndarray
         for j, block in sorted(agent.A_in.items()):
             xp = xp + block @ state.states[j]
         nxt.append(xp)
-    return PlantState(states=tuple(nxt), time=state.time + 1)
+    return PlantState(states=tuple(nxt))
 
 
 def build_chain_of_masses(

@@ -44,9 +44,7 @@ class DenseSolution:
     eq_duals: np.ndarray
     ineq_duals: np.ndarray
     active: tuple[int, ...]
-    objective: float
     iterations: int
-    kkt_residual: float
 
 
 def prepare_kkt(qp: StackedQp) -> spla.SuperLU:
@@ -90,34 +88,14 @@ def _ratio_test(cp: np.ndarray, slack: np.ndarray,
     return float(ratios[k]), int(rows[k])
 
 
-def kkt_residual(qp: StackedQp, z, eq_duals, ineq_duals, active=()) -> float:
-    """Max-norm KKT residual (stationarity, feasibility, complementarity)."""
-    grad = qp.hessian @ z
-    if qp.eq_matrix.shape[0]:
-        grad = grad + qp.eq_matrix.T @ eq_duals
-    nu = np.zeros(qp.ineq_matrix.shape[0])
-    if len(active):
-        nu[list(active)] = ineq_duals
-    if nu.size:
-        grad = grad + qp.ineq_matrix.T @ nu
-    parts = [np.abs(grad).max() if grad.size else 0.0]
-    if qp.eq_matrix.shape[0]:
-        parts.append(np.abs(qp.eq_matrix @ z - qp.eq_rhs).max())
-    if qp.ineq_matrix.shape[0]:
-        slack = qp.ineq_matrix @ z - qp.ineq_rhs
-        parts.append(max(0.0, slack.max()))
-        parts.append(np.abs(nu * slack).max())
-        parts.append(max(0.0, -nu.min()) if nu.size else 0.0)
-    return float(max(parts))
-
-
 def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *,
                    prepared: spla.SuperLU,
                    warm_active: Sequence[int] = ()) -> DenseSolution:
     """Primal active-set method on the stacked QP.
 
     Starts from ``z0``, which must satisfy every constraint and hold the
-    ``warm_active`` rows with equality.  Each inner equality-constrained
+    ``warm_active`` rows with equality; a start that violates a row beyond
+    rounding raises :class:`SolverError`.  Each inner equality-constrained
     step is solved through the bordered saddle-point system ``prepared``
     factors (see :func:`prepare_kkt`); small equality drift in the start
     point is corrected by the first step.
@@ -134,9 +112,9 @@ def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *,
     active = list(warm_active)
     if qp.eq_matrix.shape[0] and \
             np.abs(qp.eq_matrix @ z - qp.eq_rhs).max() > 1e-7:
-        raise ValueError("start point violates equality rows")
+        raise SolverError("start point violates equality rows")
     if n_ineq and (qp.ineq_matrix @ z - qp.ineq_rhs).max() > 1e-8:
-        raise ValueError("start point violates inequality rows")
+        raise SolverError("start point violates inequality rows")
 
     n = qp.size
     for it in range(1, max_iter + 1):
@@ -163,11 +141,8 @@ def solve_dense_qp(qp: StackedQp, z0: np.ndarray, *,
 
         if np.abs(p).max(initial=0.0) <= _STEP_TOL * (1.0 + np.abs(z).max(initial=0.0)):
             if nu.size == 0 or nu.min() >= -_DUAL_TOL:
-                obj = 0.5 * float(z @ (qp.hessian @ z))
-                res = kkt_residual(qp, z, mu, nu, active)
                 return DenseSolution(z=z, eq_duals=mu, ineq_duals=nu,
-                                     active=tuple(active), objective=obj,
-                                     iterations=it, kkt_residual=res)
+                                     active=tuple(active), iterations=it)
             active.pop(int(np.argmin(nu)))
             continue
 

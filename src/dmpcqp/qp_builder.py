@@ -100,14 +100,6 @@ def _layout_for(net: NetworkModel, i: int, horizon: int) -> VariableLayout:
     )
 
 
-@dataclass(frozen=True)
-class CouplingEdge:
-    owner: int
-    copier: int
-    offset: int
-    n_states: int
-
-
 def build_partner(rows: Sequence[np.ndarray]) -> np.ndarray:
     """The partner index of the concatenated coupling rows (sorted and
     distinct per agent): entry ``e`` and ``partner[e]`` hold the same row in
@@ -144,8 +136,8 @@ def segment_max(values: np.ndarray, segments: Sequence[slice]) -> np.ndarray:
 class CouplingIndex:
     """The network's coupling plan, built and checked once per network.
 
-    Each ``edge`` is a block of the ``n_coupling`` rows, and ``agents[i]``
-    locates them in agent ``i``.  The plan's flat layout concatenates every
+    ``agents[i]`` locates agent ``i``'s share of the ``n_coupling`` rows.
+    The plan's flat layout concatenates every
     agent's entries of its rows; ``segments[i]`` are agent ``i``'s, and
     ``partner`` (see :func:`build_partner`) maps each entry to the same row
     at its other holder; entry ``e`` reads ``signs[e]`` times column
@@ -159,7 +151,6 @@ class CouplingIndex:
 
     horizon: int
     n_coupling: int
-    edges: tuple[CouplingEdge, ...]
     agents: tuple[AgentCoupling, ...]
     segments: tuple[slice, ...]
     partner: np.ndarray
@@ -177,11 +168,10 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     layouts = [_layout_for(net, i, horizon) for i in range(net.n_agents)]
     # per row: its (owner, copier), the column each of them reads, its
     # stage width and whether it is in the last stage
-    edges, holders, cols, widths, last = [], [], [], [], []
+    holders, cols, widths, last = [], [], [], []
     for copier, lay in enumerate(layouts):
         for owner, n_owner in zip(lay.in_neighbors, lay.neighbor_dims):
             width = horizon * n_owner
-            edges.append(CouplingEdge(owner, copier, len(holders), n_owner))
             holders += [(owner, copier)] * width
             start = lay.v_block_slice(owner).start
             cols += [(k, start + k) for k in range(width)]
@@ -208,8 +198,7 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     # its terminal state, and a copy has no stage after its last
     copier_last = (signs < 0) & np.array(last, dtype=bool)[rows]
     return CouplingIndex(
-        horizon=horizon, n_coupling=len(holders), edges=tuple(edges),
-        agents=tuple(agents),
+        horizon=horizon, n_coupling=len(holders), agents=tuple(agents),
         segments=tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:])),
         partner=build_partner([a.rows for a in agents]),
         columns=columns, signs=signs, owned=owned, slots=slots,

@@ -19,8 +19,7 @@ import numpy as np
 from dmpcqp.asm import (DEGENERATE_STEP, DUAL_TOL, OBJECTIVE_TOL, AsmConfig,
                         AsmResult, AsmStats, compute_step_length,
                         initialize_feasible, network_objective, verify_iterate)
-from dmpcqp.condense import (DualRecovery, backsubstitute, condense,
-                             working_constraints)
+from dmpcqp.condense import backsubstitute, condense, working_constraints
 from dmpcqp.dcg import dcg_solve
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import Fabric
@@ -39,7 +38,8 @@ def condense_step(qp, active, gradient):
 
 
 def recover_duals(qp, active, gradient, lam_local):
-    """Working-set multipliers at a stationary point, through ``W``.
+    """Working-set multipliers ``(mu, nu)`` at a stationary point, through
+    ``W``.
 
     Solves ``C_work' gamma = rhs`` with ``rhs = -(gradient + C_cpl' lam)``
     on its square part: the state rows give the equality multipliers
@@ -53,7 +53,7 @@ def recover_duals(qp, active, gradient, lam_local):
     rhs_x = rhs[:cache.state_inverse.shape[0]]
     mu = cache.state_inverse.T @ rhs_x
     left = rhs - cache.state_response.T @ rhs_x
-    return DualRecovery(eq_duals=mu, ineq_duals=pin_signs * left[pinned])
+    return mu, pin_signs * left[pinned]
 
 
 def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
@@ -89,19 +89,15 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
                           for qp, act, grad, lam in
                           zip(qps, active, gradients, sol.lambdas)]
             mins = []
-            for rec in recoveries:
-                nu = rec.ineq_duals
+            for _, nu in recoveries:
                 mins.append(float(nu.min()) if nu.size else np.inf)
             worst, agent = fabric.global_reduce(mins, op="min", phase="asm")
             if worst >= -DUAL_TOL:
                 stats.ledger = fabric.ledger.delta(start)
                 return AsmResult(
                     z=zs, active=tuple(tuple(a) for a in active),
-                    eq_duals=[r.eq_duals for r in recoveries],
-                    ineq_duals=[r.ineq_duals for r in recoveries],
-                    cpl_duals=list(sol.lambdas),
-                    objective=objective, stats=stats)
-            nu = recoveries[agent].ineq_duals
+                    cpl_duals=list(sol.lambdas), stats=stats)
+            nu = recoveries[agent][1]
             pos = int(np.argmin(nu))
             trace.append(("release", agent, active[agent][pos]))
             del active[agent][pos]

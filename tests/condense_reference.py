@@ -4,7 +4,8 @@ Kept verbatim as the reference that
 ``test_condense.py`` and ``test_admm.py`` check the cached path against:
 every call eliminates the working set on the dynamics basis and factors the
 reduced Hessian afresh, and back-substitution and dual recovery run
-triangular and Cholesky solves.
+triangular and Cholesky solves.  :func:`working_set_duals` adds to the
+package's bound multipliers the equality multipliers it no longer forms.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+import dmpcqp.condense
 from dmpcqp.condense import PIVOT_TOL, WorkingConstraints
 from dmpcqp.errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
@@ -189,3 +191,19 @@ def recover_duals(qp, ca: CondensedAgent, gradient: np.ndarray,
     left[ca.pinned] = 0.0
     return DualRecovery(eq_duals=mu, ineq_duals=nu,
                         residual=float(np.abs(left).max(initial=0.0)))
+
+
+def working_set_duals(qp, ca, gradient: np.ndarray,
+                      lam_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equality and bound multipliers of the package's condensed agent
+    ``ca`` at a stationary point.
+
+    With the objective gradient ``r = gradient + Cc' lam`` the equality
+    multipliers are ``mu = -C_x^{-T} r_x``, from the state rows, and the
+    bound multipliers those of :func:`dmpcqp.condense.recover_duals`.
+    """
+    lam_local = np.asarray(lam_local, dtype=float).reshape(qp.coupled.rows.size)
+    r = np.asarray(gradient, dtype=float) + qp.coupled.scatter(lam_local)
+    inverse = qp.factors.state_inverse
+    return (-(inverse.T @ r[:inverse.shape[0]]),
+            dmpcqp.condense.recover_duals(qp, ca, gradient, lam_local))

@@ -1,6 +1,7 @@
 """Shared builders for randomized solver tests."""
 
 import os
+from collections import namedtuple
 
 # One BLAS thread, set before numpy loads: floating-point results then do
 # not depend on the core count, and the suite runs faster.
@@ -95,6 +96,24 @@ def dense_coupling(qp):
     matrix = np.zeros((coupled.rows.size, qp.size))
     matrix[np.arange(coupled.rows.size), coupled.cols] = coupled.signs
     return matrix
+
+
+#: One block of coupling rows: ``copier`` copies ``owner``'s ``n_states``
+#: states at every stage, in the rows from ``offset`` on.
+CouplingEdge = namedtuple("CouplingEdge", "owner copier offset n_states")
+
+
+def coupling_edges(net, horizon):
+    """The network's coupling edges in the documented row order: for each
+    copier in ascending index, for each of its in-neighbors in ascending
+    index, a block of ``horizon * n_owner`` rows (stage-major)."""
+    edges, offset = [], 0
+    for copier in range(net.n_agents):
+        for owner in net.in_neighbors(copier):
+            n_states = net.agents[owner].n
+            edges.append(CouplingEdge(owner, copier, offset, n_states))
+            offset += horizon * n_states
+    return edges
 
 
 def dense_bounds(qp):

@@ -11,7 +11,9 @@ stacked equalities by ``sp.vstack``.
 The solvers only tests call live here too: the phase-1 linear program
 (:func:`phase1`) that gives a cold start, :func:`cold_solve`, which runs
 the sparse oracle from it, and the brute-force
-:func:`enumerate_active_sets`.
+:func:`enumerate_active_sets`; and the checks only tests read: the
+objective (:func:`objective`) and the KKT residual (:func:`kkt_residual`)
+of a solution.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dmpcqp.errors import SolverError
 from dmpcqp.model import PlantState, plant_step
 from dmpcqp.oracle import (_BASE_ITERS, _DEGENERATE_STEP, _DUAL_TOL,
                            _ITERS_PER_ROW, _RATIO_TOL, _STEP_TOL,
-                           DenseSolution, kkt_residual, prepare_kkt,
-                           solve_dense_qp)
+                           DenseSolution, prepare_kkt, solve_dense_qp)
 from dmpcqp.qp_builder import StackedQp, _block, _layout_for, _sparse
 
 
@@ -83,6 +84,32 @@ def stack_dense(qps) -> ReferenceQp:
                        ineq_matrix=C_ineq,
                        ineq_rhs=np.concatenate([qp.ineq_rhs for qp in qps]),
                        cpl_matrix=cpl)
+
+
+def objective(qp, z) -> float:
+    """The stacked QP's objective ``0.5 z' H z``."""
+    return 0.5 * float(z @ (qp.hessian @ z))
+
+
+def kkt_residual(qp, z, eq_duals, ineq_duals, active=()) -> float:
+    """Max-norm KKT residual (stationarity, feasibility, complementarity)."""
+    grad = qp.hessian @ z
+    if qp.eq_matrix.shape[0]:
+        grad = grad + qp.eq_matrix.T @ eq_duals
+    nu = np.zeros(qp.ineq_matrix.shape[0])
+    if len(active):
+        nu[list(active)] = ineq_duals
+    if nu.size:
+        grad = grad + qp.ineq_matrix.T @ nu
+    parts = [np.abs(grad).max() if grad.size else 0.0]
+    if qp.eq_matrix.shape[0]:
+        parts.append(np.abs(qp.eq_matrix @ z - qp.eq_rhs).max())
+    if qp.ineq_matrix.shape[0]:
+        slack = qp.ineq_matrix @ z - qp.ineq_rhs
+        parts.append(max(0.0, slack.max()))
+        parts.append(np.abs(nu * slack).max())
+        parts.append(max(0.0, -nu.min()) if nu.size else 0.0)
+    return float(max(parts))
 
 
 def ratio_test_loop(cp, slack, active):
@@ -218,7 +245,7 @@ def enumerate_active_sets(qp, max_ineq: int = 20) -> DenseSolution:
     n, me = qp.size, qp.eq_matrix.shape[0]
     H, C_eq, C_ineq = (m.toarray() for m in
                        (qp.hessian, qp.eq_matrix, qp.ineq_matrix))
-    best = None
+    best = best_obj = None
     for size in range(n_ineq + 1):
         for subset in itertools.combinations(range(n_ineq), size):
             A = np.vstack([C_eq, C_ineq[list(subset)]]) if subset else C_eq
@@ -243,11 +270,10 @@ def enumerate_active_sets(qp, max_ineq: int = 20) -> DenseSolution:
             if nu.size and nu.min() < -1e-9:
                 continue
             obj = 0.5 * float(z @ (H @ z))
-            if best is None or obj < best.objective - 1e-12:
-                best = DenseSolution(
-                    z=z, eq_duals=duals[:me], ineq_duals=nu,
-                    active=subset, objective=obj, iterations=0,
-                    kkt_residual=kkt_residual(qp, z, duals[:me], nu, subset))
+            if best is None or obj < best_obj - 1e-12:
+                best_obj = obj
+                best = DenseSolution(z=z, eq_duals=duals[:me], ineq_duals=nu,
+                                     active=subset, iterations=0)
     if best is None:
         raise InfeasibleProblem("no active set yields a feasible KKT point")
     return best

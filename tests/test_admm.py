@@ -20,9 +20,9 @@ import admm_reference as ref_admm
 import condense_reference as ref_kernel
 from dcg_reference import neighbor_exchange
 
-from conftest import (dense_bounds, dense_coupling, network_with_isolated_agent,
-                      norm_inf, random_network, random_x0, spd_matrix,
-                      stable_matrix)
+from conftest import (coupling_edges, dense_bounds, dense_coupling,
+                      network_with_isolated_agent, norm_inf, random_network,
+                      random_x0, spd_matrix, stable_matrix)
 
 
 def _problem(seed, n_agents=3, horizon=3):
@@ -368,7 +368,7 @@ def test_shift_averaged():
     total = np.empty(plan.n_coupling)
     total[np.concatenate([a.rows for a in plan.agents])] = \
         image + image[plan.partner]
-    for edge in plan.edges:
+    for edge in coupling_edges(net, N):
         rows = np.arange(edge.offset, edge.offset + N * edge.n_states)
         interior, last = rows[:-edge.n_states], rows[-edge.n_states:]
         assert norm_inf(total[interior]) == 0.0

@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
                     build_network_qps, compute_step_length,
                     initialize_feasible, network_objective, shift_active,
-                    verify_iterate)
+                    verify_iterate, working_constraints)
 import dmpcqp.asm as asm_module
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
+from dmpcqp.condense import condense
 from dmpcqp.cli import (ExperimentConfig, _closed_loop_distributed,
                         build_network, sample_initial_states)
 from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
 from dmpcqp.fabric import verify_comm_identities
-from dmpcqp.oracle import kkt_residual
 from dmpcqp.qp_builder import stack_global
 
 import asm_reference
+from condense_reference import working_set_duals
 from conftest import (dense_bounds, network_with_isolated_agent, norm_inf,
                       random_network, random_x0)
-from oracle_reference import cold_solve
+from oracle_reference import cold_solve, kkt_residual, objective
 
 
 def _network_problem(seed, n_agents=3, horizon=3, x0_scale=1.0):
@@ -31,14 +32,26 @@ def _network_problem(seed, n_agents=3, horizon=3, x0_scale=1.0):
     return net, build_network_qps(net, horizon, x0s)
 
 
+def _multipliers(qps, res):
+    """Each agent's equality and bound multipliers ``(mu, nu)`` at the
+    solution, the bound ones as ``asm_solve`` certified them."""
+    return [working_set_duals(qp, condense(qp, working_constraints(qp, act)),
+                              qp.hessian @ z, lam)
+            for qp, act, z, lam in zip(qps, res.active, res.z,
+                                       res.cpl_duals)]
+
+
 def test_matches_dense_oracle():
     for seed in (101, 102, 103, 104):
         net, qps = _network_problem(seed)
         res = asm_solve(qps)
-        ref = cold_solve(stack_global(qps))
+        dense = stack_global(qps)
+        ref = cold_solve(dense)
         z = np.concatenate(res.z)
         assert norm_inf(z - ref.z) < 1e-6
-        assert abs(res.objective - ref.objective) < 1e-8 * (1 + abs(ref.objective))
+        ref_objective = objective(dense, ref.z)
+        assert abs(network_objective(qps, res.z) - ref_objective) < \
+            1e-8 * (1 + abs(ref_objective))
 
 
 def test_terminal_kkt_residual_small():
@@ -50,9 +63,10 @@ def test_terminal_kkt_residual_small():
     lam = np.full(qps[0].n_coupling, np.nan)
     for qp, loc in zip(qps, res.cpl_duals):
         lam[qp.coupled.rows] = loc
-    eq_duals = np.concatenate([np.concatenate(res.eq_duals), lam])
+    multipliers = _multipliers(qps, res)
+    eq_duals = np.concatenate([mu for mu, _ in multipliers] + [lam])
     active, duals, off = [], [], 0
-    for qp, act, nu in zip(qps, res.active, res.ineq_duals):
+    for qp, act, (_, nu) in zip(qps, res.active, multipliers):
         active.extend(off + row for row in act)
         duals.extend(nu)
         off += qp.n_ineq
@@ -86,8 +100,8 @@ def test_feasibility_and_descent_hold_throughout():
         net, qps = _network_problem(seed, x0_scale=2.0)
         res = asm_solve(qps)
         verify_iterate(qps, res.z)
-        duals = np.concatenate([d for d in res.ineq_duals if d.size]
-                               or [np.zeros(1)])
+        duals = np.concatenate([nu for _, nu in _multipliers(qps, res)
+                                if nu.size] or [np.zeros(1)])
         assert duals.min(initial=0.0) >= -DUAL_TOL
 
 
@@ -286,7 +300,8 @@ def test_objective_never_increases_across_instances():
         from dmpcqp import rollout_feasible_point
         x0s = [qp.eq_rhs[:net.agents[qp.index].n] for qp in qps]
         zs_feas = rollout_feasible_point(net, qps[0].layout.horizon, x0s)
-        assert network_objective(qps, zs_feas) >= res.objective - 1e-9
+        assert network_objective(qps, zs_feas) >= \
+            network_objective(qps, res.z) - 1e-9
 
 
 def test_iteration_cap_carries_trace():
@@ -316,7 +331,9 @@ def test_solve_matches_step_variable_reference(seed, n_agents, horizon,
     ref = asm_reference.asm_solve(qps)
     assert res.active == ref.active
     assert norm_inf(np.concatenate(res.z) - np.concatenate(ref.z)) < 1e-6
-    assert abs(res.objective - ref.objective) <= 1e-8 * abs(ref.objective)
+    ref_objective = network_objective(qps, ref.z)
+    assert abs(network_objective(qps, res.z) - ref_objective) <= \
+        1e-8 * abs(ref_objective)
 
 
 def test_accepted_iterates_keep_the_coupling_residual_of_one_dcg_solve(

@@ -491,6 +491,50 @@ def test_linalg_error_fails_only_its_init(tmp_path, monkeypatch):
     assert inits == {"0", "2"}
 
 
+def test_unstable_network_fails_each_init_with_a_status(tmp_path, capsys):
+    """On an unstable network the simulated start of the reference rollout
+    grows beyond what the equality check forgives in rounding: each init
+    fails with that status, and the run exits 1 with its artifacts."""
+    chain = build_chain_of_masses(3)
+    unstable = NetworkModel([dataclasses.replace(
+        agent, A_self=np.array([[2.0, 0.1], [0.0, 2.0]]))
+        for agent in chain.agents])
+    path = tmp_path / "unstable.json"
+    save_network(unstable, path)
+    out = tmp_path / "r"
+    assert main(["run", "--scenario", "file", "--network", str(path),
+                 "--horizon", "40", "--steps", "3", "--inits", "2",
+                 "--out", str(out)]) == 1
+    assert "2 initial conditions failed" in capsys.readouterr().err
+    with open(out / "iterations.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["init"], row["sample"], row["status"]) for row in rows] == [
+        (str(i), "-1",
+         "error: reference rollout: start point violates equality rows")
+        for i in range(2)]
+    assert json.loads((out / "meta.json").read_text())["failures"] == 2
+
+
+def test_output_path_that_is_a_file_exits_2_before_any_solve(
+        tmp_path, monkeypatch, capsys):
+    rollout = dmpcqp.cli.centralized_mpc_rollout
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return rollout(*args)
+
+    monkeypatch.setattr(dmpcqp.cli, "centralized_mpc_rollout", counted)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["run", "--masses", "3", "--horizon", "5", "--steps", "2",
+                 "--inits", "1", "--out", str(taken)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_cli_pins_blas_threads_unless_set(tmp_path):
     src = str(Path(dmpcqp.cli.__file__).parents[1])
     env = {k: v for k, v in os.environ.items()

@@ -170,11 +170,12 @@ def test_recovered_duals_reproduce_planted_multipliers():
             grad = -(dense_coupling(qp).T @ lam[qp.coupled.rows]
                      + working_matrix(qp, work).T @ nu_true)
             ca = condense(qp, work)
-            rec = recover_duals(qp, ca, grad, lam[qp.coupled.rows])
-            nu = np.concatenate([rec.eq_duals, rec.ineq_duals])
+            mu, nu_bound = ref_kernel.working_set_duals(
+                qp, ca, grad, lam[qp.coupled.rows])
+            nu = np.concatenate([mu, nu_bound])
             assert norm_inf(nu - nu_true) < 1e-7
-            assert rec.eq_duals.size == work.n_eq
-            assert rec.ineq_duals.size == len(act)
+            assert mu.size == work.n_eq
+            assert nu_bound.size == len(act)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,9 +196,9 @@ def test_recovered_duals_match_least_squares(seed, horizon, n_active):
         ca = condense(qp, work)
         lam_local = lam[qp.coupled.rows]
         grad = rng.normal(size=qp.size)
-        rec = recover_duals(qp, ca, grad, lam_local)
+        gamma = np.concatenate(
+            ref_kernel.working_set_duals(qp, ca, grad, lam_local))
         rhs = -(grad + dense_coupling(qp).T @ lam_local)
-        gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert gamma.shape == (work.n_rows,)
         left = working_matrix(qp, work).T @ gamma - rhs
         tol = 1e-9 * (1.0 + norm_inf(rhs))
@@ -207,11 +208,11 @@ def test_recovered_duals_match_least_squares(seed, horizon, n_active):
         planted = rng.normal(size=work.n_rows)
         grad = -(dense_coupling(qp).T @ lam_local
                  + working_matrix(qp, work).T @ planted)
-        rec = recover_duals(qp, ca, grad, lam_local)
+        gamma = np.concatenate(
+            ref_kernel.working_set_duals(qp, ca, grad, lam_local))
         rhs = -(grad + dense_coupling(qp).T @ lam_local)
         ref = np.linalg.lstsq(working_matrix(qp, work).T, rhs,
                               rcond=None)[0]
-        gamma = np.concatenate([rec.eq_duals, rec.ineq_duals])
         assert norm_inf(gamma - ref) <= 1e-9 * (1.0 + norm_inf(ref))
         left = working_matrix(qp, work).T @ gamma - rhs
         assert norm_inf(left) <= 1e-9 * (1.0 + norm_inf(rhs))
@@ -317,10 +318,10 @@ def test_dynamics_basis_matches_qr_condensing(seed, horizon, n_active, twin):
         z_ref = ref_backsubstitute(lam_local, extra)
         assert close(z + ca.factor.gain @ extra, z_ref)
         stationary = qp.hessian @ z_ref + extra
-        rec = recover_duals(qp, ca, stationary, lam_local)
+        gamma = np.concatenate(
+            ref_kernel.working_set_duals(qp, ca, stationary, lam_local))
         gamma_ref, residual_ref = ref_recover(stationary, lam_local)
-        assert close(np.concatenate([rec.eq_duals, rec.ineq_duals]),
-                     gamma_ref)
+        assert close(gamma, gamma_ref)
         assert residual_ref <= 1e-9 * (1.0 + norm_inf(stationary))
 
 
@@ -384,10 +385,10 @@ def test_cached_factor_matches_per_call_kernel(seed, horizon, n_active,
             assert close(z + ca.factor.gain @ lin,
                          ref_kernel.backsubstitute(ref, lam_local, lin))
             r = rng.normal(size=q.size)
-            got = recover_duals(q, ca, r, lam_local)
+            mu, nu = ref_kernel.working_set_duals(q, ca, r, lam_local)
             want = ref_kernel.recover_duals(q, ref, r, lam_local)
-            assert close(got.eq_duals, want.eq_duals)
-            assert close(got.ineq_duals, want.ineq_duals)
+            assert close(mu, want.eq_duals)
+            assert close(nu, want.ineq_duals)
 
 
 def _dense_schur(qp, factor):
@@ -404,7 +405,7 @@ def _dense_backsubstitute(qp, ca, lam_local):
 
 
 def _dense_recover_duals(qp, ca, gradient, lam_local):
-    """:func:`recover_duals` with the dense ``Cc' lam``."""
+    """The equality and bound multipliers with the dense ``Cc' lam``."""
     r = np.asarray(gradient, dtype=float)
     if lam_local.size:
         r = r + dense_coupling(qp).T @ lam_local
@@ -442,10 +443,10 @@ def test_coupling_selections_match_dense_products(seed, n_agents, horizon,
         assert _same_bytes(backsubstitute(ca, lam_local),
                            _dense_backsubstitute(qp, ca, lam_local))
         grad = rng.normal(size=qp.size)
-        rec = recover_duals(qp, ca, grad, lam_local)
         mu, nu = _dense_recover_duals(qp, ca, grad, lam_local)
-        assert _same_bytes(rec.eq_duals, mu)
-        assert _same_bytes(rec.ineq_duals, nu)
+        assert _same_bytes(
+            ref_kernel.working_set_duals(qp, ca, grad, lam_local)[0], mu)
+        assert _same_bytes(recover_duals(qp, ca, grad, lam_local), nu)
 
 
 def test_factor_cache_follows_the_qp_structure():

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from dmpcqp import (Fabric, build_network_qps, build_partner,
                     working_constraints)
 from dmpcqp.condense import condense
-from dmpcqp.dcg import SchurPiece, dcg_init, dcg_iterate, dcg_solve
+from dmpcqp.dcg import dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
                            DcgIterationLimit, InconsistentWarmStart,
                            SolverError)
@@ -15,6 +17,10 @@ from dmpcqp.fabric import verify_comm_identities
 import dcg_reference
 from conftest import (network_with_isolated_agent, norm_inf, random_network,
                       random_x0)
+
+
+#: The three fields the solver reads of a condensed agent.
+SchurPiece = namedtuple("SchurPiece", "rows schur schur_rhs")
 
 
 def random_pieces(rng, n_agents=3, n_rows=8, definite=True):

@@ -125,7 +125,6 @@ def test_plant_step_matches_block_matrix():
     xs = np.concatenate(x0)
     expect = A @ xs + np.concatenate([a.B @ u[a.index] for a in net.agents])
     np.testing.assert_allclose(np.concatenate(nxt.states), expect, atol=1e-13)
-    assert nxt.time == 1
 
 
 def test_plant_step_zero_fixed_point(chain3):

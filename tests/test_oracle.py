@@ -10,14 +10,15 @@ from dmpcqp import (PlantState, build_chain_of_masses, build_network_qps,
                     plant_step)
 import dmpcqp.oracle
 from dmpcqp.errors import SolverError
-from dmpcqp.oracle import (_ratio_test, centralized_mpc_rollout, kkt_residual,
-                           prepare_kkt, solve_dense_qp)
+from dmpcqp.oracle import (_ratio_test, centralized_mpc_rollout, prepare_kkt,
+                           solve_dense_qp)
 from dmpcqp.qp_builder import StackedQp, rollout_feasible_point, stack_global
 
 from conftest import norm_inf, random_network, random_x0, tiny_network
 from oracle_reference import (InfeasibleProblem, cold_solve,
-                              enumerate_active_sets, phase1, ratio_test_loop,
-                              solve_dense, stack_dense, stack_vstack)
+                              enumerate_active_sets, kkt_residual, objective,
+                              phase1, ratio_test_loop, solve_dense,
+                              stack_dense, stack_vstack)
 
 
 def _dense_problem(seed, **kwargs):
@@ -29,13 +30,20 @@ def _dense_problem(seed, **kwargs):
 
 
 def test_solution_kkt_residual():
+    """The solution's KKT residual is small, and the same on the sparse
+    stacked QP and on its dense assembly."""
     for seed in (300, 301, 302):
-        rng, dense = _dense_problem(seed)
+        rng = np.random.default_rng(seed)
+        net = random_network(rng)
+        qps = build_network_qps(net, 3, random_x0(rng, net))
+        dense = stack_global(qps)
         sol = cold_solve(dense)
-        assert sol.kkt_residual < 1e-8
-        recomputed = kkt_residual(dense, sol.z, sol.eq_duals,
+        residual = kkt_residual(dense, sol.z, sol.eq_duals, sol.ineq_duals,
+                                sol.active)
+        assert residual < 1e-8
+        recomputed = kkt_residual(stack_dense(qps), sol.z, sol.eq_duals,
                                   sol.ineq_duals, sol.active)
-        assert recomputed == sol.kkt_residual
+        assert abs(recomputed - residual) <= 1e-12
         assert norm_inf(dense.eq_matrix @ sol.z - dense.eq_rhs) < 1e-9
         assert (dense.ineq_matrix @ sol.z - dense.ineq_rhs).max() < 1e-9
 
@@ -61,8 +69,9 @@ def test_enumeration_matches_active_set_solver():
         brute = enumerate_active_sets(dense)
         sol = cold_solve(dense)
         assert norm_inf(brute.z - sol.z) < 1e-6
-        assert abs(brute.objective - sol.objective) < 1e-8
-        assert brute.kkt_residual < 1e-7
+        assert abs(objective(dense, brute.z) - objective(dense, sol.z)) < 1e-8
+        assert kkt_residual(dense, brute.z, brute.eq_duals, brute.ineq_duals,
+                            brute.active) < 1e-7
 
 
 def test_enumeration_refuses_large_problems():
@@ -99,7 +108,7 @@ def test_start_point_must_be_feasible():
     prepared = prepare_kkt(dense)
     sol = cold_solve(dense)
     bad = sol.z + 1.0
-    with pytest.raises(ValueError, match="equality"):
+    with pytest.raises(SolverError, match="equality"):
         solve_dense_qp(dense, bad, prepared=prepared)
     # satisfy equalities but overshoot a bound
     grow = sol.z.copy()
@@ -111,7 +120,7 @@ def test_start_point_must_be_feasible():
         row = int(np.argmax(np.abs(push)))
         if abs(push[row]) > 1e-9:
             step = 2.0 * (slack[row] + 1.0) / push[row]
-            with pytest.raises(ValueError, match="inequality"):
+            with pytest.raises(SolverError, match="inequality"):
                 solve_dense_qp(dense, grow + step * null,
                                prepared=prepared)
 

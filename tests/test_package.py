@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -18,7 +19,29 @@ def test_star_import_exports_the_listed_names_and_no_submodule():
     assert {"WorkingSetFactor", "FactorCache", "build_partner",
             "StackedQp", "solve_dense_qp", "prepare_kkt"} <= exported
     assert not {"build_overlaps", "DenseQp", "dense_qp_from_stacked",
-                "enumerate_active_sets"} & exported
+                "enumerate_active_sets", "kkt_residual", "DualRecovery",
+                "SchurPiece"} & exported
+
+
+def test_every_import_in_the_package_is_used():
+    """Each name a module of the package imports is read in that module
+    or, in ``__init__``, listed in ``__all__``."""
+    unused = []
+    for path in sorted(Path(dmpcqp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(dmpcqp.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}.{name}" for name in
+                           (a.asname or a.name.split(".")[0]
+                            for a in node.names) if name not in used]
+    assert unused == []
 
 
 def test_condense_is_the_submodule():

@@ -17,8 +17,8 @@ from dmpcqp.asm import shift_active
 from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
 from dmpcqp.oracle import _warm_inputs
 
-from conftest import (dense_bounds, dense_coupling, norm_inf, random_network,
-                      random_x0)
+from conftest import (coupling_edges, dense_bounds, dense_coupling, norm_inf,
+                      random_network, random_x0)
 from oracle_reference import cold_solve, rollout_feasible_point_loop
 
 
@@ -78,12 +78,12 @@ def test_coupling_rows_belong_to_exactly_two_agents():
         assert idx.n_coupling == total
 
 
-def _reference_cpl_matrix(coupling, layout, i):
+def _reference_cpl_matrix(net, coupling, layout, i):
     """Agent ``i``'s coupling matrix from the per-edge loops that built it
     before the coupling plan held its columns, kept as the reference."""
     N = coupling.horizon
     rows, cols, vals = [], [], []
-    for edge in coupling.edges:
+    for edge in coupling_edges(net, N):
         if edge.owner == i:
             for k in range(N):
                 base = edge.offset + k * edge.n_states
@@ -116,7 +116,7 @@ def test_coupling_plan_selects_what_the_edge_loops_built(seed, n_agents,
     for qp in qps:
         assert qp.coupling is qps[0].coupling
         assert qp.coupled is qp.coupling.agents[qp.index]
-        ref = _reference_cpl_matrix(qp.coupling, qp.layout, qp.index)
+        ref = _reference_cpl_matrix(net, qp.coupling, qp.layout, qp.index)
         full = np.zeros((qp.n_coupling, qp.size))
         full[qp.coupled.rows] = dense_coupling(qp)
         assert np.array_equal(full, ref.toarray())
@@ -194,7 +194,7 @@ def test_bound_plan_reads_what_the_dense_rows_encoded(seed, n_agents,
         assert np.array_equal(dense_bounds(qp), C_ineq)
         assert np.array_equal(qp.ineq_rhs, b_ineq)
         ref_ineq.append(C_ineq)
-        ref_cpl.append(_reference_cpl_matrix(qp.coupling, qp.layout,
+        ref_cpl.append(_reference_cpl_matrix(net, qp.coupling, qp.layout,
                                              qp.index))
         rows = rng.permutation(qp.n_ineq)[:rng.integers(qp.n_ineq + 1)]
         for sample in (rows, range(qp.n_ineq)):
@@ -260,10 +260,19 @@ def test_coupling_plan_is_built_once_per_closed_loop(monkeypatch, chain3):
 
 def test_coupling_edges_ordered_by_copier_then_owner(chain10):
     idx = build_coupling_index(chain10, horizon=2)
-    keys = [(e.copier, e.owner) for e in idx.edges]
+    edges = coupling_edges(chain10, 2)
+    keys = [(e.copier, e.owner) for e in edges]
     assert keys == sorted(keys)
-    offs = [e.offset for e in idx.edges]
+    offs = [e.offset for e in edges]
     assert offs == sorted(offs)
+    # the plan holds each edge's rows, its owner with +1, its copier with -1
+    for e in edges:
+        rows = np.arange(e.offset, e.offset + 2 * e.n_states)
+        for agent, sign in ((e.owner, 1.0), (e.copier, -1.0)):
+            held = np.isin(idx.agents[agent].rows, rows)
+            assert idx.agents[agent].rows[held].tolist() == rows.tolist()
+            assert (idx.agents[agent].signs[held] == sign).all()
+    assert offs[-1] + 2 * edges[-1].n_states == idx.n_coupling
 
 
 def test_equality_rows_pin_initial_state_then_dynamics(chain3):
