@@ -13,8 +13,11 @@ both sides alike.  A gain is claimed only when the ``after`` side wins at
 least nine of the ten pairs.  For every seed, workload and
 end-to-end metric the output JSON holds each side's runs, median and
 quartiles, and the number of pairs the ``after`` side wins (strictly better
-in the metric's direction), ties and loses, and the distinct numeric
-environments the runs reported (``perfbench/run.py`` pins the BLAS thread
+in the metric's direction), ties and loses; beside the metrics it holds each
+run's number of experiment passes, read from the checkout's
+``perfbench/out/<workload>-seed<seed>-trace0.json`` (the peak RSS grows with
+the passes a run keeps), and the distinct numeric environments the runs
+reported (``perfbench/run.py`` pins the BLAS thread
 variables to 1, and each environment records the values it used).
 """
 
@@ -42,8 +45,9 @@ def parse_args(argv):
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in ``root``: its result line and the
-    numeric environment (versions, BLAS threads, CPU) it reported."""
+    """One untraced benchmark run in ``root``: its result line, the
+    numeric environment (versions, BLAS threads, CPU) it reported and the
+    number of experiment passes it kept."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0"],
@@ -51,7 +55,9 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     lines = proc.stdout.splitlines()
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines
                if line.startswith("environment "))
-    return dict(json.loads(lines[-1]), environment=env)
+    full = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    return dict(json.loads(lines[-1]), environment=env,
+                passes=json.loads(full.read_text())["passes"])
 
 
 def quartiles(values: list[float]) -> dict:
@@ -92,16 +98,14 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(roots[side], workload, seed))
                 print(f"seed {seed} {workload} pair {pair + 1}/{PAIRS}",
                       file=sys.stderr, flush=True)
-            report["seeds"].setdefault(str(seed), {})[workload] = {
-                "correct": {side: [r["correct"] for r in runs[side]]
-                            for side in SIDES},
-                "failed": {side: [r["failed"] for r in runs[side]]
-                           for side in SIDES},
-                "environments": [json.loads(e) for e in sorted(
-                    {json.dumps(r["environment"], sort_keys=True)
-                     for side in SIDES for r in runs[side]})],
-                "metrics": summarize(runs),
-            }
+            cell = {key: {side: [r[key] for r in runs[side]]
+                          for side in SIDES}
+                    for key in ("correct", "failed", "passes")}
+            cell["environments"] = [json.loads(e) for e in sorted(
+                {json.dumps(r["environment"], sort_keys=True)
+                 for side in SIDES for r in runs[side]})]
+            cell["metrics"] = summarize(runs)
+            report["seeds"].setdefault(str(seed), {})[workload] = cell
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -61,9 +61,11 @@ class AdmmConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(
-                f"penalty weight rho must be finite and positive, got {self.rho}")
+        for name in ("rho", "eps_primal", "eps_dual"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -163,8 +165,11 @@ class LocalQpSolver:
                     if blocking is not None:
                         active.append(blocking)
                     continue
+            if not active:
+                # no bound rows, so no multiplier to certify
+                return z, (), iterations
             nu = factor.duals @ (local.hessian @ z + g_lin)
-            if nu.size == 0 or nu.min() >= -LOCAL_DUAL_TOL:
+            if nu.min() >= -LOCAL_DUAL_TOL:
                 return z, tuple(active), iterations
             active.pop(int(np.argmin(nu)))
         raise LocalQpError(f"agent {local.index}: local active-set solve "
@@ -219,21 +224,21 @@ def admm_converged(plan, z, z_bar, z_prev, lam, rho, eps_primal,
     """Relative primal/dual stopping test, per agent, on the flat layout.
 
     The primal residual compares the coupling images of ``z`` and ``z_bar``;
-    the dual residual bounds the multiplier movement.  On the first
-    iteration (``z_prev = None``) the dual test fails unless the agent has
-    no coupling rows.
+    the dual residual bounds the multiplier movement, for the positive
+    penalty weight ``rho``.  On the first iteration (``z_prev = None``) the
+    dual test fails unless the agent has no coupling rows.
     """
     if z_prev is None:
         return [seg.stop == seg.start for seg in plan.segments]
-    img_z = plan.signs * z
-    img_avg = plan.signs * z_bar
-    primal, top_z, top_avg, dual, top_lam = segment_max(np.abs(np.stack([
-        img_z - img_avg, img_z, img_avg, rho * (plan.signs * (z - z_prev)),
-        lam])), plan.segments)
+    # the coupling images are the entries times signs of +-1, which changes
+    # no magnitude, and rounding is monotone, so the largest rho |dz| is
+    # rho times the largest |dz|
+    primal, top_z, top_avg, step, top_lam = segment_max(np.abs(np.stack([
+        z - z_bar, z, z_bar, z - z_prev, lam])), plan.segments)
     scale_p = np.minimum(np.maximum(top_z, top_avg), 1.0)
     scale_d = np.minimum(top_lam, 1.0)
     return ((primal <= eps_primal * scale_p)
-            & (dual <= eps_dual * scale_d)).tolist()
+            & (rho * step <= eps_dual * scale_d)).tolist()
 
 
 def shift_averaged(qps, z_avg: Sequence[np.ndarray]) -> np.ndarray:

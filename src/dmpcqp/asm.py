@@ -60,6 +60,13 @@ class AsmConfig:
     eps_dcg: float = 1e-8
     max_outer: int | None = None
 
+    def __post_init__(self):
+        for name in ("eps_step", "eps_dcg"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
+
 
 @dataclass
 class AsmStats:
@@ -130,10 +137,11 @@ def most_violated_bound(qp, z: np.ndarray, active: Sequence[int],
     Ties pick the lowest row index.
     """
     viol = qp.bounds.gather(z) - qp.ineq_rhs
-    viol[list(active)] = -np.inf
+    if active:
+        viol[list(active)] = -np.inf
     if not viol.size:
         return None
-    row = int(np.argmax(viol))
+    row = int(viol.argmax())
     return row if viol[row] > tol else None
 
 

@@ -160,8 +160,8 @@ def dcg_solve(pieces: Sequence[CondensedAgent], partner: np.ndarray,
     identities stay exact.  Raises :class:`DcgIterationLimit` carrying the
     last iterate after ``3 n_c + 60`` iterations (``n_c`` coupling rows).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     state = dcg_init(pieces, partner, lambda0, fabric)
     if fabric.global_flags(state.flags(eps), phase="init"):
         return DcgResult(lambdas=state.lambdas(), iterations=0)

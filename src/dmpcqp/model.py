@@ -159,10 +159,11 @@ class PlantState:
     states: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "states",
-            tuple(np.asarray(x, dtype=float).ravel() for x in self.states),
-        )
+        states = (np.asarray(x, dtype=float) for x in self.states)
+        # ravel would only wrap a contiguous 1-D array in a new view of it
+        object.__setattr__(self, "states", tuple(
+            x if x.ndim == 1 and x.flags.c_contiguous else x.ravel()
+            for x in states))
 
 
 def plant_step(net: NetworkModel, state: PlantState, inputs: Sequence[np.ndarray]) -> PlantState:

@@ -123,12 +123,14 @@ def segment_max(values: np.ndarray, segments: Sequence[slice]) -> np.ndarray:
     for an empty one; the segments run end to end, as on the flat layout of
     a :class:`CouplingIndex`."""
     filled = [i for i, seg in enumerate(segments) if seg.stop > seg.start]
+    starts = [segments[i].start for i in filled]
+    if len(filled) == len(segments):
+        return np.maximum.reduceat(values, starts, axis=-1)
     out = np.zeros((len(segments),) + values.shape[:-1])
     # reduceat gives an empty segment the next one's first entry, so only
     # the segments with entries take part
     if filled:
-        out[filled] = np.maximum.reduceat(
-            values, [segments[i].start for i in filled], axis=-1).T
+        out[filled] = np.maximum.reduceat(values, starts, axis=-1).T
     return out.T
 
 

@@ -9,6 +9,14 @@ same iteration counts and the same ledger.  The functions' comments and
 docstrings are unchanged; only the result drops the compressed multipliers,
 which :class:`~dmpcqp.admm.AdmmResult` no longer carries, and the
 statistics record is the one it used, with its own iteration count.
+
+The flat solver's inner loop was then made cheaper without changing a
+result; the code it replaced is kept here verbatim and the reference
+iteration uses it: :class:`ReplacedLocalQpSolver` (whose ``solve`` forms
+the bound multipliers of an empty working set too, and picks the violated
+bound through :func:`asm_reference.most_violated_bound`),
+:func:`segment_max` (one code path for empty and filled segments) and
+:func:`flat_admm_converged` (which forms the signed coupling images).
 """
 
 from __future__ import annotations
@@ -18,8 +26,91 @@ from typing import Sequence
 
 import numpy as np
 
-from dmpcqp.admm import AdmmConfig, AdmmResult, LocalQpSolver
+from dmpcqp.admm import (LOCAL_DUAL_TOL, LOCAL_MAX_ITER, LOCAL_STEP_TOL,
+                         AdmmConfig, AdmmResult, LocalQpSolver)
+from dmpcqp.asm import DEGENERATE_STEP, VIOLATION_TOL, compute_step_length
+from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import CommLedger, Fabric
+
+from asm_reference import most_violated_bound
+
+
+class ReplacedLocalQpSolver(LocalQpSolver):
+    """The package's local solver with the ``solve`` it replaced."""
+
+    def solve(self, g_lin: np.ndarray,
+              warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
+        """Return ``(z, active, iterations)`` for linear term ``g_lin``.
+
+        Bounds are activated, most violated first, until the working-set
+        minimizer is feasible; that point goes straight to the dual check.
+        """
+        local = self.local
+        active = list(dict.fromkeys(int(a) for a in warm_active))
+        z = None
+        for iterations in range(1, LOCAL_MAX_ITER + 1):
+            factor, offset = self.working_set(tuple(active))
+            target = offset + factor.gain @ g_lin
+            if z is None:
+                row = most_violated_bound(local, target, active,
+                                          VIOLATION_TOL)
+                if row is not None:
+                    active.append(row)
+                    continue
+                z = target
+            else:
+                dz = target - z
+                if np.abs(dz).max(initial=0.0) >= LOCAL_STEP_TOL * (
+                        1.0 + np.abs(z).max(initial=0.0)):
+                    alpha, blocking = compute_step_length(z, dz, local,
+                                                          active)
+                    if alpha >= DEGENERATE_STEP:
+                        z = z + alpha * dz
+                    if blocking is not None:
+                        active.append(blocking)
+                    continue
+            nu = factor.duals @ (local.hessian @ z + g_lin)
+            if nu.size == 0 or nu.min() >= -LOCAL_DUAL_TOL:
+                return z, tuple(active), iterations
+            active.pop(int(np.argmin(nu)))
+        raise LocalQpError(f"agent {local.index}: local active-set solve "
+                           f"exceeded {LOCAL_MAX_ITER} iterations")
+
+
+def segment_max(values: np.ndarray, segments: Sequence[slice]) -> np.ndarray:
+    """The maximum of ``values`` over each segment of its last axis, ``0``
+    for an empty one; the segments run end to end, as on the flat layout of
+    a :class:`CouplingIndex`."""
+    filled = [i for i, seg in enumerate(segments) if seg.stop > seg.start]
+    out = np.zeros((len(segments),) + values.shape[:-1])
+    # reduceat gives an empty segment the next one's first entry, so only
+    # the segments with entries take part
+    if filled:
+        out[filled] = np.maximum.reduceat(
+            values, [segments[i].start for i in filled], axis=-1).T
+    return out.T
+
+
+def flat_admm_converged(plan, z, z_bar, z_prev, lam, rho, eps_primal,
+                        eps_dual) -> list[bool]:
+    """Relative primal/dual stopping test, per agent, on the flat layout.
+
+    The primal residual compares the coupling images of ``z`` and ``z_bar``;
+    the dual residual bounds the multiplier movement.  On the first
+    iteration (``z_prev = None``) the dual test fails unless the agent has
+    no coupling rows.
+    """
+    if z_prev is None:
+        return [seg.stop == seg.start for seg in plan.segments]
+    img_z = plan.signs * z
+    img_avg = plan.signs * z_bar
+    primal, top_z, top_avg, dual, top_lam = segment_max(np.abs(np.stack([
+        img_z - img_avg, img_z, img_avg, rho * (plan.signs * (z - z_prev)),
+        lam])), plan.segments)
+    scale_p = np.minimum(np.maximum(top_z, top_avg), 1.0)
+    scale_d = np.minimum(top_lam, 1.0)
+    return ((primal <= eps_primal * scale_p)
+            & (dual <= eps_dual * scale_d)).tolist()
 
 
 @dataclass
@@ -127,7 +218,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
     fabric = fabric if fabric is not None else Fabric(len(qps))
     start = fabric.ledger.snapshot()
     stats = AdmmStats()
-    solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]
+    solvers = [ReplacedLocalQpSolver(qp, cfg.rho) for qp in qps]
     if z_avg0 is None:
         z_avg = [np.zeros(qp.size) for qp in qps]
     else:

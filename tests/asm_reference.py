@@ -8,11 +8,15 @@ states' response ``W = C_x^{-1} C_eq``.  The start, the ratio test and
 the checks are the package's; only the step systems and the dual recovery
 are the old ones, rebuilt here from the package's cached working-set
 factors.  The loop's comments and statements are otherwise unchanged.
+
+:func:`most_violated_bound` is the pick the package replaced by one that
+skips the masking assignment for an empty working set; it is kept verbatim.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
@@ -124,3 +128,17 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
                     f"{new_objective:.12e}")
             objective = new_objective
     raise AsmIterationLimit(stats.outer_iterations, trace[-20:])
+
+
+def most_violated_bound(qp, z: np.ndarray, active: Sequence[int],
+                        tol: float) -> int | None:
+    """Inactive bound row violated most at ``z``, or None if all hold to ``tol``.
+
+    Ties pick the lowest row index.
+    """
+    viol = qp.bounds.gather(z) - qp.ineq_rhs
+    viol[list(active)] = -np.inf
+    if not viol.size:
+        return None
+    row = int(np.argmax(viol))
+    return row if viol[row] > tol else None

@@ -12,11 +12,13 @@ from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     build_network_qps, shift_averaged, update_initial_state,
                     working_constraints)
 from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
+from dmpcqp.asm import VIOLATION_TOL, most_violated_bound
 from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import verify_comm_identities
-from dmpcqp.qp_builder import rollout_feasible_point
+from dmpcqp.qp_builder import rollout_feasible_point, segment_max
 
 import admm_reference as ref_admm
+import asm_reference as ref_asm
 import condense_reference as ref_kernel
 from dcg_reference import neighbor_exchange
 
@@ -269,6 +271,13 @@ def test_rho_must_be_positive():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             AdmmConfig.preset("admm2", rho=bad)
+
+
+@pytest.mark.parametrize("name", ["eps_primal", "eps_dual"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerances_must_be_finite_and_positive(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        AdmmConfig(**{name: bad})
 
 
 def test_decoupled_agent_ignores_penalty():
@@ -694,3 +703,104 @@ def test_flat_solve_matches_reference_bit_for_bit(seed, n_agents, horizon,
     got = _solve_outcome(admm_solve, qps, capped, None)
     assert got == _solve_outcome(ref_admm.admm_solve, qps, capped, None)
     assert got[2:4] == (3, False)
+
+
+def _tightened(net, scale):
+    """``net`` with every input box scaled by ``scale``."""
+    return NetworkModel([dataclasses.replace(a, u_lo=scale * a.u_lo,
+                                             u_hi=scale * a.u_hi)
+                         for a in net.agents])
+
+
+def _inner_loop_matches_replaced_code(qps, cfg, n_iter):
+    """Run ``n_iter`` flat ADMM iterations and check, at each one, the
+    local solves, violated-bound picks, segment maxima and stopping flags
+    against the code they replaced, bit for bit.  Returns how many local
+    solves ended with bound rows and how many released a warm row."""
+    plan = qps[0].coupling
+    solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]
+    replaced = [ref_admm.ReplacedLocalQpSolver(qp, cfg.rho) for qp in qps]
+    ends = np.cumsum([0] + [qp.size for qp in qps]).tolist()
+    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    z = np.zeros(ends[-1])
+    z_bar = np.zeros(plan.columns.size)
+    lam = np.zeros(plan.columns.size)
+    warm = [() for _ in qps]
+    z_prev = None
+    with_bounds = releases = 0
+    for _ in range(n_iter):
+        g = local_linear_term(plan, z_bar, lam, cfg.rho)
+        for i, (solver, block) in enumerate(zip(solvers, blocks)):
+            got = solver.solve(g[block], warm[i])
+            want = replaced[i].solve(g[block], warm[i])
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
+            with_bounds += bool(got[1])
+            releases += bool(set(warm[i]) - set(got[1]))
+            # a point that violates the bounds the solve pinned
+            far = 3.0 * got[0]
+            for active in ((), got[1]):
+                assert most_violated_bound(solver.local, far, active,
+                                           VIOLATION_TOL) == \
+                    ref_asm.most_violated_bound(solver.local, far, active,
+                                                VIOLATION_TOL)
+            z[block], warm[i] = got[0], got[1]
+        entries = z[plan.columns]
+        z_bar = admm_average(plan, entries, Fabric(len(qps)))
+        lam = admm_dual_update(plan, entries, z_bar, lam, cfg.rho)
+        for values in (np.abs(entries - z_bar),
+                       np.abs(np.stack([entries, z_bar, lam]))):
+            got_max = segment_max(values, plan.segments)
+            want_max = ref_admm.segment_max(values, plan.segments)
+            assert got_max.dtype == want_max.dtype
+            assert got_max.shape == want_max.shape
+            assert got_max.tobytes() == want_max.tobytes()
+        # the configured tolerances, and a grid that puts some agents'
+        # residuals next to a threshold
+        for eps in [(cfg.eps_primal, cfg.eps_dual),
+                    *itertools.product(10.0 ** np.arange(-9, 1), repeat=2)]:
+            args = (plan, entries, z_bar, z_prev, lam, cfg.rho, *eps)
+            assert admm_converged(*args) == \
+                ref_admm.flat_admm_converged(*args)
+        z_prev = entries
+    return with_bounds, releases
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 4), isolated=st.booleans(),
+       u_scale=st.sampled_from([1.0, 0.1, 0.02]),
+       x_scale=st.sampled_from([1.0, 0.01]),
+       rho=st.sampled_from([1.0, 5.0]),
+       preset=st.sampled_from(sorted(ADMM_PRESETS)))
+def test_inner_loop_matches_replaced_code_bit_for_bit(
+        seed, n_agents, horizon, isolated, u_scale, x_scale, rho, preset):
+    """The local solve, violated-bound pick, segment maximum and stopping
+    test give the replaced code's iterates, working sets, iteration counts
+    and flags; a small ``u_scale`` tightens every input box so working
+    sets hold bound rows and release them, ``isolated`` leaves the last
+    agent with no coupling rows (an empty segment), and a small
+    ``x_scale`` keeps the coupling values below the stopping test's unit
+    cap on its scales."""
+    rng = np.random.default_rng(seed)
+    if isolated:
+        net = network_with_isolated_agent(rng, n_agents + 1)
+    else:
+        net = random_network(rng, n_agents=n_agents)
+    net = _tightened(net, u_scale)
+    qps = build_network_qps(net, horizon, random_x0(rng, net, x_scale))
+    assert not isolated or qps[-1].coupled.rows.size == 0
+    _inner_loop_matches_replaced_code(qps, AdmmConfig.preset(preset, rho),
+                                      25)
+
+
+def test_tight_boxes_pin_and_release_bounds_in_the_inner_loop():
+    """The tightened draws of the property test above reach working sets
+    with bound rows, and solves that release a warm row."""
+    rng = np.random.default_rng(3)
+    net = _tightened(random_network(rng, n_agents=3), 0.1)
+    qps = build_network_qps(net, 3, random_x0(rng, net))
+    with_bounds, releases = _inner_loop_matches_replaced_code(
+        qps, AdmmConfig.preset("admm2", rho=5.0), 30)
+    assert with_bounds > 0
+    assert releases > 0

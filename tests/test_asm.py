@@ -54,6 +54,13 @@ def test_matches_dense_oracle():
             1e-8 * (1 + abs(ref_objective))
 
 
+@pytest.mark.parametrize("name", ["eps_step", "eps_dcg"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerances_must_be_finite_and_positive(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        AsmConfig(**{name: bad})
+
+
 def test_terminal_kkt_residual_small():
     net, qps = _network_problem(105)
     res = asm_solve(qps)

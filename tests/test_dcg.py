@@ -157,6 +157,17 @@ def test_solve_charges_exact_ledger():
     assert init.global_booleans == 2 * M         # pre-loop flags
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(bad):
+    rng = np.random.default_rng(71)
+    pieces = random_pieces(rng, n_agents=3, n_rows=9)
+    fab = Fabric(3)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        dcg_solve(pieces, partner_of(pieces), None, bad, fab)
+    # rejected before any exchange
+    assert fab.round_index == 0
+
+
 def test_warm_start_at_solution_is_free():
     rng = np.random.default_rng(73)
     pieces = random_pieces(rng, n_rows=7)

@@ -127,6 +127,22 @@ def test_plant_step_matches_block_matrix():
     np.testing.assert_allclose(np.concatenate(nxt.states), expect, atol=1e-13)
 
 
+def test_plant_state_keeps_flat_float_states():
+    """A 1-D float state is stored as given; other states are flattened to
+    float, aliasing their input only where ``ravel`` gives a view."""
+    flat = np.array([1.0, 2.0])
+    column = np.array([[3.0], [4.0]])
+    strided = np.arange(6.0)[::2]
+    state = PlantState(states=(flat, column, [5, 6], strided))
+    assert state.states[0] is flat
+    assert state.states[1].shape == (2,)
+    assert np.shares_memory(state.states[1], column)
+    assert state.states[2].dtype == np.float64
+    assert state.states[2].tolist() == [5.0, 6.0]
+    assert state.states[3].tolist() == [0.0, 2.0, 4.0]
+    assert not np.shares_memory(state.states[3], strided)
+
+
 def test_plant_step_zero_fixed_point(chain3):
     state = PlantState(states=tuple(np.zeros(2) for _ in range(3)))
     nxt = plant_step(net=chain3, state=state, inputs=[np.zeros(1)] * 3)
