@@ -36,9 +36,9 @@ elif _unset:
 from .admm import (ADMM_PRESETS, AdmmConfig, AdmmResult, admm_average,
                    admm_converged, admm_dual_update, admm_solve,
                    shift_averaged)
-from .asm import (AsmConfig, AsmResult, AsmState, AsmStats, asm_solve,
-                  compute_step_length, initialize_feasible, network_objective,
-                  shift_active, verify_iterate)
+from .asm import (AsmConfig, AsmResult, AsmStats, asm_solve,
+                  compute_step_length, network_objective, shift_active,
+                  verify_iterate)
 from .condense import (AgentBounds, AgentCoupling, CondensedAgent,
                        FactorCache, WorkingConstraints, WorkingSetFactor,
                        backsubstitute, recover_duals, working_constraints)
@@ -60,9 +60,9 @@ __all__ = [
     "ADMM_PRESETS", "AdmmConfig", "AdmmResult", "admm_average",
     "admm_converged", "admm_dual_update", "admm_solve", "shift_averaged",
     # asm
-    "AsmConfig", "AsmResult", "AsmState", "AsmStats", "asm_solve",
-    "compute_step_length", "initialize_feasible", "network_objective",
-    "shift_active", "verify_iterate",
+    "AsmConfig", "AsmResult", "AsmStats", "asm_solve",
+    "compute_step_length", "network_objective", "shift_active",
+    "verify_iterate",
     # condense
     "AgentBounds", "AgentCoupling", "CondensedAgent", "FactorCache",
     "WorkingConstraints", "WorkingSetFactor", "backsubstitute",

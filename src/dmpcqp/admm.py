@@ -140,9 +140,11 @@ class LocalQpSolver:
 
         Bounds are activated, most violated first, until the working-set
         minimizer is feasible; that point goes straight to the dual check.
+        ``warm_active`` is taken as given, as the set a previous solve
+        returned: distinct, independent rows.
         """
         local = self.local
-        active = list(dict.fromkeys(int(a) for a in warm_active))
+        active = list(warm_active)
         z = None
         for iterations in range(1, LOCAL_MAX_ITER + 1):
             factor, offset = self.working_set(tuple(active))

@@ -11,9 +11,9 @@ blocking bound activated.
 
 Communication per outer iteration is one flag round plus one scalar min
 reduction (the step length or the smallest multiplier); all remaining
-traffic belongs to the inner CG.  The feasible-point initialization solves
-the warm-started working set the same way and activates each agent's most
-violated bound until none remain.
+traffic belongs to the inner CG.  Before them, the same loop runs a
+feasibility phase from the warm-started working set, activating each
+agent's most violated bound until none remain.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from .condense import backsubstitute, condense, recover_duals, working_constraints
 from .dcg import dcg_solve
-from .errors import (AsmIterationLimit, FeasibilityViolation, InfeasibleStart,
-                     RankDeficientWorkingSet)
+from .errors import AsmIterationLimit, FeasibilityViolation, InfeasibleStart
 from .fabric import CommLedger, Fabric
 
 #: Rows whose constraint value grows by at most this along a step never block.
@@ -52,8 +51,8 @@ class AsmConfig:
 
     ``eps_step`` declares a per-agent step negligible (max norm) and
     ``eps_dcg`` is the inner CG residual tolerance.  ``max_outer`` caps the
-    outer iterations; it defaults to ten per bound row of the network.  The
-    other tolerances are the module constants above.
+    outer iterations, at least one; it defaults to ten per bound row of the
+    network.  The other tolerances are the module constants above.
     """
 
     eps_step: float = 1e-6
@@ -66,6 +65,12 @@ class AsmConfig:
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}")
+        if self.max_outer is not None and not (
+                isinstance(self.max_outer, (int, np.integer))
+                and self.max_outer >= 1):
+            raise ValueError(
+                f"max_outer must be an integer of at least 1, got "
+                f"{self.max_outer!r}")
 
 
 @dataclass
@@ -81,16 +86,6 @@ class AsmStats:
     @property
     def dcg_total(self) -> int:
         return self.dcg_feasible_guess + self.dcg_active_set
-
-
-@dataclass
-class AsmState:
-    """Solver state between phases: iterates, working sets, multiplier seed."""
-
-    z: list[np.ndarray]
-    active: list[list[int]]
-    lambdas: list[np.ndarray]
-    stats: AsmStats
 
 
 @dataclass(frozen=True)
@@ -145,22 +140,6 @@ def most_violated_bound(qp, z: np.ndarray, active: Sequence[int],
     return row if viol[row] > tol else None
 
 
-def _condense_all(qps, active, repair=False):
-    """Condense every agent, optionally dropping dependent warm-start rows."""
-    cas = []
-    for qp, act in zip(qps, active):
-        while True:
-            work = working_constraints(qp, act)
-            try:
-                cas.append(condense(qp, work))
-                break
-            except RankDeficientWorkingSet as exc:
-                if not repair or exc.active_position is None:
-                    raise
-                del act[exc.active_position]
-    return cas
-
-
 def verify_iterate(qps, zs) -> None:
     """Assert primal feasibility of a distributed iterate.
 
@@ -204,53 +183,23 @@ def shift_active(qp, rows: Sequence[int]) -> list[int]:
     return [int(shifted[row]) for row in rows if shifted[row] >= 0]
 
 
-def initialize_feasible(qps, warm_active, fabric: Fabric,
-                        cfg: AsmConfig | None = None,
-                        stats: AsmStats | None = None) -> AsmState:
-    """Produce a primal feasible iterate whose working set is consistent.
-
-    Starting from the warm-started working set (of two warm rows on the
-    same input, the later is dropped), the working-set system is solved
-    with a cold multiplier.  Agents then activate their most violated
-    bound and re-solve until every bound holds; the violation flags ride
-    one coordinator round per pass, charged to the ``init`` phase.
-    """
-    cfg = cfg or AsmConfig()
-    stats = stats if stats is not None else AsmStats()
-    M = len(qps)
-    active = [list(dict.fromkeys(int(r) for r in rows))
-              for rows in (warm_active or [[] for _ in range(M)])]
-    repair = True
-    for _ in range(sum(qp.n_ineq for qp in qps) + 2):
-        cas = _condense_all(qps, active, repair)
-        repair = False
-        sol = dcg_solve(cas, qps[0].coupling.partner, None, cfg.eps_dcg,
-                        fabric)
-        stats.dcg_feasible_guess += sol.iterations
-        stats.init_rounds += 1
-        zs = [backsubstitute(ca, lam) for ca, lam in zip(cas, sol.lambdas)]
-        worst = [most_violated_bound(qp, z, act, VIOLATION_TOL)
-                 for qp, z, act in zip(qps, zs, active)]
-        clean = fabric.global_flags([w is None for w in worst], phase="init")
-        if clean:
-            return AsmState(z=zs, active=active, lambdas=list(sol.lambdas),
-                            stats=stats)
-        for act, row in zip(active, worst):
-            if row is not None:
-                act.append(row)
-    raise InfeasibleStart(stats.init_rounds)
-
-
 def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
               fabric: Fabric | None = None) -> AsmResult:
     """Distributed active-set solve of the partially separable QP.
+
+    One loop of rounds runs the feasibility phase, with a cold CG and its
+    violation flags charged to ``init``, until the flags come back clean,
+    then the active-set phase, with the CG seeded by the last multipliers.
 
     Parameters
     ----------
     qps : sequence of AgentQP
         One QP per agent, sharing a coupling index.
     warm_active : sequence of row lists, optional
-        Working set to warm start from (e.g. the previous sample's).
+        Working set to warm start from (e.g. the previous sample's, shifted
+        by :func:`shift_active`).  Each agent's rows must be distinct and
+        independent: a repeated row raises ``ValueError`` and two rows on
+        one input raise ``RankDeficientWorkingSet``.
     cfg : AsmConfig, optional
     fabric : Fabric, optional
         Communication fabric; a fresh metered fabric is created when
@@ -266,24 +215,42 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     fabric = fabric if fabric is not None else Fabric(len(qps))
     start = fabric.ledger.snapshot()
     stats = AsmStats()
-    state = initialize_feasible(qps, warm_active, fabric, cfg, stats)
-    zs, active, lam_seed = state.z, state.active, state.lambdas
-    verify_iterate(qps, zs)
-    objective = network_objective(qps, zs)
-
-    max_outer = cfg.max_outer
-    if max_outer is None:
-        max_outer = 10 * sum(qp.n_ineq for qp in qps)
+    n_ineq = sum(qp.n_ineq for qp in qps)
+    max_outer = 10 * n_ineq if cfg.max_outer is None else cfg.max_outer
+    active = [[int(r) for r in rows]
+              for rows in (warm_active or [[] for _ in qps])]
+    # the iterate is None until the feasibility phase's flags come back clean
+    zs = lam_seed = None
     trace = []
-    for _ in range(max_outer):
+    while True:
+        if zs is None:
+            if stats.init_rounds == n_ineq + 2:
+                raise InfeasibleStart(stats.init_rounds)
+        elif stats.outer_iterations == max_outer:
+            raise AsmIterationLimit(stats.outer_iterations, trace[-20:])
+        cas = [condense(qp, working_constraints(qp, act))
+               for qp, act in zip(qps, active)]
+        sol = dcg_solve(cas, qps[0].coupling.partner, lam_seed, cfg.eps_dcg,
+                        fabric)
+        targets = [backsubstitute(ca, lam)
+                   for ca, lam in zip(cas, sol.lambdas)]
+        if zs is None:
+            stats.dcg_feasible_guess += sol.iterations
+            stats.init_rounds += 1
+            worst = [most_violated_bound(qp, z, act, VIOLATION_TOL)
+                     for qp, z, act in zip(qps, targets, active)]
+            if fabric.global_flags([w is None for w in worst], phase="init"):
+                zs, lam_seed = targets, list(sol.lambdas)
+                verify_iterate(qps, zs)
+                objective = network_objective(qps, zs)
+            for act, row in zip(active, worst):
+                if row is not None:
+                    act.append(row)
+            continue
         stats.outer_iterations += 1
-        cas = _condense_all(qps, active)
-        sol = dcg_solve(cas, qps[0].coupling.partner, lam_seed,
-                        cfg.eps_dcg, fabric)
         stats.dcg_active_set += sol.iterations
         lam_seed = list(sol.lambdas)
-        dzs = [backsubstitute(ca, lam) - z
-               for ca, lam, z in zip(cas, sol.lambdas, zs)]
+        dzs = [target - z for target, z in zip(targets, zs)]
         small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
                  for dz in dzs]
         if fabric.global_flags(small, phase="asm"):
@@ -321,4 +288,3 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
                     f"objective increased from {objective:.12e} to "
                     f"{new_objective:.12e}")
             objective = new_objective
-    raise AsmIterationLimit(stats.outer_iterations, trace[-20:])

@@ -14,7 +14,8 @@ The flat solver's inner loop was then made cheaper without changing a
 result; the code it replaced is kept here verbatim and the reference
 iteration uses it: :class:`ReplacedLocalQpSolver` (whose ``solve`` forms
 the bound multipliers of an empty working set too, and picks the violated
-bound through :func:`asm_reference.most_violated_bound`),
+bound through :func:`asm_reference.replaced_most_violated_bound`, and
+de-duplicates the warm rows the package now takes as given),
 :func:`segment_max` (one code path for empty and filled segments) and
 :func:`flat_admm_converged` (which forms the signed coupling images).
 """
@@ -32,7 +33,7 @@ from dmpcqp.asm import DEGENERATE_STEP, VIOLATION_TOL, compute_step_length
 from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import CommLedger, Fabric
 
-from asm_reference import most_violated_bound
+from asm_reference import replaced_most_violated_bound as most_violated_bound
 
 
 class ReplacedLocalQpSolver(LocalQpSolver):

@@ -742,8 +742,8 @@ def _inner_loop_matches_replaced_code(qps, cfg, n_iter):
             for active in ((), got[1]):
                 assert most_violated_bound(solver.local, far, active,
                                            VIOLATION_TOL) == \
-                    ref_asm.most_violated_bound(solver.local, far, active,
-                                                VIOLATION_TOL)
+                    ref_asm.replaced_most_violated_bound(
+                        solver.local, far, active, VIOLATION_TOL)
             z[block], warm[i] = got[0], got[1]
         entries = z[plan.columns]
         z_bar = admm_average(plan, entries, Fabric(len(qps)))

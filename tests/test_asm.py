@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 
 from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
                     build_network_qps, compute_step_length,
-                    initialize_feasible, network_objective, shift_active,
-                    verify_iterate, working_constraints)
+                    network_objective, shift_active, verify_iterate,
+                    working_constraints)
 import dmpcqp.asm as asm_module
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
 from dmpcqp.condense import condense
 from dmpcqp.cli import (ExperimentConfig, _closed_loop_distributed,
                         build_network, sample_initial_states)
-from dmpcqp.errors import AsmIterationLimit, FeasibilityViolation
+from dmpcqp.errors import (AsmIterationLimit, FeasibilityViolation,
+                           RankDeficientWorkingSet, SolverError)
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.qp_builder import stack_global
 
@@ -59,6 +61,12 @@ def test_matches_dense_oracle():
 def test_tolerances_must_be_finite_and_positive(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         AsmConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [2.5, 0, -1, "3"])
+def test_outer_cap_must_be_an_integer_of_at_least_one(bad):
+    with pytest.raises(ValueError, match="max_outer must be an integer"):
+        AsmConfig(max_outer=bad)
 
 
 def test_terminal_kkt_residual_small():
@@ -275,17 +283,31 @@ def test_coupling_check_matches_row_loop(seed, n_agents, horizon, isolated):
             verify_iterate(qps, zs)
 
 
-def test_initialization_repairs_dependent_warm_rows():
-    net, qps = _network_problem(121)
-    qp = qps[0]
-    N = qp.layout.horizon
-    m = qp.layout.n_inputs
-    # both sides of the same bound cannot be active simultaneously
+def _warm_with_first_agent(qps, rows):
     warm = [[] for _ in qps]
-    warm[0] = [0, N * m]
-    state = initialize_feasible(qps, warm, Fabric(len(qps)))
-    assert len(state.active[0]) <= 1 or state.active[0][0] != state.active[0][1]
-    verify_iterate(qps, state.z)
+    warm[0] = rows
+    return warm
+
+
+def test_dependent_warm_rows_are_rejected():
+    """Both sides of one input cannot be active together: such a warm set
+    is rejected before any round, not repaired."""
+    net, qps = _network_problem(121)
+    N, m = qps[0].layout.horizon, qps[0].layout.n_inputs
+    fabric = Fabric(len(qps))
+    with pytest.raises(RankDeficientWorkingSet) as exc:
+        asm_solve(qps, _warm_with_first_agent(qps, [0, N * m]),
+                  fabric=fabric)
+    assert (exc.value.agent, exc.value.active_position) == (0, 1)
+    assert fabric.round_index == 0
+
+
+def test_repeated_warm_rows_are_rejected():
+    net, qps = _network_problem(121)
+    fabric = Fabric(len(qps))
+    with pytest.raises(ValueError, match="active rows repeated"):
+        asm_solve(qps, _warm_with_first_agent(qps, [1, 1]), fabric=fabric)
+    assert fabric.round_index == 0
 
 
 def test_shift_active_moves_rows_one_step():
@@ -335,12 +357,69 @@ def test_solve_matches_step_variable_reference(seed, n_agents, horizon,
     replaced."""
     net, qps = _network_problem(seed, n_agents, horizon, x0_scale)
     res = asm_solve(qps)
-    ref = asm_reference.asm_solve(qps)
+    ref = asm_reference.step_variable_asm_solve(qps)
     assert res.active == ref.active
     assert norm_inf(np.concatenate(res.z) - np.concatenate(ref.z)) < 1e-6
     ref_objective = network_objective(qps, ref.z)
     assert abs(network_objective(qps, res.z) - ref_objective) <= \
         1e-8 * abs(ref_objective)
+
+
+def _independent_rows(rng, qp):
+    """Distinct bound rows of ``qp`` on distinct inputs, in random order."""
+    rows, cols = [], set()
+    for row in rng.permutation(qp.n_ineq)[:rng.integers(0, qp.n_ineq + 1)]:
+        col = int(qp.bounds.cols[row])
+        if col not in cols:
+            rows.append(int(row))
+            cols.add(col)
+    return rows
+
+
+def _solve_outcome(solve, qps, warm, cfg):
+    """Everything a solve returns or raises, with the fabric's counts."""
+    fabric = Fabric(len(qps))
+    try:
+        res = solve(qps, warm, cfg, fabric)
+    except SolverError as exc:
+        outcome = (type(exc), str(exc))
+    else:
+        outcome = ([z.tobytes() for z in res.z], res.active,
+                   [lam.tobytes() for lam in res.cpl_duals],
+                   dataclasses.replace(res.stats, ledger=None),
+                   res.stats.ledger.as_dict())
+    return outcome, fabric.ledger.as_dict(), fabric.round_index
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
+       horizon=st.integers(1, 5), x0_scale=st.sampled_from([0.5, 2.0, 4.0]),
+       warm_kind=st.sampled_from(["cold", "rows", "shifted"]),
+       max_outer=st.sampled_from([None, 1, 2, 3]))
+def test_one_loop_matches_the_two_phase_solver_bit_for_bit(
+        seed, n_agents, horizon, x0_scale, warm_kind, max_outer):
+    """The one-loop solve returns, or raises, what the two-phase solver it
+    replaced did, byte for byte, with the same counters, ledger and round
+    count, from a cold start, from distinct rows on distinct inputs and
+    from the previous sample's shifted final working set."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_agents=n_agents)
+    x0s = random_x0(rng, net, scale=x0_scale)
+    warm = None
+    if warm_kind == "rows":
+        qps = build_network_qps(net, horizon, x0s)
+        warm = [_independent_rows(rng, qp) for qp in qps]
+    elif warm_kind == "shifted":
+        previous = build_network_qps(net, horizon,
+                                     random_x0(rng, net, scale=x0_scale))
+        warm = [shift_active(qp, a) for qp, a in
+                zip(previous, asm_solve(previous).active)]
+    cfg = AsmConfig(max_outer=max_outer)
+    got = _solve_outcome(asm_solve, build_network_qps(net, horizon, x0s),
+                         warm, cfg)
+    want = _solve_outcome(asm_reference.asm_solve,
+                          build_network_qps(net, horizon, x0s), warm, cfg)
+    assert got == want
 
 
 def test_accepted_iterates_keep_the_coupling_residual_of_one_dcg_solve(

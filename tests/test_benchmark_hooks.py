@@ -44,9 +44,11 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     solver condenses every agent once per round with a
     ``WorkingConstraints`` whose ``n_rows`` counts the equality and active
     bound rows, and ADMM condenses once per factor-cache miss and never on
-    a hit, over the closed loop."""
+    a hit, over the closed loop.  Its traced mode also requires one
+    ``dmpcqp.asm.dcg_solve`` call per round, initialization rounds and
+    outer iterations together."""
     real = importlib.import_module("dmpcqp.condense").condense
-    asm_calls, admm_calls, solvers = [], [], []
+    asm_calls, admm_calls, solvers, dcg_calls = [], [], [], []
 
     def asm_condense(qp, work, *args):
         asm_calls.append((qp.index, isinstance(work, WorkingConstraints)))
@@ -60,6 +62,11 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
         admm_calls.append(work.active)
         return real(qp, work, *args)
 
+    def counted_dcg_solve(*args):
+        dcg_calls.append(len(asm_calls))
+        return real_dcg_solve(*args)
+
+    real_dcg_solve = asm_module.dcg_solve
     real_init = LocalQpSolver.__init__
 
     def solver_init(self, *args):
@@ -68,6 +75,7 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
 
     monkeypatch.setattr(asm_module, "condense", asm_condense)
     monkeypatch.setattr(admm_module, "condense", admm_condense)
+    monkeypatch.setattr(asm_module, "dcg_solve", counted_dcg_solve)
     monkeypatch.setattr(LocalQpSolver, "__init__", solver_init)
 
     net = build_chain_of_masses(3)
@@ -76,10 +84,13 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     _, _, samples = _closed_loop_distributed(net, cfg, x0s)
     rounds = sum(s["init_rounds"] + s["asm_iterations"] for s in samples)
     assert asm_calls == [(i, True) for _ in range(rounds) for i in range(3)]
+    # each round's solve follows that round's three condense calls
+    assert dcg_calls == [3 * (k + 1) for k in range(rounds)]
 
     cfg = dataclasses.replace(cfg, solver="admm2", rho=5.0)
     _closed_loop_distributed(net, cfg, x0s)
     assert len(asm_calls) == 3 * rounds
+    assert len(dcg_calls) == rounds
     # the samples' solvers share each agent's augmented QP and its cache
     caches = {id(s.local.factors): s.local.factors for s in solvers}
     assert len(caches) == 3 < len(solvers)
