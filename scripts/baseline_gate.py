@@ -12,8 +12,10 @@ two files' bytes compare equal, and otherwise the largest absolute
 difference between numeric fields (or the first differing text field, or
 a differing row layout).  It then prints ``meta.json: identical`` when the
 two ``meta.json`` files agree once ``config.out_dir`` is dropped, and
-otherwise the top-level keys that differ.  After printing every line it
-exits 1 when any file is not ``identical``, and 0 otherwise.
+otherwise the top-level keys that differ, and one line with the wall time
+of each side's ``dmpcqp run``: single runs, so a shared machine's noise
+shows in them.  After printing every line it exits 1 when any file is not
+``identical``, and 0 otherwise; the times do not enter the exit code.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 BASELINE = ("--masses", "10", "--horizon", "12", "--steps", "25",
@@ -102,14 +105,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for solver in SOLVERS:
             outs = {side: Path(tmp) / f"{side}-{solver}" for side in roots}
+            seconds = {}
             for side, root in roots.items():
+                start = time.perf_counter()
                 run_baseline(root, solver, outs[side])
+                seconds[side] = time.perf_counter() - start
             for name in (*CSV_FILES, "meta.json"):
                 compare = meta_difference if name == "meta.json" \
                     else difference
                 result = compare(outs["before"] / name, outs["after"] / name)
                 identical = identical and result == "identical"
                 print(f"{solver} {name}: {result}", flush=True)
+            print(f"{solver} wall time: before {seconds['before']:.2f} s, "
+                  f"after {seconds['after']:.2f} s (one run each, noisy)",
+                  flush=True)
     return 0 if identical else 1
 
 

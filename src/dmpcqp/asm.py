@@ -41,7 +41,7 @@ DUAL_TOL = 1e-8
 EQUALITY_TOL = 1e-8
 #: Assembled coupling-row residual :func:`verify_iterate` tolerates.
 COUPLING_TOL = 1e-7
-#: Relative objective increase tolerated between accepted iterates.
+#: Relative Lagrangian increase tolerated across one step.
 OBJECTIVE_TOL = 1e-10
 
 
@@ -171,6 +171,13 @@ def network_objective(qps, zs) -> float:
     return 0.5 * float(sum(z @ (qp.hessian @ z) for qp, z in zip(qps, zs)))
 
 
+def network_lagrangian(qps, zs, lambdas) -> float:
+    """:func:`network_objective` plus ``sum_i lam_i' Cc_i z_i``, with each
+    agent's multipliers ``lambdas[i]`` on its coupling rows."""
+    return network_objective(qps, zs) + float(sum(
+        lam @ qp.coupled.gather(z) for qp, z, lam in zip(qps, zs, lambdas)))
+
+
 def shift_active(qp, rows: Sequence[int]) -> list[int]:
     """Advance one agent's active bound rows by one time step.
 
@@ -242,7 +249,6 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
             if fabric.global_flags([w is None for w in worst], phase="init"):
                 zs, lam_seed = targets, list(sol.lambdas)
                 verify_iterate(qps, zs)
-                objective = network_objective(qps, zs)
             for act, row in zip(active, worst):
                 if row is not None:
                     act.append(row)
@@ -272,6 +278,10 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
             alpha, agent = fabric.global_reduce(
                 [s[0] for s in steps], op="min", phase="asm")
             alpha = min(alpha, 1.0)
+            # the targets minimize the Lagrangian at these multipliers on
+            # the iterate's working set; the objective alone can rise by
+            # lam' times the coupling rows' DCG residual
+            before = network_lagrangian(qps, zs, sol.lambdas)
             if alpha >= DEGENERATE_STEP:
                 zs = [z + alpha * dz for z, dz in zip(zs, dzs)]
             if alpha < 1.0:
@@ -281,10 +291,8 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
             else:
                 trace.append(("step", -1, None))
             verify_iterate(qps, zs)
-            new_objective = network_objective(qps, zs)
-            if new_objective > objective + OBJECTIVE_TOL * (
-                    1.0 + abs(objective)):
+            after = network_lagrangian(qps, zs, sol.lambdas)
+            if after > before + OBJECTIVE_TOL * (1.0 + abs(before)):
                 raise FeasibilityViolation(
-                    f"objective increased from {objective:.12e} to "
-                    f"{new_objective:.12e}")
-            objective = new_objective
+                    f"Lagrangian increased from {before:.12e} to "
+                    f"{after:.12e}")

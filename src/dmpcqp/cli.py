@@ -53,7 +53,7 @@ from .errors import SolverError
 from .fabric import PHASES, Fabric, verify_comm_identities
 from .model import AgentModel, NetworkModel, build_chain_of_masses
 from .oracle import centralized_mpc_rollout
-from .qp_builder import build_network_qps, closed_loop
+from .qp_builder import build_network_qps, closed_loop, update_initial_state
 
 SOLVERS = ("asm-dcg", "admm1", "admm2", "centralized")
 
@@ -155,21 +155,6 @@ def load_network(path) -> NetworkModel:
     return NetworkModel(agents)
 
 
-def save_network(net: NetworkModel, path) -> None:
-    doc = {"agents": [{
-        "A_self": agent.A_self.tolist(),
-        "B": agent.B.tolist(),
-        "A_in": {str(j): blk.tolist() for j, blk in sorted(agent.A_in.items())},
-        "u_lo": agent.u_lo.tolist(),
-        "u_hi": agent.u_hi.tolist(),
-        "Q": agent.Q.tolist(),
-        "R": agent.R.tolist(),
-        "P": agent.P.tolist(),
-    } for agent in net.agents]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-
-
 def build_network(cfg: ExperimentConfig) -> NetworkModel:
     if cfg.scenario == "chain":
         return build_chain_of_masses(
@@ -259,17 +244,21 @@ def _admm_step(cfg, fabric, qps, states, warm, t):
         admm_iterations=res.iterations, comm=res.stats.ledger.as_dict())
 
 
-def _closed_loop_distributed(net, cfg, x0s):
+def _closed_loop_distributed(net, cfg, qps, x0s):
     """Run one initial condition with the configured distributed solver.
 
+    ``qps`` are the run's agent QPs at any initial state; they are moved to
+    ``x0s`` as :func:`~dmpcqp.qp_builder.closed_loop` moves them every
+    sample, so their working-set factors carry over from init to init.
     Each sample solves with the solver's step, which checks the ledger
     identities and returns the next warm start and the sample's counters.
     Returns :func:`~dmpcqp.qp_builder.closed_loop`'s
     ``(states, inputs, samples)``.
     """
     step = _asm_step if cfg.solver == "asm-dcg" else _admm_step
-    return closed_loop(net, build_network_qps(net, cfg.horizon, x0s), x0s,
-                       cfg.steps, partial(step, cfg, Fabric(net.n_agents)))
+    qps = [update_initial_state(qp, x) for qp, x in zip(qps, x0s)]
+    return closed_loop(net, qps, x0s, cfg.steps,
+                       partial(step, cfg, Fabric(net.n_agents)))
 
 
 def _blas_identity() -> dict:
@@ -295,13 +284,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rng = np.random.default_rng(cfg.seed)
     inits = [sample_initial_states(net, rng, cfg.y0_range, cfg.v0_range)
              for _ in range(cfg.n_inits)]
-    probe = build_network_qps(net, cfg.horizon,
-                              [np.zeros(a.n) for a in net.agents])
+    # the QPs every init's distributed loop starts from
+    qps = build_network_qps(net, cfg.horizon,
+                            [np.zeros(a.n) for a in net.agents])
     dims = {
-        "n_z": int(sum(qp.size for qp in probe)),
-        "eq": int(sum(qp.n_eq for qp in probe)),
-        "ineq": int(sum(qp.n_ineq for qp in probe)),
-        "coupling": int(probe[0].n_coupling),
+        "n_z": int(sum(qp.size for qp in qps)),
+        "eq": int(sum(qp.n_eq for qp in qps)),
+        "ineq": int(sum(qp.n_ineq for qp in qps)),
+        "coupling": int(qps[0].n_coupling),
     }
 
     state_cols = ["y", "v"] + [f"x{c}" for c in
@@ -327,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                            for k in reference.iterations]
             else:
                 states, inputs, samples = _closed_loop_distributed(
-                    net, cfg, x0s)
+                    net, cfg, qps, x0s)
         except (SolverError, np.linalg.LinAlgError) as exc:
             kind = "" if isinstance(exc, SolverError) \
                 else f"{type(exc).__name__}: "

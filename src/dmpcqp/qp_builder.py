@@ -151,7 +151,6 @@ class CouplingIndex:
     a copier's last stage, with no later stage, is ``-1``).
     """
 
-    horizon: int
     n_coupling: int
     agents: tuple[AgentCoupling, ...]
     segments: tuple[slice, ...]
@@ -200,7 +199,7 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     # its terminal state, and a copy has no stage after its last
     copier_last = (signs < 0) & np.array(last, dtype=bool)[rows]
     return CouplingIndex(
-        horizon=horizon, n_coupling=len(holders), agents=tuple(agents),
+        n_coupling=len(holders), agents=tuple(agents),
         segments=tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:])),
         partner=build_partner([a.rows for a in agents]),
         columns=columns, signs=signs, owned=owned, slots=slots,

@@ -368,7 +368,7 @@ def test_shift_averaged():
     zs = rollout_feasible_point(net, 3, x0s, inputs=inputs)
     shifted = shift_averaged(qps, zs)
     plan = qps[0].coupling
-    N = plan.horizon
+    N = qps[0].layout.horizon
     assert shifted.shape == plan.columns.shape
     # each entry and its partner hold one row: interior coupling rows stay
     # exactly consistent, and the final stage is off by the owner's

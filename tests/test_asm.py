@@ -440,8 +440,27 @@ def test_accepted_iterates_keep_the_coupling_residual_of_one_dcg_solve(
     cfg = ExperimentConfig(n_masses=5, horizon=12, u_max=0.3)
     net = build_network(cfg)
     rng = np.random.default_rng(7)
+    qps = build_network_qps(net, cfg.horizon,
+                            [np.zeros(a.n) for a in net.agents])
     for _ in range(10):
-        _closed_loop_distributed(net, cfg, sample_initial_states(
+        _closed_loop_distributed(net, cfg, qps, sample_initial_states(
             net, rng, cfg.y0_range, cfg.v0_range))
     assert len(worst) > 10 * cfg.steps
     assert max(worst) <= 1.5 * cfg.eps_dcg
+
+
+def test_bound_binding_chain_passes_the_descent_check():
+    """On a 20-mass chain whose inputs bind, one active-set step of init 1
+    at sample 21 raises the objective by 7.2e-6, past ``OBJECTIVE_TOL``,
+    because its iterates meet the coupling rows only to the DCG tolerance;
+    the Lagrangian at that round's multipliers, which the step minimizes,
+    falls, so the closed loop runs through that sample."""
+    cfg = ExperimentConfig(n_masses=20, u_max=0.1, horizon=12, steps=22)
+    net = build_network(cfg)
+    rng = np.random.default_rng(7)
+    x0s = [sample_initial_states(net, rng, cfg.y0_range, cfg.v0_range)
+           for _ in range(2)][1]
+    _, _, samples = _closed_loop_distributed(
+        net, cfg, build_network_qps(net, cfg.horizon, x0s), x0s)
+    assert len(samples) == 22
+    assert samples[21]["asm_iterations"] > 1

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -31,9 +32,15 @@ def _run_gate(tmp_path, monkeypatch, capsys, changed=None):
         root.mkdir()
     code = gate.main(["--before", str(roots[0]), "--after", str(roots[1])])
     lines = capsys.readouterr().out.splitlines()
-    # every line is printed, also after the differing file
-    assert len(lines) == len(gate.SOLVERS) * (len(gate.CSV_FILES) + 1)
-    return code, lines
+    # every line is printed, also after the differing file, and each
+    # solver's file lines end with both sides' wall times
+    per_solver = len(gate.CSV_FILES) + 2
+    assert len(lines) == len(gate.SOLVERS) * per_solver
+    times = lines[per_solver - 1::per_solver]
+    assert all(re.fullmatch(r"\S+ wall time: before \d+\.\d\d s, after "
+                            r"\d+\.\d\d s \(one run each, noisy\)", line)
+               for line in times)
+    return code, [line for line in lines if line not in times]
 
 
 @pytest.mark.parametrize("differs", [False, True])

@@ -16,7 +16,8 @@ import numpy as np
 
 import dmpcqp.admm as admm_module
 import dmpcqp.asm as asm_module
-from dmpcqp import WorkingConstraints, build_chain_of_masses
+from dmpcqp import (WorkingConstraints, build_chain_of_masses,
+                    build_network_qps)
 from dmpcqp.admm import LocalQpSolver
 from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
 
@@ -81,14 +82,15 @@ def test_condense_spans_keep_their_meaning(monkeypatch):
     net = build_chain_of_masses(3)
     x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
     cfg = ExperimentConfig(n_masses=3, horizon=6, steps=6, solver="asm-dcg")
-    _, _, samples = _closed_loop_distributed(net, cfg, x0s)
+    qps = build_network_qps(net, cfg.horizon, x0s)
+    _, _, samples = _closed_loop_distributed(net, cfg, qps, x0s)
     rounds = sum(s["init_rounds"] + s["asm_iterations"] for s in samples)
     assert asm_calls == [(i, True) for _ in range(rounds) for i in range(3)]
     # each round's solve follows that round's three condense calls
     assert dcg_calls == [3 * (k + 1) for k in range(rounds)]
 
     cfg = dataclasses.replace(cfg, solver="admm2", rho=5.0)
-    _closed_loop_distributed(net, cfg, x0s)
+    _closed_loop_distributed(net, cfg, qps, x0s)
     assert len(asm_calls) == 3 * rounds
     assert len(dcg_calls) == rounds
     # the samples' solvers share each agent's augmented QP and its cache
@@ -124,7 +126,8 @@ def test_admm_spans_keep_their_meaning(monkeypatch):
     x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
     cfg = ExperimentConfig(n_masses=3, horizon=6, steps=6, solver="admm2",
                            rho=5.0)
-    _, _, samples = _closed_loop_distributed(net, cfg, x0s)
+    _, _, samples = _closed_loop_distributed(
+        net, cfg, build_network_qps(net, cfg.horizon, x0s), x0s)
     iterations = sum(s["admm_iterations"] for s in samples)
     assert iterations > len(samples)
     one = [spans[0]] + ["solve"] * 3 + list(spans[1:])

@@ -14,11 +14,12 @@ import scipy
 import scipy.sparse
 
 import dmpcqp.cli
+import dmpcqp.condense
 import dmpcqp.oracle
 from dmpcqp import (AgentModel, NetworkModel, PlantState,
                     build_chain_of_masses, plant_step)
 from dmpcqp.cli import (ExperimentConfig, compare_runs, load_network, main,
-                        run_experiment, sample_initial_states, save_network)
+                        run_experiment, sample_initial_states)
 from dmpcqp.errors import SolverError
 from dmpcqp.fabric import PHASES
 
@@ -27,6 +28,22 @@ from conftest import random_network
 
 CSV_FILES = ("iterations.csv", "communication.csv", "trajectories.csv",
              "deviation.csv", "summary.csv")
+
+
+def save_network(net: NetworkModel, path) -> None:
+    """Write ``net`` in the JSON schema :func:`load_network` reads."""
+    doc = {"agents": [{
+        "A_self": agent.A_self.tolist(),
+        "B": agent.B.tolist(),
+        "A_in": {str(j): blk.tolist() for j, blk in sorted(agent.A_in.items())},
+        "u_lo": agent.u_lo.tolist(),
+        "u_hi": agent.u_hi.tolist(),
+        "Q": agent.Q.tolist(),
+        "R": agent.R.tolist(),
+        "P": agent.P.tolist(),
+    } for agent in net.agents]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def _small_cfg(out_dir, **overrides):
@@ -368,6 +385,41 @@ def test_artifacts_are_the_records(tmp_path, monkeypatch, solver):
                     for m, agg in res.aggregates.items()]
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["aggregates"] == res.aggregates
+
+
+@pytest.mark.parametrize("solver", ["asm-dcg", "admm2"])
+def test_a_run_builds_its_qps_once(tmp_path, monkeypatch, solver):
+    """``run_experiment`` builds the network's QPs once, whatever the
+    number of inits, and every init's loop starts from them, so an init
+    that visits only working sets an earlier init factored factors none
+    and records what that init recorded."""
+    x0s = [np.array([2.0, -1.0]), np.array([-1.5, 0.5]), np.array([1.0, 1.0])]
+    events = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            events.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(dmpcqp.cli, "build_network_qps")
+    counting(dmpcqp.cli, "_closed_loop_distributed")
+    counting(dmpcqp.condense, "_factorize")
+    monkeypatch.setattr(dmpcqp.cli, "sample_initial_states",
+                        lambda *args: [x.copy() for x in x0s])
+    res = run_experiment(_small_cfg(tmp_path, solver=solver, rho=5.0,
+                                    u_max=0.3))
+    assert events.count("build_network_qps") == 1
+    first = events.index("_closed_loop_distributed")
+    second = events.index("_closed_loop_distributed", first + 1)
+    assert "_factorize" in events[first:second]
+    assert "_factorize" not in events[second:]
+    assert res.failures == 0
+    records = [[dataclasses.replace(r, init=0) for r in res.records
+                if r.init == k] for k in (0, 1)]
+    assert records[0] == records[1]
 
 
 def test_malformed_network_file_exits_with_2(tmp_path, capsys):

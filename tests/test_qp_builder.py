@@ -81,7 +81,7 @@ def test_coupling_rows_belong_to_exactly_two_agents():
 def _reference_cpl_matrix(net, coupling, layout, i):
     """Agent ``i``'s coupling matrix from the per-edge loops that built it
     before the coupling plan held its columns, kept as the reference."""
-    N = coupling.horizon
+    N = layout.horizon
     rows, cols, vals = [], [], []
     for edge in coupling_edges(net, N):
         if edge.owner == i:
@@ -253,7 +253,8 @@ def test_coupling_plan_is_built_once_per_closed_loop(monkeypatch, chain3):
                              ("admm2", "shift_averaged")):
         calls.update(dict.fromkeys(calls, 0))
         _closed_loop_distributed(
-            chain3, dataclasses.replace(cfg, solver=solver, rho=5.0), x0s)
+            chain3, dataclasses.replace(cfg, solver=solver, rho=5.0),
+            build_network_qps(chain3, cfg.horizon, x0s), x0s)
         assert calls["plan"] == calls["partner"] == 1
         assert calls[repeated] >= cfg.steps
 
