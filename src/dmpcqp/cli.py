@@ -140,19 +140,23 @@ def load_network(path) -> NetworkModel:
         if missing:
             raise ValueError(f"network file {path}: agent {idx} lacks key "
                              f"{missing[0]!r}")
+        where = f"network file {path}: agent {idx}"
         agents.append(AgentModel(
             index=idx,
-            A_self=np.array(entry["A_self"], dtype=float),
-            B=np.array(entry["B"], dtype=float),
-            A_in={int(j): np.array(blk, dtype=float)
+            A_in={int(j): _float_array(blk, f"{where}: A_in[{j}]")
                   for j, blk in entry.get("A_in", {}).items()},
-            u_lo=np.array(entry["u_lo"], dtype=float),
-            u_hi=np.array(entry["u_hi"], dtype=float),
-            Q=np.array(entry["Q"], dtype=float),
-            R=np.array(entry["R"], dtype=float),
-            P=np.array(entry["P"], dtype=float),
-        ))
+            **{key: _float_array(entry[key], f"{where}: {key}")
+               for key in _AGENT_KEYS}))
     return NetworkModel(agents)
+
+
+def _float_array(value, where) -> np.ndarray:
+    """``value`` as a float array; an entry that is no number (a JSON
+    object, say) raises :class:`ValueError` naming ``where``."""
+    try:
+        return np.array(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{where} must be an array of numbers") from exc
 
 
 def build_network(cfg: ExperimentConfig) -> NetworkModel:
@@ -404,12 +408,17 @@ def _write_rows(path, header, rows):
 class ComparisonResult:
     metrics: dict
     max_trajectory_diff: float
+    #: ``{init: {"a": status, "b": status}}`` of each init that failed in
+    #: one run only; the run it completed in has status ``None``.
+    one_sided_failures: dict
 
     @property
     def identical(self) -> bool:
-        """Every aggregate and every trajectory entry agrees exactly."""
-        return self.max_trajectory_diff == 0.0 and all(
-            pair["a"] == pair["b"] for pair in self.metrics.values())
+        """No init failed in one run only, and every aggregate and every
+        trajectory entry agrees exactly."""
+        return not self.one_sided_failures and \
+            self.max_trajectory_diff == 0.0 and all(
+                pair["a"] == pair["b"] for pair in self.metrics.values())
 
 
 #: ``ExperimentConfig`` fields two compared runs may differ in.
@@ -420,11 +429,13 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
     """Side-by-side statistics of two experiment directories.
 
     Requires both runs to share the scenario definition and seed; solver
-    settings may differ.  Returns per-metric aggregate pairs and the largest
-    recorded trajectory difference.  A ``meta.json`` that is not JSON or
-    lacks a ``config`` and ``aggregates`` object, or a ``trajectories.csv``
-    without the ``init, time, agent`` columns, raises :class:`ValueError`
-    naming it.
+    settings may differ.  Returns per-metric aggregate pairs, the inits that
+    failed in one run only (``iterations.csv``'s rows of sample ``-1``) and
+    the largest trajectory difference over the inits both runs completed.
+    A ``meta.json`` that is not JSON or lacks a ``config`` and
+    ``aggregates`` object, an ``iterations.csv`` without the ``init,
+    sample, status`` columns, or a ``trajectories.csv`` without the
+    ``init, time, agent`` columns, raises :class:`ValueError` naming it.
     """
     run_a, run_b = Path(run_a), Path(run_b)
     metas = []
@@ -461,7 +472,22 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
                     {c: float(row[c]) for c in columns if row[c] != ""}
                     for row in reader}
 
-    ta, tb = _read_traj(run_a), _read_traj(run_b)
+    def _failed(run):
+        path = run / "iterations.csv"
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if (reader.fieldnames or [])[:3] != ["init", "sample", "status"]:
+                raise ValueError(f"{path}: lacks the init, sample and status "
+                                 f"columns")
+            return {row["init"]: row["status"] for row in reader
+                    if row["sample"] == "-1"}
+
+    fa, fb = _failed(run_a), _failed(run_b)
+    one_sided = {init: {"a": fa.get(init), "b": fb.get(init)}
+                 for init in sorted(fa.keys() ^ fb.keys(), key=int)}
+    failed = fa.keys() | fb.keys()
+    ta, tb = ({key: row for key, row in _read_traj(run).items()
+               if key[0] not in failed} for run in (run_a, run_b))
     if set(ta) != set(tb):
         raise ValueError("trajectory tables do not align")
     diff = 0.0
@@ -471,7 +497,8 @@ def compare_runs(run_a, run_b) -> ComparisonResult:
             raise ValueError("trajectory tables do not align")
         for c, value in va.items():
             diff = max(diff, abs(value - vb[c]))
-    return ComparisonResult(metrics=metrics, max_trajectory_diff=diff)
+    return ComparisonResult(metrics=metrics, max_trajectory_diff=diff,
+                            one_sided_failures=one_sided)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -537,6 +564,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for init, status in comparison.one_sided_failures.items():
+        run = args.run_a if status["a"] else args.run_b
+        print(f"init {init} failed only in {run}: "
+              f"{status['a'] or status['b']}")
     for metric, pair in comparison.metrics.items():
         print(f"{metric}: {pair['a']} vs {pair['b']}")
     print(f"max trajectory difference: {comparison.max_trajectory_diff:.3e}")

@@ -41,8 +41,9 @@ from .errors import IndefiniteReducedHessian, RankDeficientWorkingSet
 
 #: Cholesky pivots of the reduced Hessian below this threshold fail the solve.
 PIVOT_TOL = 1e-12
-#: Working-set factors one :class:`FactorCache` keeps; the oldest goes first.
-MAX_FACTORS = 256
+#: Working-set factors one :class:`FactorCache` keeps; the least recently
+#: used goes first.
+MAX_FACTORS = 32
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,11 @@ class FactorCache:
     (``hessian``, ``eq_matrix``) and plans (``bounds``, ``coupled``) of the
     QP it was made for; :class:`~dmpcqp.qp_builder.AgentQP` starts a fresh
     cache for a QP that does not share them.  Beyond :data:`MAX_FACTORS`
-    entries the oldest is dropped.  It also holds the two per-structure
-    maps every factor reads, ``C_x^{-1}`` and the states' response
-    ``W = C_x^{-1} C_eq`` to the inputs and copies, and ``augmented``:
-    ADMM's augmented QP of this structure per penalty weight, which has a
-    cache of its own.
+    entries the least recently used is dropped.  It also holds the two
+    per-structure maps every factor reads, ``C_x^{-1}`` and the states'
+    response ``W = C_x^{-1} C_eq`` to the inputs and copies, and
+    ``augmented``: ADMM's augmented QP of this structure per penalty
+    weight, which has a cache of its own.
     """
 
     def __init__(self, qp):
@@ -170,7 +171,11 @@ class FactorCache:
         return len(self._factors)
 
     def get(self, active: tuple[int, ...]) -> WorkingSetFactor | None:
-        return self._factors.get(active)
+        """The factor of ``active``, moved to the most recently used end."""
+        factor = self._factors.pop(active, None)
+        if factor is not None:
+            self._factors[active] = factor
+        return factor
 
     def put(self, active: tuple[int, ...], factor: WorkingSetFactor) -> None:
         if len(self._factors) >= MAX_FACTORS:

@@ -13,96 +13,72 @@ process; agents are evaluated sequentially but the reduction order is fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 from .errors import CommAccountingError, FabricDeadlock
 
 PHASES = ("init", "dcg", "asm", "admm")
 
 
-@dataclass
-class PhaseCounters:
+class PhaseCounters(NamedTuple):
     """Message counts charged under a single phase."""
 
     global_floats: int = 0
     global_booleans: int = 0
     local_floats: int = 0
 
-    def copy(self) -> "PhaseCounters":
-        return PhaseCounters(self.global_floats, self.global_booleans,
-                             self.local_floats)
-
-    def as_dict(self) -> dict:
-        return {
-            "global_floats": self.global_floats,
-            "global_booleans": self.global_booleans,
-            "local_floats": self.local_floats,
-        }
-
 
 class CommLedger:
     """Monotone counters of exchanged values, broken down by phase.
 
     Global counts cover agent-to-coordinator traffic (both directions),
-    local counts cover neighbor-to-neighbor payload entries.
+    local counts cover neighbor-to-neighbor payload entries.  Each phase's
+    counts are one immutable :class:`PhaseCounters`, replaced on a charge.
     """
 
     def __init__(self):
-        self._phases = {p: PhaseCounters() for p in PHASES}
+        self._phases = dict.fromkeys(PHASES, PhaseCounters())
 
     def charge(self, phase, *, global_floats=0, global_booleans=0, local_floats=0):
         if phase not in self._phases:
             raise ValueError(f"unknown phase {phase!r}")
         if min(global_floats, global_booleans, local_floats) < 0:
             raise ValueError("ledger charges must be non-negative")
-        ctr = self._phases[phase]
-        ctr.global_floats += int(global_floats)
-        ctr.global_booleans += int(global_booleans)
-        ctr.local_floats += int(local_floats)
+        gf, gb, lf = self._phases[phase]
+        self._phases[phase] = PhaseCounters(
+            gf + int(global_floats), gb + int(global_booleans),
+            lf + int(local_floats))
 
     def phase(self, phase) -> PhaseCounters:
         return self._phases[phase]
 
-    @property
-    def global_floats(self) -> int:
-        return sum(c.global_floats for c in self._phases.values())
+    def total(self) -> PhaseCounters:
+        """The counts summed over all phases."""
+        return PhaseCounters(*map(sum, zip(*self._phases.values())))
 
-    @property
-    def global_booleans(self) -> int:
-        return sum(c.global_booleans for c in self._phases.values())
-
-    @property
-    def local_floats(self) -> int:
-        return sum(c.local_floats for c in self._phases.values())
+    global_floats = property(lambda self: self.total().global_floats)
+    global_booleans = property(lambda self: self.total().global_booleans)
+    local_floats = property(lambda self: self.total().local_floats)
 
     def snapshot(self) -> "CommLedger":
         out = CommLedger()
-        for p, ctr in self._phases.items():
-            out._phases[p] = ctr.copy()
+        out._phases = dict(self._phases)
         return out
 
     def delta(self, since: "CommLedger") -> "CommLedger":
         """Counts accumulated after ``since`` was snapshotted."""
         out = CommLedger()
-        for p in PHASES:
-            a, b = self._phases[p], since._phases[p]
-            d = PhaseCounters(
-                a.global_floats - b.global_floats,
-                a.global_booleans - b.global_booleans,
-                a.local_floats - b.local_floats,
-            )
-            if min(d.global_floats, d.global_booleans, d.local_floats) < 0:
-                raise ValueError("ledger delta would be negative")
-            out._phases[p] = d
+        out._phases = {
+            p: PhaseCounters(*map(operator.sub, c, since._phases[p]))
+            for p, c in self._phases.items()}
+        if min(map(min, out._phases.values())) < 0:
+            raise ValueError("ledger delta would be negative")
         return out
 
     def as_dict(self) -> dict:
-        out = {p: c.as_dict() for p, c in self._phases.items()}
-        out["total"] = {
-            "global_floats": self.global_floats,
-            "global_booleans": self.global_booleans,
-            "local_floats": self.local_floats,
-        }
+        out = {p: c._asdict() for p, c in self._phases.items()}
+        out["total"] = self.total()._asdict()
         return out
 
 
@@ -187,16 +163,17 @@ def verify_comm_identities(delta, n_agents, n_coupling, *, dcg_iterations=0,
     """
     M = int(n_agents)
     expected = {
-        "dcg": (4 * M * dcg_iterations, 2 * M * dcg_iterations,
-                2 * n_coupling * dcg_iterations),
-        "asm": (2 * M * asm_iterations, 2 * M * asm_iterations, 0),
-        "admm": (0, 2 * M * admm_iterations, 2 * n_coupling * admm_iterations),
+        "dcg": PhaseCounters(4 * M * dcg_iterations, 2 * M * dcg_iterations,
+                             2 * n_coupling * dcg_iterations),
+        "asm": PhaseCounters(2 * M * asm_iterations, 2 * M * asm_iterations),
+        "admm": PhaseCounters(0, 2 * M * admm_iterations,
+                              2 * n_coupling * admm_iterations),
     }
-    for phase, (gf, gb, lf) in expected.items():
+    for phase, want in expected.items():
         got = delta.phase(phase)
-        if (got.global_floats, got.global_booleans, got.local_floats) != (gf, gb, lf):
+        if got != want:
             raise CommAccountingError(
-                f"phase {phase}: measured ({got.global_floats}, "
-                f"{got.global_booleans}, {got.local_floats}) != expected "
-                f"({gf}, {gb}, {lf}) for iterations "
-                f"dcg={dcg_iterations} asm={asm_iterations} admm={admm_iterations}")
+                "phase {}: measured ({}, {}, {}) != expected ({}, {}, {}) "
+                "for iterations dcg={} asm={} admm={}".format(
+                    phase, *got, *want, dcg_iterations, asm_iterations,
+                    admm_iterations))

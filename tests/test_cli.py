@@ -272,6 +272,36 @@ def test_compare_exit_code_flags_differing_runs(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 0
 
 
+def test_compare_names_an_init_failed_in_one_run(tmp_path, monkeypatch,
+                                                 capsys):
+    """An init that failed in one run only is named with its status and
+    makes the runs differ (exit 1); the trajectories are compared over the
+    inits both runs completed."""
+    run_experiment(_small_cfg(tmp_path / "a"))
+    closed_loop = dmpcqp.cli._closed_loop_distributed
+    calls = []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("injected failure")
+        return closed_loop(*args)
+
+    monkeypatch.setattr(dmpcqp.cli, "_closed_loop_distributed", fail_second)
+    assert run_experiment(_small_cfg(tmp_path / "b")).failures == 1
+    status = {"a": None, "b": "error: injected failure"}
+    for a, b in (("a", "b"), ("b", "a")):
+        cmp = compare_runs(tmp_path / a, tmp_path / b)
+        assert cmp.one_sided_failures == {"1": {"a": status[a],
+                                                "b": status[b]}}
+        assert cmp.max_trajectory_diff == 0.0
+        assert not cmp.identical
+        assert main(["compare", str(tmp_path / a), str(tmp_path / b)]) == 1
+        assert f"init 1 failed only in {tmp_path / 'b'}: {status['b']}" in \
+            capsys.readouterr().out
+    assert main(["compare", str(tmp_path / "b"), str(tmp_path / "b")]) == 0
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("small") / "run"
@@ -298,8 +328,11 @@ def _rewrite_rows(path, edit):
     ("trajectories.csv",
      lambda p: _rewrite_rows(p, lambda rows: rows[:1] + [rows[1][:4]]
                              + rows[2:]), "do not align"),
+    ("iterations.csv",
+     lambda p: _rewrite_rows(p, lambda rows: [r[1:] for r in rows]), None),
 ], ids=["meta-without-config", "meta-list", "meta-not-json",
-        "trajectories-without-keys", "trajectories-short-row"])
+        "trajectories-without-keys", "trajectories-short-row",
+        "iterations-without-keys"])
 def test_compare_exits_2_on_a_malformed_run(tmp_path, capsys, small_run,
                                             name, spoil, message):
     """A broken run directory is an error, not a difference: ``compare``
@@ -435,11 +468,21 @@ def test_malformed_network_file_exits_with_2(tmp_path, capsys):
         load_network(tmp_path / "missing.json")
     files = [path, tmp_path / "missing.json"]
     doc["agents"][0]["A_in"] = [1.0]
-    for i, bad in enumerate(({"agents": 5}, {"agents": [[1.0]]}, doc)):
+    # a matrix, or an A_in block, given as an object
+    self_object = json.loads(path.read_text())
+    self_object["agents"][0]["A_self"] = {}
+    block_object = json.loads(path.read_text())
+    block_object["agents"][0]["A_in"] = {"1": {}}
+    for i, bad in enumerate(({"agents": 5}, {"agents": [[1.0]]}, doc,
+                             self_object, block_object)):
         files.append(tmp_path / f"bad{i}.json")
         files[-1].write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="must be"):
             load_network(files[-1])
+    for bad, label in zip(files[-2:], ("A_self", "A_in[1]")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"network file {bad}: agent 0: {label} must be")):
+            load_network(bad)
     # a NaN or infinite entry in any matrix or bound names it
     save_network(build_chain_of_masses(3), tmp_path / "chain.json")
     doc = json.loads((tmp_path / "chain.json").read_text())

@@ -490,7 +490,11 @@ def test_factor_cache_drops_its_oldest_entry_beyond_the_bound(monkeypatch):
     qp = build_network_qps(net, 4, random_x0(rng, net))[1]
     sets = [(0,), (1,), (2,)]
     made = [condense(qp, working_constraints(qp, a)).factor
-            for a in sets]
+            for a in sets[:2]]
+    # a hit makes its set the most recently used, so the other one goes
+    assert qp.factors.get(sets[0]) is made[0]
+    made.append(condense(qp, working_constraints(qp, sets[2])).factor)
     assert len(qp.factors) == 2
-    assert qp.factors.get(sets[0]) is None
+    assert qp.factors.get(sets[1]) is None
+    assert qp.factors.get(sets[0]) is made[0]
     assert qp.factors.get(sets[2]) is made[2]

@@ -48,7 +48,7 @@ def test_condense_is_the_submodule():
     import dmpcqp.condense as m
 
     assert isinstance(m, types.ModuleType)
-    assert m.MAX_FACTORS == 256
+    assert m.MAX_FACTORS == 32
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
