@@ -66,8 +66,12 @@ class AdmmConfig:
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, (int, np.integer))
+                and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 1):
+            raise ValueError(
+                f"max_iter must be an integer of at least 1, got "
+                f"{self.max_iter!r}")
 
     @classmethod
     def preset(cls, name: str, rho: float = 1.0) -> "AdmmConfig":

@@ -67,6 +67,7 @@ class AsmConfig:
                     f"{name} must be finite and positive, got {value}")
         if self.max_outer is not None and not (
                 isinstance(self.max_outer, (int, np.integer))
+                and not isinstance(self.max_outer, bool)
                 and self.max_outer >= 1):
             raise ValueError(
                 f"max_outer must be an integer of at least 1, got "

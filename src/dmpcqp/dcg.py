@@ -15,7 +15,10 @@ the first iteration is charged to the ``init`` phase.
 The simulation stores all agents' local vectors end to end, agent ``i``'s
 entries in its segment, so a neighbor exchange is one gather.  Every
 product and dot product an agent forms is still one call on its own
-segment.
+segment, in the same order as a solver with one state per agent, so the
+multipliers match such a solver bit for bit.  A solve makes its flat
+buffers, each agent's views of them and the starts of the flag reduction
+once, in :class:`DcgState`, and every round updates the buffers in place.
 
 The solver takes one condensed agent per agent
 (:class:`~dmpcqp.condense.CondensedAgent`) and reads only its ``rows``
@@ -41,7 +44,14 @@ from .qp_builder import segment_max
 
 @dataclass
 class DcgState:
-    """All agents' CG vectors, agent ``i``'s entries in ``segments[i]``."""
+    """All agents' CG vectors, agent ``i``'s entries in ``segments[i]``.
+
+    The buffers are the solve's own and are updated in place: ``scratch``
+    holds each round's temporaries (half the residual, the multiplier step,
+    the residual's magnitudes) and ``product`` the agents' Schur products.
+    ``views[i]`` are agent ``i``'s segments of ``residual``, ``scratch``,
+    ``direction`` and ``product``, made once, here.
+    """
 
     schurs: list[np.ndarray]
     segments: list[slice]
@@ -51,13 +61,30 @@ class DcgState:
     eta: float = 0.0
     iteration: int = 0
 
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.residual)
+        self.product = np.empty_like(self.residual)
+        self.views = [tuple(v[seg] for v in (self.residual, self.scratch,
+                                             self.direction, self.product))
+                      for seg in self.segments]
+        # reduceat takes the flags of agents with rows in one call;
+        # segment_max also handles agents without
+        self.starts = (np.array([seg.start for seg in self.segments])
+                       if all(seg.stop > seg.start for seg in self.segments)
+                       else None)
+
     def flags(self, eps: float) -> list[bool]:
         """Each agent's ``||r_i||_inf < eps``, ``0 < eps`` for no rows."""
-        return (segment_max(np.abs(self.residual), self.segments)
-                < eps).tolist()
+        top = np.abs(self.residual, out=self.scratch)
+        if self.starts is None:
+            top = segment_max(top, self.segments)
+        else:
+            top = np.maximum.reduceat(top, self.starts)
+        return (top < eps).tolist()
 
     def lambdas(self) -> list[np.ndarray]:
-        return [self.lam[seg] for seg in self.segments]
+        """Each agent's multiplier, a copy the next round leaves alone."""
+        return [self.lam[seg].copy() for seg in self.segments]
 
 
 @dataclass(frozen=True)
@@ -113,20 +140,19 @@ def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
     # every row is shared by exactly two agents, so each local share of the
     # residual norm carries weight one half; ndarray.dot makes the BLAS call
     # of ``@`` with less dispatch
-    half = 0.5 * s.residual
-    eta = fabric.global_reduce([s.residual[seg].dot(half[seg])
-                                for seg in s.segments], op="sum", phase="dcg")
+    np.multiply(s.residual, 0.5, out=s.scratch)
+    eta = fabric.global_reduce([r.dot(half) for r, half, _, _ in s.views],
+                               op="sum", phase="dcg")
     if s.iteration == 0:
-        s.direction = s.residual.copy()
+        np.copyto(s.direction, s.residual)
     else:
-        beta = eta / s.eta if s.eta > 0.0 else 0.0
-        s.direction = s.residual + beta * s.direction
+        s.direction *= eta / s.eta if s.eta > 0.0 else 0.0
+        s.direction += s.residual
     s.eta = eta
 
-    products = [schur.dot(s.direction[seg])
-                for schur, seg in zip(s.schurs, s.segments)]
-    sigma = fabric.global_reduce([s.direction[seg].dot(t) for seg, t in
-                                  zip(s.segments, products)],
+    for schur, (_, _, d, p) in zip(s.schurs, s.views):
+        schur.dot(d, p)
+    sigma = fabric.global_reduce([d.dot(p) for _, _, d, p in s.views],
                                  op="sum", phase="dcg")
     if sigma <= 0.0:
         # Zero or negative curvature is fatal unless the residual is already
@@ -141,10 +167,11 @@ def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
         step = eta / sigma
         forced = False
 
-    product = np.concatenate(products)
-    total = product + fabric.neighbor_exchange(product, partner, phase="dcg")
-    s.lam = s.lam + step * s.direction
-    s.residual = s.residual - step * total
+    total = fabric.neighbor_exchange(s.product, partner, phase="dcg")
+    total += s.product
+    s.lam += np.multiply(s.direction, step, out=s.scratch)
+    total *= step
+    s.residual -= total
     s.iteration += 1
     return fabric.global_flags(s.flags(eps), phase="dcg") or forced
 

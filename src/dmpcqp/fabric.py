@@ -9,6 +9,11 @@ communication footprints and verify per-iteration accounting identities.
 The fabric simulates one synchronous round per collective call inside one
 process; agents are evaluated sequentially but the reduction order is fixed
 (ascending agent index) so results do not depend on scheduling.
+
+Every count reaches the ledger through one path, ``CommLedger._add``: the
+public :meth:`CommLedger.charge` calls it after checking the phase and the
+counts a caller gives, and the fabric's rounds call it directly with the
+counts they compute themselves.
 """
 
 from __future__ import annotations
@@ -45,10 +50,17 @@ class CommLedger:
             raise ValueError(f"unknown phase {phase!r}")
         if min(global_floats, global_booleans, local_floats) < 0:
             raise ValueError("ledger charges must be non-negative")
-        gf, gb, lf = self._phases[phase]
+        self._add(phase, int(global_floats), int(global_booleans),
+                  int(local_floats))
+
+    def _add(self, phase, global_floats, global_booleans, local_floats):
+        """Add counts known to be non-negative integers to ``phase``."""
+        try:
+            gf, gb, lf = self._phases[phase]
+        except KeyError:
+            raise ValueError(f"unknown phase {phase!r}") from None
         self._phases[phase] = PhaseCounters(
-            gf + int(global_floats), gb + int(global_booleans),
-            lf + int(local_floats))
+            gf + global_floats, gb + global_booleans, lf + local_floats)
 
     def phase(self, phase) -> PhaseCounters:
         return self._phases[phase]
@@ -112,7 +124,7 @@ class Fabric:
         ``2 * n_agents`` global floats (up and down).
         """
         self._require_all(values, "global_reduce")
-        self.ledger.charge(phase, global_floats=2 * self.n_agents)
+        self.ledger._add(phase, 2 * self.n_agents, 0, 0)
         self.round_index += 1
         if op == "sum":
             total = 0.0
@@ -132,7 +144,7 @@ class Fabric:
     def global_flags(self, flags, phase="dcg"):
         """Boolean AND across agents; charges ``2 * n_agents`` booleans."""
         self._require_all(flags, "global_flags")
-        self.ledger.charge(phase, global_booleans=2 * self.n_agents)
+        self.ledger._add(phase, 0, 2 * self.n_agents, 0)
         self.round_index += 1
         return all(bool(f) for f in flags)
 
@@ -145,7 +157,7 @@ class Fabric:
         ``source.size`` local floats.
         """
         delivered = values[source]
-        self.ledger.charge(phase, local_floats=source.size)
+        self.ledger._add(phase, 0, 0, source.size)
         self.round_index += 1
         return delivered
 

@@ -280,6 +280,16 @@ def test_tolerances_must_be_finite_and_positive(name, bad):
         AdmmConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("bad", [2.5, 0, -1, "3", None, True, False])
+def test_iteration_cap_must_be_an_integer_of_at_least_one(bad):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        AdmmConfig(max_iter=bad)
+
+
+def test_iteration_cap_accepts_numpy_integers():
+    assert AdmmConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_decoupled_agent_ignores_penalty():
     rng = np.random.default_rng(231)
     net = _directed_pair(rng, extra_isolated=True)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dmpcqp import (Fabric, build_network_qps, build_partner,
                     working_constraints)
+from dmpcqp.cli import sample_initial_states
 from dmpcqp.condense import condense
 from dmpcqp.dcg import dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
@@ -289,6 +290,60 @@ def test_flat_solver_matches_reference_bit_for_bit(seed, n_agents, horizon,
         got = outcome(dcg_solve, pieces, plan.partner, lam0, eps)
         want = outcome(dcg_reference.dcg_solve, pieces, overlaps, lam0, eps)
         assert got == want
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("working", ["empty", "random"])
+def test_flat_solver_matches_reference_at_benchmark_size(chain10, working,
+                                                         warm):
+    """The benchmark's own system, 10 masses at horizon 12: an interior
+    agent holds 96 coupling rows, where BLAS takes its blocked kernels."""
+    rng = np.random.default_rng(2024)
+    qps = build_network_qps(chain10, 12, sample_initial_states(
+        chain10, rng, y0_range=1.0, v0_range=0.5))
+    pieces = [condense(qp, working_constraints(
+        qp, random_working_set(rng, qp) if working == "random" else []))
+        for qp in qps]
+    assert max(p.rows.size for p in pieces) == 96
+    lam0 = None
+    if warm:
+        shared = rng.normal(size=qps[0].n_coupling)
+        lam0 = [shared[p.rows] for p in pieces]
+    overlaps = dcg_reference.build_overlaps([p.rows for p in pieces])
+    for eps in (1e-8, 1e-300):
+        got = outcome(dcg_solve, pieces, qps[0].coupling.partner, lam0, eps)
+        want = outcome(dcg_reference.dcg_solve, pieces, overlaps, lam0, eps)
+        assert got == want
+
+
+def test_multipliers_own_their_data():
+    """Multipliers handed out stay as they were while the solver goes on:
+    the state's buffers are updated in place."""
+    rng = np.random.default_rng(103)
+    pieces = random_pieces(rng, n_agents=4, n_rows=12)
+    partner = partner_of(pieces)
+    fab = Fabric(4)
+    state = dcg_init(pieces, partner, None, fab)
+    dcg_iterate(state, partner, fab, eps=1e-300)
+    kept = state.lambdas()
+    before = [l.tobytes() for l in kept]
+    dcg_iterate(state, partner, fab, eps=1e-300)
+    assert [l.tobytes() for l in state.lambdas()] != before
+    assert [l.tobytes() for l in kept] == before
+
+    res = dcg_solve(pieces, partner, None, 1e-10, fab)
+    with pytest.raises(DcgIterationLimit) as limit:
+        dcg_solve(pieces, partner, None, 1e-300, fab)
+    for lambdas in (res.lambdas, limit.value.lambdas):
+        before = [l.tobytes() for l in lambdas]
+        # warm-started from them, and run to the cap
+        with pytest.raises(DcgIterationLimit) as again:
+            dcg_solve(pieces, partner, lambdas, 1e-300, fab)
+        assert [l.tobytes() for l in lambdas] == before
+        assert not any(np.shares_memory(a, b)
+                       for a in lambdas for b in again.value.lambdas)
+        assert not any(np.shares_memory(lambdas[i], lambdas[j])
+                       for i in range(4) for j in range(i))
 
 
 def test_iteration_limit_carries_the_last_iterate():
