@@ -19,6 +19,13 @@ run's number of experiment passes, read from the checkout's
 the passes a run keeps), and the distinct numeric environments the runs
 reported (``perfbench/run.py`` pins the BLAS thread
 variables to 1, and each environment records the values it used).
+
+When ``--out`` names an existing report made with the same ``PAIRS`` and
+command, this invocation's (seed, workload) cells are added to it, so one
+record can hold cells run by several invocations (say, two seeds of one
+workload and one of another).  The script exits 2 before running anything
+when one of its cells is already in that report, or when the file holds
+anything else.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from pathlib import Path
 
 SIDES = ("before", "after")
 PAIRS = 10
+COMMAND = "perfbench/run.py --trace 0"
 
 
 def parse_args(argv):
@@ -84,11 +92,33 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return metrics
 
 
+def load_report(out: Path, seeds, workloads) -> dict:
+    """The report to add the cells to: the one at ``out``, or a new one
+    when there is no file.  Raises ``ValueError`` when the file holds
+    another report or one of the cells."""
+    if not out.exists():
+        return {"pairs": PAIRS, "command": COMMAND, "seeds": {}}
+    report = json.loads(out.read_text())
+    if not isinstance(report, dict) or (
+            report.get("pairs"), report.get("command")) != (PAIRS, COMMAND):
+        raise ValueError(f"{out} is not a report of {PAIRS} pairs of "
+                         f"{COMMAND!r}")
+    taken = [f"seed {seed} {workload}" for seed in seeds
+             for workload in workloads
+             if workload in report["seeds"].get(str(seed), {})]
+    if taken:
+        raise ValueError(f"{out} already holds {', '.join(taken)}")
+    return report
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
-    report = {"pairs": PAIRS, "command": "perfbench/run.py --trace 0",
-              "seeds": {}}
+    try:
+        report = load_report(args.out, args.seed, args.workload)
+    except ValueError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
     for seed in args.seed:
         for workload in args.workload:
             runs = {side: [] for side in SIDES}

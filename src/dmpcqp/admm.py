@@ -20,6 +20,16 @@ and their factors are kept for the whole closed loop.  As in
 :mod:`~dmpcqp.dcg`, all agents' coupling values and multipliers are kept on
 the flat layout of the network's coupling plan
 (:class:`~dmpcqp.qp_builder.CouplingIndex`), and their iterates stacked.
+
+Most local solves start from an empty working set and end there after one
+iteration, so that first iteration is taken for all such agents at once
+(:class:`FirstRoundScreen`): each agent forms its equality-only minimizer
+into its block of the stacked iterate by its own gemv, and one stacked
+bound check gives every agent its largest violation.  An agent none of
+whose bounds is violated is done; any other runs its local active-set
+loop as before.  The stacked bound rows are made once per solve, and the
+coupling plan's index data once per network, so every iteration does the
+same arithmetic, in the same order, as one local solve per agent.
 """
 
 from __future__ import annotations
@@ -138,15 +148,23 @@ class LocalQpSolver:
             self._last = (active, factor, factor.stationary_point(work.rhs))
         return self._last[1:]
 
-    def solve(self, g_lin: np.ndarray,
-              warm_active: Sequence[int] = ()) -> tuple[np.ndarray, tuple, int]:
+    def solve(self, g_lin: np.ndarray, warm_active: Sequence[int] = (),
+              screened: tuple[np.ndarray, float] | None = None
+              ) -> tuple[np.ndarray, tuple, int]:
         """Return ``(z, active, iterations)`` for linear term ``g_lin``.
 
         Bounds are activated, most violated first, until the working-set
         minimizer is feasible; that point goes straight to the dual check.
         ``warm_active`` is taken as given, as the set a previous solve
-        returned: distinct, independent rows.
+        returned: distinct, independent rows.  With an empty
+        ``warm_active``, ``screened`` may give the first iteration's
+        minimizer and its largest bound violation, as
+        :class:`FirstRoundScreen` forms them; when no bound exceeds
+        :data:`~dmpcqp.asm.VIOLATION_TOL` that minimizer is returned at
+        once, and otherwise (a NaN too) the solve runs as without it.
         """
+        if screened is not None and screened[1] <= VIOLATION_TOL:
+            return screened[0], (), 1
         local = self.local
         active = list(warm_active)
         z = None
@@ -182,15 +200,61 @@ class LocalQpSolver:
                            f"exceeded {LOCAL_MAX_ITER} iterations")
 
 
+class FirstRoundScreen:
+    """The first local iteration of every agent with an empty warm set,
+    on the agents' stacked iterate.
+
+    Each such agent writes its equality-only minimizer ``offset + gain @
+    g`` into its block by its own gemv, as :meth:`LocalQpSolver.solve`
+    forms it; one gather, subtract and ``np.maximum.reduceat`` over all
+    agents' bound rows then gives each agent the largest violation of its
+    bounds there (``0`` without bound rows, NaN if a row's value is NaN).
+    The stacked bound rows are made once, here.
+    """
+
+    def __init__(self, solvers: Sequence[LocalQpSolver],
+                 blocks: Sequence[slice]):
+        self.solvers, self.blocks = solvers, blocks
+        local = [s.local for s in solvers]
+        self.cols = np.concatenate([b.start + qp.bounds.cols
+                                    for qp, b in zip(local, blocks)])
+        self.signs = np.concatenate([qp.bounds.signs for qp in local])
+        self.rhs = np.concatenate([qp.ineq_rhs for qp in local])
+        ends = np.cumsum([0] + [qp.n_ineq for qp in local]).tolist()
+        self.segments = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        # reduceat takes every agent's maximum in one call when all have
+        # bound rows; segment_max also handles agents without
+        self.starts = (np.array(ends[:-1])
+                       if all(qp.n_ineq for qp in local) else None)
+
+    def __call__(self, g: np.ndarray, z: np.ndarray,
+                 cold: Sequence[int]) -> list[float]:
+        """Write the first minimizer of each agent in ``cold`` into its
+        block of ``z`` and return every agent's largest bound violation at
+        ``z``."""
+        for i in cold:
+            factor, offset = self.solvers[i].working_set(())
+            block = self.blocks[i]
+            # ndarray.dot makes the BLAS call of ``@`` with less dispatch,
+            # and adding the offset second changes no bit
+            out = z[block]
+            factor.gain.dot(g[block], out)
+            out += offset
+        viol = self.signs * z[self.cols]
+        viol -= self.rhs
+        return (segment_max(viol, self.segments) if self.starts is None
+                else np.maximum.reduceat(viol, self.starts)).tolist()
+
+
 def local_linear_term(plan, z_bar: np.ndarray, lam: np.ndarray,
                       rho: float) -> np.ndarray:
     """The augmented QPs' linear terms ``Cc' lam - rho Cc' Cc z_avg``,
     stacked, from the averaged values ``z_bar`` on the plan's flat layout;
     each agent's summed in row order, as ``AgentCoupling.scatter`` does."""
-    size = sum(a.size for a in plan.agents)
     # an empty bincount is an integer array whatever the weights
     return np.bincount(plan.columns, plan.signs * (lam - rho * (
-        plan.signs * z_bar)), minlength=size).astype(float, copy=False)
+        plan.signs * z_bar)), minlength=plan.stacked_size).astype(
+            float, copy=False)
 
 
 def admm_average(plan, z: np.ndarray, fabric: Fabric) -> np.ndarray:
@@ -203,9 +267,8 @@ def admm_average(plan, z: np.ndarray, fabric: Fabric) -> np.ndarray:
     sent back to every copier.  Both exchanges are charged to the ``admm``
     phase.  ``z`` and the returned averages are on the plan's flat layout.
     """
-    owned, slots, n_copies = plan.owned, plan.slots, plan.n_copies
-    # the copies' entries, row by row with the owned ones
-    copied = plan.partner[owned]
+    owned, copied = plan.owned, plan.copied
+    slots, n_copies = plan.slots, plan.n_copies
     copies = fabric.neighbor_exchange(z, copied, phase="admm")
     total = np.empty(n_copies.size)
     total[slots] = z[owned]
@@ -239,8 +302,10 @@ def admm_converged(plan, z, z_bar, z_prev, lam, rho, eps_primal,
     # the coupling images are the entries times signs of +-1, which changes
     # no magnitude, and rounding is monotone, so the largest rho |dz| is
     # rho times the largest |dz|
-    primal, top_z, top_avg, step, top_lam = segment_max(np.abs(np.stack([
-        z - z_bar, z, z_bar, z - z_prev, lam])), plan.segments)
+    values = np.abs(np.array([z - z_bar, z, z_bar, z - z_prev, lam]))
+    primal, top_z, top_avg, step, top_lam = (
+        segment_max(values, plan.segments) if plan.segment_starts is None
+        else np.maximum.reduceat(values, plan.segment_starts, axis=-1))
     scale_p = np.minimum(np.maximum(top_z, top_avg), 1.0)
     scale_d = np.minimum(top_lam, 1.0)
     return ((primal <= eps_primal * scale_p)
@@ -291,6 +356,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
     # all agents' iterates stacked; each local solve writes its block
     ends = np.cumsum([0] + [qp.size for qp in qps]).tolist()
     blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    screen = FirstRoundScreen(solvers, blocks)
     z = np.zeros(ends[-1])
     z_bar = (np.zeros(plan.columns.size) if z_avg0 is None
              else np.asarray(z_avg0, dtype=float))
@@ -299,8 +365,11 @@ def admm_solve(qps, fabric: Fabric | None = None,
     z_prev = None
     for iterations in range(1, cfg.max_iter + 1):
         g = local_linear_term(plan, z_bar, lam, cfg.rho)
+        worst = screen(g, z, [i for i, w in enumerate(warm) if not w])
         for i, (solver, block) in enumerate(zip(solvers, blocks)):
-            z[block], warm[i], its = solver.solve(g[block], warm[i])
+            screened = None if warm[i] else (z[block], worst[i])
+            z[block], warm[i], its = solver.solve(g[block], warm[i],
+                                                  screened)
             stats.local_asm_iterations += its
         entries = z[plan.columns]
         z_bar = admm_average(plan, entries, fabric)

@@ -59,8 +59,10 @@ class CommLedger:
             gf, gb, lf = self._phases[phase]
         except KeyError:
             raise ValueError(f"unknown phase {phase!r}") from None
-        self._phases[phase] = PhaseCounters(
-            gf + global_floats, gb + global_booleans, lf + local_floats)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__, which
+        # costs more than the rest of a charge
+        self._phases[phase] = tuple.__new__(PhaseCounters, (
+            gf + global_floats, gb + global_booleans, lf + local_floats))
 
     def phase(self, phase) -> PhaseCounters:
         return self._phases[phase]

@@ -143,12 +143,16 @@ class CouplingIndex:
     agent's entries of its rows; ``segments[i]`` are agent ``i``'s, and
     ``partner`` (see :func:`build_partner`) maps each entry to the same row
     at its other holder; entry ``e`` reads ``signs[e]`` times column
-    ``columns[e]`` of the agents' stacked decision vectors.  For ADMM,
-    ``owned`` are the owners' entries (ascending), ``slots[k]`` numbers the
-    owned state that ``owned[k]`` reads, ``n_copies`` counts each slot's
-    copiers, and ``shift_src[e]`` is the stacked column entry ``e`` reads
-    one stage later (the owner's last stage reads its terminal state, and
-    a copier's last stage, with no later stage, is ``-1``).
+    ``columns[e]`` of the agents' stacked decision vectors, which are
+    ``stacked_size`` long.  ``segment_starts`` are the segments' starts for
+    ``np.maximum.reduceat``, or ``None`` when some agent has no rows (then
+    :func:`segment_max` takes the maxima).  For ADMM, ``owned`` are the
+    owners' entries (ascending), ``copied[k]`` the other entry of
+    ``owned[k]``'s row, ``slots[k]`` numbers the owned state that
+    ``owned[k]`` reads, ``n_copies`` counts each slot's copiers, and
+    ``shift_src[e]`` is the stacked column entry ``e`` reads one stage
+    later (the owner's last stage reads its terminal state, and a copier's
+    last stage, with no later stage, is ``-1``).
     """
 
     n_coupling: int
@@ -156,8 +160,11 @@ class CouplingIndex:
     segments: tuple[slice, ...]
     partner: np.ndarray
     columns: np.ndarray
+    stacked_size: int
+    segment_starts: np.ndarray | None
     signs: np.ndarray
     owned: np.ndarray
+    copied: np.ndarray
     slots: np.ndarray
     n_copies: np.ndarray
     shift_src: np.ndarray
@@ -198,11 +205,14 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     # one stage later is one stage width on: the owner's last stage reads
     # its terminal state, and a copy has no stage after its last
     copier_last = (signs < 0) & np.array(last, dtype=bool)[rows]
+    partner = build_partner([a.rows for a in agents])
     return CouplingIndex(
         n_coupling=len(holders), agents=tuple(agents),
         segments=tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:])),
-        partner=build_partner([a.rows for a in agents]),
-        columns=columns, signs=signs, owned=owned, slots=slots,
+        partner=partner, columns=columns, stacked_size=int(starts[-1]),
+        segment_starts=(np.array(ends[:-1])
+                        if all(a.rows.size for a in agents) else None),
+        signs=signs, owned=owned, copied=partner[owned], slots=slots,
         n_copies=n_copies,
         shift_src=np.where(copier_last, -1,
                            columns + np.array(widths, dtype=int)[rows]))

@@ -11,10 +11,14 @@ from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
                     admm_solve, asm_solve, build_chain_of_masses,
                     build_network_qps, shift_averaged, update_initial_state,
                     working_constraints)
-from dmpcqp.admm import ADMM_PRESETS, LocalQpSolver, local_linear_term
+from dmpcqp.admm import (ADMM_PRESETS, FirstRoundScreen, LocalQpSolver,
+                         local_linear_term)
 from dmpcqp.asm import VIOLATION_TOL, most_violated_bound
+from dmpcqp.cli import sample_initial_states
+from dmpcqp.condense import AgentBounds
 from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import verify_comm_identities
+from dmpcqp.model import PlantState, plant_step
 from dmpcqp.qp_builder import rollout_feasible_point, segment_max
 
 import admm_reference as ref_admm
@@ -814,3 +818,125 @@ def test_tight_boxes_pin_and_release_bounds_in_the_inner_loop():
         qps, AdmmConfig.preset("admm2", rho=5.0), 30)
     assert with_bounds > 0
     assert releases > 0
+
+
+def _closed_loop_outcomes(solve, shift, net, x0s, horizon, cfg, samples):
+    """``_solve_outcome`` of each of ``samples`` closed-loop samples: cold,
+    then warm-started from ``shift`` of the last averaged iterate, with the
+    QPs moved to the plant state the first input moves reach."""
+    qps = build_network_qps(net, horizon, x0s)
+    state = PlantState(states=tuple(x0s))
+    outcomes, warm = [], None
+    for _ in range(samples):
+        outcomes.append(_solve_outcome(solve, qps, cfg, warm))
+        res = solve(qps, Fabric(len(qps)), cfg, warm)
+        warm = shift(qps, res.z_avg)
+        state = plant_step(net, state, [z[qp.layout.u_slice(0)]
+                                        for z, qp in zip(res.z, qps)])
+        qps = [update_initial_state(qp, x)
+               for qp, x in zip(qps, state.states)]
+    return outcomes
+
+
+@pytest.mark.parametrize("n_masses, u_max, seed, cleared", [
+    (10, 1.0, 2024, (0.5, 1.0)), (5, 0.3, 7, (0.0, 0.25))])
+def test_flat_solve_matches_reference_at_benchmark_size(
+        monkeypatch, n_masses, u_max, seed, cleared):
+    """The benchmark's ADMM system (horizon 12, ``admm2`` at rho 5) from
+    the first init its seed draws: a cold solve and three warm-started
+    closed-loop samples give the per-agent reference's iterates, counts,
+    ledger and rounds.  The first-round screen finishes most local solves
+    of the 10-mass chain; on the 5-mass chain with ``u_max`` 0.3 the input
+    bounds bind and it leaves most to the local loop."""
+    net = build_chain_of_masses(n_masses, u_max=u_max)
+    x0s = sample_initial_states(net, np.random.default_rng(seed),
+                                y0_range=1.0, v0_range=0.5)
+    cfg = AdmmConfig.preset("admm2", rho=5.0)
+    solves = []
+    real_solve = LocalQpSolver.solve
+
+    def solve(self, g_lin, warm_active=(), screened=None):
+        out = real_solve(self, g_lin, warm_active, screened)
+        solves.append(screened is not None and out[0] is screened[0])
+        return out
+
+    monkeypatch.setattr(LocalQpSolver, "solve", solve)
+    got = _closed_loop_outcomes(admm_solve, shift_averaged, net, x0s, 12,
+                                cfg, 4)
+    assert cleared[0] < np.mean(solves) < cleared[1]
+    want = _closed_loop_outcomes(ref_admm.admm_solve, _reference_shift, net,
+                                 x0s, 12, cfg, 4)
+    assert got == want
+
+
+def _screened_and_plain_solves(qps, g):
+    """Every agent's local solve of its block of ``g`` from an empty warm
+    set, given :class:`FirstRoundScreen`'s first round and without it, by
+    fresh solvers, and the screen's largest violations."""
+    rho = 5.0
+    ends = np.cumsum([0] + [qp.size for qp in qps]).tolist()
+    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    solvers = [LocalQpSolver(qp, rho) for qp in qps]
+    z = np.full(ends[-1], np.nan)
+    worst = FirstRoundScreen(solvers, blocks)(g, z, range(len(qps)))
+    screened = [s.solve(g[b], (), (z[b], w))
+                for s, b, w in zip(solvers, blocks, worst)]
+    plain = [LocalQpSolver(dataclasses.replace(qp, factors=None), rho).solve(
+        g[b], ()) for qp, b in zip(qps, blocks)]
+    return screened, plain, worst
+
+
+def _same_solves(got, want):
+    assert [z.tobytes() for z, _, _ in got] == \
+        [z.tobytes() for z, _, _ in want]
+    assert [r[1:] for r in got] == [r[1:] for r in want]
+
+
+def test_screen_passes_nan_and_boundary_violations_to_the_local_loop():
+    """An agent whose first-round minimizer is NaN gets a NaN violation
+    and the result of the unscreened solve; one whose largest violation is
+    exactly the tolerance is done after one iteration, as unscreened, and
+    one just beyond it activates that bound in the local loop."""
+    net = build_chain_of_masses(3)
+    qps = build_network_qps(net, 4, [np.zeros(a.n) for a in net.agents])
+    g = np.zeros(sum(qp.size for qp in qps))
+    g[qps[0].size + 1] = np.nan
+    got, want, worst = _screened_and_plain_solves(qps, g)
+    assert np.isnan(worst[1]) and not np.isnan(worst[0] + worst[2])
+    assert np.isnan(got[1][0]).all()
+    _same_solves(got, want)
+
+    # from a zero state at a zero linear term every minimizer is zero, so
+    # a bound row's violation is minus its right-hand side
+    g = np.zeros_like(g)
+    for excess in (VIOLATION_TOL, np.nextafter(VIOLATION_TOL, 1.0)):
+        rhs = qps[2].ineq_rhs.copy()
+        rhs[3] = -excess
+        moved = qps[:2] + [dataclasses.replace(qps[2], ineq_rhs=rhs,
+                                               factors=None)]
+        got, want, worst = _screened_and_plain_solves(moved, g)
+        assert worst[2] == excess
+        _same_solves(got, want)
+        assert got[2][1:] == (((), 1) if excess == VIOLATION_TOL
+                              else ((3,), 2))
+
+
+def test_screen_skips_agents_without_bound_rows():
+    """An agent with no bound rows, made by emptying its bound plan (an
+    ``AgentModel`` without inputs is rejected): the screen reports a zero
+    violation for it and every agent's solve matches the unscreened
+    one."""
+    rng = np.random.default_rng(11)
+    net = build_chain_of_masses(3)
+    qps = build_network_qps(net, 4, random_x0(rng, net, scale=4.0))
+    none = np.zeros(0, dtype=int)
+    for empty in ([1], [0, 2], [0, 1, 2]):
+        cut = [dataclasses.replace(qp, bounds=AgentBounds(
+            cols=none, signs=np.zeros(0), shifted=none),
+            ineq_rhs=np.zeros(0), factors=None) if qp.index in empty else qp
+            for qp in qps]
+        g = rng.normal(scale=20.0, size=sum(qp.size for qp in qps))
+        got, want, worst = _screened_and_plain_solves(cut, g)
+        assert [worst[i] for i in empty] == [0.0] * len(empty)
+        _same_solves(got, want)
+        assert any(r[1] for r in got) == (len(empty) < 3)

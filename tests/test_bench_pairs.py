@@ -50,3 +50,44 @@ def test_report_keeps_each_runs_passes_beside_its_metrics(tmp_path,
     assert rss["after"]["runs"] == [82.0, 82.0]
     assert (rss["after_wins"], rss["after_losses"]) == (0, 2)
     assert cell["environments"] == [{"nproc": 2}]
+
+
+def test_later_invocations_add_their_cells_to_the_report(tmp_path,
+                                                         monkeypatch):
+    """A second invocation adds its cells to a report of the same pairs and
+    command; one that would run a cell the report holds, or that names a
+    file holding anything else, exits 2 without running anything."""
+    monkeypatch.setattr(pairs, "PAIRS", 2)
+    before = _checkout(tmp_path / "before", passes=7, rss=79.5)
+    after = _checkout(tmp_path / "after", passes=10, rss=82.0)
+    out = tmp_path / "pairs.json"
+
+    def run(*cells, out=out):
+        argv = ["--before", str(before), "--after", str(after),
+                "--out", str(out)]
+        for workload, seed in cells:
+            argv += ["--workload", workload, "--seed", str(seed)]
+        return pairs.main(argv)
+
+    assert run(("chain10-admm", 2024)) == 0
+    first = json.loads(out.read_text())
+    assert run(("chain10-warm", 7)) == 0
+    report = json.loads(out.read_text())
+    assert (report["pairs"], report["command"]) == (2, pairs.COMMAND)
+    assert report["seeds"]["2024"] == first["seeds"]["2024"]
+    assert report["seeds"]["7"]["chain10-warm"]["passes"] == {
+        "before": [7, 7], "after": [10, 10]}
+
+    # nothing may run from here on: a run would fail without the fake
+    (before / "perfbench" / "run.py").unlink()
+    kept = out.read_text()
+    assert run(("chain10-admm", 2024)) == 2
+    assert run(("chain10-warm", 7), ("chain10-admm", 7)) == 2
+    assert out.read_text() == kept
+
+    monkeypatch.setattr(pairs, "PAIRS", 3)
+    assert run(("chain10-admm", 7)) == 2
+    other = tmp_path / "other.json"
+    other.write_text("not a report\n")
+    assert run(("chain10-admm", 7), out=other) == 2
+    assert other.read_text() == "not a report\n"
