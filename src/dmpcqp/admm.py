@@ -19,7 +19,7 @@ sets, and a revisit costs a few matrix-vector products.  The augmented QPs
 and their factors are kept for the whole closed loop.  As in
 :mod:`~dmpcqp.dcg`, all agents' coupling values and multipliers are kept on
 the flat layout of the network's coupling plan
-(:class:`~dmpcqp.qp_builder.CouplingIndex`), and their iterates stacked.
+(:class:`~dmpcqp.qp_builder.CouplingIndex`), their iterates on its blocks.
 
 Most local solves start from an empty working set and end there after one
 iteration, so that first iteration is taken for all such agents at once
@@ -27,9 +27,10 @@ iteration, so that first iteration is taken for all such agents at once
 into its block of the stacked iterate by its own gemv, and one stacked
 bound check gives every agent its largest violation.  An agent none of
 whose bounds is violated is done; any other runs its local active-set
-loop as before.  The stacked bound rows are made once per solve, and the
-coupling plan's index data once per network, so every iteration does the
-same arithmetic, in the same order, as one local solve per agent.
+loop as before.  The stacked bound rows and their segments are made once
+per solve, and the coupling plan's index data once per network, so every
+iteration does the same arithmetic, in the same order, as one local solve
+per agent.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .condense import (AgentCoupling, WorkingSetFactor, condense,
                        working_constraints)
 from .errors import LocalQpError
 from .fabric import CommLedger, Fabric
-from .qp_builder import segment_max
+from .qp_builder import Segments
 
 #: Named tolerance presets ``(eps_primal, eps_dual)``.
 ADMM_PRESETS = {
@@ -206,10 +207,10 @@ class FirstRoundScreen:
 
     Each such agent writes its equality-only minimizer ``offset + gain @
     g`` into its block by its own gemv, as :meth:`LocalQpSolver.solve`
-    forms it; one gather, subtract and ``np.maximum.reduceat`` over all
-    agents' bound rows then gives each agent the largest violation of its
-    bounds there (``0`` without bound rows, NaN if a row's value is NaN).
-    The stacked bound rows are made once, here.
+    forms it; one gather and subtract over all agents' bound rows, and
+    the maximum over each agent's ``rows``, then give each agent the
+    largest violation of its bounds there (``0`` without bound rows, NaN
+    if a row's value is NaN).  The stacked bound rows are made once, here.
     """
 
     def __init__(self, solvers: Sequence[LocalQpSolver],
@@ -220,12 +221,7 @@ class FirstRoundScreen:
                                     for qp, b in zip(local, blocks)])
         self.signs = np.concatenate([qp.bounds.signs for qp in local])
         self.rhs = np.concatenate([qp.ineq_rhs for qp in local])
-        ends = np.cumsum([0] + [qp.n_ineq for qp in local]).tolist()
-        self.segments = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-        # reduceat takes every agent's maximum in one call when all have
-        # bound rows; segment_max also handles agents without
-        self.starts = (np.array(ends[:-1])
-                       if all(qp.n_ineq for qp in local) else None)
+        self.rows = Segments(qp.n_ineq for qp in local)
 
     def __call__(self, g: np.ndarray, z: np.ndarray,
                  cold: Sequence[int]) -> list[float]:
@@ -242,8 +238,7 @@ class FirstRoundScreen:
             out += offset
         viol = self.signs * z[self.cols]
         viol -= self.rhs
-        return (segment_max(viol, self.segments) if self.starts is None
-                else np.maximum.reduceat(viol, self.starts)).tolist()
+        return self.rows.max(viol).tolist()
 
 
 def local_linear_term(plan, z_bar: np.ndarray, lam: np.ndarray,
@@ -253,7 +248,7 @@ def local_linear_term(plan, z_bar: np.ndarray, lam: np.ndarray,
     each agent's summed in row order, as ``AgentCoupling.scatter`` does."""
     # an empty bincount is an integer array whatever the weights
     return np.bincount(plan.columns, plan.signs * (lam - rho * (
-        plan.signs * z_bar)), minlength=plan.stacked_size).astype(
+        plan.signs * z_bar)), minlength=plan.blocks.ends[-1]).astype(
             float, copy=False)
 
 
@@ -303,9 +298,7 @@ def admm_converged(plan, z, z_bar, z_prev, lam, rho, eps_primal,
     # no magnitude, and rounding is monotone, so the largest rho |dz| is
     # rho times the largest |dz|
     values = np.abs(np.array([z - z_bar, z, z_bar, z - z_prev, lam]))
-    primal, top_z, top_avg, step, top_lam = (
-        segment_max(values, plan.segments) if plan.segment_starts is None
-        else np.maximum.reduceat(values, plan.segment_starts, axis=-1))
+    primal, top_z, top_avg, step, top_lam = plan.segments.max(values)
     scale_p = np.minimum(np.maximum(top_z, top_avg), 1.0)
     scale_d = np.minimum(top_lam, 1.0)
     return ((primal <= eps_primal * scale_p)
@@ -354,10 +347,8 @@ def admm_solve(qps, fabric: Fabric | None = None,
     plan = qps[0].coupling
     solvers = [LocalQpSolver(qp, cfg.rho) for qp in qps]
     # all agents' iterates stacked; each local solve writes its block
-    ends = np.cumsum([0] + [qp.size for qp in qps]).tolist()
-    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    screen = FirstRoundScreen(solvers, blocks)
-    z = np.zeros(ends[-1])
+    screen = FirstRoundScreen(solvers, plan.blocks)
+    z = np.zeros(plan.blocks.ends[-1])
     z_bar = (np.zeros(plan.columns.size) if z_avg0 is None
              else np.asarray(z_avg0, dtype=float))
     lam = np.zeros(plan.columns.size)
@@ -366,7 +357,7 @@ def admm_solve(qps, fabric: Fabric | None = None,
     for iterations in range(1, cfg.max_iter + 1):
         g = local_linear_term(plan, z_bar, lam, cfg.rho)
         worst = screen(g, z, [i for i, w in enumerate(warm) if not w])
-        for i, (solver, block) in enumerate(zip(solvers, blocks)):
+        for i, (solver, block) in enumerate(zip(solvers, plan.blocks)):
             screened = None if warm[i] else (z[block], worst[i])
             z[block], warm[i], its = solver.solve(g[block], warm[i],
                                                   screened)
@@ -383,7 +374,6 @@ def admm_solve(qps, fabric: Fabric | None = None,
     stats.ledger = fabric.ledger.delta(start)
     z_avg = z.copy()
     z_avg[plan.columns] = z_bar
-    return AdmmResult(z=np.split(z, ends[1:-1]),
-                      z_avg=np.split(z_avg, ends[1:-1]),
+    return AdmmResult(z=plan.blocks.split(z), z_avg=plan.blocks.split(z_avg),
                       iterations=iterations, converged=converged,
                       stats=stats)

@@ -147,23 +147,23 @@ def verify_iterate(qps, zs) -> None:
     Checks equality rows, bound rows, and the assembled coupling rows
     against :data:`EQUALITY_TOL`, :data:`VIOLATION_TOL` and
     :data:`COUPLING_TOL`; raises :class:`FeasibilityViolation` naming the
-    worst offender.
+    worst offender; a NaN fails every check.
     """
     for qp, z in zip(qps, zs):
         eq = float(np.abs(qp.eq_matrix @ z - qp.eq_rhs).max(initial=0.0))
-        if eq > EQUALITY_TOL:
+        if not eq <= EQUALITY_TOL:
             raise FeasibilityViolation(
                 f"agent {qp.index}: equality residual {eq:.3e}")
         if qp.ineq_rhs.size:
             vi = float((qp.bounds.gather(z) - qp.ineq_rhs).max())
-            if vi > VIOLATION_TOL:
+            if not vi <= VIOLATION_TOL:
                 raise FeasibilityViolation(
                     f"agent {qp.index}: bound violation {vi:.3e}")
     # each row's two entries on the coupling plan's flat layout
     plan = qps[0].coupling
     image = plan.signs * np.concatenate(zs)[plan.columns]
     cpl = float(np.abs(image + image[plan.partner]).max(initial=0.0))
-    if cpl > COUPLING_TOL:
+    if not cpl <= COUPLING_TOL:
         raise FeasibilityViolation(f"coupling residual {cpl:.3e}")
 
 

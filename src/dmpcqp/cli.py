@@ -141,6 +141,9 @@ def load_network(path) -> NetworkModel:
             raise ValueError(f"network file {path}: agent {idx} lacks key "
                              f"{missing[0]!r}")
         where = f"network file {path}: agent {idx}"
+        bad = [j for j in entry.get("A_in", {}) if not j.isdecimal()]
+        if bad:
+            raise ValueError(f"{where}: A_in key {bad[0]!r} is no agent index")
         agents.append(AgentModel(
             index=idx,
             A_in={int(j): _float_array(blk, f"{where}: A_in[{j}]")
@@ -152,10 +155,11 @@ def load_network(path) -> NetworkModel:
 
 def _float_array(value, where) -> np.ndarray:
     """``value`` as a float array; an entry that is no number (a JSON
-    object, say) raises :class:`ValueError` naming ``where``."""
+    object or string, say) or a ragged nesting raises :class:`ValueError`
+    naming ``where``."""
     try:
         return np.array(value, dtype=float)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{where} must be an array of numbers") from exc
 
 

@@ -17,8 +17,9 @@ entries in its segment, so a neighbor exchange is one gather.  Every
 product and dot product an agent forms is still one call on its own
 segment, in the same order as a solver with one state per agent, so the
 multipliers match such a solver bit for bit.  A solve makes its flat
-buffers, each agent's views of them and the starts of the flag reduction
-once, in :class:`DcgState`, and every round updates the buffers in place.
+buffers and each agent's views of them once, in :class:`DcgState`, on the
+agents' :class:`~dmpcqp.qp_builder.Segments`, and every round updates
+the buffers in place.
 
 The solver takes one condensed agent per agent
 (:class:`~dmpcqp.condense.CondensedAgent`) and reads only its ``rows``
@@ -39,7 +40,7 @@ import numpy as np
 from .condense import CondensedAgent
 from .errors import CurvatureBreakdown, DcgIterationLimit, InconsistentWarmStart
 from .fabric import Fabric
-from .qp_builder import segment_max
+from .qp_builder import Segments
 
 
 @dataclass
@@ -54,7 +55,7 @@ class DcgState:
     """
 
     schurs: list[np.ndarray]
-    segments: list[slice]
+    segments: Segments
     lam: np.ndarray
     residual: np.ndarray
     direction: np.ndarray
@@ -67,19 +68,10 @@ class DcgState:
         self.views = [tuple(v[seg] for v in (self.residual, self.scratch,
                                              self.direction, self.product))
                       for seg in self.segments]
-        # reduceat takes the flags of agents with rows in one call;
-        # segment_max also handles agents without
-        self.starts = (np.array([seg.start for seg in self.segments])
-                       if all(seg.stop > seg.start for seg in self.segments)
-                       else None)
 
     def flags(self, eps: float) -> list[bool]:
         """Each agent's ``||r_i||_inf < eps``, ``0 < eps`` for no rows."""
-        top = np.abs(self.residual, out=self.scratch)
-        if self.starts is None:
-            top = segment_max(top, self.segments)
-        else:
-            top = np.maximum.reduceat(top, self.starts)
+        top = self.segments.max(np.abs(self.residual, out=self.scratch))
         return (top < eps).tolist()
 
     def lambdas(self) -> list[np.ndarray]:
@@ -103,11 +95,10 @@ def dcg_init(pieces: Sequence[CondensedAgent], partner: np.ndarray,
     the initial residual ``r0 = s - S lam0`` with one neighbor exchange,
     charged to the ``init`` phase.
     """
-    bounds = np.cumsum([0] + [p.rows.size for p in pieces]).tolist()
-    if bounds[-1] != partner.size:
-        raise ValueError(f"{bounds[-1]} coupling entries for a partner "
-                         f"index of {partner.size}")
-    segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    segments = Segments(p.rows.size for p in pieces)
+    if segments.ends[-1] != partner.size:
+        raise ValueError(f"{segments.ends[-1]} coupling entries for a "
+                         f"partner index of {partner.size}")
     if lambda0 is None:
         lam = np.zeros(partner.size)
     else:
@@ -115,7 +106,7 @@ def dcg_init(pieces: Sequence[CondensedAgent], partner: np.ndarray,
                               for l, p in zip(lambda0, pieces)])
         if not np.array_equal(lam, lam[partner]):
             entry = int(np.flatnonzero(lam != lam[partner])[0])
-            a, b = (int(np.searchsorted(bounds, e, side="right")) - 1
+            a, b = (int(np.searchsorted(segments.ends, e, side="right"))
                     for e in (entry, partner[entry]))
             raise InconsistentWarmStart(
                 f"multiplier warm start differs between agents {a} and {b}")

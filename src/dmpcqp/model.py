@@ -69,8 +69,9 @@ class AgentModel:
             raise ValueError("A_self must be square")
         n = A.shape[0]
         B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ValueError("B must have n rows")
+        if B.ndim != 2 or B.shape[0] != n or B.shape[1] == 0:
+            raise ValueError(f"agent {self.index}: B must have n rows and "
+                             "at least one column")
         m = B.shape[1]
         A_in = {j: np.asarray(blk, dtype=float)
                 for j, blk in dict(self.A_in).items()}

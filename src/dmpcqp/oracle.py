@@ -21,8 +21,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .model import NetworkModel
-from .qp_builder import (StackedQp, build_network_qps, closed_loop,
-                         rollout_feasible_point, stack_global)
+from .qp_builder import (Segments, StackedQp, build_network_qps,
+                         closed_loop, rollout_feasible_point, stack_global)
 
 _RATIO_TOL = 1e-12
 #: Smallest accepted ratio ``min|diag U| / max|diag U|`` of the saddle-point
@@ -178,9 +178,9 @@ def _warm_inputs(qps, active):
     tight."""
     active = np.asarray(active, dtype=int)
     inputs = []
-    for qp, off in zip(qps, np.cumsum([0] + [qp.n_ineq for qp in qps])):
+    for qp, seg in zip(qps, Segments(qp.n_ineq for qp in qps)):
         lay, bounds = qp.layout, qp.bounds
-        rows = active[(off <= active) & (active < off + qp.n_ineq)] - off
+        rows = active[(seg.start <= active) & (active < seg.stop)] - seg.start
         u = np.zeros((lay.horizon, lay.n_inputs))
         u.flat[bounds.cols[rows] - lay.u_offset] = \
             bounds.signs[rows] * qp.ineq_rhs[rows]
@@ -204,7 +204,7 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
     stacked = stack_global(qps)
     prepared = prepare_kkt(stacked)
     coupling_rhs = np.zeros(qps[0].n_coupling)
-    ends = np.cumsum([qp.size for qp in qps])[:-1]
+    blocks = qps[0].coupling.blocks
 
     def step(qps, states, active, t):
         active = active or ()
@@ -214,7 +214,7 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
             net, horizon, states, _warm_inputs(qps, active)))
         sol = solve_dense_qp(sample_qp, z0, prepared=prepared,
                              warm_active=active)
-        return np.split(sol.z, ends), sol.active, sol.iterations
+        return blocks.split(sol.z), sol.active, sol.iterations
 
     states, inputs, iterations = closed_loop(net, qps, x0s, steps, step)
     return Rollout(states=states, inputs=inputs, iterations=tuple(iterations))

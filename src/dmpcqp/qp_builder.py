@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,20 +118,32 @@ def build_partner(rows: Sequence[np.ndarray]) -> np.ndarray:
     return partner
 
 
-def segment_max(values: np.ndarray, segments: Sequence[slice]) -> np.ndarray:
-    """The maximum of ``values`` over each segment of its last axis, ``0``
-    for an empty one; the segments run end to end, as on the flat layout of
-    a :class:`CouplingIndex`."""
-    filled = [i for i, seg in enumerate(segments) if seg.stop > seg.start]
-    starts = [segments[i].start for i in filled]
-    if len(filled) == len(segments):
-        return np.maximum.reduceat(values, starts, axis=-1)
-    out = np.zeros((len(segments),) + values.shape[:-1])
-    # reduceat gives an empty segment the next one's first entry, so only
-    # the segments with entries take part
-    if filled:
-        out[filled] = np.maximum.reduceat(values, starts, axis=-1).T
-    return out.T
+class Segments(tuple):
+    """End-to-end segments of an agent-major flat layout, one per agent,
+    from the agents' sizes: the tuple of their slices, in agent order, and
+    ``ends``, their stops, so ``ends[-1]`` is the layout's length."""
+
+    def __new__(cls, sizes: Iterable[int]):
+        offsets = np.cumsum([0, *sizes])
+        ends = tuple(offsets[1:].tolist())
+        self = super().__new__(cls, map(slice, (0,) + ends[:-1], ends))
+        self.ends = ends
+        # max skips empty segments: reduceat gives them the next one's entry
+        self._held = np.flatnonzero(np.diff(offsets))
+        self._starts = offsets[self._held]
+        return self
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """Each segment's maximum over ``values``' last axis, 0 if empty."""
+        if self._held.size == len(self):
+            return np.maximum.reduceat(values, self._starts, axis=-1)
+        out = np.zeros((len(self),) + values.shape[:-1])
+        out[self._held] = np.maximum.reduceat(values, self._starts, axis=-1).T
+        return out.T
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """``x``, on this layout, as one view per segment."""
+        return np.split(x, self.ends[:-1])
 
 
 @dataclass(frozen=True)
@@ -139,17 +151,15 @@ class CouplingIndex:
     """The network's coupling plan, built and checked once per network.
 
     ``agents[i]`` locates agent ``i``'s share of the ``n_coupling`` rows.
-    The plan's flat layout concatenates every
-    agent's entries of its rows; ``segments[i]`` are agent ``i``'s, and
-    ``partner`` (see :func:`build_partner`) maps each entry to the same row
-    at its other holder; entry ``e`` reads ``signs[e]`` times column
-    ``columns[e]`` of the agents' stacked decision vectors, which are
-    ``stacked_size`` long.  ``segment_starts`` are the segments' starts for
-    ``np.maximum.reduceat``, or ``None`` when some agent has no rows (then
-    :func:`segment_max` takes the maxima).  For ADMM, ``owned`` are the
-    owners' entries (ascending), ``copied[k]`` the other entry of
-    ``owned[k]``'s row, ``slots[k]`` numbers the owned state that
-    ``owned[k]`` reads, ``n_copies`` counts each slot's copiers, and
+    The plan's flat layout concatenates every agent's entries of its rows,
+    agent ``i``'s in ``segments[i]`` (both layouts here are
+    :class:`Segments`), and ``partner`` (see :func:`build_partner`) maps
+    each entry to the same row at its other holder; entry ``e`` reads
+    ``signs[e]`` times column ``columns[e]`` of the agents' stacked
+    decision vectors, agent ``i``'s in ``blocks[i]``.  For
+    ADMM, ``owned`` are the owners' entries (ascending), ``copied[k]`` the
+    other entry of ``owned[k]``'s row, ``slots[k]`` numbers the owned state
+    that ``owned[k]`` reads, ``n_copies`` counts each slot's copiers, and
     ``shift_src[e]`` is the stacked column entry ``e`` reads one stage
     later (the owner's last stage reads its terminal state, and a copier's
     last stage, with no later stage, is ``-1``).
@@ -157,11 +167,10 @@ class CouplingIndex:
 
     n_coupling: int
     agents: tuple[AgentCoupling, ...]
-    segments: tuple[slice, ...]
+    segments: Segments
     partner: np.ndarray
     columns: np.ndarray
-    stacked_size: int
-    segment_starts: np.ndarray | None
+    blocks: Segments
     signs: np.ndarray
     owned: np.ndarray
     copied: np.ndarray
@@ -193,12 +202,11 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
         rows, side = np.nonzero(holders == i)
         agents.append(AgentCoupling(rows=rows, cols=cols[rows, side],
                                     signs=1.0 - 2.0 * side, size=lay.size))
-    ends = np.cumsum([0] + [a.rows.size for a in agents]).tolist()
     signs = np.concatenate([a.signs for a in agents])
     owned = np.flatnonzero(signs > 0)
-    starts = np.cumsum([0] + [lay.size for lay in layouts])
-    columns = np.concatenate([start + a.cols for start, a in
-                              zip(starts, agents)])
+    blocks = Segments(lay.size for lay in layouts)
+    columns = np.concatenate([block.start + a.cols for block, a in
+                              zip(blocks, agents)])
     _, slots, n_copies = np.unique(columns[owned], return_inverse=True,
                                    return_counts=True)
     rows = np.concatenate([a.rows for a in agents])
@@ -208,10 +216,8 @@ def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     partner = build_partner([a.rows for a in agents])
     return CouplingIndex(
         n_coupling=len(holders), agents=tuple(agents),
-        segments=tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:])),
-        partner=partner, columns=columns, stacked_size=int(starts[-1]),
-        segment_starts=(np.array(ends[:-1])
-                        if all(a.rows.size for a in agents) else None),
+        segments=Segments(a.rows.size for a in agents),
+        partner=partner, columns=columns, blocks=blocks,
         signs=signs, owned=owned, copied=partner[owned], slots=slots,
         n_copies=n_copies,
         shift_src=np.where(copier_last, -1,
@@ -425,11 +431,12 @@ def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
     n_c = {qp.n_coupling for qp in qps}
     if len(n_c) != 1:
         raise ValueError("agents disagree on the number of coupling rows")
-    offsets = np.cumsum([0] + [qp.size for qp in qps])
-    eq_offsets = np.cumsum([0] + [qp.n_eq for qp in qps])
-    ineq_offsets = np.cumsum([0] + [qp.n_ineq for qp in qps])
-    nz, n_eq, n_c = offsets[-1], eq_offsets[-1], qps[0].n_coupling
-    blocks = list(zip(qps, offsets, eq_offsets, ineq_offsets))
+    cols = qps[0].coupling.blocks
+    eq_rows = Segments(qp.n_eq for qp in qps)
+    ineq_rows = Segments(qp.n_ineq for qp in qps)
+    nz, n_eq, n_c = cols.ends[-1], eq_rows.ends[-1], qps[0].n_coupling
+    blocks = [(qp, off.start, eo.start, io.start)
+              for qp, off, eo, io in zip(qps, cols, eq_rows, ineq_rows)]
     return StackedQp(
         hessian=_sparse((nz, nz), [_block(off, off, qp.hessian)
                                    for qp, off, _, _ in blocks]),
@@ -438,7 +445,7 @@ def stack_global(qps: Sequence[AgentQP]) -> StackedQp:
             (n_eq + qp.coupled.rows, off + qp.coupled.cols, qp.coupled.signs)
             for qp, off, _, _ in blocks]),
         eq_rhs=np.concatenate([qp.eq_rhs for qp in qps] + [np.zeros(n_c)]),
-        ineq_matrix=_sparse((ineq_offsets[-1], nz), [
+        ineq_matrix=_sparse((ineq_rows.ends[-1], nz), [
             (io + np.arange(qp.n_ineq), off + qp.bounds.cols, qp.bounds.signs)
             for qp, off, _, io in blocks]),
         ineq_rhs=np.concatenate([qp.ineq_rhs for qp in qps]),

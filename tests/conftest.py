@@ -13,12 +13,24 @@ import pytest  # noqa: E402
 
 from dmpcqp import AgentModel, NetworkModel, build_chain_of_masses
 
+from admm_reference import segment_max  # noqa: E402
+
 
 def norm_inf(x):
     x = np.asarray(x)
     if x.size == 0:
         return 0.0
     return float(np.abs(x).max())
+
+
+def assert_same_max(segments, values):
+    """``segments.max(values)`` equals the reference ``segment_max`` in
+    dtype, shape and bytes."""
+    got = segments.max(values)
+    want = segment_max(values, segments)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def spd_matrix(rng, n, scale=1.0):

@@ -19,16 +19,16 @@ from dmpcqp.condense import AgentBounds
 from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import verify_comm_identities
 from dmpcqp.model import PlantState, plant_step
-from dmpcqp.qp_builder import rollout_feasible_point, segment_max
+from dmpcqp.qp_builder import rollout_feasible_point
 
 import admm_reference as ref_admm
 import asm_reference as ref_asm
 import condense_reference as ref_kernel
 from dcg_reference import neighbor_exchange
 
-from conftest import (coupling_edges, dense_bounds, dense_coupling,
-                      network_with_isolated_agent, norm_inf, random_network,
-                      random_x0, spd_matrix, stable_matrix)
+from conftest import (assert_same_max, coupling_edges, dense_bounds,
+                      dense_coupling, network_with_isolated_agent, norm_inf,
+                      random_network, random_x0, spd_matrix, stable_matrix)
 
 
 def _problem(seed, n_agents=3, horizon=3):
@@ -764,11 +764,7 @@ def _inner_loop_matches_replaced_code(qps, cfg, n_iter):
         lam = admm_dual_update(plan, entries, z_bar, lam, cfg.rho)
         for values in (np.abs(entries - z_bar),
                        np.abs(np.stack([entries, z_bar, lam]))):
-            got_max = segment_max(values, plan.segments)
-            want_max = ref_admm.segment_max(values, plan.segments)
-            assert got_max.dtype == want_max.dtype
-            assert got_max.shape == want_max.shape
-            assert got_max.tobytes() == want_max.tobytes()
+            assert_same_max(plan.segments, values)
         # the configured tolerances, and a grid that puts some agents'
         # residuals next to a threshold
         for eps in [(cfg.eps_primal, cfg.eps_dual),

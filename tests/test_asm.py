@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
-                    build_network_qps, compute_step_length,
-                    network_objective, shift_active, verify_iterate,
+                    build_chain_of_masses, build_network_qps,
+                    compute_step_length, network_objective,
+                    rollout_feasible_point, shift_active, verify_iterate,
                     working_constraints)
 import dmpcqp.asm as asm_module
 from dmpcqp.asm import DUAL_TOL, most_violated_bound
@@ -283,6 +284,33 @@ def test_coupling_check_matches_row_loop(seed, n_agents, horizon, isolated):
             verify_iterate(qps, zs)
 
 
+def test_nan_iterate_fails_each_check():
+    """A NaN in one agent's iterate raises :class:`FeasibilityViolation`
+    naming the check it reaches first: the equality rows hold every entry,
+    and with them dropped a NaN input fails the bound check and a NaN copy
+    the coupling check; an all-NaN iterate fails too."""
+    net = build_chain_of_masses(3)
+    x0s = [np.full(a.n, 0.1) for a in net.agents]
+    qps = build_network_qps(net, 4, x0s)
+    zs = rollout_feasible_point(net, 4, x0s)
+    verify_iterate(qps, zs)
+    # a QP whose equality rows are dropped
+    free = [dataclasses.replace(qp, eq_matrix=np.zeros((0, qp.size)),
+                                eq_rhs=np.zeros(0)) for qp in qps]
+    lay = qps[1].layout
+    for checked, entry, message in (
+            (qps, lay.x_slice(2).start, "agent 1: equality residual nan"),
+            (free, lay.u_offset, "agent 1: bound violation nan"),
+            (free, lay.v_offset, "coupling residual nan")):
+        bad = [z.copy() for z in zs]
+        bad[1][entry] = np.nan
+        verify_iterate(checked, zs)
+        with pytest.raises(FeasibilityViolation, match=message):
+            verify_iterate(checked, bad)
+    with pytest.raises(FeasibilityViolation, match="agent 0: equality"):
+        verify_iterate(qps, [np.full(qp.size, np.nan) for qp in qps])
+
+
 def _warm_with_first_agent(qps, rows):
     warm = [[] for _ in qps]
     warm[0] = rows
@@ -326,7 +354,6 @@ def test_objective_never_increases_across_instances():
         res = asm_solve(qps)
         zs_feas = [np.zeros(qp.size) for qp in qps]
         # any feasible point must cost at least the reported optimum
-        from dmpcqp import rollout_feasible_point
         x0s = [qp.eq_rhs[:net.agents[qp.index].n] for qp in qps]
         zs_feas = rollout_feasible_point(net, qps[0].layout.horizon, x0s)
         assert network_objective(qps, zs_feas) >= \

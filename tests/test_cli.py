@@ -506,6 +506,43 @@ def test_malformed_network_file_exits_with_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_network_file_with_a_bad_agent_exits_2_naming_it(tmp_path,
+                                                        capsys):
+    """A network file whose agent has no input, an ``A_in`` key that is no
+    agent index, or a matrix given as a string or as ragged rows makes
+    ``run`` exit 2 with a message naming the agent, and the file for all
+    but the missing input."""
+    save_network(build_chain_of_masses(3), tmp_path / "chain.json")
+    doc = json.loads((tmp_path / "chain.json").read_text())
+    no_input = json.loads(json.dumps(doc))
+    agent = no_input["agents"][1]
+    agent["B"] = [[] for _ in agent["B"]]
+    agent["u_lo"], agent["u_hi"], agent["R"] = [], [], []
+    bad_key = json.loads(json.dumps(doc))
+    bad_key["agents"][2]["A_in"]["x"] = bad_key["agents"][2]["A_in"]["1"]
+    text, ragged = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    text["agents"][0]["A_self"] = "x"
+    ragged["agents"][2]["Q"][1] = [1.0]
+    for name, bad, message in (
+            ("no_input", no_input,
+             "agent 1: B must have n rows and at least one column"),
+            ("bad_key", bad_key,
+             "network file {}: agent 2: A_in key 'x' is no agent index"),
+            ("text", text, "network file {}: agent 0: A_self must be an "
+             "array of numbers"),
+            ("ragged", ragged, "network file {}: agent 2: Q must be an array "
+             "of numbers")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        message = message.format(path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_network(path)
+        assert main(["run", "--scenario", "file", "--network", str(path),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("solver", ["asm-dcg", "centralized"])
 def test_failed_reference_rollout_fails_only_its_init(tmp_path, monkeypatch,
                                                       solver):

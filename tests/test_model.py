@@ -79,6 +79,16 @@ def test_agent_validation_rejects_bad_data():
                 AgentModel(**{**ok, name: value})
 
 
+def test_agent_without_inputs_is_rejected_by_name():
+    """An agent whose ``B`` has no columns is rejected by a named check,
+    not by numpy's reduction over the empty ``R``."""
+    with pytest.raises(ValueError, match=re.escape(
+            "agent 3: B must have n rows and at least one column")):
+        AgentModel(index=3, A_self=np.eye(1), B=np.zeros((1, 0)), A_in={},
+                   u_lo=np.zeros(0), u_hi=np.zeros(0), Q=np.eye(1),
+                   R=np.zeros((0, 0)), P=np.eye(1))
+
+
 def test_network_validation():
     eye = np.eye(1)
     def agent(idx, a_in):

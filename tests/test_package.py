@@ -44,6 +44,37 @@ def test_every_import_in_the_package_is_used():
     assert unused == []
 
 
+def test_every_module_level_definition_is_read():
+    """Each function, class and constant a module of the package defines
+    at module level is read somewhere in the package, as a name or an
+    attribute, or listed in ``__all__``: no seam is left without a user."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(dmpcqp.__file__).parent.glob("*.py"))}
+    read = set(dmpcqp.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    orphans = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            orphans += [f"{stem}.{name}" for name in names
+                        if name not in read and not name.startswith("__")]
+    assert orphans == []
+
+
 def test_condense_is_the_submodule():
     import dmpcqp.condense as m
 

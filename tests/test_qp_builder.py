@@ -16,15 +16,45 @@ from dmpcqp import (VariableLayout, build_agent_qp, build_coupling_index,
 from dmpcqp.asm import shift_active
 from dmpcqp.cli import ExperimentConfig, _closed_loop_distributed
 from dmpcqp.oracle import _warm_inputs
+from dmpcqp.qp_builder import Segments
 
-from conftest import (coupling_edges, dense_bounds, dense_coupling, norm_inf,
-                      random_network, random_x0)
+from conftest import (assert_same_max, coupling_edges, dense_bounds,
+                      dense_coupling, norm_inf, random_network, random_x0)
 from oracle_reference import cold_solve, rollout_feasible_point_loop
 
 
 def _baseline_qps(chain10):
     x0s = [np.full(2, 0.1 * (i + 1)) for i in range(10)]
     return build_network_qps(chain10, 12, x0s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       rows=st.sampled_from([None, 1, 5]), seed=st.integers(0, 2**32 - 1),
+       nans=st.sampled_from([0.0, 0.2, 1.0]))
+def test_segments_match_the_reference_maxima_and_split(sizes, rows, seed,
+                                                       nans):
+    """A :class:`Segments` of any sizes, empty ones and all empty among
+    them, lays out the slices and ends of the sizes' running sum, takes
+    each segment's maximum over the last axis of 1-D and 2-D values (NaN
+    entries too) as the reference ``segment_max`` does, and splits as
+    ``np.split`` at the ends."""
+    segments = Segments(sizes)
+    ends = np.cumsum(sizes).tolist()
+    assert segments.ends == tuple(ends)
+    assert list(segments) == [slice(a, b) for a, b in
+                              zip([0] + ends[:-1], ends)]
+    assert [segments[i] for i in range(len(sizes))] == list(segments)
+    rng = np.random.default_rng(seed)
+    shape = (ends[-1],) if rows is None else (rows, ends[-1])
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < nans] = np.nan
+    assert_same_max(segments, values)
+    flat = values if rows is None else values[0]
+    got = segments.split(flat)
+    want = np.split(flat, ends[:-1])
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert all(np.shares_memory(a, flat) for a in got if a.size)
 
 
 def test_baseline_dimensions(chain10):
