@@ -9,9 +9,10 @@ acceptance baseline (10 masses, horizon 12, 25 steps, 5 inits, seed 2024)
 once in each checkout, from that checkout's ``src`` and with one BLAS
 thread.  For every solver and CSV file it prints ``identical`` when the
 two files' bytes compare equal, and otherwise the largest absolute
-difference between numeric fields (or the first differing text field, or
-a differing row layout).  It then prints ``meta.json: identical`` when the
-two ``meta.json`` files agree once ``config.out_dir`` is dropped, and
+difference between numeric fields (or the first differing text field)
+with the number of rows and the names of the columns that differ, or a
+differing header or row layout.  It then prints ``meta.json: identical``
+when the two ``meta.json`` files agree once ``config.out_dir`` is dropped, and
 otherwise the top-level keys that differ, and one line with the wall time
 of each side's ``dmpcqp run``: single runs, so a shared machine's noise
 shows in them.  After printing every line it exits 1 when any file is not
@@ -63,7 +64,12 @@ def run_baseline(root: Path, solver: str, out: Path) -> None:
 
 
 def difference(before: Path, after: Path) -> str:
-    """``identical``, or how the two CSV files differ."""
+    """``identical``, or how the two CSV files differ.
+
+    A differing header or row layout is named alone.  Otherwise the result
+    is the largest absolute difference between numeric fields (or the first
+    differing text field), the number of data rows that differ and the
+    header names of the columns that do."""
     if before.read_bytes() == after.read_bytes():
         return "identical"
     tables = []
@@ -72,16 +78,22 @@ def difference(before: Path, after: Path) -> str:
             tables.append(list(csv.reader(fh)))
     if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
         return "row layout differs"
-    worst = 0.0
-    for row_b, row_a in zip(*tables):
-        for field_b, field_a in zip(row_b, row_a):
-            if field_b == field_a:
-                continue
+    header = tables[0][0]
+    if header != tables[1][0]:
+        return f"header differs: {header} vs {tables[1][0]}"
+    worst, text, rows, columns = 0.0, None, 0, set()
+    for row_b, row_a in zip(tables[0][1:], tables[1][1:]):
+        moved = [k for k, (b, a) in enumerate(zip(row_b, row_a)) if b != a]
+        rows += bool(moved)
+        columns.update(moved)
+        for k in moved:
             try:
-                worst = max(worst, abs(float(field_a) - float(field_b)))
+                worst = max(worst, abs(float(row_a[k]) - float(row_b[k])))
             except ValueError:
-                return f"text differs: {field_b!r} vs {field_a!r}"
-    return f"max abs difference {worst:.3g}"
+                text = text or f"text differs: {row_b[k]!r} vs {row_a[k]!r}"
+    names = ", ".join(header[k] for k in sorted(columns))
+    return (f"{text or f'max abs difference {worst:.3g}'} in {rows} of "
+            f"{len(tables[0]) - 1} rows, columns {names}")
 
 
 def meta_difference(before: Path, after: Path) -> str:

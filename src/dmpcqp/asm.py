@@ -12,8 +12,12 @@ blocking bound activated.
 Communication per outer iteration is one flag round plus one scalar min
 reduction (the step length or the smallest multiplier); all remaining
 traffic belongs to the inner CG.  Before them, the same loop runs a
-feasibility phase from the warm-started working set, activating each
-agent's most violated bound until none remain.
+feasibility phase from the warm-started working set with a cold CG,
+activating each agent's most violated bound until none remain.  The round
+whose violation flags come back clean is the first outer iteration: its
+working-set minimizers are the first feasible iterate, so its step is zero
+and it goes straight to the multiplier check, with no second solve of the
+same working set.
 """
 
 from __future__ import annotations
@@ -76,7 +80,20 @@ class AsmConfig:
 
 @dataclass
 class AsmStats:
-    """Iteration counters and the communication consumed by one solve."""
+    """Iteration counters and the communication consumed by one solve.
+
+    Every round makes one DCG solve, so a solve makes ``init_rounds +
+    outer_iterations`` of them.
+
+    - ``outer_iterations``: active-set iterations, the round whose
+      feasibility flags come back clean counted as the first.
+    - ``init_rounds``: feasibility rounds that activated a violated bound.
+    - ``dcg_feasible_guess``: DCG iterations of the cold-started solves, up
+      to and including the clean round's.
+    - ``dcg_active_set``: DCG iterations of the solves seeded with the
+      previous round's multipliers, after the clean round.
+    - ``ledger``: the communication charged during the solve, by phase.
+    """
 
     outer_iterations: int = 0
     init_rounds: int = 0
@@ -196,8 +213,9 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     """Distributed active-set solve of the partially separable QP.
 
     One loop of rounds runs the feasibility phase, with a cold CG and its
-    violation flags charged to ``init``, until the flags come back clean,
-    then the active-set phase, with the CG seeded by the last multipliers.
+    violation flags charged to ``init``, until the flags come back clean.
+    That round is the first active-set iteration, and the later ones seed
+    the CG with the last multipliers.
 
     Parameters
     ----------
@@ -244,18 +262,23 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
                    for ca, lam in zip(cas, sol.lambdas)]
         if zs is None:
             stats.dcg_feasible_guess += sol.iterations
-            stats.init_rounds += 1
             worst = [most_violated_bound(qp, z, act, VIOLATION_TOL)
                      for qp, z, act in zip(qps, targets, active)]
-            if fabric.global_flags([w is None for w in worst], phase="init"):
-                zs, lam_seed = targets, list(sol.lambdas)
-                verify_iterate(qps, zs)
-            for act, row in zip(active, worst):
-                if row is not None:
-                    act.append(row)
-            continue
+            if not fabric.global_flags([w is None for w in worst],
+                                       phase="init"):
+                stats.init_rounds += 1
+                for act, row in zip(active, worst):
+                    if row is not None:
+                        act.append(row)
+                continue
+            # the clean round's minimizers are the first feasible iterate,
+            # and the round goes on as the first active-set iteration, whose
+            # step to its own targets is zero
+            zs = targets
+            verify_iterate(qps, zs)
+        else:
+            stats.dcg_active_set += sol.iterations
         stats.outer_iterations += 1
-        stats.dcg_active_set += sol.iterations
         lam_seed = list(sol.lambdas)
         dzs = [target - z for target, z in zip(targets, zs)]
         small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step

@@ -92,6 +92,13 @@ class ExperimentConfig:
             raise ValueError("scenario 'file' requires a network file")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        for name in ("n_masses", "horizon", "steps", "n_inits", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or \
+                    isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.horizon < 1 or self.steps < 1 or self.n_inits < 1:
             raise ValueError("horizon, steps and inits must be positive")
         for name in ("rho", "eps_dcg", "eps_asm", "dt"):

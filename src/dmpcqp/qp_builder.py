@@ -276,6 +276,16 @@ class AgentQP:
         return self.coupling.n_coupling
 
 
+def _initial_state(x0, n_states: int, index: int) -> np.ndarray:
+    """``x0`` as agent ``index``'s ``(n_states,)`` float state; a NaN or
+    infinite entry raises ``ValueError`` naming the agent."""
+    x0 = np.asarray(x0, dtype=float).reshape(n_states)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"agent {index}: initial state must be finite, "
+                         f"got {x0}")
+    return x0
+
+
 def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
                    coupling: CouplingIndex | None = None) -> AgentQP:
     """Assemble agent ``i``'s Hessian, constraints and coupling rows.
@@ -288,7 +298,8 @@ def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
     horizon : int
         Prediction horizon (number of input moves).
     x0 : (n_i,) array
-        Measured state entering the initial-condition rows.
+        Measured state entering the initial-condition rows; a NaN or
+        infinite entry raises ``ValueError``.
     coupling : CouplingIndex, optional
         The network's coupling plan; built when omitted.
     """
@@ -296,7 +307,7 @@ def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
         raise ValueError("horizon must be at least 1")
     agent = net.agents[i]
     layout = _layout_for(net, i, horizon)
-    x0 = np.asarray(x0, dtype=float).reshape(agent.n)
+    x0 = _initial_state(x0, agent.n, i)
     if coupling is None:
         coupling = build_coupling_index(net, horizon)
     N, n, m = horizon, agent.n, agent.m
@@ -356,9 +367,10 @@ def update_initial_state(qp: AgentQP, x0: np.ndarray) -> AgentQP:
     """Return a copy of ``qp`` with new initial-condition rows.
 
     The copy shares ``qp``'s working-set factors, which do not depend on
-    the initial state.
+    the initial state.  A NaN or infinite entry of ``x0`` raises
+    ``ValueError`` naming the agent.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(qp.layout.n_states)
+    x0 = _initial_state(x0, qp.layout.n_states, qp.index)
     b = qp.eq_rhs.copy()
     b[:qp.layout.n_states] = x0
     return dataclasses.replace(qp, eq_rhs=b)

@@ -14,7 +14,8 @@ from dmpcqp import (AdmmConfig, AgentModel, Fabric, NetworkModel,
 from dmpcqp.admm import (ADMM_PRESETS, FirstRoundScreen, LocalQpSolver,
                          local_linear_term)
 from dmpcqp.asm import VIOLATION_TOL, most_violated_bound
-from dmpcqp.cli import sample_initial_states
+from dmpcqp.cli import (ExperimentConfig, _closed_loop_distributed,
+                        sample_initial_states)
 from dmpcqp.condense import AgentBounds
 from dmpcqp.errors import LocalQpError
 from dmpcqp.fabric import verify_comm_identities
@@ -374,6 +375,17 @@ def test_iteration_cap_reports_unconverged():
     res = admm_solve(qps, cfg=AdmmConfig(rho=2.0, max_iter=3))
     assert not res.converged
     assert res.iterations == 3
+
+
+def test_non_finite_initial_state_is_rejected_before_a_solve(chain3):
+    """ADMM's closed loop rejects a NaN initial state where it moves the
+    QPs to it, naming the agent, instead of iterating to its cap."""
+    qps = build_network_qps(chain3, 6, [np.zeros(2)] * 3)
+    x0s = [np.full(2, 0.1), np.array([np.nan, 0.1]), np.full(2, 0.1)]
+    cfg = ExperimentConfig(n_masses=3, horizon=6, steps=2, solver="admm2",
+                           rho=5.0)
+    with pytest.raises(ValueError, match="agent 1: initial state"):
+        _closed_loop_distributed(chain3, cfg, qps, x0s)
 
 
 def test_shift_averaged():

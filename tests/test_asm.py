@@ -18,7 +18,8 @@ from dmpcqp.cli import (ExperimentConfig, _closed_loop_distributed,
                         build_network, sample_initial_states)
 from dmpcqp.errors import (AsmIterationLimit, FeasibilityViolation,
                            RankDeficientWorkingSet, SolverError)
-from dmpcqp.fabric import verify_comm_identities
+from dmpcqp.dcg import dcg_solve
+from dmpcqp.fabric import PhaseCounters, verify_comm_identities
 from dmpcqp.qp_builder import stack_global
 
 import asm_reference
@@ -95,8 +96,49 @@ def test_warm_start_is_fixed_point():
     first = asm_solve(qps)
     again = asm_solve(qps, warm_active=[list(a) for a in first.active])
     assert again.stats.outer_iterations == 1
-    assert again.stats.init_rounds == 1
+    assert again.stats.init_rounds == 0
     assert norm_inf(np.concatenate(again.z) - np.concatenate(first.z)) < 1e-9
+
+
+def test_clean_feasibility_round_is_the_first_active_set_iteration(
+        chain10, monkeypatch):
+    """Re-solving a warm fixed point of the 10-mass chain takes one round:
+    its flags come back clean, and the same round's minimizers pass the
+    multiplier check, with one DCG solve and one bootstrap charged to
+    ``init``."""
+    rng = np.random.default_rng(2024)
+    x0s = sample_initial_states(chain10, rng, 1.0, 0.5)
+    qps = build_network_qps(chain10, 12, x0s)
+    first = asm_solve(qps)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dcg_solve(*args)
+
+    monkeypatch.setattr(asm_module, "dcg_solve", counted)
+    again = asm_solve(qps, warm_active=[list(a) for a in first.active])
+    M, n_c = len(qps), qps[0].n_coupling
+    assert len(calls) == 1
+    assert (again.stats.init_rounds, again.stats.outer_iterations) == (0, 1)
+    assert again.stats.ledger.phase("init") == \
+        PhaseCounters(0, 4 * M, 2 * n_c)
+    verify_iterate(qps, again.z)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_state_is_rejected_before_a_solve(chain3, bad):
+    """A NaN or infinite initial state is rejected where it enters the QPs,
+    naming the agent, both when they are built and when the closed loop
+    moves them to it, so no DCG solve runs to its cap on it."""
+    x0s = [np.full(2, 0.1), np.array([0.1, bad]), np.full(2, 0.1)]
+    with pytest.raises(ValueError, match="agent 1: initial state"):
+        build_network_qps(chain3, 6, x0s)
+    qps = build_network_qps(chain3, 6, [np.zeros(2)] * 3)
+    with pytest.raises(ValueError, match="agent 1: initial state"):
+        _closed_loop_distributed(
+            chain3, ExperimentConfig(n_masses=3, horizon=6, steps=2), qps,
+            x0s)
 
 
 def test_interior_optimum_needs_one_iteration():
@@ -418,6 +460,26 @@ def _solve_outcome(solve, qps, warm, cfg):
     return outcome, fabric.ledger.as_dict(), fabric.round_index
 
 
+def _without_resolve(outcome, n_agents, n_entries):
+    """The two-phase solver's outcome less its re-solve of the clean
+    feasibility round's working set: one init round, a DCG bootstrap of
+    ``n_entries`` coupling entries with its ``2 * n_agents`` flags, and
+    that bootstrap's two fabric rounds."""
+    def less(ledger):
+        out = {phase: dict(counts) for phase, counts in ledger.items()}
+        for phase in ("init", "total"):
+            out[phase]["global_booleans"] -= 2 * n_agents
+            out[phase]["local_floats"] -= n_entries
+        return out
+
+    result, ledger, rounds = outcome
+    if len(result) == 5:  # a returned solve, not a raised error
+        *result, stats, delta = result
+        stats = dataclasses.replace(stats, init_rounds=stats.init_rounds - 1)
+        result = (*result, stats, less(delta))
+    return result, less(ledger), rounds - 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 4),
        horizon=st.integers(1, 5), x0_scale=st.sampled_from([0.5, 2.0, 4.0]),
@@ -426,9 +488,12 @@ def _solve_outcome(solve, qps, warm, cfg):
 def test_one_loop_matches_the_two_phase_solver_bit_for_bit(
         seed, n_agents, horizon, x0_scale, warm_kind, max_outer):
     """The one-loop solve returns, or raises, what the two-phase solver it
-    replaced did, byte for byte, with the same counters, ledger and round
-    count, from a cold start, from distinct rows on distinct inputs and
-    from the previous sample's shifted final working set."""
+    replaced did, byte for byte, from a cold start, from distinct rows on
+    distinct inputs and from the previous sample's shifted final working
+    set.  Its counters, ledger and round count are the reference's less
+    the reference's re-solve of the clean feasibility round's working set,
+    which starts from that round's multipliers and takes no DCG iteration:
+    the one loop takes that round as its first active-set iteration."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_agents=n_agents)
     x0s = random_x0(rng, net, scale=x0_scale)
@@ -444,8 +509,23 @@ def test_one_loop_matches_the_two_phase_solver_bit_for_bit(
     cfg = AsmConfig(max_outer=max_outer)
     got = _solve_outcome(asm_solve, build_network_qps(net, horizon, x0s),
                          warm, cfg)
-    want = _solve_outcome(asm_reference.asm_solve,
-                          build_network_qps(net, horizon, x0s), warm, cfg)
+    # the DCG iterations of the reference's first warm-started solve, its
+    # re-solve of the clean round's working set
+    resolves = []
+
+    def recorded(pieces, partner, lambda0, eps, fabric):
+        sol = dcg_solve(pieces, partner, lambda0, eps, fabric)
+        if lambda0 is not None and not resolves:
+            resolves.append(sol.iterations)
+        return sol
+
+    qps = build_network_qps(net, horizon, x0s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asm_reference, "dcg_solve", recorded)
+        want = _solve_outcome(asm_reference.asm_solve, qps, warm, cfg)
+    assert resolves in ([], [0])
+    if resolves:
+        want = _without_resolve(want, len(qps), qps[0].coupling.partner.size)
     assert got == want
 
 

@@ -50,7 +50,8 @@ def test_gate_fails_when_any_file_differs(tmp_path, monkeypatch, capsys,
                             "summary.csv" if differs else None)
     if differs:
         assert code == 1
-        assert "admm1 summary.csv: max abs difference 0.5" in lines
+        assert "admm1 summary.csv: max abs difference 0.5 in 1 of 1 rows, " \
+            "columns b" in lines
         assert sum(not line.endswith(": identical") for line in lines) == 1
     else:
         assert code == 0
@@ -64,3 +65,32 @@ def test_gate_fails_when_only_meta_json_differs(tmp_path, monkeypatch,
     assert code == 1
     assert "admm1 meta.json: keys differ: failures" in lines
     assert sum(not line.endswith(": identical") for line in lines) == 1
+
+
+def _write_csv(path, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def test_difference_names_the_columns_and_counts_the_rows(tmp_path):
+    """A differing CSV file reports its largest difference with the
+    number of data rows and the header names of the columns that moved."""
+    header = ["init", "sample", "status", "init_rounds", "dcg_total"]
+    before = [header] + [[str(i), str(t), "ok", "1", "40"]
+                         for i in range(2) for t in range(3)]
+    after = [row[:] for row in before]
+    for row in after[1:3] + after[4:5]:
+        row[3] = "0"
+    paths = [tmp_path / "before.csv", tmp_path / "after.csv"]
+    _write_csv(paths[0], before)
+    _write_csv(paths[1], after)
+    assert gate.difference(*paths) == \
+        "max abs difference 1 in 3 of 6 rows, columns init_rounds"
+    after[6][2], after[6][4] = "error", "41"
+    _write_csv(paths[1], after)
+    assert gate.difference(*paths) == ("text differs: 'ok' vs 'error' in 4 "
+                                       "of 6 rows, columns status, "
+                                       "init_rounds, dcg_total")
+    _write_csv(paths[1], [header[:2] + ["state"] + header[3:]] + before[1:])
+    assert gate.difference(*paths).startswith("header differs: ")
+    _write_csv(paths[1], before[:-1])
+    assert gate.difference(*paths) == "row layout differs"

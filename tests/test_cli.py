@@ -174,6 +174,14 @@ def test_config_validation():
         ExperimentConfig(solver="magic").validate()
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(steps=0).validate()
+    for name, bad in (("horizon", 2.5), ("steps", 2.0), ("n_masses", 3.0),
+                      ("seed", 1.5), ("n_inits", True), ("horizon", "12"),
+                      ("seed", False)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: bad}).validate()
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ExperimentConfig(seed=-1).validate()
+    ExperimentConfig(n_masses=np.int64(4), seed=np.int64(0)).validate()
     for name in ("rho", "eps_dcg", "eps_asm", "dt"):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -157,6 +157,14 @@ def test_rollout_saturates_inputs_for_large_states():
     assert np.abs(roll.inputs[0]).max() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_rollout_rejects_a_non_finite_initial_state(chain3):
+    """The reference rejects a NaN initial state, naming the agent, before
+    its first solve, instead of reporting a dependent working set."""
+    x0s = [np.full(2, 0.1), np.array([0.1, np.nan]), np.full(2, 0.1)]
+    with pytest.raises(ValueError, match="agent 1: initial state"):
+        centralized_mpc_rollout(chain3, x0s, horizon=6, steps=2)
+
+
 def test_rollout_accessors():
     net = build_chain_of_masses(3)
     x0s = [np.array([0.3, 0.0])] * 3
