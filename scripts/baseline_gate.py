@@ -10,7 +10,8 @@ once in each checkout, from that checkout's ``src`` and with one BLAS
 thread.  For every solver and CSV file it prints ``identical`` when the
 two files' bytes compare equal, and otherwise the largest absolute
 difference between numeric fields (or the first differing text field)
-with the number of rows and the names of the columns that differ, or a
+with the number of rows and the names of the columns that differ, and
+the labels of the rows that differ (see :func:`difference`), or a
 differing header or row layout.  It then prints ``meta.json: identical``
 when the two ``meta.json`` files agree once ``config.out_dir`` is dropped, and
 otherwise the top-level keys that differ, and one line with the wall time
@@ -69,7 +70,10 @@ def difference(before: Path, after: Path) -> str:
     A differing header or row layout is named alone.  Otherwise the result
     is the largest absolute difference between numeric fields (or the first
     differing text field), the number of data rows that differ and the
-    header names of the columns that do."""
+    header names of the columns that do.  When the table's first label
+    column (all text, no numbers, and more than one value, such as
+    ``communication.csv``'s ``phase``) did not change, the result ends
+    with its values among the differing rows, in first-seen order."""
     if before.read_bytes() == after.read_bytes():
         return "identical"
     tables = []
@@ -81,19 +85,42 @@ def difference(before: Path, after: Path) -> str:
     header = tables[0][0]
     if header != tables[1][0]:
         return f"header differs: {header} vs {tables[1][0]}"
-    worst, text, rows, columns = 0.0, None, 0, set()
+    worst, text, rows, columns, labels = 0.0, None, 0, set(), []
+    label = _label_column(tables[0][1:])
     for row_b, row_a in zip(tables[0][1:], tables[1][1:]):
         moved = [k for k, (b, a) in enumerate(zip(row_b, row_a)) if b != a]
         rows += bool(moved)
         columns.update(moved)
+        if moved and label is not None:
+            labels.append(row_b[label])
         for k in moved:
             try:
                 worst = max(worst, abs(float(row_a[k]) - float(row_b[k])))
             except ValueError:
                 text = text or f"text differs: {row_b[k]!r} vs {row_a[k]!r}"
     names = ", ".join(header[k] for k in sorted(columns))
-    return (f"{text or f'max abs difference {worst:.3g}'} in {rows} of "
-            f"{len(tables[0]) - 1} rows, columns {names}")
+    out = (f"{text or f'max abs difference {worst:.3g}'} in {rows} of "
+           f"{len(tables[0]) - 1} rows, columns {names}")
+    if label is None or label in columns:
+        return out
+    return f"{out}; {header[label]} {', '.join(dict.fromkeys(labels))}"
+
+
+def _label_column(rows) -> int | None:
+    """Index of the first column of ``rows`` whose fields are all text, not
+    numbers, and hold more than one value, or None."""
+    for k, values in enumerate(zip(*rows)):
+        if len(set(values)) > 1 and not any(map(_is_number, values)):
+            return k
+    return None
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def meta_difference(before: Path, after: Path) -> str:

@@ -17,7 +17,8 @@ activating each agent's most violated bound until none remain.  The round
 whose violation flags come back clean is the first outer iteration: its
 working-set minimizers are the first feasible iterate, so its step is zero
 and it goes straight to the multiplier check, with no second solve of the
-same working set.
+same working set and no flag round, as the clean flags already told every
+agent that its step is zero.
 """
 
 from __future__ import annotations
@@ -281,9 +282,11 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
         stats.outer_iterations += 1
         lam_seed = list(sol.lambdas)
         dzs = [target - z for target, z in zip(targets, zs)]
-        small = [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
-                 for dz in dzs]
-        if fabric.global_flags(small, phase="asm"):
+        # the first iteration's step is exactly zero, which the clean
+        # feasibility flags already told every agent, so it sends no flags
+        if stats.outer_iterations == 1 or fabric.global_flags(
+                [float(np.abs(dz).max(initial=0.0)) < cfg.eps_step
+                 for dz in dzs], phase="asm"):
             duals = [recover_duals(qp, ca, qp.hessian @ z, lam)
                      for qp, ca, z, lam in zip(qps, cas, zs, sol.lambdas)]
             worst, agent = fabric.global_reduce(

@@ -5,12 +5,19 @@ is solved without ever assembling it: each agent keeps only the entries of
 the multiplier, residual, and search direction on its own coupling rows
 (every row is shared by exactly two agents).  Scalar curvature and residual
 norms are formed from local contributions, the residual's weighted by one
-half as every row is held twice, and combined through two coordinator sums
-per iteration; matrix-vector products are completed by exchanging shared
-entries with neighbors, at the ``partner`` index of the network's coupling
-plan.  Per iteration the fabric charges ``4 M`` global floats, ``2 M``
-global booleans, and ``2 n_c`` local floats; the residual bootstrap before
-the first iteration is charged to the ``init`` phase.
+half as every row is held twice, and combined by the coordinator;
+matrix-vector products are completed by exchanging shared entries with
+neighbors, at the ``partner`` index of the network's coupling plan.
+
+An iteration takes three fabric rounds: the curvature sum, the neighbor
+exchange of the Schur products, and one flag round that carries each
+agent's convergence flag on the updated residual together with its share
+of that residual's weight ``eta``, which the next iteration steps with.
+Per iteration the fabric charges ``4 M`` global floats, ``2 M`` global
+booleans, and ``2 n_c`` local floats.  The bootstrap before the first
+iteration, the initial residual's exchange and one flag round carrying
+the first ``eta``, is charged to the ``init`` phase, so a solve of ``k``
+iterations takes ``2 + 3 k`` rounds.
 
 The simulation stores all agents' local vectors end to end, agent ``i``'s
 entries in its segment, so a neighbor exchange is one gather.  Every
@@ -51,7 +58,8 @@ class DcgState:
     holds each round's temporaries (half the residual, the multiplier step,
     the residual's magnitudes) and ``product`` the agents' Schur products.
     ``views[i]`` are agent ``i``'s segments of ``residual``, ``scratch``,
-    ``direction`` and ``product``, made once, here.
+    ``direction`` and ``product``, made once, here.  ``eta`` is the
+    residual's weight and ``converged`` the answer of the last flag round.
     """
 
     schurs: list[np.ndarray]
@@ -60,6 +68,7 @@ class DcgState:
     residual: np.ndarray
     direction: np.ndarray
     eta: float = 0.0
+    converged: bool = False
     iteration: int = 0
 
     def __post_init__(self):
@@ -69,10 +78,22 @@ class DcgState:
                                              self.direction, self.product))
                       for seg in self.segments]
 
-    def flags(self, eps: float) -> list[bool]:
-        """Each agent's ``||r_i||_inf < eps``, ``0 < eps`` for no rows."""
+    def flag_round(self, eps: float, fabric: Fabric,
+                   phase: str) -> tuple[bool, float]:
+        """One coordinator round on the residual: each agent's ``||r_i||_inf
+        < eps`` (``0 < eps`` for no rows) and its share of ``eta``.
+
+        Returns the aggregated flag and ``eta``.
+        """
         top = self.segments.max(np.abs(self.residual, out=self.scratch))
-        return (top < eps).tolist()
+        flags = (top < eps).tolist()
+        # every row is shared by exactly two agents, so each local share of
+        # the residual norm carries weight one half; ndarray.dot makes the
+        # BLAS call of ``@`` with less dispatch
+        np.multiply(self.residual, 0.5, out=self.scratch)
+        return fabric.global_flags(
+            flags, phase=phase,
+            values=[r.dot(half) for r, half, _, _ in self.views])
 
     def lambdas(self) -> list[np.ndarray]:
         """Each agent's multiplier, a copy the next round leaves alone."""
@@ -86,15 +107,18 @@ class DcgResult:
 
 
 def dcg_init(pieces: Sequence[CondensedAgent], partner: np.ndarray,
-             lambda0: Sequence[np.ndarray] | None,
+             lambda0: Sequence[np.ndarray] | None, eps: float,
              fabric: Fabric) -> DcgState:
     """Bootstrap the CG state for a warm-started multiplier.
 
     ``partner`` is the pieces' shared rows (see the module docstring).
     Validates that the warm start agrees exactly on shared rows, then forms
-    the initial residual ``r0 = s - S lam0`` with one neighbor exchange,
-    charged to the ``init`` phase.
+    the initial residual ``r0 = s - S lam0`` with one neighbor exchange and
+    ends with one flag round, which records whether ``r0`` already meets
+    ``eps`` and its ``eta``; both rounds are charged to the ``init`` phase.
     """
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     segments = Segments(p.rows.size for p in pieces)
     if segments.ends[-1] != partner.size:
         raise ValueError(f"{segments.ends[-1]} coupling entries for a "
@@ -113,34 +137,22 @@ def dcg_init(pieces: Sequence[CondensedAgent], partner: np.ndarray,
     local = np.concatenate([p.schur_rhs - p.schur @ lam[seg]
                             for p, seg in zip(pieces, segments)])
     residual = local + fabric.neighbor_exchange(local, partner, phase="init")
-    return DcgState(schurs=[p.schur for p in pieces], segments=segments,
-                    lam=lam, residual=residual, direction=residual.copy())
+    state = DcgState(schurs=[p.schur for p in pieces], segments=segments,
+                     lam=lam, residual=residual, direction=residual.copy())
+    state.converged, state.eta = state.flag_round(eps, fabric, "init")
+    return state
 
 
 def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
                 eps: float) -> bool:
     """One synchronous CG round; returns the aggregated convergence flag.
 
-    The round reduces the residual weight ``eta`` (which also fixes the
-    direction update of the previous round), then the curvature ``sigma``,
-    takes the multiplier and residual steps, and finally exchanges
-    convergence flags on the updated residual, all charged to the ``dcg``
-    phase.
+    The round steps with the ``eta`` the previous flag round brought: it
+    reduces the curvature ``sigma``, takes the multiplier and residual
+    steps, and ends with the flag round on the updated residual, whose
+    ``eta`` fixes the next direction, all charged to the ``dcg`` phase.
     """
     s = state
-    # every row is shared by exactly two agents, so each local share of the
-    # residual norm carries weight one half; ndarray.dot makes the BLAS call
-    # of ``@`` with less dispatch
-    np.multiply(s.residual, 0.5, out=s.scratch)
-    eta = fabric.global_reduce([r.dot(half) for r, half, _, _ in s.views],
-                               op="sum", phase="dcg")
-    if s.iteration == 0:
-        np.copyto(s.direction, s.residual)
-    else:
-        s.direction *= eta / s.eta if s.eta > 0.0 else 0.0
-        s.direction += s.residual
-    s.eta = eta
-
     for schur, (_, _, d, p) in zip(s.schurs, s.views):
         schur.dot(d, p)
     sigma = fabric.global_reduce([d.dot(p) for _, _, d, p in s.views],
@@ -155,7 +167,7 @@ def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
         step = 0.0
         forced = True
     else:
-        step = eta / sigma
+        step = s.eta / sigma
         forced = False
 
     total = fabric.neighbor_exchange(s.product, partner, phase="dcg")
@@ -164,7 +176,12 @@ def dcg_iterate(state: DcgState, partner: np.ndarray, fabric: Fabric,
     total *= step
     s.residual -= total
     s.iteration += 1
-    return fabric.global_flags(s.flags(eps), phase="dcg") or forced
+    converged, eta = s.flag_round(eps, fabric, "dcg")
+    s.direction *= eta / s.eta if s.eta > 0.0 else 0.0
+    s.direction += s.residual
+    s.eta = eta
+    s.converged = converged or forced
+    return s.converged
 
 
 def dcg_solve(pieces: Sequence[CondensedAgent], partner: np.ndarray,
@@ -173,21 +190,19 @@ def dcg_solve(pieces: Sequence[CondensedAgent], partner: np.ndarray,
     """Drive the decentralized CG to ``max_i ||r_i||_inf < eps``.
 
     ``partner`` is the pieces' shared rows (see the module docstring).  The
-    bootstrap (initial residual exchange and the pre-loop convergence
-    flags) is charged to the ``init`` phase so per-iteration accounting
-    identities stay exact.  Raises :class:`DcgIterationLimit` carrying the
-    last iterate after ``3 n_c + 60`` iterations (``n_c`` coupling rows).
+    bootstrap (initial residual exchange and the flag round carrying the
+    pre-loop convergence flags and the first ``eta``) is charged to the
+    ``init`` phase so per-iteration accounting identities stay exact.
+    Raises :class:`DcgIterationLimit` carrying the last iterate after
+    ``3 n_c + 60`` iterations (``n_c`` coupling rows).
     """
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    state = dcg_init(pieces, partner, lambda0, fabric)
-    if fabric.global_flags(state.flags(eps), phase="init"):
-        return DcgResult(lambdas=state.lambdas(), iterations=0)
-    for _ in range(3 * (partner.size // 2) + 60):
-        if dcg_iterate(state, partner, fabric, eps):
-            return DcgResult(lambdas=state.lambdas(),
-                             iterations=state.iteration)
-    raise DcgIterationLimit(
-        lambdas=state.lambdas(),
-        residual_inf=float(np.abs(state.residual).max(initial=0.0)),
-        iterations=state.iteration)
+    state = dcg_init(pieces, partner, lambda0, eps, fabric)
+    cap = 3 * (partner.size // 2) + 60
+    while not state.converged:
+        if state.iteration == cap:
+            raise DcgIterationLimit(
+                lambdas=state.lambdas(),
+                residual_inf=float(np.abs(state.residual).max(initial=0.0)),
+                iterations=state.iteration)
+        dcg_iterate(state, partner, fabric, eps)
+    return DcgResult(lambdas=state.lambdas(), iterations=state.iteration)

@@ -18,12 +18,21 @@ counts they compute themselves.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import NamedTuple
 
 from .errors import CommAccountingError, FabricDeadlock
 
 PHASES = ("init", "dcg", "asm", "admm")
+
+
+def _integer(name, value):
+    """``value`` as an ``int``; a ``ValueError`` naming ``name`` unless it
+    is an integer that is not a ``bool``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class PhaseCounters(NamedTuple):
@@ -48,10 +57,13 @@ class CommLedger:
     def charge(self, phase, *, global_floats=0, global_booleans=0, local_floats=0):
         if phase not in self._phases:
             raise ValueError(f"unknown phase {phase!r}")
-        if min(global_floats, global_booleans, local_floats) < 0:
+        counts = [_integer(name, value) for name, value in (
+            ("global_floats", global_floats),
+            ("global_booleans", global_booleans),
+            ("local_floats", local_floats))]
+        if min(counts) < 0:
             raise ValueError("ledger charges must be non-negative")
-        self._add(phase, int(global_floats), int(global_booleans),
-                  int(local_floats))
+        self._add(phase, *counts)
 
     def _add(self, phase, global_floats, global_booleans, local_floats):
         """Add counts known to be non-negative integers to ``phase``."""
@@ -100,9 +112,10 @@ class Fabric:
     """Coordinator plus neighbor exchange for a fixed set of agents."""
 
     def __init__(self, n_agents):
+        n_agents = _integer("n_agents", n_agents)
         if n_agents < 1:
             raise ValueError("fabric needs at least one agent")
-        self.n_agents = int(n_agents)
+        self.n_agents = n_agents
         self.ledger = CommLedger()
         self.round_index = 0
 
@@ -129,10 +142,7 @@ class Fabric:
         self.ledger._add(phase, 2 * self.n_agents, 0, 0)
         self.round_index += 1
         if op == "sum":
-            total = 0.0
-            for v in values:
-                total += float(v)
-            return total
+            return _fold_sum(values)
         if op == "min":
             best = float(values[0])
             best_agent = 0
@@ -143,12 +153,21 @@ class Fabric:
             return best, best_agent
         raise ValueError(f"unknown reduction {op!r}")
 
-    def global_flags(self, flags, phase="dcg"):
-        """Boolean AND across agents; charges ``2 * n_agents`` booleans."""
+    def global_flags(self, flags, phase="dcg", values=None):
+        """Boolean AND across agents; charges ``2 * n_agents`` booleans.
+
+        With ``values``, one float per agent, the same round also sums them
+        as :meth:`global_reduce` does, in ascending agent index, charges
+        ``2 * n_agents`` global floats more and returns ``(flag, total)``.
+        """
         self._require_all(flags, "global_flags")
-        self.ledger._add(phase, 0, 2 * self.n_agents, 0)
+        if values is not None:
+            self._require_all(values, "global_flags")
+        floats = 0 if values is None else 2 * self.n_agents
+        self.ledger._add(phase, floats, 2 * self.n_agents, 0)
         self.round_index += 1
-        return all(bool(f) for f in flags)
+        flag = all(bool(f) for f in flags)
+        return flag if values is None else (flag, _fold_sum(values))
 
     def neighbor_exchange(self, values, source, phase="dcg"):
         """Deliver entry ``source[k]`` of ``values`` to receiving entry ``k``.
@@ -164,22 +183,34 @@ class Fabric:
         return delivered
 
 
+def _fold_sum(values) -> float:
+    """The sum of ``values`` accumulated in ascending agent index."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
 def verify_comm_identities(delta, n_agents, n_coupling, *, dcg_iterations=0,
                            asm_iterations=0, admm_iterations=0):
     """Check a ledger delta against the per-iteration accounting identities.
 
     Per iteration the distributed CG accounts for ``4M`` global floats,
-    ``2M`` global booleans and ``2 n_c`` local floats; the active-set loop
-    for ``2M`` global floats and ``2M`` booleans; ADMM for ``2M`` booleans
-    and ``2 n_c`` local floats.  Initialization traffic is excluded (it is
-    charged under the ``init`` phase).  Raises :class:`CommAccountingError`
-    on any mismatch.
+    ``2M`` global booleans and ``2 n_c`` local floats; ADMM for ``2M``
+    booleans and ``2 n_c`` local floats.  The active-set loop of one solve
+    accounts for ``2M`` global floats per outer iteration and ``2M``
+    booleans per outer iteration after the first: the first is the round
+    whose feasibility flags came back clean, whose step is zero, so it
+    sends no step flags.  Initialization traffic is excluded (it is charged
+    under the ``init`` phase).  Raises :class:`CommAccountingError` on any
+    mismatch.
     """
     M = int(n_agents)
     expected = {
         "dcg": PhaseCounters(4 * M * dcg_iterations, 2 * M * dcg_iterations,
                              2 * n_coupling * dcg_iterations),
-        "asm": PhaseCounters(2 * M * asm_iterations, 2 * M * asm_iterations),
+        "asm": PhaseCounters(2 * M * asm_iterations,
+                             2 * M * max(asm_iterations - 1, 0)),
         "admm": PhaseCounters(0, 2 * M * admm_iterations,
                               2 * n_coupling * admm_iterations),
     }

@@ -7,7 +7,11 @@ references.
 its own condense, DCG and back-substitution calls.  On its first round
 ``_condense_all(repair=True)`` drops a warm row that makes the working set
 rank deficient, and ``initialize_feasible`` drops a repeated warm row; the
-package rejects both.  The four are kept verbatim.
+package rejects both.  The four are kept verbatim, except that
+:func:`asm_solve` checks each step for descent of the package's
+Lagrangian at the round's multipliers, as the package does, where it
+checked the objective alone: a step may raise the objective by ``lam'``
+times the coupling rows' DCG residual while its Lagrangian falls.
 
 :func:`step_variable_asm_solve` is the loop before that: every outer
 iteration condenses each agent's step system, with a zero working-set
@@ -34,7 +38,8 @@ import numpy as np
 from dmpcqp.asm import (DEGENERATE_STEP, DUAL_TOL, OBJECTIVE_TOL,
                         VIOLATION_TOL, AsmConfig, AsmResult, AsmStats,
                         compute_step_length, most_violated_bound,
-                        network_objective, verify_iterate)
+                        network_lagrangian, network_objective,
+                        verify_iterate)
 from dmpcqp.condense import (backsubstitute, condense, recover_duals,
                              working_constraints)
 from dmpcqp.dcg import dcg_solve
@@ -134,7 +139,6 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
     state = initialize_feasible(qps, warm_active, fabric, cfg, stats)
     zs, active, lam_seed = state.z, state.active, state.lambdas
     verify_iterate(qps, zs)
-    objective = network_objective(qps, zs)
 
     max_outer = cfg.max_outer
     if max_outer is None:
@@ -170,6 +174,7 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
             alpha, agent = fabric.global_reduce(
                 [s[0] for s in steps], op="min", phase="asm")
             alpha = min(alpha, 1.0)
+            before = network_lagrangian(qps, zs, sol.lambdas)
             if alpha >= DEGENERATE_STEP:
                 zs = [z + alpha * dz for z, dz in zip(zs, dzs)]
             if alpha < 1.0:
@@ -179,13 +184,11 @@ def asm_solve(qps, warm_active=None, cfg: AsmConfig | None = None,
             else:
                 trace.append(("step", -1, None))
             verify_iterate(qps, zs)
-            new_objective = network_objective(qps, zs)
-            if new_objective > objective + OBJECTIVE_TOL * (
-                    1.0 + abs(objective)):
+            after = network_lagrangian(qps, zs, sol.lambdas)
+            if after > before + OBJECTIVE_TOL * (1.0 + abs(before)):
                 raise FeasibilityViolation(
-                    f"objective increased from {objective:.12e} to "
-                    f"{new_objective:.12e}")
-            objective = new_objective
+                    f"Lagrangian increased from {before:.12e} to "
+                    f"{after:.12e}")
     raise AsmIterationLimit(stats.outer_iterations, trace[-20:])
 
 

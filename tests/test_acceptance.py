@@ -159,13 +159,13 @@ def test_criterion_5_communication_identities():
     gb = delta.phase("dcg").global_booleans + delta.phase("asm").global_booleans
     lf = delta.phase("dcg").local_floats
     ok = (gf == 4 * M * k_dcg + 2 * M * k_asm
-          and gb == 2 * M * (k_dcg + k_asm)
+          and gb == 2 * M * (k_dcg + k_asm - 1)
           and lf == 2 * n_c * k_dcg)
     # the same identities are asserted for every sample of every closed-loop
     # run (the experiment loop calls verify_comm_identities each solve)
     _report(5, ok, f"ledger identities exact: {gf} global floats = "
             f"4M*{k_dcg}+2M*{k_asm}, {gb} global booleans = "
-            f"2M*({k_dcg}+{k_asm}), {lf} local floats = 2n_c*{k_dcg} "
+            f"2M*({k_dcg}+{k_asm}-1), {lf} local floats = 2n_c*{k_dcg} "
             f"(M={M}, n_c={n_c})")
 
 
@@ -184,7 +184,7 @@ def test_criterion_6_dcg_finite_convergence():
         reference = centralized_cg(pieces, n_c, eps=1e-7, max_iter=n_c + 5)
         fab = Fabric(len(pieces))
         partner = qps[0].coupling.partner
-        state = dcg_init(pieces, partner, None, fab)
+        state = dcg_init(pieces, partner, None, 1e-7, fab)
         done = False
         for lam_ref in reference:
             done = dcg_iterate(state, partner, fab, eps=1e-7)

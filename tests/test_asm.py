@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmpcqp import (AgentBounds, AsmConfig, Fabric, asm_solve,
@@ -23,6 +23,7 @@ from dmpcqp.fabric import PhaseCounters, verify_comm_identities
 from dmpcqp.qp_builder import stack_global
 
 import asm_reference
+import dcg_reference
 from condense_reference import working_set_duals
 from conftest import (dense_bounds, network_with_isolated_agent, norm_inf,
                       random_network, random_x0)
@@ -105,7 +106,7 @@ def test_clean_feasibility_round_is_the_first_active_set_iteration(
     """Re-solving a warm fixed point of the 10-mass chain takes one round:
     its flags come back clean, and the same round's minimizers pass the
     multiplier check, with one DCG solve and one bootstrap charged to
-    ``init``."""
+    ``init`` and, its step being zero, no step flags."""
     rng = np.random.default_rng(2024)
     x0s = sample_initial_states(chain10, rng, 1.0, 0.5)
     qps = build_network_qps(chain10, 12, x0s)
@@ -122,7 +123,8 @@ def test_clean_feasibility_round_is_the_first_active_set_iteration(
     assert len(calls) == 1
     assert (again.stats.init_rounds, again.stats.outer_iterations) == (0, 1)
     assert again.stats.ledger.phase("init") == \
-        PhaseCounters(0, 4 * M, 2 * n_c)
+        PhaseCounters(2 * M, 4 * M, 2 * n_c)
+    assert again.stats.ledger.phase("asm") == PhaseCounters(2 * M, 0, 0)
     verify_iterate(qps, again.z)
 
 
@@ -173,7 +175,7 @@ def test_solve_comm_identities_exact():
     asm = res.stats.ledger.phase("asm")
     M = len(qps)
     assert asm.global_floats == 2 * M * res.stats.outer_iterations
-    assert asm.global_booleans == 2 * M * res.stats.outer_iterations
+    assert asm.global_booleans == 2 * M * (res.stats.outer_iterations - 1)
 
 
 def test_step_length_full_when_direction_zero():
@@ -460,24 +462,42 @@ def _solve_outcome(solve, qps, warm, cfg):
     return outcome, fabric.ledger.as_dict(), fabric.round_index
 
 
-def _without_resolve(outcome, n_agents, n_entries):
-    """The two-phase solver's outcome less its re-solve of the clean
-    feasibility round's working set: one init round, a DCG bootstrap of
-    ``n_entries`` coupling entries with its ``2 * n_agents`` flags, and
-    that bootstrap's two fabric rounds."""
-    def less(ledger):
+def _as_the_one_loop_charges(outcome, n_agents, n_entries, resolved):
+    """The two-phase solver's outcome, on the four-round DCG, as the one
+    loop on the three-round DCG charges it, derived from the reference's
+    own ledger, so that a raised error is covered too.
+
+    Each DCG solve's first ``eta`` rides its bootstrap's flag round,
+    ``2 * n_agents`` more ``init`` floats per solve, and every later one
+    the previous iteration's flag round, one round fewer per DCG iteration
+    (``2 * n_agents`` ``dcg`` booleans each).  The reference's solves are
+    its bootstraps (``n_entries`` ``init`` floats each).  When ``resolved``,
+    the reference re-solved the clean feasibility round's working set, and
+    the one loop has no such solve: one init round fewer, a bootstrap of
+    ``n_entries`` coupling entries with its ``2 * n_agents`` flags and its
+    two fabric rounds fewer, and no ``asm`` flag round in the clean round,
+    which is the one loop's first active-set iteration."""
+    two_m = 2 * n_agents
+    result, ledger, rounds = outcome
+    solves = ledger["init"]["local_floats"] // n_entries - resolved
+    iterations = ledger["dcg"]["global_booleans"] // two_m
+
+    def shifted(ledger):
         out = {phase: dict(counts) for phase, counts in ledger.items()}
         for phase in ("init", "total"):
-            out[phase]["global_booleans"] -= 2 * n_agents
-            out[phase]["local_floats"] -= n_entries
+            out[phase]["global_floats"] += two_m * solves
+            out[phase]["global_booleans"] -= two_m * resolved
+            out[phase]["local_floats"] -= n_entries * resolved
+        for phase in ("asm", "total"):
+            out[phase]["global_booleans"] -= two_m * resolved
         return out
 
-    result, ledger, rounds = outcome
     if len(result) == 5:  # a returned solve, not a raised error
         *result, stats, delta = result
-        stats = dataclasses.replace(stats, init_rounds=stats.init_rounds - 1)
-        result = (*result, stats, less(delta))
-    return result, less(ledger), rounds - 2
+        stats = dataclasses.replace(
+            stats, init_rounds=stats.init_rounds - resolved)
+        result = (*result, stats, shifted(delta))
+    return result, shifted(ledger), rounds - iterations - 3 * resolved
 
 
 @settings(max_examples=80, deadline=None)
@@ -485,15 +505,20 @@ def _without_resolve(outcome, n_agents, n_entries):
        horizon=st.integers(1, 5), x0_scale=st.sampled_from([0.5, 2.0, 4.0]),
        warm_kind=st.sampled_from(["cold", "rows", "shifted"]),
        max_outer=st.sampled_from([None, 1, 2, 3]))
+# a step whose objective rises while its Lagrangian falls
+@example(seed=1583486706, n_agents=3, horizon=4, x0_scale=4.0,
+         warm_kind="rows", max_outer=None)
 def test_one_loop_matches_the_two_phase_solver_bit_for_bit(
         seed, n_agents, horizon, x0_scale, warm_kind, max_outer):
     """The one-loop solve returns, or raises, what the two-phase solver it
     replaced did, byte for byte, from a cold start, from distinct rows on
     distinct inputs and from the previous sample's shifted final working
-    set.  Its counters, ledger and round count are the reference's less
-    the reference's re-solve of the clean feasibility round's working set,
-    which starts from that round's multipliers and takes no DCG iteration:
-    the one loop takes that round as its first active-set iteration."""
+    set.  The reference runs on the per-agent DCG with four rounds per
+    iteration.  Its counters, ledger and round count are the reference's
+    less the reference's re-solve of the clean feasibility round's working
+    set, which starts from that round's multipliers and takes no DCG
+    iteration: the one loop takes that round as its first active-set
+    iteration.  They also carry each DCG ``eta`` in a flag round."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_agents=n_agents)
     x0s = random_x0(rng, net, scale=x0_scale)
@@ -514,7 +539,8 @@ def test_one_loop_matches_the_two_phase_solver_bit_for_bit(
     resolves = []
 
     def recorded(pieces, partner, lambda0, eps, fabric):
-        sol = dcg_solve(pieces, partner, lambda0, eps, fabric)
+        overlaps = dcg_reference.build_overlaps([p.rows for p in pieces])
+        sol = dcg_reference.dcg_solve(pieces, overlaps, lambda0, eps, fabric)
         if lambda0 is not None and not resolves:
             resolves.append(sol.iterations)
         return sol
@@ -524,8 +550,9 @@ def test_one_loop_matches_the_two_phase_solver_bit_for_bit(
         mp.setattr(asm_reference, "dcg_solve", recorded)
         want = _solve_outcome(asm_reference.asm_solve, qps, warm, cfg)
     assert resolves in ([], [0])
-    if resolves:
-        want = _without_resolve(want, len(qps), qps[0].coupling.partner.size)
+    want = _as_the_one_loop_charges(want, len(qps),
+                                    qps[0].coupling.partner.size,
+                                    len(resolves))
     assert got == want
 
 

@@ -94,3 +94,39 @@ def test_difference_names_the_columns_and_counts_the_rows(tmp_path):
     assert gate.difference(*paths).startswith("header differs: ")
     _write_csv(paths[1], before[:-1])
     assert gate.difference(*paths) == "row layout differs"
+
+
+def test_difference_names_the_labels_of_the_rows_that_moved(tmp_path):
+    """When the first column of text labels stays, the result ends with
+    its values among the differing rows, in first-seen order; a label
+    column that moved, or that holds one value, is not named."""
+    header = ["init", "sample", "phase", "global_floats", "global_booleans"]
+    before = [header] + [[str(i), "0", phase, "0", "20"] for i in range(2)
+                         for phase in ("init", "dcg", "asm", "admm")]
+    after = [row[:] for row in before]
+    for row in after[1:]:
+        if row[2] == "init":
+            row[3] = "20"
+        if row[2] == "asm":
+            row[4] = "0"
+    paths = [tmp_path / "before.csv", tmp_path / "after.csv"]
+    _write_csv(paths[0], before)
+    _write_csv(paths[1], after)
+    assert gate.difference(*paths) == (
+        "max abs difference 20 in 4 of 8 rows, columns global_floats, "
+        "global_booleans; phase init, asm")
+    after[2][2] = "admm"
+    _write_csv(paths[1], after)
+    assert gate.difference(*paths) == (
+        "text differs: 'dcg' vs 'admm' in 5 of 8 rows, columns phase, "
+        "global_floats, global_booleans")
+    summary = [["metric", "mean", "max"], ["asm_iterations", "1.5", "3"],
+               ["global_floats", "2000", "2500"],
+               ["global_booleans", "860", "900"]]
+    _write_csv(paths[0], summary)
+    summary[3][1:] = ["840", "880"]
+    summary[2][2] = "2520"
+    _write_csv(paths[1], summary)
+    assert gate.difference(*paths) == (
+        "max abs difference 20 in 2 of 3 rows, columns mean, max; metric "
+        "global_floats, global_booleans")

@@ -13,7 +13,7 @@ from dmpcqp.dcg import dcg_init, dcg_iterate, dcg_solve
 from dmpcqp.errors import (CommAccountingError, CurvatureBreakdown,
                            DcgIterationLimit, InconsistentWarmStart,
                            SolverError)
-from dmpcqp.fabric import verify_comm_identities
+from dmpcqp.fabric import PhaseCounters, verify_comm_identities
 
 import dcg_reference
 from conftest import (network_with_isolated_agent, norm_inf, random_network,
@@ -117,7 +117,7 @@ def test_matches_centralized_cg_per_iteration():
 
         fab = Fabric(len(pieces))
         partner = partner_of(pieces)
-        state = dcg_init(pieces, partner, None, fab)
+        state = dcg_init(pieces, partner, None, 1e-9, fab)
         for it, lam_ref in enumerate(reference):
             done = dcg_iterate(state, partner, fab, eps=1e-9)
             lam = gather(pieces, state.lambdas(), n_rows)
@@ -179,6 +179,43 @@ def test_warm_start_at_solution_is_free():
                     [lam_star[p.rows] for p in pieces], 1e-7, fab)
     assert res.iterations == 0
     assert fab.ledger.phase("dcg").global_floats == 0
+
+
+def test_cold_solve_takes_three_rounds_per_iteration(chain10):
+    """On the 10-mass chain at horizon 12, the bootstrap takes two rounds,
+    the residual exchange and one flag round carrying the first ``eta``,
+    and every iteration three: the curvature, the product exchange and
+    the flag round carrying the next ``eta``."""
+    qps = build_network_qps(chain10, 12, sample_initial_states(
+        chain10, np.random.default_rng(2024), y0_range=1.0, v0_range=0.5))
+    pieces = [condense(qp, working_constraints(qp, [])) for qp in qps]
+    M, n_c = len(qps), qps[0].n_coupling
+    fab = Fabric(M)
+    res = dcg_solve(pieces, qps[0].coupling.partner, None, 1e-8, fab)
+    k = res.iterations
+    assert k > 0
+    assert fab.round_index == 2 + 3 * k
+    assert fab.ledger.phase("init") == PhaseCounters(2 * M, 2 * M, 2 * n_c)
+    assert fab.ledger.phase("dcg") == \
+        PhaseCounters(4 * M * k, 2 * M * k, 2 * n_c * k)
+
+
+def test_warm_start_at_solution_takes_only_the_bootstrap():
+    """A warm start at the solution, as in
+    :func:`test_warm_start_at_solution_is_free`, takes the bootstrap's two
+    rounds and nothing more."""
+    rng = np.random.default_rng(73)
+    pieces = random_pieces(rng, n_rows=7)
+    S, s = assemble(pieces, 7)
+    lam_star = np.linalg.solve(S, s)
+    M = len(pieces)
+    fab = Fabric(M)
+    res = dcg_solve(pieces, partner_of(pieces),
+                    [lam_star[p.rows] for p in pieces], 1e-7, fab)
+    assert res.iterations == 0
+    assert fab.round_index == 2
+    assert fab.ledger.phase("init") == PhaseCounters(2 * M, 2 * M, 2 * 7)
+    assert fab.ledger.total() == fab.ledger.phase("init")
 
 
 def test_inconsistent_warm_start_detected():
@@ -269,6 +306,30 @@ def outcome(solve, *args):
     return kept, fab.ledger.as_dict(), fab.round_index
 
 
+def three_rounds(outcome, n_agents):
+    """The reference's outcome as the solver whose flag rounds carry
+    ``eta`` charges it, derived from the reference's own ledger.
+
+    The multipliers, iterations or error are the reference's.  The first
+    ``eta`` rides the bootstrap's flag round, ``2 * n_agents`` more
+    ``init`` floats, and every later one the previous iteration's flag
+    round, one round fewer per completed iteration (``2 * n_agents``
+    ``dcg`` booleans each).  A curvature breakdown leaves its iteration
+    after the ``sigma`` sum, which the reference reached after its ``eta``
+    sum: one sum and one round fewer."""
+    kept, ledger, rounds = outcome
+    ledger = {phase: dict(counts) for phase, counts in ledger.items()}
+    two_m = 2 * n_agents
+    done = ledger["dcg"]["global_booleans"] // two_m
+    broke = ledger["dcg"]["global_floats"] > 2 * two_m * done
+    assert broke == (kept[0] == "CurvatureBreakdown")
+    for phase in ("init", "total"):
+        ledger[phase]["global_floats"] += two_m
+    for phase in ("dcg", "total"):
+        ledger[phase]["global_floats"] -= two_m * broke
+    return kept, ledger, rounds - done - broke
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(3, 6),
        horizon=st.integers(1, 4), warm=st.booleans())
@@ -289,7 +350,7 @@ def test_flat_solver_matches_reference_bit_for_bit(seed, n_agents, horizon,
     for eps in (1e-10, 1e-300):
         got = outcome(dcg_solve, pieces, plan.partner, lam0, eps)
         want = outcome(dcg_reference.dcg_solve, pieces, overlaps, lam0, eps)
-        assert got == want
+        assert got == three_rounds(want, n_agents)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -313,7 +374,7 @@ def test_flat_solver_matches_reference_at_benchmark_size(chain10, working,
     for eps in (1e-8, 1e-300):
         got = outcome(dcg_solve, pieces, qps[0].coupling.partner, lam0, eps)
         want = outcome(dcg_reference.dcg_solve, pieces, overlaps, lam0, eps)
-        assert got == want
+        assert got == three_rounds(want, len(pieces))
 
 
 def test_multipliers_own_their_data():
@@ -323,7 +384,7 @@ def test_multipliers_own_their_data():
     pieces = random_pieces(rng, n_agents=4, n_rows=12)
     partner = partner_of(pieces)
     fab = Fabric(4)
-    state = dcg_init(pieces, partner, None, fab)
+    state = dcg_init(pieces, partner, None, 1e-300, fab)
     dcg_iterate(state, partner, fab, eps=1e-300)
     kept = state.lambdas()
     before = [l.tobytes() for l in kept]

@@ -68,6 +68,42 @@ def test_global_flags_and():
     assert fab.ledger.phase("asm").global_booleans == 12
 
 
+def test_global_flags_carry_a_sum_in_the_same_round():
+    """With ``values`` the flag round also sums one float per agent, as
+    ``global_reduce`` does, and charges their up and down floats."""
+    values = [0.1, 0.2, 0.3, 1e-17]
+    fab = Fabric(4)
+    assert fab.global_flags([True] * 4, phase="dcg", values=values) == \
+        (True, Fabric(4).global_reduce(values, op="sum"))
+    assert fab.global_flags([True, False, True, True], phase="init",
+                            values=values)[0] is False
+    assert fab.round_index == 2
+    assert tuple(fab.ledger.phase("dcg")) == (8, 8, 0)
+    assert tuple(fab.ledger.phase("init")) == (8, 8, 0)
+    with pytest.raises(FabricDeadlock):
+        fab.global_flags([True] * 4, values=[1.0, None, 2.0, 3.0])
+    with pytest.raises(FabricDeadlock):
+        fab.global_flags([True] * 4, values=[1.0])
+    assert fab.round_index == 2
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", float("nan"), None])
+def test_counts_must_be_integers(bad):
+    """Agent counts and ledger charges are integers that are not ``bool``;
+    anything else is rejected by name, not truncated."""
+    with pytest.raises(ValueError, match=r"^n_agents must be an integer"):
+        Fabric(bad)
+    led = CommLedger()
+    for name in ("global_floats", "global_booleans", "local_floats"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            led.charge("dcg", **{name: bad})
+    assert led.total() == (0, 0, 0)
+    assert Fabric(np.int64(3)).n_agents == 3
+    led.charge("dcg", global_floats=np.int32(2), local_floats=1)
+    assert led.phase("dcg") == (2, 0, 1)
+    assert all(type(v) is int for v in led.phase("dcg"))
+
+
 def test_missing_contribution_deadlocks():
     fab = Fabric(3)
     with pytest.raises(FabricDeadlock):
@@ -98,13 +134,27 @@ def test_identity_checker_accepts_exact_ledgers(dcg, asm, admm, m, nc):
     led = CommLedger()
     led.charge("dcg", global_floats=4 * m * dcg, global_booleans=2 * m * dcg,
                local_floats=2 * nc * dcg)
-    led.charge("asm", global_floats=2 * m * asm, global_booleans=2 * m * asm)
+    led.charge("asm", global_floats=2 * m * asm,
+               global_booleans=2 * m * max(asm - 1, 0))
     led.charge("admm", global_booleans=2 * m * admm,
                local_floats=2 * nc * admm)
     led.charge("init", global_floats=123, global_booleans=7, local_floats=9)
     verify_comm_identities(led.delta(CommLedger()), m, nc,
                            dcg_iterations=dcg, asm_iterations=asm,
                            admm_iterations=admm)
+
+
+@pytest.mark.parametrize("asm", [1, 2, 5])
+def test_identity_checker_rejects_a_flag_round_in_the_first_asm_iteration(
+        asm):
+    """The first active-set iteration sends no step flags: the old
+    ``2 m`` booleans for every outer iteration are ``2 m`` too many."""
+    m = 3
+    led = CommLedger()
+    led.charge("asm", global_floats=2 * m * asm, global_booleans=2 * m * asm)
+    with pytest.raises(CommAccountingError, match="phase asm"):
+        verify_comm_identities(led.delta(CommLedger()), m, 4,
+                               asm_iterations=asm)
 
 
 def test_identity_checker_rejects_off_by_one():

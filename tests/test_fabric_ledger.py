@@ -58,7 +58,15 @@ def test_ledger_replays_the_reference_ledger(ops):
         if kind == "charge":
             counts = dict(zip(KINDS, op[3:]))
             got = _outcome(lambda: led.charge(op[2], **counts))
-            assert got == _outcome(lambda: ref.charge(op[2], **counts))
+            floats = [k for k, v in counts.items() if type(v) is float]
+            if op[2] in PHASES and floats:
+                # the reference truncated a float count; the ledger rejects
+                # it by name and charges nothing
+                assert got == ("ValueError", f"{floats[0]} must be an "
+                                             f"integer, got "
+                                             f"{counts[floats[0]]!r}")
+            else:
+                assert got == _outcome(lambda: ref.charge(op[2], **counts))
         elif kind == "snapshot":
             ledgers.append((led.snapshot(), ref.snapshot()))
         else:
