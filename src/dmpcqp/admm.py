@@ -45,7 +45,7 @@ from .asm import (DEGENERATE_STEP, VIOLATION_TOL, compute_step_length,
                   most_violated_bound)
 from .condense import (AgentCoupling, WorkingSetFactor, condense,
                        working_constraints)
-from .errors import LocalQpError
+from .errors import LocalQpError, require_integer, require_positive
 from .fabric import CommLedger, Fabric
 from .qp_builder import Segments
 
@@ -73,16 +73,8 @@ class AdmmConfig:
 
     def __post_init__(self):
         for name in ("rho", "eps_primal", "eps_dual"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
-        if not (isinstance(self.max_iter, (int, np.integer))
-                and not isinstance(self.max_iter, bool)
-                and self.max_iter >= 1):
-            raise ValueError(
-                f"max_iter must be an integer of at least 1, got "
-                f"{self.max_iter!r}")
+            require_positive(name, getattr(self, name))
+        require_integer("max_iter", self.max_iter, 1)
 
     @classmethod
     def preset(cls, name: str, rho: float = 1.0) -> "AdmmConfig":

@@ -30,7 +30,8 @@ import numpy as np
 
 from .condense import backsubstitute, condense, recover_duals, working_constraints
 from .dcg import dcg_solve
-from .errors import AsmIterationLimit, FeasibilityViolation, InfeasibleStart
+from .errors import (AsmIterationLimit, FeasibilityViolation, InfeasibleStart,
+                     require_integer, require_positive)
 from .fabric import CommLedger, Fabric
 
 #: Rows whose constraint value grows by at most this along a step never block.
@@ -65,18 +66,10 @@ class AsmConfig:
     max_outer: int | None = None
 
     def __post_init__(self):
-        for name in ("eps_step", "eps_dcg"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
-        if self.max_outer is not None and not (
-                isinstance(self.max_outer, (int, np.integer))
-                and not isinstance(self.max_outer, bool)
-                and self.max_outer >= 1):
-            raise ValueError(
-                f"max_outer must be an integer of at least 1, got "
-                f"{self.max_outer!r}")
+        require_positive("eps_step", self.eps_step)
+        require_positive("eps_dcg", self.eps_dcg)
+        if self.max_outer is not None:
+            require_integer("max_outer", self.max_outer, 1)
 
 
 @dataclass

@@ -49,7 +49,7 @@ import scipy
 from . import THREAD_VARS
 from .admm import AdmmConfig, admm_solve, shift_averaged
 from .asm import AsmConfig, asm_solve, shift_active
-from .errors import SolverError
+from .errors import SolverError, require_integer, require_positive
 from .fabric import PHASES, Fabric, verify_comm_identities
 from .model import AgentModel, NetworkModel, build_chain_of_masses
 from .oracle import centralized_mpc_rollout
@@ -93,19 +93,13 @@ class ExperimentConfig:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         for name in ("n_masses", "horizon", "steps", "n_inits", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or \
-                    isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.horizon < 1 or self.steps < 1 or self.n_inits < 1:
             raise ValueError("horizon, steps and inits must be positive")
         for name in ("rho", "eps_dcg", "eps_asm", "dt"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
+            require_positive(name, getattr(self, name))
         for name in ("y0_range", "v0_range"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
@@ -125,39 +119,43 @@ _AGENT_KEYS = ("A_self", "B", "u_lo", "u_hi", "Q", "R", "P")
 def load_network(path) -> NetworkModel:
     """Build a network from the JSON schema documented in this module.
 
-    Raises :class:`ValueError` when the file cannot be read or parsed, when
-    it does not follow the schema's nesting, or when an agent lacks a
-    required key.
+    Raises :class:`ValueError` naming the file when it cannot be read or
+    parsed, when it does not follow the schema's nesting, when an agent
+    lacks a required key, or when :class:`AgentModel` or
+    :class:`NetworkModel` rejects what it holds.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read network file {path}: {exc}") from exc
-    entries = doc.get("agents") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError(f"network file {path}: 'agents' must be a list")
-    agents = []
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("A_in", {}), dict):
-            raise ValueError(f"network file {path}: agent {idx} and its "
-                             f"'A_in' must be objects")
-        missing = [key for key in _AGENT_KEYS if key not in entry]
-        if missing:
-            raise ValueError(f"network file {path}: agent {idx} lacks key "
-                             f"{missing[0]!r}")
-        where = f"network file {path}: agent {idx}"
-        bad = [j for j in entry.get("A_in", {}) if not j.isdecimal()]
-        if bad:
-            raise ValueError(f"{where}: A_in key {bad[0]!r} is no agent index")
-        agents.append(AgentModel(
-            index=idx,
-            A_in={int(j): _float_array(blk, f"{where}: A_in[{j}]")
-                  for j, blk in entry.get("A_in", {}).items()},
-            **{key: _float_array(entry[key], f"{where}: {key}")
-               for key in _AGENT_KEYS}))
-    return NetworkModel(agents)
+    try:
+        doc = json.loads(text)
+        entries = doc.get("agents") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("'agents' must be a list")
+        agents = []
+        for idx, entry in enumerate(entries):
+            where = f"agent {idx}"
+            if not isinstance(entry, dict) or \
+                    not isinstance(entry.get("A_in", {}), dict):
+                raise ValueError(f"{where} and its 'A_in' must be objects")
+            missing = [key for key in _AGENT_KEYS if key not in entry]
+            if missing:
+                raise ValueError(f"{where} lacks key {missing[0]!r}")
+            bad = [j for j in entry.get("A_in", {}) if not j.isdecimal()]
+            if bad:
+                raise ValueError(
+                    f"{where}: A_in key {bad[0]!r} is no agent index")
+            agents.append(AgentModel(
+                index=idx,
+                A_in={int(j): _float_array(blk, f"{where}: A_in[{j}]")
+                      for j, blk in entry.get("A_in", {}).items()},
+                **{key: _float_array(entry[key], f"{where}: {key}")
+                   for key in _AGENT_KEYS}))
+        return NetworkModel(agents)
+    except ValueError as exc:
+        raise ValueError(f"network file {path}: {exc}") from exc
 
 
 def _float_array(value, where) -> np.ndarray:

@@ -45,7 +45,8 @@ from typing import Sequence
 import numpy as np
 
 from .condense import CondensedAgent
-from .errors import CurvatureBreakdown, DcgIterationLimit, InconsistentWarmStart
+from .errors import (CurvatureBreakdown, DcgIterationLimit, InconsistentWarmStart,
+                     require_positive)
 from .fabric import Fabric
 from .qp_builder import Segments
 
@@ -117,8 +118,7 @@ def dcg_init(pieces: Sequence[CondensedAgent], partner: np.ndarray,
     ends with one flag round, which records whether ``r0`` already meets
     ``eps`` and its ``eta``; both rounds are charged to the ``init`` phase.
     """
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    require_positive("eps", eps)
     segments = Segments(p.rows.size for p in pieces)
     if segments.ends[-1] != partner.size:
         raise ValueError(f"{segments.ends[-1]} coupling entries for a "

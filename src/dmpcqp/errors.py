@@ -1,6 +1,29 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and the two argument
+rules every layer checks its counts, caps and tolerances with."""
 
 from __future__ import annotations
+
+import numbers
+
+import numpy as np
+
+
+def require_integer(name, value, minimum=None):
+    """``value`` as an ``int``; a ``ValueError`` naming ``name`` unless it
+    is an integer that is not a ``bool`` and, when ``minimum`` is given, is
+    at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" of at least {minimum}"
+        raise ValueError(f"{name} must be an integer{least}, got {value!r}")
+    return int(value)
+
+
+def require_positive(name, value):
+    """A ``ValueError`` naming ``name`` unless ``value`` is finite and
+    positive."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class SolverError(Exception):

@@ -18,21 +18,12 @@ counts they compute themselves.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from typing import NamedTuple
 
-from .errors import CommAccountingError, FabricDeadlock
+from .errors import CommAccountingError, FabricDeadlock, require_integer
 
 PHASES = ("init", "dcg", "asm", "admm")
-
-
-def _integer(name, value):
-    """``value`` as an ``int``; a ``ValueError`` naming ``name`` unless it
-    is an integer that is not a ``bool``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 class PhaseCounters(NamedTuple):
@@ -57,7 +48,7 @@ class CommLedger:
     def charge(self, phase, *, global_floats=0, global_booleans=0, local_floats=0):
         if phase not in self._phases:
             raise ValueError(f"unknown phase {phase!r}")
-        counts = [_integer(name, value) for name, value in (
+        counts = [require_integer(name, value) for name, value in (
             ("global_floats", global_floats),
             ("global_booleans", global_booleans),
             ("local_floats", local_floats))]
@@ -112,10 +103,7 @@ class Fabric:
     """Coordinator plus neighbor exchange for a fixed set of agents."""
 
     def __init__(self, n_agents):
-        n_agents = _integer("n_agents", n_agents)
-        if n_agents < 1:
-            raise ValueError("fabric needs at least one agent")
-        self.n_agents = n_agents
+        self.n_agents = require_integer("n_agents", n_agents, 1)
         self.ledger = CommLedger()
         self.round_index = 0
 
@@ -138,20 +126,20 @@ class Fabric:
         broken by the lowest agent index.  Each round charges
         ``2 * n_agents`` global floats (up and down).
         """
+        if op not in ("sum", "min"):
+            raise ValueError(f"unknown reduction {op!r}")
         self._require_all(values, "global_reduce")
         self.ledger._add(phase, 2 * self.n_agents, 0, 0)
         self.round_index += 1
         if op == "sum":
             return _fold_sum(values)
-        if op == "min":
-            best = float(values[0])
-            best_agent = 0
-            for i in range(1, self.n_agents):
-                v = float(values[i])
-                if v < best:
-                    best, best_agent = v, i
-            return best, best_agent
-        raise ValueError(f"unknown reduction {op!r}")
+        best = float(values[0])
+        best_agent = 0
+        for i in range(1, self.n_agents):
+            v = float(values[i])
+            if v < best:
+                best, best_agent = v, i
+        return best, best_agent
 
     def global_flags(self, flags, phase="dcg", values=None):
         """Boolean AND across agents; charges ``2 * n_agents`` booleans.

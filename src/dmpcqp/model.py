@@ -18,6 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import require_integer, require_positive
+
 
 def _as_matrix(value, rows, cols, name):
     arr = np.asarray(value, dtype=float)
@@ -64,43 +66,48 @@ class AgentModel:
     P: np.ndarray
 
     def __post_init__(self):
+        who = f"agent {self.index}"
         A = np.asarray(self.A_self, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A_self must be square")
+            raise ValueError(f"{who}: A_self must be square")
         n = A.shape[0]
         B = np.asarray(self.B, dtype=float)
         if B.ndim != 2 or B.shape[0] != n or B.shape[1] == 0:
-            raise ValueError(f"agent {self.index}: B must have n rows and "
-                             "at least one column")
+            raise ValueError(f"{who}: B must have n rows and at least one "
+                             "column")
         m = B.shape[1]
         A_in = {j: np.asarray(blk, dtype=float)
                 for j, blk in dict(self.A_in).items()}
-        lo = np.asarray(self.u_lo, dtype=float).reshape(m)
-        hi = np.asarray(self.u_hi, dtype=float).reshape(m)
-        Q = _as_matrix(self.Q, n, n, "Q")
-        R = _as_matrix(self.R, m, m, "R")
-        P = _as_matrix(self.P, n, n, "P")
+        lo, hi = (np.asarray(v, dtype=float) for v in (self.u_lo, self.u_hi))
+        for name, arr in (("u_lo", lo), ("u_hi", hi)):
+            if arr.size != m:
+                raise ValueError(f"{who}: {name} must have one entry per "
+                                 f"input ({m}), got {arr.size}")
+        lo, hi = lo.reshape(m), hi.reshape(m)
+        Q = _as_matrix(self.Q, n, n, f"{who}: Q")
+        R = _as_matrix(self.R, m, m, f"{who}: R")
+        P = _as_matrix(self.P, n, n, f"{who}: P")
         for name, arr in (("A_self", A), ("B", B), *(
                 (f"A_in[{j}]", blk) for j, blk in A_in.items()),
                 ("u_lo", lo), ("u_hi", hi), ("Q", Q), ("R", R), ("P", P)):
             if not np.isfinite(arr).all():
-                raise ValueError(
-                    f"agent {self.index}: {name} must be finite")
+                raise ValueError(f"{who}: {name} must be finite")
         object.__setattr__(self, "A_self", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "A_in", A_in)
         if not (np.all(lo < 0.0) and np.all(hi > 0.0)):
-            raise ValueError("input bounds must satisfy u_lo < 0 < u_hi")
+            raise ValueError(f"{who}: input bounds must satisfy u_lo < 0 < "
+                             "u_hi")
         object.__setattr__(self, "u_lo", lo)
         object.__setattr__(self, "u_hi", hi)
         for name, mat in (("Q", Q), ("R", R), ("P", P)):
-            _check_symmetric(mat, name)
+            _check_symmetric(mat, f"{who}: {name}")
         if np.min(np.linalg.eigvalsh(Q)) <= 0.0:
-            raise ValueError("Q must be positive definite")
+            raise ValueError(f"{who}: Q must be positive definite")
         if np.min(np.linalg.eigvalsh(R)) <= 0.0:
-            raise ValueError("R must be positive definite")
+            raise ValueError(f"{who}: R must be positive definite")
         if np.min(np.linalg.eigvalsh(P)) < -1e-12:
-            raise ValueError("P must be positive semidefinite")
+            raise ValueError(f"{who}: P must be positive semidefinite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "P", P)
@@ -232,10 +239,9 @@ def build_chain_of_masses(
     p_weight : float
         Diagonal terminal weight (0 disables the terminal penalty).
     """
-    if n_masses < 2:
-        raise ValueError("chain needs at least 2 masses")
-    if dt <= 0 or mass <= 0 or u_max <= 0:
-        raise ValueError("dt, mass and u_max must be positive")
+    n_masses = require_integer("n_masses", n_masses, 2)
+    for name, value in (("dt", dt), ("mass", mass), ("u_max", u_max)):
+        require_positive(name, value)
     q_diag = tuple(float(q) for q in q_diag)
     if len(q_diag) != 2:
         raise ValueError("q_diag must have length 2")

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError
+from .errors import SolverError, require_integer
 from .model import NetworkModel
 from .qp_builder import (Segments, StackedQp, build_network_qps,
                          closed_loop, rollout_feasible_point, stack_global)
@@ -198,8 +198,7 @@ def centralized_mpc_rollout(net: NetworkModel, x0s: Sequence[np.ndarray],
     feasible start is built by simulating the network under inputs that
     keep the previous sample's active bounds tight.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    steps = require_integer("steps", steps, 1)
     qps = build_network_qps(net, horizon, x0s)
     stacked = stack_global(qps)
     prepared = prepare_kkt(stacked)

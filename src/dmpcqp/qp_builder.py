@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .condense import AgentBounds, AgentCoupling, FactorCache
+from .errors import require_integer
 from .model import NetworkModel, PlantState, plant_step
 
 
@@ -182,6 +183,7 @@ class CouplingIndex:
 def build_coupling_index(net: NetworkModel, horizon: int) -> CouplingIndex:
     """The :class:`CouplingIndex` of ``net``; an edge's row ``k n + c``
     ties the owner's state ``x^k_c`` to the copier's copy of it."""
+    horizon = require_integer("horizon", horizon, 1)
     layouts = [_layout_for(net, i, horizon) for i in range(net.n_agents)]
     # per row: its (owner, copier), the column each of them reads, its
     # stage width and whether it is in the last stage
@@ -303,8 +305,7 @@ def build_agent_qp(net: NetworkModel, i: int, horizon: int, x0: np.ndarray,
     coupling : CouplingIndex, optional
         The network's coupling plan; built when omitted.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = require_integer("horizon", horizon, 1)
     agent = net.agents[i]
     layout = _layout_for(net, i, horizon)
     x0 = _initial_state(x0, agent.n, i)

@@ -285,7 +285,7 @@ def test_tolerances_must_be_finite_and_positive(name, bad):
         AdmmConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("bad", [2.5, 0, -1, "3", None, True, False])
+@pytest.mark.parametrize("bad", [2.5, 0, -1, "3", None, True, False, 3.0])
 def test_iteration_cap_must_be_an_integer_of_at_least_one(bad):
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         AdmmConfig(max_iter=bad)

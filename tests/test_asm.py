@@ -66,7 +66,7 @@ def test_tolerances_must_be_finite_and_positive(name, bad):
         AsmConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("bad", [2.5, 0, -1, "3", True, False])
+@pytest.mark.parametrize("bad", [2.5, 0, -1, "3", True, False, 3.0])
 def test_outer_cap_must_be_an_integer_of_at_least_one(bad):
     with pytest.raises(ValueError, match="max_outer must be an integer"):
         AsmConfig(max_outer=bad)

@@ -176,7 +176,7 @@ def test_config_validation():
         ExperimentConfig(steps=0).validate()
     for name, bad in (("horizon", 2.5), ("steps", 2.0), ("n_masses", 3.0),
                       ("seed", 1.5), ("n_inits", True), ("horizon", "12"),
-                      ("seed", False)):
+                      ("seed", False), ("steps", None)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ExperimentConfig(**{name: bad}).validate()
     with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -475,6 +475,12 @@ def test_malformed_network_file_exits_with_2(tmp_path, capsys):
     with pytest.raises(ValueError, match="cannot read"):
         load_network(tmp_path / "missing.json")
     files = [path, tmp_path / "missing.json"]
+    # a file that is no JSON is named too
+    files.append(tmp_path / "cut.json")
+    files[-1].write_text('{"agents": [')
+    with pytest.raises(ValueError, match=re.escape(
+            f"network file {files[-1]}: Expecting value")):
+        load_network(files[-1])
     doc["agents"][0]["A_in"] = [1.0]
     # a matrix, or an A_in block, given as an object
     self_object = json.loads(path.read_text())
@@ -517,9 +523,9 @@ def test_malformed_network_file_exits_with_2(tmp_path, capsys):
 def test_network_file_with_a_bad_agent_exits_2_naming_it(tmp_path,
                                                         capsys):
     """A network file whose agent has no input, an ``A_in`` key that is no
-    agent index, or a matrix given as a string or as ragged rows makes
-    ``run`` exit 2 with a message naming the agent, and the file for all
-    but the missing input."""
+    agent index, a matrix given as a string or as ragged rows, a matrix or
+    bound that ``AgentModel`` rejects, or an unknown neighbor makes ``run``
+    exit 2 with a message naming the file and the agent."""
     save_network(build_chain_of_masses(3), tmp_path / "chain.json")
     doc = json.loads((tmp_path / "chain.json").read_text())
     no_input = json.loads(json.dumps(doc))
@@ -531,7 +537,29 @@ def test_network_file_with_a_bad_agent_exits_2_naming_it(tmp_path,
     text, ragged = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
     text["agents"][0]["A_self"] = "x"
     ragged["agents"][2]["Q"][1] = [1.0]
+
+    def with_agent_0(key, value):
+        bad = json.loads(json.dumps(doc))
+        bad["agents"][0][key] = value
+        return bad
+
     for name, bad, message in (
+            ("square", with_agent_0("A_self", [[1.0, 0.2]]),
+             "network file {}: agent 0: A_self must be square"),
+            ("q_shape", with_agent_0("Q", [[10.0]]),
+             "network file {}: agent 0: Q must have shape (2, 2), got (1, 1)"),
+            ("q_symmetric", with_agent_0("Q", [[10.0, 1.0], [0.0, 10.0]]),
+             "network file {}: agent 0: Q must be symmetric"),
+            ("r_definite", with_agent_0("R", [[-1.0]]),
+             "network file {}: agent 0: R must be positive definite"),
+            ("bounds", with_agent_0("u_lo", [0.5]),
+             "network file {}: agent 0: input bounds must satisfy "
+             "u_lo < 0 < u_hi"),
+            ("u_lo_length", with_agent_0("u_lo", [-1.0, -1.0]),
+             "network file {}: agent 0: u_lo must have one entry per input "
+             "(1), got 2"),
+            ("neighbor", with_agent_0("A_in", {"7": [[0.0, 0.0]] * 2}),
+             "network file {}: agent 0: unknown neighbor 7"),
             ("no_input", no_input,
              "agent 1: B must have n rows and at least one column"),
             ("bad_key", bad_key,

@@ -44,6 +44,15 @@ def test_global_reduce_sum_and_charges():
     assert fab.ledger.phase("dcg").global_floats == 6
 
 
+def test_rejected_global_reduce_charges_nothing():
+    """An unknown reduction is rejected before the round is charged."""
+    fab = Fabric(3)
+    with pytest.raises(ValueError, match="unknown reduction 'max'"):
+        fab.global_reduce([1.0, 2.0, 3.0], op="max", phase="asm")
+    assert fab.ledger.as_dict() == CommLedger().as_dict()
+    assert fab.round_index == 0
+
+
 def test_global_reduce_min_breaks_ties_low():
     fab = Fabric(4)
     val, agent = fab.global_reduce([2.0, 1.0, 1.0, 3.0], op="min", phase="asm")
@@ -87,7 +96,8 @@ def test_global_flags_carry_a_sum_in_the_same_round():
     assert fab.round_index == 2
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", float("nan"), None])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", float("nan"), None,
+                                 False])
 def test_counts_must_be_integers(bad):
     """Agent counts and ledger charges are integers that are not ``bool``;
     anything else is rejected by name, not truncated."""

@@ -47,6 +47,20 @@ def test_chain_parameters_scale():
     np.testing.assert_allclose(a.u_lo, [-3.0])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_masses": 2.5}, "n_masses must be an integer of at least 2"),
+    ({"dt": float("nan")}, "dt must be finite and positive"),
+    ({"mass": float("inf")}, "mass must be finite and positive"),
+    ({"u_max": 0.0}, "u_max must be finite and positive"),
+])
+def test_chain_parameters_are_checked_by_name(kwargs, message):
+    """A fractional mass count or a parameter that is not finite and
+    positive is rejected by name, not by a later ``TypeError`` or a chain
+    whose input matrix is zero."""
+    with pytest.raises(ValueError, match=message):
+        build_chain_of_masses(**{"n_masses": 3, **kwargs})
+
+
 def test_agent_validation_rejects_bad_data():
     eye = np.eye(2)
     ok = dict(index=0, A_self=eye, B=np.ones((2, 1)), A_in={},

@@ -165,6 +165,14 @@ def test_rollout_rejects_a_non_finite_initial_state(chain3):
         centralized_mpc_rollout(chain3, x0s, horizon=6, steps=2)
 
 
+@pytest.mark.parametrize("steps", [True, 2.5, 0])
+def test_rollout_steps_must_be_an_integer_of_at_least_one(chain3, steps):
+    x0s = [np.full(2, 0.1)] * 3
+    with pytest.raises(ValueError,
+                       match="steps must be an integer of at least 1"):
+        centralized_mpc_rollout(chain3, x0s, horizon=6, steps=steps)
+
+
 def test_rollout_accessors():
     net = build_chain_of_masses(3)
     x0s = [np.array([0.3, 0.0])] * 3

@@ -75,6 +75,15 @@ def test_every_module_level_definition_is_read():
     assert orphans == []
 
 
+def test_readme_names_every_bench_record():
+    """Every ``BENCH_*.json`` at the repository root is named in the
+    README, so its list of committed records cannot fall behind."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    assert [path.name for path in sorted(root.glob("BENCH_*.json"))
+            if path.name not in readme] == []
+
+
 def test_condense_is_the_submodule():
     import dmpcqp.condense as m
 

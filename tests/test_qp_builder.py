@@ -94,6 +94,16 @@ def test_layout_rejects_out_of_range():
         lay.u_slice(3)
 
 
+@pytest.mark.parametrize("horizon", [True, 2.5, 0])
+def test_horizon_must_be_an_integer_of_at_least_one(chain3, horizon):
+    message = "horizon must be an integer of at least 1"
+    with pytest.raises(ValueError, match=message):
+        build_network_qps(chain3, horizon, [np.zeros(2)] * 3)
+    with pytest.raises(ValueError, match=message):
+        build_agent_qp(chain3, 0, horizon, np.zeros(2),
+                       build_coupling_index(chain3, 3))
+
+
 def test_coupling_rows_belong_to_exactly_two_agents():
     rng = np.random.default_rng(5)
     for _ in range(8):
